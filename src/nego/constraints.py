@@ -107,8 +107,10 @@ class PriorityNogood:
     def violated_by(self, cfg: Configuration, ranks: Mapping[QualId, int] | None = None) -> bool:
         if not self.applies(cfg):
             return False
-        if ranks is None:
-            ranks = cfg.ranks()
+        return self.pairs_hold(cfg.ranks() if ranks is None else ranks)
+
+    def pairs_hold(self, ranks: Mapping[QualId, int]) -> bool:
+        """Every pair holds under the ranks; the context is not looked at."""
         return bool(self.pairs) and all(
             t in ranks and m in ranks and ranks[t] < ranks[m] for t, m in self.pairs
         )

@@ -8,8 +8,9 @@ pull in.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from nego.dsl import ServiceInterface, SoftwareModel
 from nego.model import ModelError
@@ -22,8 +23,10 @@ class ConnectionCandidates:
     must: pairs with exactly one provider, as (client, service, provider).
     may: pairs with several providers, mapped to the sorted provider tuple.
     unsatisfiable: pairs with no provider at all.
-    requirements/providers describe the reachable sub-model so solutions can
-    be enumerated without going back to the full software model.
+    requirements (per component, sorted) and providers (every provider of
+    each required service, sorted) describe the reachable sub-model, so
+    ConnectionSearch enumerates solutions without going back to the full
+    software model.
     """
 
     pinned: frozenset[str]
@@ -39,6 +42,11 @@ def connection_candidates(software: SoftwareModel, pinned: frozenset[str]) -> Co
         if comp not in software.contracts:
             raise ModelError(f"pinned component {comp!r} does not exist")
 
+    providers_of: dict[str, list[str]] = {}
+    for comp in software.component_names():
+        for service in software.contracts[comp].provides:
+            providers_of.setdefault(service, []).append(comp)
+
     reachable: set[str] = set()
     agenda = sorted(pinned)
     while agenda:
@@ -47,7 +55,7 @@ def connection_candidates(software: SoftwareModel, pinned: frozenset[str]) -> Co
             continue
         reachable.add(comp)
         for service in sorted(software.contracts[comp].requires):
-            for provider in software.providers(service):
+            for provider in providers_of.get(service, ()):
                 if provider != comp and provider not in reachable:
                     agenda.append(provider)
 
@@ -60,8 +68,8 @@ def connection_candidates(software: SoftwareModel, pinned: frozenset[str]) -> Co
         services = tuple(sorted(software.contracts[comp].requires))
         requirements[comp] = services
         for service in services:
-            options = tuple(p for p in software.providers(service) if p != comp)
-            providers.setdefault(service, options)
+            providers[service] = tuple(providers_of.get(service, ()))
+            options = tuple(p for p in providers[service] if p != comp)
             if not options:
                 unsat.add((comp, service))
             elif len(options) == 1:
@@ -78,6 +86,102 @@ def connection_candidates(software: SoftwareModel, pinned: frozenset[str]) -> Co
     )
 
 
+class ConnectionSearch:
+    """Depth-first walk over connection assignments on an explicit trail.
+
+    One level per (client, service) pair: the smallest pending pair in name
+    order is decided next, by its providers in name order, skipping any
+    provider already serving as many clients as its interface allows.  A
+    provider joins the selection when first chosen, and its own
+    requirements become pending; retracting that choice takes both back.
+    The trail holds one selection, one pending list and one entry per
+    level, so a caller can stop at any level, test its own constraints
+    there, and resume.
+    """
+
+    def __init__(
+        self, candidates: ConnectionCandidates, interfaces: Mapping[str, ServiceInterface]
+    ) -> None:
+        self._requirements = candidates.requirements
+        self._providers = candidates.providers
+        self._bounds = {service: iface.max_clients for service, iface in interfaces.items()}
+        self._clients: dict[tuple[str, str], int] = {}  # (service, provider) -> clients
+        self._pending = sorted((c, s) for c in candidates.pinned for s in self._requirements.get(c, ()))
+        # [client, service, provider options, index of the current choice]
+        self.levels: list[list] = []
+        # component -> level whose choice selected it; pinned components at -1
+        self.selected_at: dict[str, int] = dict.fromkeys(candidates.pinned, -1)
+
+    def open(self) -> bool:
+        """Open a level for the smallest pending pair, with no choice made
+        yet; False when nothing is pending: the assignment is complete."""
+        if not self._pending:
+            return False
+        client, service = self._pending.pop(0)
+        options = tuple(p for p in self._providers.get(service, ()) if p != client)
+        self.levels.append([client, service, options, -1])
+        return True
+
+    def choose_next(self) -> bool:
+        """Choose the top level's next admissible provider.  When none is
+        left, close the level and return False."""
+        level = self.levels[-1]
+        client, service, options, index = level
+        bound = self._bounds.get(service)
+        for index in range(index + 1, len(options)):
+            provider = options[index]
+            clients = self._clients.get((service, provider), 0)
+            if bound is not None and clients >= bound:
+                continue
+            level[3] = index
+            self._clients[(service, provider)] = clients + 1
+            if provider not in self.selected_at:
+                self.selected_at[provider] = len(self.levels) - 1
+                for required in self._requirements.get(provider, ()):
+                    insort(self._pending, (provider, required))
+            return True
+        self.close()
+        return False
+
+    def choice(self) -> tuple[str, str, str]:
+        """(client, service, provider) of the top level's current choice."""
+        client, service, options, index = self.levels[-1]
+        return client, service, options[index]
+
+    def retract(self) -> None:
+        """Undo the top level's current choice; the next choose_next goes
+        on from the provider after it."""
+        _, service, provider = self.choice()
+        self._clients[(service, provider)] -= 1
+        if self.selected_at[provider] == len(self.levels) - 1:
+            del self.selected_at[provider]
+            for required in self._requirements.get(provider, ()):
+                self._pending.remove((provider, required))
+
+    def close(self) -> None:
+        """Drop the top level, which must have no current choice; its pair
+        is pending again."""
+        client, service, _, _ = self.levels.pop()
+        insort(self._pending, (client, service))
+
+    def connections(self) -> frozenset[tuple[str, str, str]]:
+        return frozenset((client, service, options[index]) for client, service, options, index in self.levels)
+
+    def assignments(self) -> Iterator[None]:
+        """Pause at every complete assignment, in search order."""
+        forward = True
+        while True:
+            if forward and self.open():
+                forward = self.choose_next()
+                continue
+            if forward:
+                yield
+            if not self.levels:
+                return
+            self.retract()
+            forward = self.choose_next()
+
+
 def count_solutions(
     candidates: ConnectionCandidates, interfaces: Mapping[str, ServiceInterface]
 ) -> int:
@@ -86,35 +190,7 @@ def count_solutions(
     Requirements expand lazily: a provider's pairs count only once some
     branch actually selects it.
     """
-    if any(pair[0] in candidates.pinned for pair in candidates.unsatisfiable):
-        return 0
-
-    def options(client: str, service: str) -> tuple[str, ...]:
-        return tuple(p for p in candidates.providers.get(service, ()) if p != client)
-
-    def recurse(selected: frozenset[str], assigned: dict[tuple[str, str], str]) -> int:
-        pending = sorted(
-            (client, service)
-            for client in selected
-            for service in candidates.requirements.get(client, ())
-            if (client, service) not in assigned
-        )
-        if not pending:
-            return 1
-        client, service = pending[0]
-        total = 0
-        for provider in options(client, service):
-            bound = interfaces[service].max_clients if service in interfaces else None
-            if bound is not None:
-                clients = sum(1 for (c, s), p in assigned.items() if s == service and p == provider)
-                if clients + 1 > bound:
-                    continue
-            assigned[(client, service)] = provider
-            total += recurse(selected | {provider}, assigned)
-            del assigned[(client, service)]
-        return total
-
-    return recurse(candidates.pinned, {})
+    return sum(1 for _ in ConnectionSearch(candidates, interfaces).assignments())
 
 
 def render_candidates(candidates: ConnectionCandidates) -> str:

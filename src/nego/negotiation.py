@@ -30,7 +30,9 @@ from nego.model import (
     qual_str,
 )
 from nego.space import ConstraintStore
-from nego.taskgraph import INITIALIZATION, NORMAL, GraphError, TaskGraph, build_task_graph
+# build_task_graph stays importable from here: perfbench's traced run wraps
+# it by this name, although the builds go through ConstraintStore.task_graphs.
+from nego.taskgraph import GraphError, build_task_graph  # noqa: F401
 from nego.timing import BUSY_WINDOW, MODELS, TimingReport, check_timing
 
 DEFAULT_BUDGET = 10000
@@ -50,7 +52,7 @@ def _report_lines(normal: TimingReport, init: TimingReport) -> tuple[str, ...]:
 
 
 def _revalidate(
-    software, platform: PlatformModel, cfg: Configuration, pinned: frozenset[str], model: str
+    software, store: ConstraintStore, platform: PlatformModel, cfg: Configuration, pinned: frozenset[str], model: str
 ) -> tuple[tuple[str, ...] | None, str]:
     """Re-run every viewpoint on the unchanged configuration.
 
@@ -69,8 +71,7 @@ def _revalidate(
     if cf:
         return None, cf[0].message()
     try:
-        normal = build_task_graph(software, cfg, NORMAL)
-        init = build_task_graph(software, cfg, INITIALIZATION)
+        normal, init = store.task_graphs(cfg)
     except GraphError as exc:
         return None, f"structure: {exc}"
     normal_report = check_timing(normal, cfg, platform, model)
@@ -106,9 +107,10 @@ def negotiate(
     pinned = pinned_components(software)
     platform = system.platform
     current = system.config
+    store = ConstraintStore(software, platform, pinned)
 
     if current is not None:
-        report, reason = _revalidate(software, platform, current, pinned, model)
+        report, reason = _revalidate(software, store, platform, current, pinned, model)
         if report is not None:
             trace.append("revalidation: ok")
             return (
@@ -117,7 +119,6 @@ def negotiate(
             )
         trace.append(f"revalidation: {reason}")
 
-    store = ConstraintStore(software, platform, pinned)
     count = 0
     while count < budget:
         candidate = store.next_candidate()
@@ -142,8 +143,7 @@ def negotiate(
             continue
 
         try:
-            normal = build_task_graph(software, candidate, NORMAL)
-            init = build_task_graph(software, candidate, INITIALIZATION)
+            normal, init = store.task_graphs(candidate)
         except GraphError as exc:
             trace.append(f"  structure: {exc}")
             forbid = ForbidConjunction(frozenset(ConnLit(*c) for c in candidate.connections))

@@ -160,13 +160,14 @@ def test_c8a_busy_window_sound_against_simulation():
 
 
 def test_c8b_negotiation_agrees_with_brute_force():
-    outcomes = set()
-    for seed in range(50):
-        system = random_software_system(random.Random(seed))
-        answer, _ = negotiate(system, [], model=BUSY_WINDOW)
-        assert answer.ok == feasible(system, model=BUSY_WINDOW), seed
-        outcomes.add(answer.ok)
-    assert outcomes == {True, False}
+    for model in (BUSY_WINDOW, SINGLE_BLOCKING):
+        outcomes = set()
+        for seed in range(50):
+            system = random_software_system(random.Random(seed))
+            answer, _ = negotiate(system, [], model=model)
+            assert answer.ok == feasible(system, model=model), (model, seed)
+            outcomes.add(answer.ok)
+        assert outcomes == {True, False}, model
 
 
 def _run_cli(argv):

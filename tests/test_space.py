@@ -1,10 +1,23 @@
+import itertools
+import random
+
 import pytest
 
-from nego.constraints import ConnLit, ForbidConjunction, PriorityNogood, PriorityPrecedence
+import nego.space
+from nego.constraints import (
+    ConnLit,
+    ForbidConjunction,
+    MapLit,
+    PriorityNogood,
+    PriorityPrecedence,
+    SelLit,
+    configuration_ok,
+)
 from nego.dsl import load_software_model
-from nego.model import ModelError, pinned_components, parse_platform
+from nego.model import Configuration, ModelError, pinned_components, parse_platform
+from nego.randsys import random_software_system
 from nego.space import ConstraintStore
-from nego.taskgraph import NORMAL, build_task_graph
+from nego.taskgraph import NORMAL, GraphError, build_task_graph
 from nego.timing import BUSY_WINDOW, SINGLE_BLOCKING, check_timing
 
 from conftest import (
@@ -15,6 +28,7 @@ from conftest import (
     POST_MAPPING,
     POST_SELECTED,
 )
+from oracles import assignments
 
 
 def post_store(software_post, platform):
@@ -172,3 +186,79 @@ def test_dump_mentions_structure_and_constraints(software_post, platform):
     assert "may L object_recognition O1|O2" in text
     assert "constraints: 1" in text
     assert "forbid{conn[L,object_recognition]=O1}" in text
+
+
+def _structural_space(software, platform):
+    """Every (selected, connections, mapping) the store may propose, from
+    the brute-force oracle."""
+    for selected, conns in assignments(software, pinned_components(software)):
+        tasks = sorted(
+            ((comp, step.name), step.resource_type)
+            for comp in selected
+            for thread in software.contracts[comp].threads
+            for step in thread.tasks()
+        )
+        pools = [[r.name for r in platform.by_type(rtype)] for _, rtype in tasks]
+        for combo in itertools.product(*pools):
+            mapping = {task: res for (task, _), res in zip(tasks, combo)}
+            yield Configuration(selected, frozenset((c, s, p) for (c, s), p in conns.items()), mapping, ())
+
+
+def _partial_key(cfg):
+    return cfg.selected, cfg.connections, tuple(sorted(cfg.mapping.items()))
+
+
+def test_forbids_learned_between_calls_cut_exactly():
+    # Forbids over random literals of each candidate (sel[c]=false included)
+    # are learned between calls.  Every proposal satisfies the constraints
+    # held at that call, and every partial the final forbids leave open was
+    # proposed.
+    for seed in range(200):
+        rng = random.Random(seed)
+        system = random_software_system(random.Random(seed))
+        software, platform = system.software, system.platform
+        store = ConstraintStore(software, platform, pinned_components(software))
+        proposed = set()
+        while True:
+            constraints = store.constraints
+            cfg = store.next_candidate()
+            if cfg is None:
+                break
+            assert configuration_ok(cfg, constraints), seed
+            proposed.add(_partial_key(cfg))
+            literals = [ConnLit(*c) for c in sorted(cfg.connections)]
+            literals += [MapLit(*task, res) for task, res in sorted(cfg.mapping.items())]
+            literals += [SelLit(c, False) for c in software.component_names() if c not in cfg.selected]
+            if literals and rng.random() < 0.7:
+                k = rng.randint(1, min(3, len(literals)))
+                store.add_constraint(ForbidConjunction(frozenset(rng.sample(literals, k))))
+        forbids = store.constraints
+        for partial in _structural_space(software, platform):
+            if not any(f.blocks(partial) for f in forbids):
+                assert _partial_key(partial) in proposed, seed
+
+
+def test_task_graphs_are_cached_with_their_error(monkeypatch):
+    texts = [
+        "component A services requires s threads thread t on time (period=10 jitter=0) "
+        "task a onto CPU wcet=1 bcet=1 RPC s.m()",
+        "component B services provides s threads thread u on time (period=10 jitter=0) "
+        "task b onto CPU wcet=1 bcet=1",
+    ]
+    software = load_software_model(texts, "service s method m ()")
+    store = ConstraintStore(software, parse_platform("resource R1 type CPU"), pinned_components(software))
+    builds = []
+
+    def counting(software, cfg, mode):
+        builds.append(mode)
+        return build_task_graph(software, cfg, mode)
+
+    monkeypatch.setattr(nego.space, "build_task_graph", counting)
+    cfg = store.next_candidate()
+    messages = []
+    for _ in range(2):
+        with pytest.raises(GraphError) as info:
+            store.task_graphs(cfg)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == "chain A.t: provider 'B' has no entry thread for s.m"
+    assert builds == [NORMAL]
