@@ -1,115 +1,3 @@
 """Negotiation of software updates against multi-viewpoint contracts."""
 
-from nego.dsl import (
-    Contract,
-    DslError,
-    DslSyntaxError,
-    DslValidationError,
-    SoftwareModel,
-    load_software_model,
-    parse_contract,
-    parse_service_repository,
-    render_contract,
-    render_service_repository,
-)
-from nego.model import (
-    Accepted,
-    Answer,
-    Configuration,
-    ModelError,
-    PlatformModel,
-    Rejected,
-    Resource,
-    SystemModel,
-    UpdateError,
-    UpdateRequest,
-    apply_updates,
-    check_well_formed,
-    parse_configuration,
-    parse_platform,
-    pinned_components,
-    render_configuration,
-    render_platform,
-)
-from nego.deps import connection_candidates, count_solutions
-from nego.taskgraph import (
-    INITIALIZATION,
-    NORMAL,
-    CycleError,
-    GraphError,
-    StructuralError,
-    TaskGraph,
-    build_task_graph,
-)
-from nego.controlflow import check_control_flow
-from nego.timing import (
-    BUSY_WINDOW,
-    MODELS,
-    SINGLE_BLOCKING,
-    TimingReport,
-    chain_latency_bound,
-    check_timing,
-    synthesize_priorities,
-    utilization,
-)
-from nego.space import ConstraintStore
-from nego.negotiation import DEFAULT_BUDGET, NegotiationTrace, negotiate
-from nego.sim import ReleaseScenario, simulate, synchronous_scenario, worst_observed
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Accepted",
-    "Answer",
-    "BUSY_WINDOW",
-    "Configuration",
-    "ConstraintStore",
-    "Contract",
-    "CycleError",
-    "DEFAULT_BUDGET",
-    "DslError",
-    "DslSyntaxError",
-    "DslValidationError",
-    "GraphError",
-    "INITIALIZATION",
-    "MODELS",
-    "ModelError",
-    "NORMAL",
-    "NegotiationTrace",
-    "PlatformModel",
-    "Rejected",
-    "ReleaseScenario",
-    "Resource",
-    "SINGLE_BLOCKING",
-    "SoftwareModel",
-    "StructuralError",
-    "SystemModel",
-    "TaskGraph",
-    "TimingReport",
-    "UpdateError",
-    "UpdateRequest",
-    "apply_updates",
-    "build_task_graph",
-    "chain_latency_bound",
-    "check_control_flow",
-    "check_timing",
-    "check_well_formed",
-    "connection_candidates",
-    "count_solutions",
-    "load_software_model",
-    "negotiate",
-    "parse_configuration",
-    "parse_contract",
-    "parse_platform",
-    "parse_service_repository",
-    "pinned_components",
-    "render_configuration",
-    "render_contract",
-    "render_platform",
-    "render_service_repository",
-    "simulate",
-    "synchronous_scenario",
-    "synthesize_priorities",
-    "utilization",
-    "worst_observed",
-]

@@ -124,10 +124,6 @@ class PriorityNogood:
 Constraint = ForbidConjunction | PriorityPrecedence | PriorityNogood
 
 
-def constraint_str(c: Constraint) -> str:
-    return str(c)
-
-
 def configuration_ok(cfg: Configuration, constraints: Iterable[Constraint]) -> bool:
     """True iff the complete configuration violates no constraint."""
     ranks = cfg.ranks()
@@ -159,4 +155,4 @@ def active_priority_constraints(
 
 
 def sort_constraints(constraints: Iterable[Constraint]) -> list[Constraint]:
-    return sorted(constraints, key=constraint_str)
+    return sorted(constraints, key=str)

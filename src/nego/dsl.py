@@ -188,12 +188,6 @@ class Contract:
                 return t
         return None
 
-    def time_threads(self) -> tuple[Thread, ...]:
-        return tuple(t for t in self.threads if isinstance(t.activation, TimeActivation))
-
-    def init_threads(self) -> tuple[Thread, ...]:
-        return tuple(t for t in self.threads if isinstance(t.activation, Initialization))
-
 
 @dataclass(frozen=True)
 class ServiceMethod:

@@ -96,9 +96,6 @@ class Configuration:
         return None
 
 
-EMPTY_CONFIGURATION = Configuration(frozenset(), frozenset(), {}, ())
-
-
 @dataclass(frozen=True)
 class SystemModel:
     software: SoftwareModel

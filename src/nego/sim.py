@@ -9,10 +9,10 @@ per-span maxima; it is the ground truth the analytic bounds must dominate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
 
 from nego.model import Configuration, QualId, qual_str
 from nego.taskgraph import Chain, TaskGraph
@@ -30,10 +30,13 @@ class ReleaseScenario:
     horizon: int
 
 
-def synchronous_scenario(graph: TaskGraph, horizon: int, pattern: str = "max-first") -> ReleaseScenario:
-    """All chains released together at zero; jitter either maximal on the
-    first activation then zero, or zero throughout."""
-    if pattern not in ("max-first", "zero"):
+# Jitter draws: maximal on the first activation then zero, or zero throughout.
+JITTER_PATTERNS = ("max-first", "zero")
+
+
+def _pattern_draws(graph: TaskGraph, pattern: str) -> tuple[tuple[int, ...], ...]:
+    """Per-chain jitter draws of one pattern, indexed like `graph.chains`."""
+    if pattern not in JITTER_PATTERNS:
         raise ValueError(f"unknown jitter pattern {pattern!r}")
     draws = []
     for chain in graph.chains:
@@ -41,7 +44,12 @@ def synchronous_scenario(graph: TaskGraph, horizon: int, pattern: str = "max-fir
             draws.append((chain.event.jitter,))
         else:
             draws.append(())
-    return ReleaseScenario(tuple(0 for _ in graph.chains), tuple(draws), horizon)
+    return tuple(draws)
+
+
+def synchronous_scenario(graph: TaskGraph, horizon: int, pattern: str = "max-first") -> ReleaseScenario:
+    """All chains released together at zero, jitter drawn by `pattern`."""
+    return ReleaseScenario(tuple(0 for _ in graph.chains), _pattern_draws(graph, pattern), horizon)
 
 
 def random_scenario(graph: TaskGraph, rng, horizon: int) -> ReleaseScenario:
@@ -212,10 +220,7 @@ def default_horizon(graph: TaskGraph) -> int:
 
 
 def worst_observed(
-    graph: TaskGraph,
-    cfg: Configuration,
-    horizon: int | None = None,
-    patterns: Sequence[str] = ("max-first", "zero"),
+    graph: TaskGraph, cfg: Configuration, horizon: int | None = None
 ) -> dict[SpanKey, int]:
     """Maximum latency per span over the offset grid and jitter patterns.
 
@@ -230,25 +235,11 @@ def worst_observed(
             axes.append(range(1))
         else:
             axes.append(range(chain.event.period))
+    draws = [_pattern_draws(graph, pattern) for pattern in JITTER_PATTERNS]
     maxima: dict[SpanKey, int] = {}
-
-    def combos(prefix: tuple[int, ...], rest: list[range]):
-        if not rest:
-            yield prefix
-            return
-        for value in rest[0]:
-            yield from combos(prefix + (value,), rest[1:])
-
-    for offsets in combos((), axes):
-        for pattern in patterns:
-            draws = []
-            for chain in graph.chains:
-                if pattern == "max-first" and chain.event is not None:
-                    draws.append((chain.event.jitter,))
-                else:
-                    draws.append(())
-            scenario = ReleaseScenario(offsets, tuple(draws), horizon)
-            result = simulate(graph, cfg, scenario)
+    for offsets in itertools.product(*axes):
+        for pattern_draws in draws:
+            result = simulate(graph, cfg, ReleaseScenario(offsets, pattern_draws, horizon))
             for key, value in result.maxima().items():
                 if key not in maxima or value > maxima[key]:
                     maxima[key] = value

@@ -53,7 +53,6 @@ from nego.constraints import (
     PriorityPrecedence,
     SelLit,
     active_priority_constraints,
-    constraint_str,
     sort_constraints,
 )
 from nego.deps import ConnectionSearch, connection_candidates, render_candidates
@@ -407,5 +406,5 @@ class ConstraintStore:
             if names:
                 lines.append(f"threads {comp}: {names}")
         lines.append(f"constraints: {len(self._constraints)}")
-        lines.extend("  " + constraint_str(c) for c in sort_constraints(self._constraints))
+        lines.extend("  " + str(c) for c in sort_constraints(self._constraints))
         return "\n".join(lines) + "\n"

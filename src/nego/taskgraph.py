@@ -149,41 +149,55 @@ def _unfold_steps(
     component: str,
     thread: Thread,
     out: _Unfolding,
-    stack: tuple[str, ...],
     chain_root: QualId,
 ) -> None:
-    if component in stack:
-        cycle = " -> ".join(stack + (component,))
-        raise CycleError(f"chain {qual_str(chain_root)}: call cycle {cycle}")
-    stack = stack + (component,)
-    for index, step in enumerate(thread.steps):
-        if isinstance(step, TaskStep):
-            out.nodes.append(
-                TaskNode(
-                    component=component,
-                    task=step.name,
-                    wcet=step.wcet,
-                    bcet=step.bcet,
-                    resource_type=step.resource_type,
-                    thread=(component, thread.name),
+    """Append the thread's steps to `out`, splicing each RPC callee's entry
+    thread in place.  Iterative, one frame per call level, so the depth of
+    an RPC chain is bounded by memory rather than the interpreter stack."""
+    # Per thread on the call path: (component, thread, its remaining steps,
+    # the RPC that entered it, the node position where that call began).
+    frames: list[tuple[str, Thread, Iterator, MethodRef | None, int]] = [
+        (component, thread, iter(thread.steps), None, 0)
+    ]
+    on_path = {component}
+    while frames:
+        component, thread, steps, _, _ = frames[-1]
+        for step in steps:
+            if isinstance(step, TaskStep):
+                out.nodes.append(
+                    TaskNode(
+                        component=component,
+                        task=step.name,
+                        wcet=step.wcet,
+                        bcet=step.bcet,
+                        resource_type=step.resource_type,
+                        thread=(component, thread.name),
+                    )
                 )
-            )
-            continue
-        provider = cfg.provider_of(component, step.ref.service)
-        if provider is None:
-            raise StructuralError(
-                f"chain {qual_str(chain_root)}: {component!r} has no connection for service {step.ref.service!r}"
-            )
-        out.connections.add((component, step.ref.service, provider))
-        entry = _provider_entry(software, provider, step.ref, chain_root)
-        if step.kind == "SIGNAL":
-            out.forks.append((provider, entry, component, step.ref, len(out.nodes)))
-            continue
-        start = len(out.nodes)
-        _unfold_steps(software, cfg, provider, entry, out, stack, chain_root)
-        span = (start, len(out.nodes))
-        out.call_spans.append((component, step.ref.service, step.ref.method, span))
-        out.thread_spans.append(((provider, entry.name), span))
+                continue
+            provider = cfg.provider_of(component, step.ref.service)
+            if provider is None:
+                raise StructuralError(
+                    f"chain {qual_str(chain_root)}: {component!r} has no connection for service {step.ref.service!r}"
+                )
+            out.connections.add((component, step.ref.service, provider))
+            entry = _provider_entry(software, provider, step.ref, chain_root)
+            if step.kind == "SIGNAL":
+                out.forks.append((provider, entry, component, step.ref, len(out.nodes)))
+                continue
+            if provider in on_path:
+                cycle = " -> ".join([f[0] for f in frames] + [provider])
+                raise CycleError(f"chain {qual_str(chain_root)}: call cycle {cycle}")
+            on_path.add(provider)
+            frames.append((provider, entry, iter(entry.steps), step.ref, len(out.nodes)))
+            break
+        else:
+            _, _, _, ref, start = frames.pop()
+            on_path.discard(component)
+            if frames:
+                span = (start, len(out.nodes))
+                out.call_spans.append((frames[-1][0], ref.service, ref.method, span))
+                out.thread_spans.append(((component, thread.name), span))
 
 
 def _attach_requirements(
@@ -252,7 +266,7 @@ def build_task_graph(software: SoftwareModel, cfg: Configuration, mode: str) -> 
         seen_roots.add(root)
         unfolding = _Unfolding()
         unfolding.connections.update(seed_conns)
-        _unfold_steps(software, cfg, comp, thread, unfolding, (), root)
+        _unfold_steps(software, cfg, comp, thread, unfolding, root)
         if event is not None and not unfolding.nodes:
             raise StructuralError(f"chain {qual_str(root)}: periodic chain unfolds to no tasks")
         for node in unfolding.nodes:

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
-from nego.dsl import parse_contract
-from nego.model import Accepted, Rejected, SystemModel, UpdateRequest
+import systems
+from nego.dsl import load_software_model, parse_contract
+from nego.model import Accepted, Configuration, Rejected, SystemModel, UpdateRequest, parse_platform
 from nego.negotiation import negotiate
 from nego.timing import BUSY_WINDOW, SINGLE_BLOCKING
 
@@ -151,3 +154,88 @@ def test_candidate_description_lines(system_pre, update_requests):
     assert "  mapping: L.la1 CPU1" in lines
     priority_lines = [l for l in lines if l.startswith("  priorities: ")]
     assert priority_lines[0].startswith("  priorities: L.lane_assist > O1.object_recognition_get")
+
+
+# ---------------------------------------------------------------------------
+# Revalidation reasons: one test per check that can reject the current configuration
+
+
+def _threads(software):
+    return tuple(sorted((c, t.name) for c in software.contracts for t in software.contracts[c].threads))
+
+
+def _mapped_to(software, resource):
+    return {
+        (c, task.name): resource
+        for c in software.contracts
+        for thread in software.contracts[c].threads
+        for task in thread.tasks()
+    }
+
+
+def test_revalidation_not_well_formed(system_pre, current_config):
+    cfg = replace(
+        current_config,
+        connections=current_config.connections - {("T", "object_recognition", "O2")},
+    )
+    _, trace = negotiate(replace(system_pre, config=cfg), [], model=BUSY_WINDOW)
+    assert trace.lines[0] == (
+        "revalidation: not well-formed: [2] T -> object_recognition: 0 providers connected, need exactly 1"
+    )
+
+
+def test_revalidation_control_flow_violation():
+    software = load_software_model(
+        [
+            "component A services requires s threads thread t on time (period=9 jitter=0) "
+            "task a1 onto R wcet=1 bcet=1 RPC s.go() task a2 onto R wcet=1 bcet=1 RPC s.prep()",
+            "component B services provides s threads "
+            "thread e_go on RPC s.go() task bg onto R wcet=1 bcet=1 "
+            "thread e_prep on RPC s.prep() task bp onto R wcet=1 bcet=1 "
+            "control_flow not s.go() until s.prep()",
+        ],
+        "service s method go () method prep ()",
+    )
+    cfg = Configuration(
+        frozenset(software.contracts), frozenset({("A", "s", "B")}),
+        _mapped_to(software, "R1"), _threads(software),
+    )
+    system = SystemModel(software, parse_platform("resource R1 type R\n"), cfg)
+    answer, trace = negotiate(system, [], model=BUSY_WINDOW)
+    assert trace.lines[0] == "revalidation: control_flow: B.s.go reachable before prep via A/t"
+    assert isinstance(answer, Rejected) and answer.reason == "exhausted"
+
+
+def test_revalidation_structure_error():
+    system = systems.shared(3, 1)
+    software = system.software
+    cfg = Configuration(
+        frozenset(software.contracts),
+        frozenset((f"P{i:03d}", "svc", "A") for i in range(3)),
+        _mapped_to(software, "R0"),
+        _threads(software),
+    )
+    answer, trace = negotiate(replace(system, config=cfg), [], model=BUSY_WINDOW)
+    assert trace.lines[0] == (
+        "revalidation: structure: task A.e appears in chain P000.main and chain P001.main in normal mode"
+    )
+    assert isinstance(answer, Rejected) and answer.reason == "exhausted"
+
+
+def test_revalidation_latency_failure(software_post, platform, cfg_accepted):
+    # accepted under single-blocking, too slow under busy-window
+    system = SystemModel(software_post, platform, cfg_accepted)
+    assert negotiate(system, [], model=SINGLE_BLOCKING)[1].lines == ("revalidation: ok",)
+    _, trace = negotiate(system, [], model=BUSY_WINDOW)
+    assert trace.lines[0] == "revalidation: timing 150 park_assist: bound=170 FAIL model=busy-window"
+
+
+def test_revalidation_utilization_overload():
+    system = systems.indep(2, 1, 1, 20, 10, 6)
+    software = system.software
+    cfg = Configuration(
+        frozenset(software.contracts), frozenset(), _mapped_to(software, "R0"), _threads(software)
+    )
+    answer, trace = negotiate(replace(system, config=cfg), [], model=BUSY_WINDOW)
+    assert trace.lines[0] == "revalidation: utilization overload"
+    assert isinstance(answer, Rejected) and answer.reason == "exhausted"

@@ -1,0 +1,25 @@
+"""The bundled scripts run to completion against the installed package."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["scripts/run_example.py", "--quiet"],
+        ["scripts/sweep_random_soundness.py", "--systems", "20"],
+    ],
+)
+def test_script_exits_cleanly(args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

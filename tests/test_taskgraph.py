@@ -1,5 +1,6 @@
 import pytest
 
+import systems
 from nego.dsl import load_software_model
 from nego.model import Configuration
 from nego.taskgraph import (
@@ -132,8 +133,24 @@ def test_call_cycle_detected():
         {("A", "a"): "R1", ("A", "a2"): "R1", ("B", "b"): "R1"},
         (("A", "t"), ("A", "ea"), ("B", "eb")),
     )
-    with pytest.raises(CycleError):
+    with pytest.raises(CycleError, match=r"^chain A\.t: call cycle A -> B -> A$"):
         build_task_graph(software, cfg, NORMAL)
+
+
+def test_deep_rpc_chain_unfolds_without_recursion():
+    system = systems.deep(1500)
+    software = system.software
+    names = sorted(software.contracts)
+    cfg = Configuration(
+        frozenset(names),
+        frozenset((names[i], f"s{i + 1:04d}", names[i + 1]) for i in range(len(names) - 1)),
+        {(c, "t"): "R0" for c in names},
+        tuple(sorted((c, t.name) for c in names for t in software.contracts[c].threads)),
+    )
+    graph = build_task_graph(software, cfg, NORMAL)
+    (chain,) = graph.chains
+    assert [n.component for n in chain.nodes] == names
+    assert len(chain.connections_used) == 1499
 
 
 def test_empty_periodic_chain_is_structural():
