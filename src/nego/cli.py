@@ -13,7 +13,6 @@ import random
 import sys
 from pathlib import Path
 
-from nego.controlflow import check_control_flow
 from nego.deps import connection_candidates, count_solutions, render_candidates, render_dot
 from nego.dsl import DslError, load_software_model, parse_contract
 from nego.model import (
@@ -31,7 +30,7 @@ from nego.model import (
 )
 from nego.negotiation import negotiate
 from nego.sim import default_horizon, random_scenario, simulate, synchronous_scenario, worst_observed
-from nego.taskgraph import INITIALIZATION, NORMAL, GraphError, build_task_graph, render_graph
+from nego.taskgraph import INITIALIZATION, NORMAL, GraphError, TaskGraph, build_task_graph, render_graph
 from nego.timing import BUSY_WINDOW, MODELS, check_timing
 
 
@@ -115,16 +114,39 @@ def _cmd_deps(args) -> int:
     return 1 if candidates.unsatisfiable else 0
 
 
+def _task_graphs(
+    software, config: Configuration, modes: tuple[str, ...], platform=None, scheduled: bool = True
+) -> list[TaskGraph] | None:
+    """Task graphs of the configuration in each mode, or None after printing
+    the structural fault of the first mode that has one.  With `scheduled`,
+    every task of a graph must be mapped and every thread ranked; the first
+    that is not raises ModelError."""
+    resolve_names(config, software, platform)
+    ranks = config.ranks()
+    graphs = []
+    for mode in modes:
+        try:
+            graph = build_task_graph(software, config, mode)
+        except GraphError as exc:
+            label = "structure" if len(modes) == 1 else f"structure ({mode})"
+            print(f"{label}: {exc}", file=sys.stderr)
+            return None
+        if scheduled:
+            for node in graph.tasks():
+                if node.task_id not in config.mapping:
+                    raise ModelError(f"task {qual_str(node.task_id)} is not mapped")
+                if node.thread not in ranks:
+                    raise ModelError(f"thread {qual_str(node.thread)} has no priority")
+        graphs.append(graph)
+    return graphs
+
+
 def _cmd_graph(args) -> int:
     software = _load_software(args)
-    config = _load_config(args)
-    resolve_names(config, software)
-    try:
-        graph = build_task_graph(software, config, args.mode)
-    except GraphError as exc:
-        print(f"structure: {exc}", file=sys.stderr)
+    graphs = _task_graphs(software, _load_config(args), (args.mode,), scheduled=False)
+    if graphs is None:
         return 1
-    print(render_graph(graph), end="")
+    print(render_graph(graphs[0]), end="")
     return 0
 
 
@@ -132,14 +154,11 @@ def _cmd_bound(args) -> int:
     software = _load_software(args)
     platform = _load_platform(args)
     config = _load_config(args)
-    resolve_names(config, software, platform)
+    graphs = _task_graphs(software, config, (NORMAL, INITIALIZATION), platform)
+    if graphs is None:
+        return 1
     ok = True
-    for mode in (NORMAL, INITIALIZATION):
-        try:
-            graph = build_task_graph(software, config, mode)
-        except GraphError as exc:
-            print(f"structure ({mode}): {exc}", file=sys.stderr)
-            return 1
+    for mode, graph in zip((NORMAL, INITIALIZATION), graphs):
         report = check_timing(graph, config, platform, args.model)
         print(f"[{mode}]")
         for line in report.lines():
@@ -151,12 +170,10 @@ def _cmd_bound(args) -> int:
 def _cmd_simulate(args) -> int:
     software = _load_software(args)
     config = _load_config(args)
-    resolve_names(config, software)
-    try:
-        graph = build_task_graph(software, config, args.mode)
-    except GraphError as exc:
-        print(f"structure: {exc}", file=sys.stderr)
+    graphs = _task_graphs(software, config, (args.mode,))
+    if graphs is None:
         return 1
+    graph = graphs[0]
     horizon = args.horizon or default_horizon(graph)
     if args.sweep:
         maxima = worst_observed(graph, config, horizon)

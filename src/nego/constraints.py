@@ -10,7 +10,7 @@ context matches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from nego.model import Configuration, QualId, qual_str
 

@@ -14,72 +14,57 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from nego.constraints import ConnLit, ForbidConjunction, SelLit
-from nego.dsl import Initialization, MethodRef, SoftwareModel, TimeActivation
+from nego.dsl import Initialization, MethodRef, SoftwareModel, Thread, TimeActivation
 from nego.model import Configuration, QualId
 from nego.taskgraph import INITIALIZATION, NORMAL
 
 
 @dataclass(frozen=True)
 class CallSite:
-    """One call step of a selected component, with the modes its thread
-    can execute in and the provider the configuration routes it to."""
+    """One routed call step of a selected thread that executes in some
+    mode, with those modes and the provider the configuration routes the
+    call to."""
 
     client: str
-    thread: str
+    thread: Thread
     index: int
-    ref: MethodRef
     provider: str
     modes: frozenset[str]
 
 
+def _method(ref: MethodRef) -> tuple[str, str]:
+    """Key under which calls of a method are indexed; arguments do not count."""
+    return ref.service, ref.method
+
+
 def thread_modes(software: SoftwareModel, cfg: Configuration) -> dict[QualId, frozenset[str]]:
     """Modes each selected thread executes in: activation mode plus every
-    mode of every caller, propagated to a fixpoint through connections."""
+    mode of every caller.  A worklist starts at the activated threads and
+    expands each thread at most once per mode, following its routed calls
+    to the provider's entry thread."""
     modes: dict[QualId, set[str]] = {}
+    work: list[tuple[str, Thread, str]] = []
     for comp in cfg.selected:
         for thread in software.contracts[comp].threads:
-            base: set[str] = set()
+            modes[(comp, thread.name)] = set()
             if isinstance(thread.activation, TimeActivation):
-                base.add(NORMAL)
+                work.append((comp, thread, NORMAL))
             elif isinstance(thread.activation, Initialization):
-                base.add(INITIALIZATION)
-            modes[(comp, thread.name)] = base
-    changed = True
-    while changed:
-        changed = False
-        for comp in cfg.selected:
-            for thread in software.contracts[comp].threads:
-                source = modes[(comp, thread.name)]
-                if not source:
-                    continue
-                for _, call in thread.calls():
-                    provider = cfg.provider_of(comp, call.ref.service)
-                    if provider is None:
-                        continue
-                    entry = software.contracts[provider].entry_thread(call.ref.service, call.ref.method)
-                    if entry is None:
-                        continue
-                    target = modes[(provider, entry.name)]
-                    if not source <= target:
-                        target.update(source)
-                        changed = True
-    return {key: frozenset(value) for key, value in modes.items()}
-
-
-def call_sites(software: SoftwareModel, cfg: Configuration) -> list[CallSite]:
-    modes = thread_modes(software, cfg)
-    sites: list[CallSite] = []
-    for comp in sorted(cfg.selected):
-        for thread in software.contracts[comp].threads:
-            executing = modes[(comp, thread.name)]
-            if not executing:
+                work.append((comp, thread, INITIALIZATION))
+    while work:
+        comp, thread, mode = work.pop()
+        reached = modes[(comp, thread.name)]
+        if mode in reached:
+            continue
+        reached.add(mode)
+        for _, call in thread.calls():
+            provider = cfg.provider_of(comp, call.ref.service)
+            if provider is None:
                 continue
-            for index, call in thread.calls():
-                provider = cfg.provider_of(comp, call.ref.service)
-                if provider is None:
-                    continue
-                sites.append(CallSite(comp, thread.name, index, call.ref, provider, executing))
-    return sites
+            entry = software.contracts[provider].entry_thread(call.ref.service, call.ref.method)
+            if entry is not None:
+                work.append((provider, entry, mode))
+    return {key: frozenset(value) for key, value in modes.items()}
 
 
 @dataclass(frozen=True)
@@ -99,27 +84,6 @@ class CfViolation:
         )
 
 
-def _matches(ref: MethodRef, target: MethodRef) -> bool:
-    return (ref.service, ref.method) == (target.service, target.method)
-
-
-def _earlier_prerequisite(
-    software: SoftwareModel,
-    cfg: Configuration,
-    site: CallSite,
-    prerequisite: MethodRef,
-) -> tuple[bool, str | None]:
-    """Whether the calling thread itself calls the prerequisite in an
-    earlier step.  Returns (found, provider it is routed to)."""
-    thread = software.contracts[site.client].thread(site.thread)
-    for index, call in thread.calls():
-        if index >= site.index:
-            break
-        if _matches(call.ref, prerequisite):
-            return True, cfg.provider_of(site.client, prerequisite.service)
-    return False, None
-
-
 def _unselected_initializers(software: SoftwareModel, cfg: Configuration, prerequisite: MethodRef) -> list[str]:
     """Components not selected whose contract would call the prerequisite
     from an initialization thread if they were."""
@@ -130,48 +94,60 @@ def _unselected_initializers(software: SoftwareModel, cfg: Configuration, prereq
         for thread in software.contracts[name].threads:
             if not isinstance(thread.activation, Initialization):
                 continue
-            if any(_matches(call.ref, prerequisite) for _, call in thread.calls()):
+            if any(_method(call.ref) == _method(prerequisite) for _, call in thread.calls()):
                 found.append(name)
                 break
     return found
 
 
 def check_control_flow(software: SoftwareModel, cfg: Configuration) -> list[CfViolation]:
-    sites = call_sites(software, cfg)
+    modes = thread_modes(software, cfg)
+    sites: dict[tuple[str, str], list[CallSite]] = {}  # by called method
+    for comp in sorted(cfg.selected):
+        for thread in software.contracts[comp].threads:
+            executing = modes[(comp, thread.name)]
+            if not executing:
+                continue
+            for index, call in thread.calls():
+                provider = cfg.provider_of(comp, call.ref.service)
+                if provider is None:
+                    continue
+                site = CallSite(comp, thread, index, provider, executing)
+                sites.setdefault(_method(call.ref), []).append(site)
     violations: list[CfViolation] = []
     seen: set[tuple] = set()
     for provider in sorted(cfg.selected):
         for req in software.contracts[provider].control_flow:
             forbidden, prerequisite = req.forbidden, req.prerequisite
-            initializer_sites = [
-                s
-                for s in sites
-                if _matches(s.ref, prerequisite) and s.provider == provider and INITIALIZATION in s.modes
-            ]
-            for site in sites:
-                if not _matches(site.ref, forbidden) or site.provider != provider:
+            prerequisite_key = _method(prerequisite)
+            initializers = [s for s in sites.get(prerequisite_key, ()) if INITIALIZATION in s.modes]
+            # An initialization-mode call of the prerequisite on this
+            # provider covers every normal-mode caller; otherwise each such
+            # call is routed elsewhere, and its route is part of the reason.
+            normal_covered = any(s.provider == provider for s in initializers)
+            routed_elsewhere = {ConnLit(s.client, prerequisite.service, s.provider) for s in initializers}
+            for site in sites.get(_method(forbidden), ()):
+                if site.provider != provider:
                     continue
-                found_earlier, earlier_route = _earlier_prerequisite(software, cfg, site, prerequisite)
-                if found_earlier and earlier_route == provider:
+                # route of the calling thread's own call of the prerequisite in an earlier step
+                earlier = any(
+                    _method(call.ref) == prerequisite_key for i, call in site.thread.calls() if i < site.index
+                )
+                earlier_route = cfg.provider_of(site.client, prerequisite.service) if earlier else None
+                if earlier_route == provider:
                     continue
                 for mode in sorted(site.modes):
-                    if mode == NORMAL and initializer_sites:
+                    if mode == NORMAL and normal_covered:
                         continue
-                    key = (provider, str(forbidden), str(prerequisite), site.client, site.thread, mode)
+                    key = (provider, str(forbidden), str(prerequisite), site.client, site.thread.name, mode)
                     if key in seen:
                         continue
                     seen.add(key)
                     literals: set = {ConnLit(site.client, forbidden.service, provider)}
-                    if found_earlier and earlier_route is not None and earlier_route != provider:
+                    if earlier_route is not None:
                         literals.add(ConnLit(site.client, prerequisite.service, earlier_route))
                     if mode == NORMAL:
-                        for other in sites:
-                            if (
-                                _matches(other.ref, prerequisite)
-                                and INITIALIZATION in other.modes
-                                and other.provider != provider
-                            ):
-                                literals.add(ConnLit(other.client, prerequisite.service, other.provider))
+                        literals |= routed_elsewhere
                         for dormant in _unselected_initializers(software, cfg, prerequisite):
                             literals.add(SelLit(dormant, False))
                     violations.append(
@@ -180,7 +156,7 @@ def check_control_flow(software: SoftwareModel, cfg: Configuration) -> list[CfVi
                             forbidden=forbidden,
                             prerequisite=prerequisite,
                             client=site.client,
-                            thread=site.thread,
+                            thread=site.thread.name,
                             mode=mode,
                             feedback=ForbidConjunction(frozenset(literals)),
                         )

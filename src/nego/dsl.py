@@ -216,12 +216,6 @@ class SoftwareModel:
     contracts: Mapping[str, Contract]
     interfaces: Mapping[str, ServiceInterface]
 
-    def contract(self, name: str) -> Contract:
-        try:
-            return self.contracts[name]
-        except KeyError:
-            raise KeyError(f"unknown component {name!r}") from None
-
     def providers(self, service: str) -> tuple[str, ...]:
         return tuple(sorted(c for c, k in self.contracts.items() if service in k.provides))
 

@@ -8,8 +8,9 @@ spells them dotted, e.g. ``P.park_assist``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Mapping, Sequence
 
 from nego.dsl import Contract, SoftwareModel, TimeActivation
 
@@ -89,11 +90,18 @@ class Configuration:
     def ranks(self) -> dict[QualId, int]:
         return {t: i for i, t in enumerate(self.priorities)}
 
-    def provider_of(self, client: str, service: str) -> str | None:
+    @cached_property
+    def _providers(self) -> dict[tuple[str, str], str]:
+        # first connection per (client, service) in iteration order, as a
+        # scan would find it, so even an ill-formed configuration that
+        # routes a pair twice answers consistently
+        providers: dict[tuple[str, str], str] = {}
         for c1, s, c2 in self.connections:
-            if c1 == client and s == service:
-                return c2
-        return None
+            providers.setdefault((c1, s), c2)
+        return providers
+
+    def provider_of(self, client: str, service: str) -> str | None:
+        return self._providers.get((client, service))
 
 
 @dataclass(frozen=True)

@@ -14,17 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from nego.dsl import (
-    CallStep,
-    Contract,
-    Initialization,
-    MethodRef,
-    RpcEntry,
-    SoftwareModel,
-    TaskStep,
-    Thread,
-    TimeActivation,
-)
+from nego.dsl import Initialization, MethodRef, SoftwareModel, TaskStep, Thread, TimeActivation
 from nego.model import Configuration, QualId, qual_str
 
 NORMAL = "normal"

@@ -86,3 +86,24 @@ def test_bad_request_line(tmp_path, capsys):
             "--request", str(req)]
     assert cli.main(argv) == 2
     assert "bad request line" in capsys.readouterr().err
+
+
+def _config_without(tmp_path, *dropped: str) -> Path:
+    lines = (CORPUS / "current.config").read_text().splitlines()
+    config = tmp_path / "partial.config"
+    config.write_text("".join(f"{line}\n" for line in lines if line not in dropped))
+    return config
+
+
+def test_unmapped_task_is_a_clean_error(tmp_path, capsys):
+    config = _config_without(tmp_path, "P.p1 -> CPU1", "P.p2 -> CPU1")
+    for command in ("bound", "simulate"):
+        assert cli.main([command, *BASE, "--config", str(config)]) == 2
+        assert capsys.readouterr().err == "error: task P.p1 is not mapped\n"
+
+
+def test_unranked_thread_is_a_clean_error(tmp_path, capsys):
+    config = _config_without(tmp_path, "5 T.trajectory_calculation_init")
+    for argv in (["bound"], ["simulate", "--mode", "initialization"]):
+        assert cli.main([argv[0], *BASE, "--config", str(config), *argv[1:]]) == 2
+        assert capsys.readouterr().err == "error: thread T.trajectory_calculation_init has no priority\n"

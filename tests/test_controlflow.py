@@ -124,3 +124,81 @@ def test_dormant_initializer_lands_in_feedback():
         ConnLit("A", "s", "B"),
         SelLit("C", False),
     }
+
+
+def test_thread_modes_follow_a_call_cycle_through_three_components():
+    # A/t -> B/sx (RPC) -> C/qz (SIGNAL) -> A/ry (RPC): the components form a
+    # cycle, the threads do not; C's initialization thread also reaches A/ry
+    texts = [
+        "component A services requires s provides r threads "
+        "thread t on time (period=9 jitter=0) task a1 onto R wcet=1 bcet=1 RPC s.x() "
+        "thread ry on RPC r.y() task a2 onto R wcet=1 bcet=1",
+        "component B services provides s requires q threads "
+        "thread sx on RPC s.x() task b1 onto R wcet=1 bcet=1 SIGNAL q.z()",
+        "component C services provides q requires r threads "
+        "thread qz on RPC q.z() task c1 onto R wcet=1 bcet=1 RPC r.y() "
+        "thread boot on initialization RPC r.y()",
+    ]
+    software = load_software_model(texts, "service s method x () service q method z () service r method y ()")
+    cfg = Configuration(
+        frozenset({"A", "B", "C"}),
+        frozenset({("A", "s", "B"), ("B", "q", "C"), ("C", "r", "A")}),
+        {}, (),
+    )
+    assert thread_modes(software, cfg) == {
+        ("A", "t"): frozenset({NORMAL}),
+        ("A", "ry"): frozenset({NORMAL, INITIALIZATION}),
+        ("B", "sx"): frozenset({NORMAL}),
+        ("C", "qz"): frozenset({NORMAL}),
+        ("C", "boot"): frozenset({INITIALIZATION}),
+    }
+
+
+def test_earlier_prerequisite_routed_elsewhere_lands_in_feedback():
+    # A calls p.prep() before s.go(), but its p connection goes to C, so B's
+    # ordering is not met; the feedback names the route that broke it
+    texts = [
+        "component A services requires s requires p threads "
+        "thread t on time (period=9 jitter=0) task a1 onto R wcet=1 bcet=1 "
+        "RPC p.prep() task a2 onto R wcet=1 bcet=1 RPC s.go()",
+        "component B services provides s provides p threads "
+        "thread e_go on RPC s.go() task bg onto R wcet=1 bcet=1 "
+        "thread e_prep on RPC p.prep() task bp onto R wcet=1 bcet=1 "
+        "control_flow not s.go() until p.prep()",
+        "component C services provides p threads thread c_prep on RPC p.prep() task cp onto R wcet=1 bcet=1",
+    ]
+    software = load_software_model(texts, "service s method go () service p method prep ()")
+    cfg = Configuration(
+        frozenset({"A", "B", "C"}), frozenset({("A", "s", "B"), ("A", "p", "C")}), {}, ()
+    )
+    violations = check_control_flow(software, cfg)
+    assert [(v.message(), v.mode) for v in violations] == [
+        ("control_flow: B.s.go reachable before prep via A/t", NORMAL)
+    ]
+    assert set(violations[0].feedback.literals) == {ConnLit("A", "s", "B"), ConnLit("A", "p", "C")}
+
+
+def test_normal_violation_names_initializer_routed_elsewhere():
+    # D's initialization thread calls s.prep() on C, not on B: B's normal-mode
+    # caller A is not covered, and the feedback names D's route
+    texts = [
+        "component A services requires s threads "
+        "thread t on time (period=9 jitter=0) task a1 onto R wcet=1 bcet=1 RPC s.go()",
+        "component B services provides s threads "
+        "thread e_go on RPC s.go() task bg onto R wcet=1 bcet=1 "
+        "thread e_prep on RPC s.prep() task bp onto R wcet=1 bcet=1 "
+        "control_flow not s.go() until s.prep()",
+        "component C services provides s threads "
+        "thread c_go on RPC s.go() task cg onto R wcet=1 bcet=1 "
+        "thread c_prep on RPC s.prep() task cp onto R wcet=1 bcet=1",
+        "component D services requires s threads thread boot on initialization RPC s.prep()",
+    ]
+    software = load_software_model(texts, "service s method go () method prep ()")
+    cfg = Configuration(
+        frozenset({"A", "B", "C", "D"}), frozenset({("A", "s", "B"), ("D", "s", "C")}), {}, ()
+    )
+    violations = check_control_flow(software, cfg)
+    assert [(v.message(), v.mode) for v in violations] == [
+        ("control_flow: B.s.go reachable before prep via A/t", NORMAL)
+    ]
+    assert set(violations[0].feedback.literals) == {ConnLit("A", "s", "B"), ConnLit("D", "s", "C")}

@@ -1,0 +1,62 @@
+"""Every name a module of the package imports is used in that module.
+
+A stand-in for a linter's unused-import rule (F401), which the package
+does not depend on.  An import kept on purpose carries ``# noqa: F401``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nego"
+
+
+def _imported(tree: ast.Module, lines: list[str]) -> dict[str, int]:
+    """Names bound by import statements, with their line numbers."""
+    names: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            if "# noqa: F401" not in lines[alias.lineno - 1]:
+                names[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    return names
+
+
+def _annotations(node: ast.AST) -> list[ast.expr | None]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [node.returns]
+    if isinstance(node, (ast.arg, ast.AnnAssign)):
+        return [node.annotation]
+    return []
+
+
+def _used(tree: ast.AST) -> set[str]:
+    """Names loaded anywhere, including inside string annotations."""
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        for annotation in _annotations(node):
+            if annotation is None:
+                continue
+            for inner in ast.walk(annotation):
+                if isinstance(inner, ast.Constant) and isinstance(inner.value, str):
+                    used |= _used(ast.parse(inner.value, mode="eval"))
+    return used
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    source = path.read_text()
+    tree = ast.parse(source)
+    used = _used(tree)
+    unused = sorted(
+        f"{path.name}:{line}: {name}"
+        for name, line in _imported(tree, source.splitlines()).items()
+        if name not in used
+    )
+    assert unused == []

@@ -15,7 +15,7 @@ import systems
 from nego import cli
 from nego.constraints import configuration_ok
 from nego.deps import connection_candidates, count_solutions
-from nego.model import pinned_components
+from nego.model import Accepted, pinned_components
 from nego.negotiation import negotiate
 from nego.randsys import random_software_system
 from nego.space import ConstraintStore
@@ -143,3 +143,9 @@ def test_deep_chain_needs_no_recursion():
     assert len(candidate.selected) == 1500
     assert len(candidate.connections) == 1499
     assert count_solutions(connection_candidates(software, pinned), software.interfaces) == 1
+
+
+def test_deep_chain_negotiates():
+    answer, trace = negotiate(systems.deep(2000), [])
+    assert isinstance(answer, Accepted)
+    assert trace.candidates == 1
