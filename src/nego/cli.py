@@ -174,20 +174,27 @@ def _cmd_simulate(args) -> int:
     if graphs is None:
         return 1
     graph = graphs[0]
-    horizon = args.horizon or default_horizon(graph)
-    if args.sweep:
-        maxima = worst_observed(graph, config, horizon)
-    else:
-        if args.seed is not None:
-            scenario = random_scenario(graph, random.Random(args.seed), horizon)
+    horizon = default_horizon(graph) if args.horizon is None else args.horizon
+    try:
+        if args.sweep:
+            maxima = worst_observed(graph, config, horizon)
         else:
-            scenario = synchronous_scenario(graph, horizon)
-        result = simulate(graph, config, scenario, trace=args.trace)
+            if args.seed is not None:
+                scenario = random_scenario(graph, random.Random(args.seed), horizon)
+            else:
+                scenario = synchronous_scenario(graph, horizon)
+            result = simulate(graph, config, scenario, trace=args.trace)
+    except ValueError as exc:  # a horizon below 1
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if not args.sweep:
         for line in result.trace:
             print(line)
         if result.partial:
             print("warning: some activations ran past the horizon", file=sys.stderr)
         maxima = result.maxima()
+    if not maxima:
+        print("warning: no activation completed within the horizon", file=sys.stderr)
     for (root, span), value in sorted(maxima.items(), key=lambda kv: (qual_str(kv[0][0]), kv[0][1])):
         print(f"observed {qual_str(root)}[{span[0]}:{span[1]}] = {value}")
     return 0

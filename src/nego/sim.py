@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from heapq import heappop, heappush
+from operator import itemgetter
 
 from nego.model import Configuration, QualId, qual_str
-from nego.taskgraph import Chain, TaskGraph
+from nego.taskgraph import EventModel, TaskGraph
 
 SpanKey = tuple[QualId, tuple[int, int]]
 
@@ -52,7 +53,13 @@ def synchronous_scenario(graph: TaskGraph, horizon: int, pattern: str = "max-fir
     return ReleaseScenario(tuple(0 for _ in graph.chains), _pattern_draws(graph, pattern), horizon)
 
 
+def _check_horizon(horizon: int) -> None:
+    if horizon < 1:
+        raise ValueError(f"horizon {horizon} is below 1")
+
+
 def random_scenario(graph: TaskGraph, rng, horizon: int) -> ReleaseScenario:
+    _check_horizon(horizon)
     offsets = []
     draws = []
     for chain in graph.chains:
@@ -67,17 +74,6 @@ def random_scenario(graph: TaskGraph, rng, horizon: int) -> ReleaseScenario:
 
 
 @dataclass
-class _Job:
-    chain_idx: int
-    activation: int
-    release: int
-    node_idx: int = 0
-    remaining: int = 0
-    completions: list[int] = field(default_factory=list)
-    done: bool = False
-
-
-@dataclass
 class SimResult:
     latencies: dict[SpanKey, list[int]]
     partial: bool
@@ -87,125 +83,161 @@ class SimResult:
         return {key: max(values) for key, values in self.latencies.items() if values}
 
 
-def _chain_spans(chain: Chain) -> list[tuple[int, int]]:
-    spans = {(0, len(chain.nodes))}
-    spans.update(req.span for req in chain.requirements)
-    return sorted(spans)
+class _Plan:
+    """What the engine needs from a (graph, configuration), computed once.
+
+    `chains` lists, for each chain with nodes, its index in `graph.chains`,
+    its event model and the (resource index, thread rank, wcet) of each
+    node; `spans` maps the same indices to the chain's spans as (key, start,
+    stop) in span order, and `roots` and `tasks` to the names trace lines
+    print.  Resources are indexed in name order.
+    """
+
+    def __init__(self, graph: TaskGraph, cfg: Configuration) -> None:
+        ranks = cfg.ranks()
+        tasks = [node.task_id for chain in graph.chains for node in chain.nodes]
+        self.resources = sorted({cfg.mapping[task] for task in tasks})
+        index = {resource: i for i, resource in enumerate(self.resources)}
+        self.chains: list[tuple[int, EventModel | None, tuple[tuple[int, int, int], ...]]] = []
+        self.spans: dict[int, tuple[tuple[SpanKey, int, int], ...]] = {}
+        self.roots: dict[int, str] = {}
+        self.tasks: dict[int, tuple[str, ...]] = {}
+        for ci, chain in enumerate(graph.chains):
+            if not chain.nodes:
+                continue
+            nodes = tuple((index[cfg.mapping[n.task_id]], ranks[n.thread], n.wcet) for n in chain.nodes)
+            spans = {(0, len(chain.nodes))}
+            spans.update(req.span for req in chain.requirements)
+            self.chains.append((ci, chain.event, nodes))
+            self.spans[ci] = tuple(((chain.root, span), span[0], span[1]) for span in sorted(spans))
+            self.roots[ci] = qual_str(chain.root)
+            self.tasks[ci] = tuple(qual_str(n.task_id) for n in chain.nodes)
+
+
+# A job is one list, so that its key heads it and the heaps order it without
+# a wrapper: [rank of the current node's thread, release, chain index,
+# activation, remaining work, node index, nodes, completion times].  The
+# first four fields are unique per job, so comparison never goes past them.
+_RANK, _RELEASE, _CHAIN, _ACTIVATION, _REMAINING, _NODE, _NODES, _DONE = range(8)
+
+
+def _run(
+    plan: _Plan,
+    offsets: tuple[int, ...],
+    draws: tuple[tuple[int, ...], ...],
+    horizon: int,
+    lines: list[str] | None = None,
+) -> list[list]:
+    """Schedule every job released before `horizon` to completion.
+
+    Each resource keeps a heap of its ready jobs; the top of each heap runs.
+    Time jumps to the next release or the soonest completion of a top.
+    Returns the jobs in (chain, activation) order; with `lines`, appends the
+    release, dispatch, preempt and complete trace lines to it.
+    """
+    _check_horizon(horizon)
+    jobs: list[list] = []
+    for ci, event, nodes in plan.chains:
+        offset = offsets[ci]
+        chain_draws = draws[ci]
+        if event is None:
+            releases = [offset + (chain_draws[0] if chain_draws else 0)]
+        else:
+            releases = []
+            k = 0
+            while offset + k * event.period < horizon:
+                draw = chain_draws[k] if k < len(chain_draws) else 0
+                if not 0 <= draw <= event.jitter:
+                    raise ValueError(f"jitter draw {draw} outside [0, {event.jitter}]")
+                releases.append(offset + k * event.period + draw)
+                k += 1
+        _, rank, wcet = nodes[0]
+        for k, release in enumerate(releases):
+            jobs.append([rank, release, ci, k, wcet, 0, nodes, []])
+    pending = sorted(jobs, key=itemgetter(_RELEASE))  # stable: ties keep (chain, activation)
+
+    heaps: list[list[list]] = [[] for _ in plan.resources]
+    if lines is not None:
+        roots, tasks = plan.roots, plan.tasks
+        for job in pending:
+            lines.append(f"t={job[_RELEASE]} release {roots[job[_CHAIN]]}#{job[_ACTIVATION]}")
+        running: list[list | None] = [None] * len(heaps)
+
+    count = len(pending)
+    i = 0
+    t = pending[0][_RELEASE] if pending else 0
+    while True:
+        while i < count and pending[i][_RELEASE] <= t:
+            job = pending[i]
+            heappush(heaps[job[_NODES][0][0]], job)
+            i += 1
+        if lines is not None:
+            # a job leaves a heap only by finishing its node, which clears
+            # `running`, so a new top over a running job preempts it
+            for r, heap in enumerate(heaps):
+                if heap and heap[0] is not running[r]:
+                    prev, job = running[r], heap[0]
+                    if prev is not None:
+                        lines.append(f"t={t} preempt {tasks[prev[_CHAIN]][prev[_NODE]]}#{prev[_ACTIVATION]}")
+                    lines.append(f"t={t} dispatch {tasks[job[_CHAIN]][job[_NODE]]}#{job[_ACTIVATION]}")
+                    running[r] = job
+
+        nxt = pending[i][_RELEASE] if i < count else None
+        for heap in heaps:
+            if heap:
+                end = t + heap[0][_REMAINING]
+                if nxt is None or end < nxt:
+                    nxt = end
+        if nxt is None:
+            break
+
+        # Pop every finished top before any job moves on: a job whose next
+        # node is on a resource whose top finished at this instant must not
+        # be pushed there first.
+        delta = nxt - t
+        finished = []
+        for r, heap in enumerate(heaps):
+            if heap:
+                job = heap[0]
+                job[_REMAINING] -= delta
+                if not job[_REMAINING]:
+                    heappop(heap)
+                    finished.append(job)
+                    if lines is not None:
+                        lines.append(f"t={nxt} complete {tasks[job[_CHAIN]][job[_NODE]]}#{job[_ACTIVATION]}")
+                        running[r] = None
+        for job in finished:
+            job[_DONE].append(nxt)
+            node = job[_NODE] + 1
+            nodes = job[_NODES]
+            if node < len(nodes):
+                resource, job[_RANK], job[_REMAINING] = nodes[node]
+                job[_NODE] = node
+                heappush(heaps[resource], job)
+        t = nxt
+    return jobs
+
+
+def _observations(plan: _Plan, jobs: list[list]):
+    """(span key, latency) of every span of every job, in job order."""
+    spans = plan.spans
+    for job in jobs:
+        release, done = job[_RELEASE], job[_DONE]
+        for key, start, stop in spans[job[_CHAIN]]:
+            yield key, done[stop - 1] - (release if start == 0 else done[start - 1])
 
 
 def simulate(
     graph: TaskGraph, cfg: Configuration, scenario: ReleaseScenario, trace: bool = False
 ) -> SimResult:
-    ranks = cfg.ranks()
-    chains = graph.chains
-    jobs: list[_Job] = []
-    for ci, chain in enumerate(chains):
-        if not chain.nodes:
-            continue
-        offset = scenario.offsets[ci]
-        draws = scenario.draws[ci]
-        if chain.event is None:
-            releases = [offset + (draws[0] if draws else 0)]
-        else:
-            releases = []
-            k = 0
-            while offset + k * chain.event.period < scenario.horizon:
-                draw = draws[k] if k < len(draws) else 0
-                if not 0 <= draw <= chain.event.jitter:
-                    raise ValueError(f"jitter draw {draw} outside [0, {chain.event.jitter}]")
-                releases.append(offset + k * chain.event.period + draw)
-                k += 1
-        for k, release in enumerate(releases):
-            job = _Job(ci, k, release)
-            job.remaining = chain.nodes[0].wcet
-            jobs.append(job)
-
-    lines: list[str] = []
-    if trace:
-        for job in sorted(jobs, key=lambda j: (j.release, j.chain_idx, j.activation)):
-            root = chains[job.chain_idx].root
-            lines.append(f"t={job.release} release {qual_str(root)}#{job.activation}")
-
-    release_times = sorted({job.release for job in jobs})
-    running: dict[str, tuple[int, int, int]] = {}  # resource -> (job id, node, release)
-    t = min(release_times) if release_times else 0
-
-    def node_of(job: _Job):
-        return chains[job.chain_idx].nodes[job.node_idx]
-
-    while any(not job.done for job in jobs):
-        chosen: dict[str, _Job] = {}
-        keys: dict[str, tuple] = {}
-        for job in jobs:
-            if job.done or job.release > t:
-                continue
-            node = node_of(job)
-            resource = cfg.mapping[node.task_id]
-            key = (ranks[node.thread], job.release, job.chain_idx, job.activation)
-            if resource not in keys or key < keys[resource]:
-                keys[resource] = key
-                chosen[resource] = job
-
-        if trace:
-            for resource in sorted(chosen):
-                job = chosen[resource]
-                tag = (id(job), job.node_idx, job.release)
-                prev = running.get(resource)
-                if prev != tag:
-                    if prev is not None and prev[0] != id(job):
-                        for other in jobs:
-                            if id(other) == prev[0] and not other.done and other.node_idx == prev[1]:
-                                node = node_of(other)
-                                lines.append(f"t={t} preempt {qual_str(node.task_id)}#{other.activation}")
-                    node = node_of(job)
-                    lines.append(f"t={t} dispatch {qual_str(node.task_id)}#{job.activation}")
-                    running[resource] = tag
-
-        idx = bisect_right(release_times, t)
-        next_release = release_times[idx] if idx < len(release_times) else None
-        horizon_next = min((t + job.remaining for job in chosen.values()), default=None)
-        if horizon_next is None:
-            if next_release is None:
-                break
-            t = next_release
-            continue
-        nxt = horizon_next if next_release is None else min(horizon_next, next_release)
-
-        delta = nxt - t
-        for resource, job in chosen.items():
-            job.remaining -= delta
-            if job.remaining == 0:
-                job.completions.append(nxt)
-                if trace:
-                    node = node_of(job)
-                    lines.append(f"t={nxt} complete {qual_str(node.task_id)}#{job.activation}")
-                    running.pop(resource, None)
-                job.node_idx += 1
-                if job.node_idx >= len(chains[job.chain_idx].nodes):
-                    job.done = True
-                else:
-                    job.remaining = node_of(job).wcet
-        t = nxt
-
-    latencies: dict[SpanKey, list[int]] = {}
-    partial = False
-    for ci, chain in enumerate(chains):
-        if not chain.nodes:
-            continue
-        for span in _chain_spans(chain):
-            latencies.setdefault((chain.root, span), [])
-    for job in jobs:
-        chain = chains[job.chain_idx]
-        if not job.done:
-            partial = True
-            continue
-        if job.completions[-1] > scenario.horizon:
-            partial = True
-        for span in _chain_spans(chain):
-            start, stop = span
-            ready = job.release if start == 0 else job.completions[start - 1]
-            latencies[(chain.root, span)].append(job.completions[stop - 1] - ready)
-    return SimResult(latencies, partial, tuple(lines))
+    plan = _Plan(graph, cfg)
+    lines: list[str] | None = [] if trace else None
+    jobs = _run(plan, scenario.offsets, scenario.draws, scenario.horizon, lines)
+    latencies: dict[SpanKey, list[int]] = {key: [] for keys in plan.spans.values() for key, _, _ in keys}
+    for key, value in _observations(plan, jobs):
+        latencies[key].append(value)
+    partial = any(job[_DONE][-1] > scenario.horizon for job in jobs)
+    return SimResult(latencies, partial, tuple(lines or ()))
 
 
 def _hyperperiod(graph: TaskGraph) -> int:
@@ -236,11 +268,11 @@ def worst_observed(
         else:
             axes.append(range(chain.event.period))
     draws = [_pattern_draws(graph, pattern) for pattern in JITTER_PATTERNS]
+    plan = _Plan(graph, cfg)
     maxima: dict[SpanKey, int] = {}
     for offsets in itertools.product(*axes):
         for pattern_draws in draws:
-            result = simulate(graph, cfg, ReleaseScenario(offsets, pattern_draws, horizon))
-            for key, value in result.maxima().items():
+            for key, value in _observations(plan, _run(plan, offsets, pattern_draws, horizon)):
                 if key not in maxima or value > maxima[key]:
                     maxima[key] = value
     return maxima

@@ -3,6 +3,8 @@
 `feasible` answers the same question as negotiation by exhaustive search:
 every reachable connection assignment, every type-compatible mapping,
 every priority permutation.  No learned constraints, no pruning.
+`reference_simulate` and `reference_worst_observed` step the schedule one
+time unit at a time, as plainly as possible, for the event-driven simulator.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import itertools
 
 from nego.controlflow import check_control_flow
 from nego.model import Configuration, SystemModel, pinned_components
+from nego.sim import ReleaseScenario
 from nego.taskgraph import GraphError, INITIALIZATION, NORMAL, build_task_graph
 from nego.timing import check_timing
 
@@ -84,3 +87,89 @@ def feasible(system: SystemModel, model: str = "busy-window") -> bool:
                 if all(check_timing(graphs[m], cfg, platform, model).ok for m in graphs):
                     return True
     return False
+
+
+def _releases(chain, offset, draws, horizon):
+    if chain.event is None:
+        return [offset + (draws[0] if draws else 0)]
+    releases = []
+    k = 0
+    while offset + k * chain.event.period < horizon:
+        releases.append(offset + k * chain.event.period + (draws[k] if k < len(draws) else 0))
+        k += 1
+    return releases
+
+
+def _spans(chain):
+    return sorted({(0, len(chain.nodes))} | {req.span for req in chain.requirements})
+
+
+def reference_simulate(graph, cfg, scenario):
+    """Unit-step reference for `sim.simulate`: `(latencies, partial)`.
+
+    At each time unit every resource runs, for one unit, the released,
+    unfinished job with the smallest (rank of its current node's thread,
+    release, chain index, activation) key.
+    """
+    ranks = {thread: rank for rank, thread in enumerate(cfg.priorities)}
+    jobs = []  # [chain, activation, release, node index, remaining, completions]
+    for ci, chain in enumerate(graph.chains):
+        if chain.nodes:
+            releases = _releases(chain, scenario.offsets[ci], scenario.draws[ci], scenario.horizon)
+            for k, release in enumerate(releases):
+                jobs.append([ci, k, release, 0, chain.nodes[0].wcet, []])
+    t = 0
+    while any(job[3] < len(graph.chains[job[0]].nodes) for job in jobs):
+        picks = {}
+        for job in jobs:
+            ci, k, release, idx = job[:4]
+            nodes = graph.chains[ci].nodes
+            if release > t or idx == len(nodes):
+                continue
+            resource = cfg.mapping[nodes[idx].task_id]
+            key = (ranks[nodes[idx].thread], release, ci, k)
+            if resource not in picks or key < picks[resource][0]:
+                picks[resource] = (key, job)
+        for _, job in picks.values():
+            job[4] -= 1
+            if job[4] == 0:
+                job[5].append(t + 1)
+                job[3] += 1
+                nodes = graph.chains[job[0]].nodes
+                if job[3] < len(nodes):
+                    job[4] = nodes[job[3]].wcet
+        t += 1
+    latencies = {}
+    for chain in graph.chains:
+        if chain.nodes:
+            for span in _spans(chain):
+                latencies[(chain.root, span)] = []
+    partial = False
+    for ci, k, release, idx, remaining, completions in jobs:
+        chain = graph.chains[ci]
+        partial = partial or completions[-1] > scenario.horizon
+        for start, stop in _spans(chain):
+            ready = release if start == 0 else completions[start - 1]
+            latencies[(chain.root, (start, stop))].append(completions[stop - 1] - ready)
+    return latencies, partial
+
+
+def reference_worst_observed(graph, cfg, horizon):
+    """Grid walk for `sim.worst_observed` built on `reference_simulate`:
+    the first chain at offset zero, every other periodic chain at each
+    offset in [0, period), one-shot chains at zero; jitter maximal on the
+    first activation, then zero throughout."""
+    axes = [
+        range(1) if ci == 0 or chain.event is None else range(chain.event.period)
+        for ci, chain in enumerate(graph.chains)
+    ]
+    max_first = tuple((c.event.jitter,) if c.event is not None else () for c in graph.chains)
+    zero = tuple(() for _ in graph.chains)
+    maxima = {}
+    for offsets in itertools.product(*axes):
+        for draws in (max_first, zero):
+            latencies, _ = reference_simulate(graph, cfg, ReleaseScenario(offsets, draws, horizon))
+            for key, values in latencies.items():
+                if values:
+                    maxima[key] = max(maxima.get(key, values[0]), *values)
+    return maxima

@@ -107,3 +107,20 @@ def test_unranked_thread_is_a_clean_error(tmp_path, capsys):
     for argv in (["bound"], ["simulate", "--mode", "initialization"]):
         assert cli.main([argv[0], *BASE, "--config", str(config), *argv[1:]]) == 2
         assert capsys.readouterr().err == "error: thread T.trajectory_calculation_init has no priority\n"
+
+
+def test_simulate_horizon_below_one_is_a_clean_error(capsys):
+    for horizon, sweep in (("0", []), ("-5", []), ("0", ["--sweep"]), ("-5", ["--seed", "3"])):
+        argv = ["simulate", *BASE, "--config", str(CORPUS / "current.config"), "--horizon", horizon, *sweep]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: horizon {horizon} is below 1\n"
+
+
+def test_simulate_warns_when_nothing_completes(capsys):
+    argv = ["simulate", *BASE, "--config", str(CORPUS / "current.config"), "--seed", "3", "--horizon", "1"]
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "warning: no activation completed within the horizon\n"

@@ -4,6 +4,7 @@ import pytest
 
 from nego.dsl import load_software_model
 from nego.model import Configuration
+from nego.randsys import random_chain_system
 from nego.sim import (
     ReleaseScenario,
     default_horizon,
@@ -13,6 +14,7 @@ from nego.sim import (
     worst_observed,
 )
 from nego.taskgraph import INITIALIZATION, NORMAL, build_task_graph, total_wcet
+from oracles import reference_simulate, reference_worst_observed
 
 LANE_SPAN = (("L", "lane_assist"), (0, 7))
 PARK_SPAN = (("P", "park_assist"), (0, 5))
@@ -95,6 +97,17 @@ def test_jitter_draw_outside_range_rejected():
         simulate(graph, cfg, ReleaseScenario((0, 0), ((), (3,)), 24))
 
 
+def test_horizon_below_one_rejected():
+    graph, cfg = _two_periodic()
+    for horizon in (0, -5):
+        with pytest.raises(ValueError, match="below 1"):
+            simulate(graph, cfg, ReleaseScenario((0, 0), ((), ()), horizon))
+        with pytest.raises(ValueError, match="below 1"):
+            random_scenario(graph, random.Random(0), horizon)
+        with pytest.raises(ValueError, match="below 1"):
+            worst_observed(graph, cfg, horizon)
+
+
 def test_unknown_pattern_rejected():
     graph, cfg = _two_periodic()
     with pytest.raises(ValueError):
@@ -141,3 +154,90 @@ def test_random_scenario_respects_span_work(software_post, cfg_accepted):
         chain = graph.chain(root)
         for value in values:
             assert value >= total_wcet(chain, span)
+
+
+def _redrawn_systems(seeds):
+    """`random_chain_system` seeds with the mapping and the priority order
+    drawn again: once with every task on R1, once over R1 and R2."""
+    for seed in seeds:
+        system = random_chain_system(random.Random(seed))
+        graph = build_task_graph(system.software, system.config, NORMAL)
+        rng = random.Random(seed)
+        for resources in (["R1"], ["R1", "R2"]):
+            mapping = {task: rng.choice(resources) for task in sorted(system.config.mapping)}
+            order = list(system.config.priorities)
+            rng.shuffle(order)
+            cfg = Configuration(system.config.selected, system.config.connections, mapping, tuple(order))
+            yield graph, cfg, rng
+
+
+def test_simulate_matches_unit_step_reference():
+    partial = migrated = 0
+    for graph, cfg, rng in _redrawn_systems(range(300)):
+        migrated += len(set(cfg.mapping.values())) > 1
+        full = default_horizon(graph)
+        scenarios = [synchronous_scenario(graph, full, pattern) for pattern in ("max-first", "zero")]
+        for _ in range(3):
+            # horizons from a single unit up to the default, most of them
+            # short enough to leave a backlog that runs past them
+            scenarios.append(random_scenario(graph, rng, rng.randint(1, full)))
+        for scenario in scenarios:
+            result = simulate(graph, cfg, scenario)
+            latencies, expected_partial = reference_simulate(graph, cfg, scenario)
+            assert list(result.latencies.items()) == list(latencies.items())
+            assert result.partial == expected_partial
+            partial += expected_partial
+    assert partial >= 20 and migrated >= 20
+
+
+def test_worst_observed_matches_grid_walk():
+    for graph, cfg, rng in _redrawn_systems(range(80)):
+        horizon = rng.randint(1, default_horizon(graph))
+        assert worst_observed(graph, cfg, horizon) == reference_worst_observed(graph, cfg, horizon)
+
+
+def test_two_resource_trace_migrates_onto_a_finishing_resource():
+    texts = [
+        "component CA threads thread ta on time (period=20 jitter=0) "
+        "task a onto CPU wcet=2 bcet=1",
+        "component CB threads thread tb on time (period=6 jitter=0) "
+        "task b1 onto CPU wcet=2 bcet=1 task b2 onto CPU wcet=3 bcet=1",
+        "component CC threads thread tc on time (period=20 jitter=0) "
+        "task c onto CPU wcet=5 bcet=1",
+    ]
+    software = load_software_model(texts, "")
+    cfg = Configuration(
+        frozenset({"CA", "CB", "CC"}), frozenset(),
+        {("CA", "a"): "R2", ("CB", "b1"): "R1", ("CB", "b2"): "R2", ("CC", "c"): "R1"},
+        (("CB", "tb"), ("CA", "ta"), ("CC", "tc")),
+    )
+    graph = build_task_graph(software, cfg, NORMAL)
+    result = simulate(graph, cfg, ReleaseScenario((0, 0, 0), ((), (), ()), 12), trace=True)
+    assert not result.partial
+    assert result.latencies == {
+        (("CA", "ta"), (0, 1)): [2],
+        (("CB", "tb"), (0, 2)): [5, 5],
+        (("CC", "tc"), (0, 1)): [9],
+    }
+    # at t=2 both resources finish their jobs and CB's job moves from R1 to
+    # R2; lines at one instant follow resource-name order
+    assert result.trace == (
+        "t=0 release CA.ta#0",
+        "t=0 release CB.tb#0",
+        "t=0 release CC.tc#0",
+        "t=6 release CB.tb#1",
+        "t=0 dispatch CB.b1#0",
+        "t=0 dispatch CA.a#0",
+        "t=2 complete CB.b1#0",
+        "t=2 complete CA.a#0",
+        "t=2 dispatch CC.c#0",
+        "t=2 dispatch CB.b2#0",
+        "t=5 complete CB.b2#0",
+        "t=6 preempt CC.c#0",
+        "t=6 dispatch CB.b1#1",
+        "t=8 complete CB.b1#1",
+        "t=8 dispatch CC.c#0",
+        "t=8 dispatch CB.b2#1",
+        "t=9 complete CC.c#0",
+        "t=11 complete CB.b2#1",
+    )
