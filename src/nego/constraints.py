@@ -4,7 +4,8 @@ Analysis engines reject candidates by emitting constraints; the store prunes
 every later candidate against them.  Three kinds exist: forbidden literal
 conjunctions (structural nogoods), unconditional priority precedences, and
 priority nogoods whose pair set must not hold in full while their structural
-context matches.
+context matches.  Priority search sees only nogoods: a precedence reaches it
+as the one-pair nogood that forbids its reverse.
 """
 
 from __future__ import annotations
@@ -140,18 +141,16 @@ def configuration_ok(cfg: Configuration, constraints: Iterable[Constraint]) -> b
     return True
 
 
-def active_priority_constraints(
-    constraints: Iterable[Constraint], cfg: Configuration
-) -> tuple[list[PriorityPrecedence], list[PriorityNogood]]:
-    """Split out the priority constraints binding this structural candidate."""
-    precedences: list[PriorityPrecedence] = []
+def active_priority_constraints(constraints: Iterable[Constraint], cfg: Configuration) -> list[PriorityNogood]:
+    """The priority constraints binding this structural candidate, as
+    nogoods: `PriorityPrecedence(a, b)` becomes the nogood on "b above a"."""
     nogoods: list[PriorityNogood] = []
     for c in constraints:
         if isinstance(c, PriorityPrecedence):
-            precedences.append(c)
+            nogoods.append(PriorityNogood(frozenset(), frozenset({(c.below, c.above)})))
         elif isinstance(c, PriorityNogood) and c.applies(cfg):
             nogoods.append(c)
-    return precedences, nogoods
+    return nogoods
 
 
 def sort_constraints(constraints: Iterable[Constraint]) -> list[Constraint]:

@@ -169,12 +169,6 @@ class Contract:
     timings: tuple[TimingReq, ...] = ()
     control_flow: tuple[NotUntilReq, ...] = ()
 
-    def thread(self, name: str) -> Thread:
-        for t in self.threads:
-            if t.name == name:
-                return t
-        raise KeyError(name)
-
     def thread_names(self) -> tuple[str, ...]:
         return tuple(t.name for t in self.threads)
 

@@ -36,12 +36,13 @@ JITTER_PATTERNS = ("max-first", "zero")
 
 
 def _pattern_draws(graph: TaskGraph, pattern: str) -> tuple[tuple[int, ...], ...]:
-    """Per-chain jitter draws of one pattern, indexed like `graph.chains`."""
+    """Per-chain jitter draws of one pattern, indexed like `graph.chains`;
+    a chain without jitter gets no draw, since a missing draw is zero."""
     if pattern not in JITTER_PATTERNS:
         raise ValueError(f"unknown jitter pattern {pattern!r}")
     draws = []
     for chain in graph.chains:
-        if pattern == "max-first" and chain.event is not None:
+        if pattern == "max-first" and chain.event is not None and chain.event.jitter:
             draws.append((chain.event.jitter,))
         else:
             draws.append(())
@@ -258,6 +259,7 @@ def worst_observed(
 
     The first chain anchors the grid at offset zero; every other periodic
     chain sweeps each offset in [0, period).  One-shot chains stay at zero.
+    Patterns that draw alike, as both do when no chain has jitter, run once.
     """
     if horizon is None:
         horizon = default_horizon(graph)
@@ -267,7 +269,7 @@ def worst_observed(
             axes.append(range(1))
         else:
             axes.append(range(chain.event.period))
-    draws = [_pattern_draws(graph, pattern) for pattern in JITTER_PATTERNS]
+    draws = list(dict.fromkeys(_pattern_draws(graph, pattern) for pattern in JITTER_PATTERNS))
     plan = _Plan(graph, cfg)
     maxima: dict[SpanKey, int] = {}
     for offsets in itertools.product(*axes):

@@ -12,11 +12,12 @@ stopped.  Candidates come out in a fixed order:
 * priority orders at each structural partial: the name-ordered baseline
   if the priority constraints allow it, then each order
   `synthesize_priorities` finds under the constraints learned so far.
-  Synthesis runs again after every learned priority constraint that binds
-  the partial and the partial is left as soon as it finds nothing new.
-  Synthesis is a complete backtracking search, and every rejection
-  excludes its candidate, so no order that the constraints allow is
-  skipped.
+  Those constraints reach synthesis as nogoods, a precedence as the
+  one-pair nogood on its reverse.  Synthesis runs again after every
+  learned priority constraint that binds the partial and the partial is
+  left as soon as it finds nothing new.  Synthesis is a complete
+  backtracking search, and every rejection excludes its candidate, so no
+  order that the constraints allow is skipped.
 
 A forbidden conjunction is checked at the level that decides its last
 literal: each literal keeps the conjunctions it occurs in, each conjunction
@@ -50,14 +51,12 @@ from nego.constraints import (
     Literal,
     MapLit,
     PriorityNogood,
-    PriorityPrecedence,
     SelLit,
     active_priority_constraints,
-    sort_constraints,
 )
-from nego.deps import ConnectionSearch, connection_candidates, render_candidates
+from nego.deps import ConnectionSearch, connection_candidates
 from nego.dsl import SoftwareModel
-from nego.model import Configuration, ModelError, PlatformModel, QualId, qual_str
+from nego.model import Configuration, ModelError, PlatformModel, QualId
 from nego.taskgraph import INITIALIZATION, NORMAL, GraphError, TaskGraph, build_task_graph
 from nego.timing import synthesize_priorities
 
@@ -80,15 +79,9 @@ def _key(lit: Literal) -> tuple:
     return ("sel", lit.component, lit.value)
 
 
-def _allows(
-    order: tuple[QualId, ...],
-    precedences: Sequence[PriorityPrecedence],
-    nogoods: Sequence[PriorityNogood],
-) -> bool:
+def _allows(order: tuple[QualId, ...], nogoods: Sequence[PriorityNogood]) -> bool:
     ranks = {t: i for i, t in enumerate(order)}
-    return not any(p.violated_by(ranks) for p in precedences) and not any(
-        ng.pairs_hold(ranks) for ng in nogoods
-    )
+    return not any(ng.pairs_hold(ranks) for ng in nogoods)
 
 
 class ConstraintStore:
@@ -132,10 +125,6 @@ class ConstraintStore:
     def add_constraint(self, constraint: Constraint) -> None:
         if constraint not in self._constraints:
             self._constraints.append(constraint)
-
-    def add_constraints(self, constraints: Sequence[Constraint]) -> None:
-        for c in constraints:
-            self.add_constraint(c)
 
     def task_graphs(self, cfg: Configuration) -> tuple[TaskGraph, TaskGraph]:
         """Normal and initialization task graphs of cfg's structure, built
@@ -186,17 +175,15 @@ class ConstraintStore:
     def _candidates(self, partial: Configuration, threads: list[QualId]) -> Iterator[Configuration]:
         """The baseline order if allowed, then synthesized orders while they
         are new; synthesis reruns only once a new binding constraint is in."""
-        precedences: list[PriorityPrecedence] = []
         nogoods: list[PriorityNogood] = []
         seen = 0
 
         def learn() -> bool:
             nonlocal seen
-            fresh_precedences, fresh_nogoods = active_priority_constraints(self._constraints[seen:], partial)
+            fresh = active_priority_constraints(self._constraints[seen:], partial)
             seen = len(self._constraints)
-            precedences.extend(fresh_precedences)
-            nogoods.extend(fresh_nogoods)
-            return bool(fresh_precedences or fresh_nogoods)
+            nogoods.extend(fresh)
+            return bool(fresh)
 
         def with_order(order: tuple[QualId, ...]) -> Configuration:
             return Configuration(partial.selected, partial.connections, partial.mapping, order)
@@ -204,7 +191,7 @@ class ConstraintStore:
         learn()
         tried: list[tuple[QualId, ...]] = []
         baseline = tuple(threads)
-        if _allows(baseline, precedences, nogoods):
+        if _allows(baseline, nogoods):
             tried.append(baseline)
             yield with_order(baseline)
             learn()
@@ -213,7 +200,7 @@ class ConstraintStore:
         except GraphError:
             return  # the structure is broken whatever the order; negotiation learns why
         while True:
-            order = synthesize_priorities(threads, graphs, precedences, nogoods)
+            order = synthesize_priorities(threads, graphs, nogoods)
             if order is None or order in tried:
                 return
             tried.append(order)
@@ -396,15 +383,3 @@ class ConstraintStore:
             self._release(*self._connection_literals())
             conn.retract()
             conn.close()
-
-    def dump(self) -> str:
-        lines = [f"pinned: {' '.join(sorted(self._pinned))}"]
-        summary = connection_candidates(self._software, self._pinned)
-        lines.extend(render_candidates(summary).splitlines())
-        for comp in sorted(summary.requirements):
-            names = " ".join(qual_str(t) for t in _threads(self._software, frozenset({comp})))
-            if names:
-                lines.append(f"threads {comp}: {names}")
-        lines.append(f"constraints: {len(self._constraints)}")
-        lines.extend("  " + str(c) for c in sort_constraints(self._constraints))
-        return "\n".join(lines) + "\n"

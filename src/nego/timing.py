@@ -21,7 +21,6 @@ from nego.constraints import (
     Literal,
     MapLit,
     PriorityNogood,
-    PriorityPrecedence,
     sort_constraints,
 )
 from nego.model import Configuration, PlatformModel, QualId, qual_str
@@ -316,62 +315,60 @@ def _seed_key(graphs: Sequence[TaskGraph]):
 def synthesize_priorities(
     threads: Sequence[QualId],
     graphs: Sequence[TaskGraph],
-    precedences: Sequence[PriorityPrecedence],
     nogoods: Sequence[PriorityNogood],
 ) -> tuple[QualId, ...] | None:
-    """Find a total priority order satisfying the constraints, or None.
+    """Find a total priority order on which no nogood holds in full, or None.
 
-    Bottom-up placement with full backtracking: the lowest rank is filled
-    first, candidates tried in reverse seed order, so an unconstrained run
-    reproduces the deadline-monotonic seed exactly.
+    Bottom-up placement with full backtracking (Audsley 1991): the lowest
+    rank is filled first, candidates tried in reverse seed order, so an
+    unconstrained run reproduces the deadline-monotonic seed exactly and
+    the first order found is the first such permutation in that order.
+
+    A pair (hi, lo) reads "hi outranks lo" and is decided when the first of
+    its threads is placed: false if that is hi, true if it is lo.  Each
+    nogood counts its pairs decided true, and a placement that makes the
+    count reach its size is refused; a pair decided false keeps it below
+    for good.  Backtracking undoes what placement counted.  A nogood with a
+    pair that can never hold is dropped up front.
     """
-    thread_set = frozenset(threads)
-    seed = sorted(thread_set, key=_seed_key(graphs))
-    reverse = list(reversed(seed))
+    reverse = sorted(frozenset(threads), key=_seed_key(graphs), reverse=True)
+    index = {t: i for i, t in enumerate(reverse)}
+    kept = list({
+        frozenset(ng.pairs)
+        for ng in nogoods
+        if ng.pairs and all(hi != lo and hi in index and lo in index for hi, lo in ng.pairs)
+    })
+    size = [len(pairs) for pairs in kept]
+    holding = [0] * len(kept)  # pairs decided true, per nogood
+    watch: list[list[tuple[int, int]]] = [[] for _ in reverse]  # per lo: (nogood, hi)
+    for k, pairs in enumerate(kept):
+        for hi, lo in pairs:
+            watch[index[lo]].append((k, index[hi]))
+    placed = [False] * len(reverse)
 
-    must_outrank: dict[QualId, set[QualId]] = {}
-    for prec in precedences:
-        if prec.above in thread_set and prec.below in thread_set:
-            must_outrank.setdefault(prec.above, set()).add(prec.below)
+    def count(i: int, step: int) -> None:
+        for k, hi in watch[i]:
+            if not placed[hi]:
+                holding[k] += step
 
-    # Pair (hi, lo) reads "hi outranks lo".  Nogoods with a pair that can
-    # never hold are satisfied up front and dropped.
-    states: set[frozenset[tuple[QualId, QualId]]] = set()
-    for ng in nogoods:
-        if not ng.pairs:
-            continue
-        if any(hi == lo or hi not in thread_set or lo not in thread_set for hi, lo in ng.pairs):
-            continue
-        states.add(frozenset(ng.pairs))
-
-    def search(
-        remaining: frozenset[QualId],
-        tail: tuple[QualId, ...],
-        undecided: tuple[frozenset[tuple[QualId, QualId]], ...],
-    ) -> tuple[QualId, ...] | None:
-        if not remaining:
-            return tail
-        for t in reverse:
-            if t not in remaining:
+    stack: list[int] = []  # indices into reverse, the lowest rank first
+    start = 0
+    while len(stack) < len(reverse):
+        for i in range(start, len(reverse)):
+            if placed[i]:
                 continue
-            if any(below in remaining for below in must_outrank.get(t, ())):
-                continue  # t would end up under a thread it must outrank
-            next_states: list[frozenset[tuple[QualId, QualId]]] = []
-            dead = False
-            for pairs in undecided:
-                if any(hi == t for hi, _ in pairs):
-                    continue  # that pair is now false: nogood satisfied
-                newly_true = {p for p in pairs if p[1] == t}
-                rest = pairs - newly_true
-                if newly_true and not rest:
-                    dead = True  # every pair holds: nogood violated
-                    break
-                next_states.append(rest if newly_true else pairs)
-            if dead:
-                continue
-            found = search(remaining - {t}, (t,) + tail, tuple(next_states))
-            if found is not None:
-                return found
-        return None
-
-    return search(thread_set, (), tuple(sorted(states, key=sorted)))
+            count(i, 1)
+            if not any(holding[k] == size[k] for k, hi in watch[i] if not placed[hi]):
+                placed[i] = True
+                stack.append(i)
+                start = 0
+                break
+            count(i, -1)
+        else:
+            if not stack:
+                return None
+            i = stack.pop()
+            placed[i] = False
+            count(i, -1)
+            start = i + 1
+    return tuple(reverse[i] for i in reversed(stack))

@@ -5,17 +5,20 @@ every reachable connection assignment, every type-compatible mapping,
 every priority permutation.  No learned constraints, no pruning.
 `reference_simulate` and `reference_worst_observed` step the schedule one
 time unit at a time, as plainly as possible, for the event-driven simulator.
+`reference_synthesize` walks every priority permutation for the
+backtracking priority synthesis.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from nego.constraints import PriorityPrecedence
 from nego.controlflow import check_control_flow
 from nego.model import Configuration, SystemModel, pinned_components
 from nego.sim import ReleaseScenario
 from nego.taskgraph import GraphError, INITIALIZATION, NORMAL, build_task_graph
-from nego.timing import check_timing
+from nego.timing import _seed_key, check_timing
 
 
 def assignments(software, pinned):
@@ -87,6 +90,23 @@ def feasible(system: SystemModel, model: str = "busy-window") -> bool:
                 if all(check_timing(graphs[m], cfg, platform, model).ok for m in graphs):
                     return True
     return False
+
+
+def reference_synthesize(threads, graphs, constraints):
+    """The first permutation of the reverse seed order, read bottom-up, on
+    which no priority constraint is violated, or None.  A precedence is
+    checked with `violated_by`, a nogood with `pairs_hold`; contexts are not
+    looked at."""
+    reverse = sorted(set(threads), key=_seed_key(graphs), reverse=True)
+    for bottom_up in itertools.permutations(reverse):
+        order = bottom_up[::-1]
+        ranks = {t: i for i, t in enumerate(order)}
+        if not any(
+            c.violated_by(ranks) if isinstance(c, PriorityPrecedence) else c.pairs_hold(ranks)
+            for c in constraints
+        ):
+            return order
+    return None
 
 
 def _releases(chain, offset, draws, horizon):

@@ -11,6 +11,10 @@ watches a constraint store from outside while `negotiate` drives it.
   search must exhaust.
 * deep(n): C0 is periodic and calls s1 -> C1 -> ... -> C(n-1), one task
   each, on one CPU.
+* revdl(n): n components C0000..., each one periodic thread (period 4n,
+  one task of WCET 1) with bound n - i on C{i}, on one CPU.  The
+  name-ordered priorities miss the bounds of the later half; the
+  deadline-monotonic seed, which reverses them, meets every bound.
 """
 
 from __future__ import annotations
@@ -67,6 +71,15 @@ def deep(n: int) -> SystemModel:
             lines.append(f"      RPC s{i + 1:04d}.get()")
         texts.append("\n".join(lines) + "\n")
     return _system(texts, repository, 1)
+
+
+def revdl(n: int) -> SystemModel:
+    texts = [
+        f"component C{i:04d}\n  threads\n    thread main on time (period={4 * n} jitter=0)\n"
+        f"      task t onto CPU wcet=1 bcet=1\n  timings\n    timing {n - i} main\n"
+        for i in range(n)
+    ]
+    return _system(texts, "", 1)
 
 
 class StoreProbe:

@@ -3,11 +3,14 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nego.constraints import PriorityNogood, PriorityPrecedence
+from nego.constraints import PriorityNogood, PriorityPrecedence, active_priority_constraints
+from nego.model import Configuration
 from nego.randsys import random_chain_system
 from nego.sim import worst_observed
 from nego.taskgraph import NORMAL, build_task_graph
 from nego.timing import BUSY_WINDOW, SINGLE_BLOCKING, chain_latency_bound, synthesize_priorities
+
+from oracles import reference_synthesize
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
@@ -66,7 +69,7 @@ def test_synthesis_output_respects_inputs(seed, constraint_seed):
                 tuple(rng.sample(threads, 2)) for _ in range(rng.randint(1, 2))
             )
             nogoods.append(PriorityNogood(frozenset(), pairs))
-    order = synthesize_priorities(threads, [graph], precedences, nogoods)
+    order = synthesize_priorities(threads, [graph], active_priority_constraints(precedences + nogoods, system.config))
     if order is None:
         return
     assert sorted(order) == threads
@@ -82,5 +85,24 @@ def test_unconstrained_synthesis_always_succeeds(seed):
     system = random_chain_system(random.Random(seed))
     graph = build_task_graph(system.software, system.config, NORMAL)
     threads = sorted(system.config.ranks())
-    order = synthesize_priorities(threads, [graph], [], [])
+    order = synthesize_priorities(threads, [graph], [])
     assert order is not None and sorted(order) == threads
+
+
+# Threads come from the first six; G is never a thread, so pairs may name
+# absent threads, and a pair may repeat its thread.
+POOL = [(c, "main") for c in "ABCDEFG"]
+pairs = st.tuples(st.sampled_from(POOL), st.sampled_from(POOL))
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.sampled_from(POOL[:6]), unique=True, max_size=6),
+    st.lists(st.frozensets(pairs, max_size=3), max_size=5),
+    st.lists(pairs, max_size=3),
+)
+def test_synthesis_finds_first_allowed_permutation(threads, nogood_pairs, precedence_pairs):
+    constraints = [PriorityNogood(frozenset(), p) for p in nogood_pairs]
+    constraints += [PriorityPrecedence(above, below) for above, below in precedence_pairs]
+    folded = active_priority_constraints(constraints, Configuration(frozenset(), frozenset(), {}, ()))
+    assert synthesize_priorities(threads, [], folded) == reference_synthesize(threads, [], constraints)

@@ -124,8 +124,9 @@ def test_task_graphs_built_once_per_structure_and_mode(monkeypatch):
         (lambda: systems.shared(3, 2), "exhausted", 8),
         (lambda: systems.indep(6, 1, 1, 8, 20, 2), "exhausted", 5),
         (lambda: systems.indep(5, 2, 2, 14, 24, 2), "ok", 23),
+        (lambda: systems.revdl(50), "ok", 2),
     ],
-    ids=["shared(3,2)", "indep(6,1,1,8,20,2)", "indep(5,2,2,14,24,2)"],
+    ids=["shared(3,2)", "indep(6,1,1,8,20,2)", "indep(5,2,2,14,24,2)", "revdl(50)"],
 )
 def test_candidates_until_verdict(system, verdict, candidates):
     for model in MODELS:

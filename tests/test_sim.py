@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import nego.sim
 from nego.dsl import load_software_model
 from nego.model import Configuration
 from nego.randsys import random_chain_system
@@ -194,6 +195,20 @@ def test_worst_observed_matches_grid_walk():
     for graph, cfg, rng in _redrawn_systems(range(80)):
         horizon = rng.randint(1, default_horizon(graph))
         assert worst_observed(graph, cfg, horizon) == reference_worst_observed(graph, cfg, horizon)
+
+
+def test_worst_observed_runs_each_offset_vector_once_without_jitter(monkeypatch):
+    graph, cfg = _two_periodic()
+    runs = []
+    run = nego.sim._run
+
+    def counting(plan, offsets, *rest):
+        runs.append(offsets)
+        return run(plan, offsets, *rest)
+
+    monkeypatch.setattr(nego.sim, "_run", counting)
+    worst_observed(graph, cfg)
+    assert runs == [(0, offset) for offset in range(5)]
 
 
 def test_two_resource_trace_migrates_onto_a_finishing_resource():

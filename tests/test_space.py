@@ -54,7 +54,8 @@ def test_overload_forbid_skips_first_assignment(software_post, platform):
     first = store.next_candidate()
     graph = build_task_graph(software_post, first, NORMAL)
     report = check_timing(graph, first, platform, SINGLE_BLOCKING)
-    store.add_constraints(report.constraints)
+    for c in report.constraints:
+        store.add_constraint(c)
     second = store.next_candidate()
     assert second.connections == CONNS_LANE_ON_O2
     assert second.priorities == LEX_ORDER
@@ -63,17 +64,15 @@ def test_overload_forbid_skips_first_assignment(software_post, platform):
 def test_priority_feedback_reaches_synthesis(software_post, platform):
     store = post_store(software_post, platform)
     cfg1 = store.next_candidate()
-    store.add_constraints(
-        check_timing(
-            build_task_graph(software_post, cfg1, NORMAL), cfg1, platform, SINGLE_BLOCKING
-        ).constraints
-    )
+    for c in check_timing(
+        build_task_graph(software_post, cfg1, NORMAL), cfg1, platform, SINGLE_BLOCKING
+    ).constraints:
+        store.add_constraint(c)
     cfg2 = store.next_candidate()
-    store.add_constraints(
-        check_timing(
-            build_task_graph(software_post, cfg2, NORMAL), cfg2, platform, SINGLE_BLOCKING
-        ).constraints
-    )
+    for c in check_timing(
+        build_task_graph(software_post, cfg2, NORMAL), cfg2, platform, SINGLE_BLOCKING
+    ).constraints:
+        store.add_constraint(c)
     cfg3 = store.next_candidate()
     assert cfg3.connections == CONNS_LANE_ON_O2
     assert cfg3.priorities == ACCEPTED_ORDER
@@ -92,7 +91,8 @@ def test_busy_window_feedback_exhausts(software_post, platform):
         )
         if report.ok:
             pytest.fail("busy-window run is expected to reject every candidate")
-        store.add_constraints(report.constraints)
+        for c in report.constraints:
+            store.add_constraint(c)
     assert seen == 3
 
 
@@ -119,6 +119,21 @@ def test_precedence_respected(software_post, platform):
     cfg = store.next_candidate()
     order = cfg.priorities
     assert order.index(("T", "trajectory_calculation_init")) < order.index(("P", "init"))
+
+
+def test_self_precedence_constrains_nothing(software_post, platform):
+    """A thread never outranks itself, so `PriorityPrecedence.violated_by`
+    never reports a self-precedence, and synthesis ignores it too."""
+    demote_first = PriorityNogood(frozenset(), frozenset({(LEX_ORDER[0], LEX_ORDER[1])}))
+    plain = post_store(software_post, platform)
+    plain.add_constraint(demote_first)
+    store = post_store(software_post, platform)
+    store.add_constraint(PriorityPrecedence(("P", "init"), ("P", "init")))
+    store.add_constraint(demote_first)
+    cfg = store.next_candidate()
+    assert cfg is not None and configuration_ok(cfg, store.constraints)
+    assert cfg.priorities != LEX_ORDER  # synthesized, not the baseline
+    assert cfg == plain.next_candidate()
 
 
 def test_duplicate_constraints_collapse(software_post, platform):
@@ -173,19 +188,6 @@ def test_nogood_filtered_by_context(software_post, platform):
     cfg = store.next_candidate()
     assert cfg.connections == CONNS_LANE_ON_O1
     assert cfg.priorities == LEX_ORDER
-
-
-def test_dump_mentions_structure_and_constraints(software_post, platform):
-    store = post_store(software_post, platform)
-    store.add_constraint(
-        ForbidConjunction(frozenset({ConnLit("L", "object_recognition", "O1")}))
-    )
-    text = store.dump()
-    assert "pinned: L P" in text
-    assert "must P trajectory_calculation T" in text
-    assert "may L object_recognition O1|O2" in text
-    assert "constraints: 1" in text
-    assert "forbid{conn[L,object_recognition]=O1}" in text
 
 
 def _structural_space(software, platform):

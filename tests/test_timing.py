@@ -2,7 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from nego.constraints import ConnLit, ForbidConjunction, MapLit, PriorityNogood, PriorityPrecedence
+from nego.constraints import (
+    ConnLit,
+    ForbidConjunction,
+    MapLit,
+    PriorityNogood,
+    PriorityPrecedence,
+    active_priority_constraints,
+)
 from nego.dsl import load_software_model
 from nego.model import Configuration, parse_platform
 from nego.taskgraph import INITIALIZATION, NORMAL, build_task_graph
@@ -281,13 +288,13 @@ def _post_graphs(software_post, cfg):
 
 def test_unconstrained_synthesis_is_deadline_monotonic(software_post, cfg_lane_on_o2_lex):
     graphs = _post_graphs(software_post, cfg_lane_on_o2_lex)
-    assert synthesize_priorities(LEX_ORDER, graphs, [], []) == ACCEPTED_ORDER
+    assert synthesize_priorities(LEX_ORDER, graphs, []) == ACCEPTED_ORDER
 
 
 def test_synthesis_with_lane_feedback_reaches_accepted_order(software_post, cfg_lane_on_o2_lex):
     graphs = _post_graphs(software_post, cfg_lane_on_o2_lex)
     nogoods = sorted(expected_lane_feedback(), key=str)
-    assert synthesize_priorities(LEX_ORDER, graphs, [], nogoods) == ACCEPTED_ORDER
+    assert synthesize_priorities(LEX_ORDER, graphs, nogoods) == ACCEPTED_ORDER
 
 
 def test_synthesis_with_busy_window_feedback_reaches_pi3(software_post, cfg_lane_on_o2_lex, platform):
@@ -295,7 +302,7 @@ def test_synthesis_with_busy_window_feedback_reaches_pi3(software_post, cfg_lane
     report = check_timing(graph, cfg_lane_on_o2_lex, platform, BUSY_WINDOW)
     nogoods = [c for c in report.constraints if isinstance(c, PriorityNogood)]
     graphs = _post_graphs(software_post, cfg_lane_on_o2_lex)
-    assert synthesize_priorities(LEX_ORDER, graphs, [], nogoods) == PI3
+    assert synthesize_priorities(LEX_ORDER, graphs, nogoods) == PI3
 
 
 def test_accumulated_busy_window_feedback_unsatisfiable(software_post, cfg_lane_on_o2_lex, platform):
@@ -306,13 +313,13 @@ def test_accumulated_busy_window_feedback_unsatisfiable(software_post, cfg_lane_
         report = check_timing(graph, cfg, platform, BUSY_WINDOW)
         nogoods.extend(c for c in report.constraints if isinstance(c, PriorityNogood))
     graphs = _post_graphs(software_post, cfg_lane_on_o2_lex)
-    assert synthesize_priorities(LEX_ORDER, graphs, [], nogoods) is None
+    assert synthesize_priorities(LEX_ORDER, graphs, nogoods) is None
 
 
 def test_synthesis_respects_precedence(software_post, cfg_lane_on_o2_lex):
     graphs = _post_graphs(software_post, cfg_lane_on_o2_lex)
-    prec = [PriorityPrecedence(TCI, INIT)]
-    order = synthesize_priorities(LEX_ORDER, graphs, prec, [])
+    prec = active_priority_constraints([PriorityPrecedence(TCI, INIT)], cfg_lane_on_o2_lex)
+    order = synthesize_priorities(LEX_ORDER, graphs, prec)
     assert order is not None
     assert order.index(TCI) < order.index(INIT)
     # everything else keeps the seed arrangement
@@ -321,5 +328,15 @@ def test_synthesis_respects_precedence(software_post, cfg_lane_on_o2_lex):
 
 def test_synthesis_conflicting_precedences_unsat(software_post, cfg_lane_on_o2_lex):
     graphs = _post_graphs(software_post, cfg_lane_on_o2_lex)
-    prec = [PriorityPrecedence(TCI, INIT), PriorityPrecedence(INIT, TCI)]
-    assert synthesize_priorities(LEX_ORDER, graphs, prec, []) is None
+    prec = active_priority_constraints(
+        [PriorityPrecedence(TCI, INIT), PriorityPrecedence(INIT, TCI)], cfg_lane_on_o2_lex
+    )
+    assert synthesize_priorities(LEX_ORDER, graphs, prec) is None
+
+
+def test_synthesis_over_many_threads_needs_no_recursion():
+    threads = [(f"C{i:04d}", "main") for i in range(1500)]
+    assert synthesize_priorities(threads, [], []) == tuple(threads)
+    top = threads[0]
+    push_down = [PriorityNogood(frozenset(), frozenset({(top, t)})) for t in threads[1:]]
+    assert synthesize_priorities(threads, [], push_down) == tuple(threads[1:]) + (top,)
