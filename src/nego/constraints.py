@@ -11,6 +11,7 @@ as the one-pair nogood that forbids its reverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from nego.model import Configuration, QualId, qual_str
@@ -70,6 +71,11 @@ class ForbidConjunction:
         return all(lit.holds(cfg) for lit in self.literals)
 
     def __str__(self) -> str:
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
+        # rendered once: constraints are sorted by their text, more than once
         return "forbid{" + ", ".join(sorted(str(l) for l in self.literals)) + "}"
 
 
@@ -117,6 +123,10 @@ class PriorityNogood:
         )
 
     def __str__(self) -> str:
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
         pairs = ", ".join(sorted(f"{qual_str(t)} above {qual_str(m)}" for t, m in self.pairs))
         ctx = ", ".join(sorted(str(l) for l in self.context))
         return f"priority-nogood{{{pairs}}} given {{{ctx}}}"

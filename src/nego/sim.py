@@ -69,7 +69,7 @@ def random_scenario(graph: TaskGraph, rng, horizon: int) -> ReleaseScenario:
             draws.append(())
             continue
         offsets.append(rng.randrange(chain.event.period))
-        count = math.ceil(horizon / chain.event.period) + 1
+        count = -(-horizon // chain.event.period) + 1
         draws.append(tuple(rng.randint(0, chain.event.jitter) for _ in range(count)))
     return ReleaseScenario(tuple(offsets), tuple(draws), horizon)
 

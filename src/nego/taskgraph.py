@@ -10,7 +10,6 @@ targets.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -46,7 +45,7 @@ class EventModel:
         `window` that starts at a critical instant."""
         if window <= 0:
             return 0
-        return math.ceil((window + self.jitter) / self.period)
+        return -(-(window + self.jitter) // self.period)
 
 
 @dataclass(frozen=True)
@@ -115,8 +114,8 @@ def total_wcet(chain: Chain, span: tuple[int, int] | None = None) -> int:
 @dataclass
 class _Unfolding:
     nodes: list[TaskNode] = field(default_factory=list)
-    # (caller component, service, method, span) per inlined RPC call
-    call_spans: list[tuple[str, str, str, tuple[int, int]]] = field(default_factory=list)
+    # ((caller component, service, method), span) per inlined RPC call
+    call_spans: list[tuple[tuple[str, str, str], tuple[int, int]]] = field(default_factory=list)
     # (component, thread name, span) per inlined callee thread
     thread_spans: list[tuple[QualId, tuple[int, int]]] = field(default_factory=list)
     # (provider, entry thread, caller component, ref, node position) per SIGNAL
@@ -186,37 +185,64 @@ def _unfold_steps(
             on_path.discard(component)
             if frames:
                 span = (start, len(out.nodes))
-                out.call_spans.append((frames[-1][0], ref.service, ref.method, span))
+                out.call_spans.append(((frames[-1][0], ref.service, ref.method), span))
                 out.thread_spans.append(((component, thread.name), span))
 
 
+# Per timing target: (bound, owning component, display text) of each
+# requirement on it.  Thread targets are keyed by (component, thread),
+# method targets by (calling component, service, method).
+_Targets = dict[tuple, list[tuple[int, str, str]]]
+
+
+def _timing_targets(software: SoftwareModel, cfg: Configuration) -> tuple[_Targets, _Targets]:
+    """Index the selected components' latency requirements by target."""
+    threads: _Targets = {}
+    methods: _Targets = {}
+    for comp in cfg.selected:
+        for timing in software.contracts[comp].timings:
+            target = timing.target
+            if isinstance(target, str):
+                threads.setdefault((comp, target), []).append((timing.bound, comp, target))
+            else:
+                key = (comp, target.service, target.method)
+                methods.setdefault(key, []).append((timing.bound, comp, str(target)))
+    return threads, methods
+
+
 def _attach_requirements(
-    software: SoftwareModel,
-    cfg: Configuration,
+    targets: tuple[_Targets, _Targets],
     chain_root: QualId,
     unfolding: _Unfolding,
     trigger: tuple[str, MethodRef] | None,
 ) -> tuple[LatencyReq, ...]:
-    reqs: list[LatencyReq] = []
+    """The requirements on the spans this chain unfolded: its root thread
+    and each inlined thread, each inlined call and the SIGNAL that forked
+    the chain, which covers the whole chain."""
+    threads, methods = targets
     whole = (0, len(unfolding.nodes))
-    for comp in sorted(cfg.selected):
-        for timing in software.contracts[comp].timings:
-            if isinstance(timing.target, str):
-                if (comp, timing.target) == chain_root:
-                    reqs.append(LatencyReq(timing.bound, whole, comp, timing.target))
-                for thread_id, span in unfolding.thread_spans:
-                    if thread_id == (comp, timing.target):
-                        reqs.append(LatencyReq(timing.bound, span, comp, timing.target))
-            else:
-                target = timing.target
-                for caller, service, method, span in unfolding.call_spans:
-                    if caller == comp and (service, method) == (target.service, target.method):
-                        reqs.append(LatencyReq(timing.bound, span, comp, str(target)))
-                if trigger is not None:
-                    t_caller, t_ref = trigger
-                    if t_caller == comp and (t_ref.service, t_ref.method) == (target.service, target.method):
-                        reqs.append(LatencyReq(timing.bound, whole, comp, str(target)))
+    found = [(whole, threads.get(chain_root, ()))]
+    for thread_id, span in unfolding.thread_spans:
+        found.append((span, threads.get(thread_id, ())))
+    for call, span in unfolding.call_spans:
+        found.append((span, methods.get(call, ())))
+    if trigger is not None:
+        caller, ref = trigger
+        found.append((whole, methods.get((caller, ref.service, ref.method), ())))
+    reqs = [LatencyReq(bound, span, owner, target) for span, rows in found for bound, owner, target in rows]
     return tuple(sorted(reqs, key=lambda r: (r.span, r.bound, r.owner, r.target)))
+
+
+# A chain root waiting to be unfolded: (component, thread, event model,
+# (forking chain root, step index), (caller, SIGNAL ref), connections so far).
+_Pending = tuple[
+    str,
+    Thread,
+    EventModel | None,
+    tuple[QualId, int] | None,
+    tuple[str, MethodRef] | None,
+    frozenset[tuple[str, str, str]],
+]
 
 
 def build_task_graph(software: SoftwareModel, cfg: Configuration, mode: str) -> TaskGraph:
@@ -227,15 +253,7 @@ def build_task_graph(software: SoftwareModel, cfg: Configuration, mode: str) -> 
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    Pending = tuple[
-        str,
-        Thread,
-        EventModel | None,
-        tuple[QualId, int] | None,
-        tuple[str, MethodRef] | None,
-        frozenset[tuple[str, str, str]],
-    ]
-    pending: list[Pending] = []
+    pending: list[_Pending] = []
     for comp in sorted(cfg.selected):
         for thread in software.contracts[comp].threads:
             if mode == NORMAL and isinstance(thread.activation, TimeActivation):
@@ -245,6 +263,7 @@ def build_task_graph(software: SoftwareModel, cfg: Configuration, mode: str) -> 
             elif mode == INITIALIZATION and isinstance(thread.activation, Initialization):
                 pending.append((comp, thread, None, None, None, frozenset()))
 
+    targets = _timing_targets(software, cfg)
     chains: list[Chain] = []
     seen_tasks: dict[QualId, QualId] = {}
     seen_roots: set[QualId] = set()
@@ -267,7 +286,7 @@ def build_task_graph(software: SoftwareModel, cfg: Configuration, mode: str) -> 
                     f" and chain {qual_str(root)} in {mode} mode"
                 )
             seen_tasks[node.task_id] = root
-        reqs = _attach_requirements(software, cfg, root, unfolding, trigger)
+        reqs = _attach_requirements(targets, root, unfolding, trigger)
         connections = frozenset(unfolding.connections)
         chains.append(
             Chain(

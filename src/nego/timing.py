@@ -6,12 +6,25 @@ models, extended over multi-activation busy periods when a window outgrows
 its own period); `single-blocking` charges every interfering task once.
 A failed requirement produces priority nogoods that tell the store which
 demotions could help, or a structural forbid when no demotion can.
+
+`check_timing` bounds every span of a graph from one interference index,
+built once per (graph, configuration): per resource and event model, the
+ranks of the resource's tasks in ascending order and their cumulative WCET.
+The tasks that can preempt a span on a resource are those ranked above its
+lowest-priority thread, a prefix found by bisection, so a span's demand per
+event model is one prefix sum per resource, less its own chain's tasks.
+The recurrence then evaluates `eta` once per event model, not once per
+interferer, and wide systems are analysed in near-linear time.  The public
+`chain_latency_bound` answers one span with one pass over the other chains
+and builds no index; both share the busy-window loop, so they agree.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 from nego.constraints import (
@@ -91,7 +104,7 @@ def _interferers(
     return out
 
 
-def _fixed_window(base: int, interference: Sequence[tuple[EventModel | None, int]], cap: int) -> int | None:
+def _fixed_window(base: int, interference: Iterable[tuple[EventModel | None, int]], cap: int) -> int | None:
     window = base
     for _ in range(cap):
         nxt = base + sum(
@@ -101,6 +114,31 @@ def _fixed_window(base: int, interference: Sequence[tuple[EventModel | None, int
             return window
         window = nxt
     return None
+
+
+def _busy_window(
+    event: EventModel | None, own: int, interference: Iterable[tuple[EventModel | None, int]], cap: int
+) -> int | None:
+    """Busy-window bound of a span with WCET `own` whose chain has `event`,
+    under (event model, demand) interference, a None model interfering
+    once: the worst response over the activations q = 1, 2, ... of a busy
+    period that outgrows the chain's period."""
+    best = 0
+    q = 1
+    while True:
+        window = _fixed_window(q * own, interference, cap)
+        if window is None:
+            return None
+        if event is None:
+            return window
+        period, jitter = event.period, event.jitter
+        release = 0 if q == 1 else (q - 1) * period - jitter
+        best = max(best, window - release)
+        if window <= q * period - jitter:
+            return best
+        q += 1
+        if q > cap:
+            return None
 
 
 def chain_latency_bound(
@@ -113,7 +151,12 @@ def chain_latency_bound(
     cap: int | None = None,
 ) -> int | None:
     """Upper bound on the span's latency, or None when the analysis cannot
-    bound it (the busy window never closes within the iteration cap)."""
+    bound it (the busy window never closes within the iteration cap).
+
+    One pass over the other chains, one demand pair per interfering chain:
+    callers bound one or two spans of a small graph, where grouping pairs
+    per event model costs more than it saves.  `check_timing`, which bounds
+    every span of a graph, reads grouped demand from an `_InterferenceIndex`."""
     if model not in MODELS:
         raise ValueError(f"unknown interference model {model!r}")
     range_nodes = chain.span_nodes(span)
@@ -128,22 +171,64 @@ def chain_latency_bound(
     interference = [
         (other.event, sum(n.wcet for n in tasks)) for other, tasks in interferers
     ]
-    best = 0
-    q = 1
-    while True:
-        window = _fixed_window(q * own, interference, cap)
-        if window is None:
-            return None
-        if chain.event is None:
-            return window
-        period, jitter = chain.event.period, chain.event.jitter
-        release = 0 if q == 1 else (q - 1) * period - jitter
-        best = max(best, window - release)
-        if window <= q * period - jitter:
-            return best
-        q += 1
-        if q > cap:
-            return None
+    return _busy_window(chain.event, own, interference, cap)
+
+
+class _InterferenceIndex:
+    """Per resource and event model, the ranks of the resource's tasks in
+    ascending order and their cumulative WCET, built once per (graph,
+    configuration).  The tasks that can preempt a span on one resource are
+    a prefix of that order, so a span's demand is a bisection per resource
+    and model, less its own chain's tasks in the prefixes."""
+
+    def __init__(self, graph: TaskGraph, cfg: Configuration, ranks: Mapping[QualId, int]) -> None:
+        tasks: dict[str, dict[EventModel | None, list[tuple[int, int]]]] = {}
+        for chain in graph.chains:
+            for n in chain.nodes:
+                per_event = tasks.setdefault(cfg.mapping[n.task_id], {})
+                per_event.setdefault(chain.event, []).append((ranks[n.thread], n.wcet))
+        self.prefixes: dict[str, list[tuple[EventModel | None, list[int], list[int]]]] = {}
+        for resource, per_event in tasks.items():
+            self.prefixes[resource] = []
+            for event, rows in per_event.items():
+                rows.sort()
+                cumulative = list(accumulate((wcet for _, wcet in rows), initial=0))
+                self.prefixes[resource].append((event, [rank for rank, _ in rows], cumulative))
+        self.mapping = cfg.mapping
+        self.ranks = ranks
+
+    def bound(self, chain: Chain, span: tuple[int, int], model: str, cap: int) -> int | None:
+        """`chain_latency_bound` of the span on the indexed graph."""
+        range_nodes = chain.span_nodes(span)
+        if not range_nodes:
+            return 0
+        own = sum(n.wcet for n in range_nodes)
+        demand = self._demand(chain, range_nodes)
+        if model == SINGLE_BLOCKING:
+            return own + sum(demand.values())
+        return _busy_window(chain.event, own, demand.items(), cap)
+
+    def _demand(self, chain: Chain, range_nodes: Sequence[TaskNode]) -> dict[EventModel | None, int]:
+        """Per event model, the summed WCET of the other chains' tasks that
+        can preempt the span."""
+        resources = {self.mapping[n.task_id] for n in range_nodes}
+        floor = max(self.ranks[n.thread] for n in range_nodes)
+        demand: dict[EventModel | None, int] = {}
+        for resource in resources:
+            for event, ranked, cumulative in self.prefixes[resource]:
+                wcet = cumulative[bisect_left(ranked, floor)]
+                if wcet:
+                    demand[event] = demand.get(event, 0) + wcet
+        own = sum(
+            n.wcet
+            for n in chain.nodes
+            if self.mapping[n.task_id] in resources and self.ranks[n.thread] < floor
+        )
+        if own:
+            demand[chain.event] -= own
+            if not demand[chain.event]:
+                del demand[chain.event]
+        return demand
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +347,7 @@ def check_timing(
         return TimingReport(model, util, (), tuple(sort_constraints(constraints)))
 
     ranks = cfg.ranks()
+    index = _InterferenceIndex(graph, cfg, ranks)
     cap = _iteration_cap(graph)
     verdicts: list[TimingVerdict] = []
     constraints: dict[Constraint, None] = {}
@@ -273,7 +359,7 @@ def check_timing(
         else:
             rows = [(None, (0, len(chain.nodes)), qual_str(chain.root))]
         for bound, span, target in rows:
-            computed = chain_latency_bound(chain, span, graph, cfg, ranks, model, cap)
+            computed = index.bound(chain, span, model, cap)
             if bound is None:
                 passed = True
             else:

@@ -14,7 +14,16 @@ from nego.sim import (
     synchronous_scenario,
     worst_observed,
 )
-from nego.taskgraph import INITIALIZATION, NORMAL, build_task_graph, total_wcet
+from nego.taskgraph import (
+    INITIALIZATION,
+    NORMAL,
+    Chain,
+    EventModel,
+    TaskGraph,
+    TaskNode,
+    build_task_graph,
+    total_wcet,
+)
 from oracles import reference_simulate, reference_worst_observed
 
 LANE_SPAN = (("L", "lane_assist"), (0, 7))
@@ -155,6 +164,15 @@ def test_random_scenario_respects_span_work(software_post, cfg_accepted):
         chain = graph.chain(root)
         for value in values:
             assert value >= total_wcet(chain, span)
+
+
+def test_random_scenario_counts_releases_exactly():
+    # (2**60 + 1) / 2**60 rounds down to 1.0 in floating point, which would
+    # leave one activation inside the horizon without a jitter draw
+    node = TaskNode("C", "t", 1, 1, "CPU", ("C", "main"))
+    chain = Chain(("C", "main"), NORMAL, (node,), EventModel(2**60, 1))
+    scenario = random_scenario(TaskGraph(NORMAL, (chain,)), random.Random(0), 2**60 + 1)
+    assert len(scenario.draws[0]) == 3
 
 
 def _redrawn_systems(seeds):

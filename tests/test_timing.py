@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,11 +13,16 @@ from nego.constraints import (
     active_priority_constraints,
 )
 from nego.dsl import load_software_model
-from nego.model import Configuration, parse_platform
-from nego.taskgraph import INITIALIZATION, NORMAL, build_task_graph
+from nego.model import Accepted, Configuration, parse_platform
+from nego.negotiation import negotiate
+from nego.randsys import random_chain_system
+from nego.taskgraph import INITIALIZATION, MODES, NORMAL, EventModel, build_task_graph
 from nego.timing import (
     BUSY_WINDOW,
+    MODELS,
     SINGLE_BLOCKING,
+    _InterferenceIndex,
+    _iteration_cap,
     chain_latency_bound,
     chain_utilization,
     check_timing,
@@ -23,6 +30,7 @@ from nego.timing import (
     utilization,
 )
 
+import systems
 from conftest import ACCEPTED_ORDER, CONNS_LANE_ON_O2, LEX_ORDER, POST_MAPPING, POST_SELECTED
 
 LANE = ("L", "lane_assist")
@@ -276,6 +284,134 @@ def test_unknown_model_rejected(software_pre, current_config):
     chain = graph.chains[0]
     with pytest.raises(ValueError):
         chain_latency_bound(chain, (0, 1), graph, current_config, current_config.ranks(), "exact")
+
+
+def test_activation_count_is_exact_beyond_float_precision():
+    # (3 * 2**54 + 1) / 3 rounds down to 2**54 in floating point
+    assert EventModel(3, 0).eta(3 * 2**54 + 1) == 2**54 + 1
+    assert EventModel(3, 1).eta(3 * 2**54) == 2**54 + 1
+    assert EventModel(3, 0).eta(3 * 2**54) == 2**54
+
+
+# ---------------------------------------------------------------------------
+# the indexed demand of check_timing against the per-span pass
+
+
+def _assert_paths_agree(software, cfg, platform):
+    """Every span of every chain, in both modes and under both models: the
+    index `check_timing` builds bounds it as `chain_latency_bound` does, and
+    `check_timing` reports those bounds.  Returns how many spans saw
+    interference."""
+    ranks = cfg.ranks()
+    interfered = 0
+    for mode in MODES:
+        graph = build_task_graph(software, cfg, mode)
+        index = _InterferenceIndex(graph, cfg, ranks)
+        cap = _iteration_cap(graph)
+        for model in MODELS:
+            rows = []
+            for chain in graph.chains:
+                spans = {(0, len(chain.nodes))} | {req.span for req in chain.requirements}
+                for span in sorted(spans):
+                    bound = chain_latency_bound(chain, span, graph, cfg, ranks, model)
+                    assert index.bound(chain, span, model, cap) == bound, (mode, model, chain.root, span)
+                    interfered += bound is None or bound > sum(n.wcet for n in chain.span_nodes(span))
+                if chain.nodes:
+                    reported = [req.span for req in chain.requirements] or [(0, len(chain.nodes))]
+                    rows += [chain_latency_bound(chain, span, graph, cfg, ranks, model) for span in reported]
+            report = check_timing(graph, cfg, platform, model)
+            assert [v.computed for v in report.verdicts] == rows
+    return interfered
+
+
+def test_indexed_demand_agrees_on_random_chain_systems():
+    platform = parse_platform("resource R1 type CPU\nresource R2 type CPU\nresource R3 type CPU\n")
+    interfered = 0
+    for seed in range(150):
+        system = random_chain_system(random.Random(seed))
+        rng = random.Random(seed)
+        for count in (1, 2, 3):
+            resources = [f"R{i + 1}" for i in range(count)]
+            mapping = {task: rng.choice(resources) for task in sorted(system.config.mapping)}
+            order = list(system.config.priorities)
+            rng.shuffle(order)
+            cfg = Configuration(system.config.selected, system.config.connections, mapping, tuple(order))
+            interfered += _assert_paths_agree(system.software, cfg, platform)
+    assert interfered >= 300
+
+
+# A: periodic with jitter; calls B (an RPC span on R1 and R2) and forks C by
+# SIGNAL, so C's chain shares A's event model; D: a second event model on
+# the same resources.  A and D also have initialization threads.
+FORK_TEXTS = [
+    "component A services requires r requires s threads "
+    "thread t on time (period=20 jitter=2) task a1 onto CPU wcet=2 bcet=1 RPC r.get() "
+    "SIGNAL s.m() task a2 onto CPU wcet=1 bcet=1 "
+    "thread boot on initialization task a0 onto CPU wcet=2 bcet=1 "
+    "timings timing 15 t timing 9 r.get() timing 12 s.m()",
+    "component B services provides r threads "
+    "thread serve on RPC r.get() task b1 onto CPU wcet=2 bcet=1 task b2 onto CPU wcet=1 bcet=1 "
+    "timings timing 5 serve",
+    "component C services provides s threads thread handle on RPC s.m() task c onto CPU wcet=3 bcet=1",
+    "component D threads thread t on time (period=10 jitter=1) "
+    "task d1 onto CPU wcet=2 bcet=1 task d2 onto CPU wcet=1 bcet=1 "
+    "thread boot on initialization task d0 onto CPU wcet=1 bcet=1",
+]
+
+
+def test_indexed_demand_agrees_on_forks_jitter_and_two_resources():
+    software = load_software_model(FORK_TEXTS, "service r method get () service s method m ()")
+    platform = parse_platform("resource R1 type CPU\nresource R2 type CPU\n")
+    split = {
+        ("A", "a0"): "R1", ("A", "a1"): "R1", ("A", "a2"): "R2", ("B", "b1"): "R1",
+        ("B", "b2"): "R2", ("C", "c"): "R1", ("D", "d0"): "R2", ("D", "d1"): "R1", ("D", "d2"): "R2",
+    }
+    threads = [("A", "t"), ("A", "boot"), ("B", "serve"), ("C", "handle"), ("D", "t"), ("D", "boot")]
+    interfered = 0
+    for mapping in (split, dict.fromkeys(split, "R1")):
+        for order in itertools.permutations(threads):
+            cfg = Configuration(
+                frozenset("ABCD"), frozenset({("A", "r", "B"), ("A", "s", "C")}), mapping, order
+            )
+            interfered += _assert_paths_agree(software, cfg, platform)
+    assert interfered >= 1000
+    graph = build_task_graph(software, cfg, NORMAL)
+    assert graph.chain(("C", "handle")).event == graph.chain(("A", "t")).event
+    assert {req.target for req in graph.chain(("A", "t")).requirements} == {"t", "r.get()", "serve"}
+
+
+def _eta_calls(monkeypatch, n):
+    """`EventModel.eta` calls of one busy-window `check_timing` on the
+    accepted configuration of indep(n, 1, 2, 40n, 40n, 5)."""
+    system = systems.indep(n, 1, 2, 40 * n, 40 * n, 5)
+    answer, _ = negotiate(system, [])
+    graph = build_task_graph(system.software, answer.config, NORMAL)
+    calls = 0
+    eta = EventModel.eta
+
+    def counting(self, window):
+        nonlocal calls
+        calls += 1
+        return eta(self, window)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(EventModel, "eta", counting)
+        check_timing(graph, answer.config, system.platform, BUSY_WINDOW)
+    return calls
+
+
+def test_wide_system_costs_linear_activation_counts(monkeypatch):
+    # one event model, so each busy-window step evaluates eta once per span,
+    # not once per interfering chain
+    small, large = _eta_calls(monkeypatch, 100), _eta_calls(monkeypatch, 400)
+    assert small <= 4 * 100 and large <= 4 * 400
+    assert large <= 5 * small
+
+
+def test_wide_system_negotiates():
+    answer, trace = negotiate(systems.indep(1000, 1, 2, 40000, 40000, 5), [])
+    assert isinstance(answer, Accepted)
+    assert trace.candidates == 1
 
 
 # ---------------------------------------------------------------------------
