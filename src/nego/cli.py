@@ -72,7 +72,8 @@ def _parse_request_file(path: Path) -> list[UpdateRequest]:
         if not line or line.startswith("#"):
             continue
         parts = line.split(None, 1)
-        if len(parts) != 2 or parts[0] not in ("add", "update", "remove"):
+        # no file name holds a NUL, and open() raises ValueError on one
+        if len(parts) != 2 or parts[0] not in ("add", "update", "remove") or "\0" in parts[1]:
             raise ModelError(f"bad request line {line!r}")
         kind, rest = parts
         if kind == "remove":
@@ -282,10 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DslError, ModelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DslError, ModelError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

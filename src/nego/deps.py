@@ -38,7 +38,7 @@ class ConnectionCandidates:
 
 
 def connection_candidates(software: SoftwareModel, pinned: frozenset[str]) -> ConnectionCandidates:
-    for comp in pinned:
+    for comp in sorted(pinned):
         if comp not in software.contracts:
             raise ModelError(f"pinned component {comp!r} does not exist")
 

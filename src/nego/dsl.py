@@ -230,8 +230,10 @@ class _Token:
 
 
 _PUNCT = {"(": "lparen", ")": "rparen", ".": "dot", "=": "eq"}
-_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INT_RE = re.compile(r"[0-9]+")
+# ASCII classes only: any other character, blank or digit is unexpected
+_BLANKS = re.compile(r"[ \t\r\n]*")
+_TOKEN = re.compile(r"([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([().=])")
+_PARENS = re.compile(r"[()]")
 
 
 class _Lexer:
@@ -242,40 +244,27 @@ class _Lexer:
         self._col = 1
         self._buffer: _Token | None = None
 
-    def _skip_space(self) -> None:
-        while self._pos < len(self._text) and self._text[self._pos] in " \t\r\n":
-            self._bump()
-
-    def _bump(self) -> str:
-        ch = self._text[self._pos]
-        self._pos += 1
-        if ch == "\n":
-            self._line += 1
-            self._col = 1
+    def _advance(self, end: int) -> None:
+        """Consume the text up to `end`, counting its lines and columns."""
+        newlines = self._text.count("\n", self._pos, end)
+        if newlines:
+            self._line += newlines
+            self._col = end - self._text.rfind("\n", self._pos, end)
         else:
-            self._col += 1
-        return ch
+            self._col += end - self._pos
+        self._pos = end
 
     def _scan(self) -> _Token:
-        self._skip_space()
-        if self._pos >= len(self._text):
-            return _Token("eof", "", self._line, self._col)
+        self._advance(_BLANKS.match(self._text, self._pos).end())
         line, col = self._line, self._col
-        ch = self._text[self._pos]
-        if ch in _PUNCT:
-            self._bump()
-            return _Token(_PUNCT[ch], ch, line, col)
-        m = _INT_RE.match(self._text, self._pos)
-        if m:
-            for _ in m.group():
-                self._bump()
-            return _Token("int", m.group(), line, col)
-        m = _ID_RE.match(self._text, self._pos)
-        if m:
-            for _ in m.group():
-                self._bump()
-            return _Token("id", m.group(), line, col)
-        raise DslSyntaxError(f"unexpected character {ch!r}", line, col)
+        m = _TOKEN.match(self._text, self._pos)
+        if m is None:
+            if self._pos == len(self._text):
+                return _Token("eof", "", line, col)
+            raise DslSyntaxError(f"unexpected character {self._text[self._pos]!r}", line, col)
+        self._advance(m.end())
+        text = m.group()
+        return _Token(_PUNCT.get(text, "int" if m.lastindex == 1 else "id"), text, line, col)
 
     def peek(self) -> _Token:
         if self._buffer is None:
@@ -297,17 +286,15 @@ class _Lexer:
             raise AssertionError("raw_args called with buffered lookahead")
         start = self._pos
         depth = 0
-        while self._pos < len(self._text):
-            ch = self._text[self._pos]
-            if ch == "(":
+        for m in _PARENS.finditer(self._text, start):
+            if m.group() == "(":
                 depth += 1
-            elif ch == ")":
-                if depth == 0:
-                    text = self._text[start : self._pos]
-                    self._bump()
-                    return text.strip()
+            elif depth:
                 depth -= 1
-            self._bump()
+            else:
+                self._advance(m.end())
+                return self._text[start : m.start()].strip()
+        self._advance(len(self._text))
         raise DslSyntaxError("unterminated argument list", self._line, self._col)
 
 
@@ -328,31 +315,28 @@ class _Parser:
         tok = self._peek()
         return tok.kind == "id" and tok.text in kws
 
-    def _take_kw(self, kw: str) -> _Token:
+    def _take(self, kind: str, expected: str, text: str | None = None) -> _Token:
+        """Consume the next token, which must be of `kind` (and read `text`)."""
         tok = self._lex.take()
-        if tok.kind != "id" or tok.text != kw:
-            raise DslSyntaxError(f"expected {kw!r}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
+        if tok.kind != kind or (text is not None and tok.text != text):
+            raise DslSyntaxError(f"expected {expected}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
         return tok
 
+    def _take_kw(self, kw: str) -> _Token:
+        return self._take("id", repr(kw), kw)
+
     def _take_id(self, what: str) -> _Token:
-        tok = self._lex.take()
-        if tok.kind != "id":
-            raise DslSyntaxError(f"expected {what}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
+        tok = self._take("id", what)
         if tok.text in KEYWORDS:
             raise DslSyntaxError(f"expected {what}, found keyword {tok.text!r}", tok.line, tok.col)
         return tok
 
     def _take_int(self, what: str) -> tuple[int, _Token]:
-        tok = self._lex.take()
-        if tok.kind != "int":
-            raise DslSyntaxError(f"expected {what}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
+        tok = self._take("int", what)
         return int(tok.text), tok
 
-    def _take_punct(self, kind: str, sym: str) -> _Token:
-        tok = self._lex.take()
-        if tok.kind != kind:
-            raise DslSyntaxError(f"expected {sym!r}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
-        return tok
+    def _take_punct(self, sym: str) -> _Token:
+        return self._take(_PUNCT[sym], repr(sym))
 
     def _expect_eof(self) -> None:
         tok = self._peek()
@@ -363,9 +347,9 @@ class _Parser:
 
     def _method_ref(self, empty_args: bool = False) -> MethodRef:
         svc = self._take_id("service name")
-        self._take_punct("dot", ".")
+        self._take_punct(".")
         meth = self._take_id("method name")
-        self._take_punct("lparen", "(")
+        self._take_punct("(")
         args = self._lex.raw_args()
         if empty_args and args:
             raise DslSyntaxError("argument list must be empty here", svc.line, svc.col)
@@ -378,14 +362,10 @@ class _Parser:
         if tok.kind == "id" and tok.text == "initialization":
             return Initialization()
         if tok.kind == "id" and tok.text == "time":
-            self._take_punct("lparen", "(")
-            self._take_kw("period")
-            self._take_punct("eq", "=")
-            period, ptok = self._take_int("period value")
-            self._take_kw("jitter")
-            self._take_punct("eq", "=")
-            jitter, jtok = self._take_int("jitter value")
-            self._take_punct("rparen", ")")
+            self._take_punct("(")
+            period, ptok = self._key_int("period")
+            jitter, jtok = self._key_int("jitter")
+            self._take_punct(")")
             if period <= 0:
                 raise DslValidationError("period must be positive", ptok.line, ptok.col)
             if jitter >= period:
@@ -397,7 +377,7 @@ class _Parser:
 
     def _key_int(self, key: str) -> tuple[int, _Token]:
         self._take_kw(key)
-        self._take_punct("eq", "=")
+        self._take_punct("=")
         return self._take_int(f"{key} value")
 
     def _step(self) -> Step:
@@ -436,9 +416,9 @@ class _Parser:
             raise DslValidationError("latency bound must be positive", btok.line, btok.col)
         name = self._take_id("timing target")
         if self._peek().kind == "dot":
-            self._take_punct("dot", ".")
+            self._take_punct(".")
             meth = self._take_id("method name")
-            self._take_punct("lparen", "(")
+            self._take_punct("(")
             args = self._lex.raw_args()
             if args:
                 raise DslSyntaxError("timing targets take no arguments", name.line, name.col)
@@ -511,7 +491,7 @@ class _Parser:
                 mname = self._take_id("method name")
                 if any(m.name == mname.text for m in methods):
                     raise DslValidationError(f"duplicate method {mname.text!r}", mname.line, mname.col)
-                self._take_punct("lparen", "(")
+                self._take_punct("(")
                 args = self._lex.raw_args()
                 methods.append(ServiceMethod(mname.text, args))
             interfaces[name.text] = ServiceInterface(name.text, tuple(methods), max_clients)
@@ -665,42 +645,28 @@ def load_software_model(contract_texts: Iterable[str], repository_text: str) -> 
 
 
 def _check_against_repository(contract: Contract, interfaces: Mapping[str, ServiceInterface]) -> None:
-    def _interface(service: str, pos: tuple[int, int]) -> ServiceInterface:
-        iface = interfaces.get(service)
-        if iface is None:
-            raise DslValidationError(
-                f"component {contract.component!r} references unknown service {service!r}", *pos
-            )
-        return iface
-
-    def _check_signature(ref: MethodRef) -> None:
-        iface = _interface(ref.service, ref.pos)
-        meth = iface.method(ref.method)
-        if meth is None:
-            raise DslValidationError(
-                f"service {ref.service!r} has no method {ref.method!r}", *ref.pos
-            )
-        if meth.args != ref.args:
-            raise DslValidationError(
-                f"signature mismatch for {ref}: repository declares ({meth.args})", *ref.pos
-            )
-
     for svc in sorted(contract.requires | contract.provides):
-        _interface(svc, (0, 0))
+        if svc not in interfaces:
+            raise DslValidationError(f"component {contract.component!r} references unknown service {svc!r}")
+
+    # every reference names a required or provided service, known from here on
+    def _method(ref: MethodRef) -> ServiceMethod:
+        meth = interfaces[ref.service].method(ref.method)
+        if meth is None:
+            raise DslValidationError(f"service {ref.service!r} has no method {ref.method!r}", *ref.pos)
+        return meth
+
     for thread in contract.threads:
-        if isinstance(thread.activation, RpcEntry):
-            _check_signature(thread.activation.ref)
-        for _, step in thread.calls():
-            _check_signature(step.ref)
+        entry = [thread.activation.ref] if isinstance(thread.activation, RpcEntry) else []
+        for ref in entry + [step.ref for _, step in thread.calls()]:
+            meth = _method(ref)
+            if meth.args != ref.args:
+                raise DslValidationError(
+                    f"signature mismatch for {ref}: repository declares ({meth.args})", *ref.pos
+                )
     for req in contract.timings:
         if isinstance(req.target, MethodRef):
-            iface = _interface(req.target.service, req.target.pos)
-            if iface.method(req.target.method) is None:
-                raise DslValidationError(
-                    f"service {req.target.service!r} has no method {req.target.method!r}", *req.target.pos
-                )
+            _method(req.target)
     for nua in contract.control_flow:
-        for ref in (nua.forbidden, nua.prerequisite):
-            iface = _interface(ref.service, ref.pos)
-            if iface.method(ref.method) is None:
-                raise DslValidationError(f"service {ref.service!r} has no method {ref.method!r}", *ref.pos)
+        _method(nua.forbidden)
+        _method(nua.prerequisite)

@@ -368,7 +368,7 @@ def parse_configuration(text: str) -> Configuration:
             mapping[parse_qual(parts[0])] = parts[1]
         elif section == "[priorities]":
             parts = line.split()
-            if len(parts) != 2 or not parts[0].isdigit():
+            if len(parts) != 2 or not parts[0].isdecimal():
                 raise ModelError(f"configuration line {lineno}: expected '<rank> component.thread'")
             ranked.append((int(parts[0]), parse_qual(parts[1])))
         else:

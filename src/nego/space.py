@@ -56,7 +56,7 @@ from nego.constraints import (
 )
 from nego.deps import ConnectionSearch, connection_candidates
 from nego.dsl import SoftwareModel
-from nego.model import Configuration, ModelError, PlatformModel, QualId
+from nego.model import Configuration, PlatformModel, QualId
 from nego.taskgraph import INITIALIZATION, NORMAL, GraphError, TaskGraph, build_task_graph
 from nego.timing import synthesize_priorities
 
@@ -86,9 +86,6 @@ def _allows(order: tuple[QualId, ...], nogoods: Sequence[PriorityNogood]) -> boo
 
 class ConstraintStore:
     def __init__(self, software: SoftwareModel, platform: PlatformModel, pinned: frozenset[str]):
-        for comp in sorted(pinned):
-            if comp not in software.contracts:
-                raise ModelError(f"pinned component {comp!r} does not exist")
         self._software = software
         self._resources: dict[str, tuple[str, ...]] = {}  # resource type -> names, in platform order
         for res in platform.resources:

@@ -4,7 +4,12 @@ Happy paths and determinism are exercised by the acceptance suite; here we
 pin the exit codes and messages for inputs that do not fit together.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from nego import cli
 
@@ -80,12 +85,59 @@ def test_missing_contract_dir(capsys):
 
 def test_bad_request_line(tmp_path, capsys):
     req = tmp_path / "bad.req"
-    req.write_text("frobnicate L\n")
     argv = ["negotiate", *BASE,
             "--config", str(CORPUS / "current.config"),
             "--request", str(req)]
+    for line in ("frobnicate L", "add ../updates/S\0.contract"):
+        req.write_text(line + "\n")
+        assert cli.main(argv) == 2
+        assert "bad request line" in capsys.readouterr().err
+
+
+def _non_utf8_inputs(tmp_path, which: str) -> list[str]:
+    """A negotiate command line whose `which` input holds a byte no UTF-8 text has."""
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff")
+    contracts = tmp_path / "contracts"
+    contracts.mkdir()
+    for src in (CORPUS / "contracts").glob("*.contract"):
+        (contracts / src.name).write_text(src.read_text())
+    request = tmp_path / "add.req"
+    request.write_text("add bad\n")
+    files = {
+        "--contracts": contracts,
+        "--services": CORPUS / "services.repo",
+        "--platform": CORPUS / "platform.txt",
+        "--config": CORPUS / "current.config",
+        "--request": CORPUS / "requests" / "revalidate.req",
+    }
+    if which == "contract":
+        (contracts / "X.contract").write_bytes(b"\xff")
+    elif which == "request contract":
+        files["--request"] = request
+    else:
+        files[which] = bad
+    return ["negotiate", *(arg for flag, path in files.items() for arg in (flag, str(path)))]
+
+
+@pytest.mark.parametrize("which", ["--services", "--platform", "--config", "contract", "request contract"])
+def test_non_utf8_input_is_a_clean_error(tmp_path, which):
+    env = dict(os.environ, PYTHONPATH=str(CORPUS.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "nego.cli", *_non_utf8_inputs(tmp_path, which)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr
+
+
+def test_unknown_service_has_no_position(tmp_path, capsys):
+    (tmp_path / "X.contract").write_text("component X services requires nothing")
+    (tmp_path / "empty.repo").write_text("")
+    argv = ["deps", "--contracts", str(tmp_path), "--services", str(tmp_path / "empty.repo")]
     assert cli.main(argv) == 2
-    assert "bad request line" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: component 'X' references unknown service 'nothing'\n"
 
 
 def _config_without(tmp_path, *dropped: str) -> Path:

@@ -153,26 +153,120 @@ def test_whitespace_is_insignificant(corpus_dir):
     assert parse_contract(squashed) == parse_contract(text)
 
 
+# Each row pins the message, line and column of one raise site that input
+# text can reach.  The timing-target lookup in the repository check is not
+# among them: every method a timing target may name is called or entered by
+# the same contract, so the signature check meets it first.
+REJECTS = [
+    ("component", DslSyntaxError, "line 1, column 10: expected component name, found 'end of input'"),
+    ("component X threads thread t on bus", DslSyntaxError,
+     "line 1, column 33: expected RPC, initialization, or time, found 'bus'"),
+    ("component X threads thread t on time (period=0 jitter=0) task a onto R wcet=1 bcet=1", DslValidationError,
+     "line 1, column 46: period must be positive"),
+    ("component X threads thread t on time (period=5 jitter=5) task a onto R wcet=1 bcet=1", DslValidationError,
+     "line 1, column 55: jitter must be smaller than the period"),
+    ("component X threads thread t on time (period=5 jitter=0) task a onto R wcet=1 bcet=2", DslValidationError,
+     "line 1, column 84: bcet 2 exceeds wcet 1"),
+    ("component X threads thread t on time (period=5 jitter=0) task a onto R wcet=0 bcet=0", DslValidationError,
+     "line 1, column 77: wcet must be positive"),
+    ("component X threads thread t on initialization RPC s.m(", DslSyntaxError,
+     "line 1, column 56: unterminated argument list"),
+    ("component X timings timing 5 ghost", DslValidationError,
+     "line 1, column 28: timing target 'ghost' is not a thread of this component"),
+    ("component X services requires s timings timing 5 s.m()", DslValidationError,
+     "line 1, column 48: timing target s.m() is never called by this component"),
+    ("component X control_flow not s.m() until s.k()", DslValidationError,
+     "line 1, column 30: control-flow reference s.m() names a service this component neither requires nor provides"),
+    ("component X threads thread t on initialization task a onto R wcet=1 bcet=1 thread t on initialization task b onto R wcet=1 bcet=1",
+     DslValidationError, "line 1, column 83: duplicate thread 't'"),
+    ("component X { }", DslSyntaxError, "line 1, column 13: unexpected character '{'"),
+    # blanks and digits are ASCII only
+    ("component X\f", DslSyntaxError, "line 1, column 12: unexpected character '\\x0c'"),
+    ("component X threads thread t on time (period=\u0663 jitter=0)", DslSyntaxError,
+     "line 1, column 46: unexpected character '\u0663'"),
+    ("component X\nthreads\n  thread t on bus", DslSyntaxError,
+     "line 3, column 15: expected RPC, initialization, or time, found 'bus'"),
+    ("component X threads thread t in initialization", DslSyntaxError, "line 1, column 30: expected 'on', found 'in'"),
+    ("component thread", DslSyntaxError, "line 1, column 11: expected component name, found keyword 'thread'"),
+    ("component X timings timing five t", DslSyntaxError, "line 1, column 28: expected latency bound, found 'five'"),
+    ("component X threads thread t on RPC s m()", DslSyntaxError, "line 1, column 39: expected '.', found 'm'"),
+    ("component X threads task", DslSyntaxError, "line 1, column 21: unexpected token 'task'"),
+    ("component X 5", DslSyntaxError, "line 1, column 13: unexpected token '5'"),
+    ("component X control_flow not s.m(int) until s.k()", DslSyntaxError,
+     "line 1, column 30: argument list must be empty here"),
+    ("component X threads thread t on time (period=5 jitter=0) task a onto R wcet=1 bcet=0", DslValidationError,
+     "line 1, column 84: bcet must be positive"),
+    ("component X timings timing 0 t", DslValidationError, "line 1, column 28: latency bound must be positive"),
+    ("component X timings timing 5 s.m(x)", DslSyntaxError, "line 1, column 30: timing targets take no arguments"),
+    ("component X services requires s requires s", DslValidationError,
+     "line 1, column 42: duplicate requires declaration for 's'"),
+    ("component X services requires s provides s", DslValidationError,
+     "line 1, column 42: service 's' both required and provided"),
+    ("component X threads thread t on RPC s.m()", DslValidationError,
+     "line 1, column 37: entry method s.m() names a service the component does not provide"),
+    ("component X services provides s threads thread a on RPC s.m() thread b on RPC s.m()", DslValidationError,
+     "line 1, column 79: duplicate entry thread for s.m"),
+    ("component X threads thread t on initialization task a onto R wcet=1 bcet=1 task a onto R wcet=1 bcet=1",
+     DslValidationError, "line 1, column 81: duplicate task 'a'"),
+    ("component X threads thread t on initialization RPC s.m()", DslValidationError,
+     "line 1, column 52: call s.m() names a service the component does not require"),
+    ("component X timings timing 5 s.m()", DslValidationError,
+     "line 1, column 28: timing target s.m() names a service this component neither requires nor provides"),
+    # an argument list may span lines; positions after it count them
+    ("component X services requires s threads thread t on initialization RPC s.m(a,\n  (b)", DslSyntaxError,
+     "line 2, column 6: unterminated argument list"),
+    ("component X services requires s threads thread t on initialization RPC s.m(a\n  b) task", DslSyntaxError,
+     "line 2, column 10: expected task name, found 'end of input'"),
+]
+
+
 @pytest.mark.parametrize(
-    "text, error",
+    "text, error, message",
+    [pytest.param(text, error, message, id=f"{text}-{error.__name__}") for text, error, message in REJECTS],
+)
+def test_rejects(text, error, message):
+    with pytest.raises(error) as caught:
+        parse_contract(text)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
     [
-        ("component", DslSyntaxError),
-        ("component X threads thread t on bus", DslSyntaxError),
-        ("component X threads thread t on time (period=0 jitter=0) task a onto R wcet=1 bcet=1", DslValidationError),
-        ("component X threads thread t on time (period=5 jitter=5) task a onto R wcet=1 bcet=1", DslValidationError),
-        ("component X threads thread t on time (period=5 jitter=0) task a onto R wcet=1 bcet=2", DslValidationError),
-        ("component X threads thread t on time (period=5 jitter=0) task a onto R wcet=0 bcet=0", DslValidationError),
-        ("component X threads thread t on initialization RPC s.m(", DslSyntaxError),
-        ("component X timings timing 5 ghost", DslValidationError),
-        ("component X services requires s timings timing 5 s.m()", DslValidationError),
-        ("component X control_flow not s.m() until s.k()", DslValidationError),
-        ("component X threads thread t on initialization task a onto R wcet=1 bcet=1 thread t on initialization task b onto R wcet=1 bcet=1", DslValidationError),
-        ("component X { }", DslSyntaxError),
+        ("service a service a", DslValidationError, "line 1, column 19: duplicate service 'a'"),
+        ("service a max_clients 0", DslValidationError, "line 1, column 23: max_clients must be at least 1"),
+        ("service\n  a\n  max_clients\t0", DslValidationError, "line 3, column 15: max_clients must be at least 1"),
+        ("service a method m() method m()", DslValidationError, "line 1, column 29: duplicate method 'm'"),
+        ("method m()", DslSyntaxError, "line 1, column 1: unexpected token 'method'"),
+        ("service a max_clients many", DslSyntaxError, "line 1, column 23: expected client bound, found 'many'"),
+        ("service a method m(", DslSyntaxError, "line 1, column 20: unterminated argument list"),
     ],
 )
-def test_rejects(text, error):
-    with pytest.raises(error):
-        parse_contract(text)
+def test_repository_rejects(text, error, message):
+    with pytest.raises(error) as caught:
+        parse_service_repository(text)
+    assert str(caught.value) == message
+
+
+CALLER = "component X services requires s threads thread t on initialization RPC s.m(int v)"
+CONTROLLER = "component X services provides s control_flow not s.m() until s.k()"
+
+
+@pytest.mark.parametrize(
+    "texts, repository, message",
+    [
+        ([CALLER, CALLER], "service s method m(int v)", "duplicate component 'X'"),
+        ([CALLER], "service s method k()", "line 1, column 72: service 's' has no method 'm'"),
+        ([CALLER], "service s method m(long v)",
+         "line 1, column 72: signature mismatch for s.m(int v): repository declares (long v)"),
+        ([CONTROLLER], "service s method k()", "line 1, column 50: service 's' has no method 'm'"),
+        ([CONTROLLER], "service s method m()", "line 1, column 62: service 's' has no method 'k'"),
+    ],
+)
+def test_model_rejects(texts, repository, message):
+    with pytest.raises(DslValidationError) as caught:
+        load_software_model(texts, repository)
+    assert str(caught.value) == message
 
 
 def test_duplicate_component_rejected(corpus_dir):
@@ -190,8 +284,11 @@ def test_repository_signature_mismatch(corpus_dir):
 
 def test_unknown_service_rejected():
     text = "component X services requires nothing threads thread t on time (period=5 jitter=0) task a onto R wcet=1 bcet=1"
-    with pytest.raises(DslValidationError):
+    with pytest.raises(DslValidationError) as caught:
         load_software_model([text], "")
+    # the check runs on the parsed contract, which keeps no position for it
+    assert (caught.value.line, caught.value.col) == (None, None)
+    assert str(caught.value) == "component 'X' references unknown service 'nothing'"
 
 
 names = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True).filter(

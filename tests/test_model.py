@@ -59,6 +59,12 @@ def test_configuration_rejects_rank_gap():
         parse_configuration(text)
 
 
+def test_configuration_rejects_non_decimal_rank():
+    # a superscript two is a digit to str.isdigit, but int() refuses it
+    with pytest.raises(ModelError, match="^configuration line 2: expected '<rank> component.thread'$"):
+        parse_configuration("[priorities]\n\u00b2 A.t\n")
+
+
 def test_configuration_rejects_unknown_section():
     with pytest.raises(ModelError):
         parse_configuration("[stuff]\nx\n")

@@ -13,6 +13,7 @@ from nego.constraints import (
     SelLit,
     configuration_ok,
 )
+from nego.deps import connection_candidates
 from nego.dsl import load_software_model
 from nego.model import Configuration, ModelError, pinned_components, parse_platform
 from nego.randsys import random_software_system
@@ -147,6 +148,15 @@ def test_duplicate_constraints_collapse(software_post, platform):
 def test_unknown_pinned_component(software_post, platform):
     with pytest.raises(ModelError):
         ConstraintStore(software_post, platform, frozenset({"GHOST"}))
+
+
+def test_first_missing_pinned_component_is_named(software_post, platform):
+    pinned = frozenset({"ZZ", "P", "GHOST"})
+    message = "^pinned component 'GHOST' does not exist$"
+    with pytest.raises(ModelError, match=message):
+        connection_candidates(software_post, pinned)
+    with pytest.raises(ModelError, match=message):
+        ConstraintStore(software_post, platform, pinned)
 
 
 def test_no_candidate_repeats():
