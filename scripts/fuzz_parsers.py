@@ -29,8 +29,12 @@ CORPUS = ROOT / "corpus"
 TOKEN = re.compile(r"\w+|\S")
 # inserted besides the corpus pieces: blanks, which TOKEN drops, and
 # text no corpus file holds (control characters, a no-break space, digits and
-# letters outside ASCII, numbers out of every accepted range)
-EXTRA_PIECES = [" ", "\n", "\t", "\r\n", "\f", "\x00", "\u00a0", "\u00e9", "\u0663", "\u00b2", "{", "-1", "0", "99999999999"]
+# letters outside ASCII, numbers out of every accepted range, one with more
+# digits than int() converts from text)
+EXTRA_PIECES = [
+    " ", "\n", "\t", "\r\n", "\f", "\x00", "\u00a0", "\u00e9", "\u0663", "\u00b2", "{", "-1", "0", "99999999999",
+    "9" * 4301,
+]
 
 
 def mutate(text: str, corpus_pieces: list[str], rng: random.Random) -> str:

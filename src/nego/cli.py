@@ -42,32 +42,37 @@ def _add_model_args(sub: argparse.ArgumentParser, config_required: bool = False)
     sub.add_argument("--config", help="current configuration file", **flag)
 
 
+def _read(path: Path) -> str:
+    """The text of an input file, which must be UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _load_software(args):
-    texts = []
     directory = Path(args.contracts)
     paths = sorted(directory.glob("*.contract"))
     if not paths:
         raise ModelError(f"no *.contract files in {directory}")
-    for path in paths:
-        texts.append(path.read_text())
-    return load_software_model(texts, Path(args.services).read_text())
+    return load_software_model([_read(path) for path in paths], _read(Path(args.services)))
 
 
 def _load_platform(args):
     if not args.platform:
         raise ModelError("--platform is required for this command")
-    return parse_platform(Path(args.platform).read_text())
+    return parse_platform(_read(Path(args.platform)))
 
 
 def _load_config(args) -> Configuration | None:
     if not args.config:
         return None
-    return parse_configuration(Path(args.config).read_text())
+    return parse_configuration(_read(Path(args.config)))
 
 
 def _parse_request_file(path: Path) -> list[UpdateRequest]:
     requests = []
-    for raw in path.read_text().splitlines():
+    for raw in _read(path).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -79,7 +84,7 @@ def _parse_request_file(path: Path) -> list[UpdateRequest]:
         if kind == "remove":
             requests.append(UpdateRequest.remove(rest.strip()))
         else:
-            contract = parse_contract((path.parent / rest.strip()).read_text())
+            contract = parse_contract(_read(path.parent / rest.strip()))
             requests.append(getattr(UpdateRequest, kind)(contract))
     return requests
 
@@ -283,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DslError, ModelError, OSError, UnicodeDecodeError) as exc:
+    except (DslError, ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 KEYWORDS = frozenset(
     [
@@ -221,8 +221,7 @@ class SoftwareModel:
 # Lexer
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # id, int, lparen, rparen, dot, eq, eof
     text: str
     line: int
@@ -230,60 +229,71 @@ class _Token:
 
 
 _PUNCT = {"(": "lparen", ")": "rparen", ".": "dot", "=": "eq"}
-# ASCII classes only: any other character, blank or digit is unexpected
-_BLANKS = re.compile(r"[ \t\r\n]*")
-_TOKEN = re.compile(r"([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([().=])")
+# The blanks before a token and the token, in one match; no group matches at
+# the end of input or before an unexpected character.  ASCII classes only: any
+# other character, blank or digit is unexpected.
+_TOKEN = re.compile(r"[ \t\r\n]*(?:([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([().=]))?")
 _PARENS = re.compile(r"[()]")
+# The most digits an integer may have, here and in a configuration's ranks.
+# 640 is the lowest limit CPython lets anyone set on int() from text, so every
+# interpreter converts what passes.
+_MAX_DIGITS = 640
 
 
-class _Lexer:
+# ---------------------------------------------------------------------------
+# Parser
+
+
+class _Parser:
     def __init__(self, text: str):
         self._text = text
         self._pos = 0
         self._line = 1
-        self._col = 1
+        self._line_start = 0  # offset of the first character of the current line
         self._buffer: _Token | None = None
 
+    # --- token helpers
+
     def _advance(self, end: int) -> None:
-        """Consume the text up to `end`, counting its lines and columns."""
+        """Consume the text up to `end`, counting its line breaks."""
         newlines = self._text.count("\n", self._pos, end)
         if newlines:
             self._line += newlines
-            self._col = end - self._text.rfind("\n", self._pos, end)
-        else:
-            self._col += end - self._pos
+            self._line_start = self._text.rfind("\n", self._pos, end) + 1
         self._pos = end
 
     def _scan(self) -> _Token:
-        self._advance(_BLANKS.match(self._text, self._pos).end())
-        line, col = self._line, self._col
         m = _TOKEN.match(self._text, self._pos)
-        if m is None:
+        group = m.lastindex
+        # tokens hold no line break: only the blanks before one need counting
+        self._advance(m.start(group) if group else m.end())
+        line, col = self._line, self._pos - self._line_start + 1
+        if group is None:
             if self._pos == len(self._text):
                 return _Token("eof", "", line, col)
             raise DslSyntaxError(f"unexpected character {self._text[self._pos]!r}", line, col)
-        self._advance(m.end())
-        text = m.group()
-        return _Token(_PUNCT.get(text, "int" if m.lastindex == 1 else "id"), text, line, col)
+        self._pos = m.end()
+        text = m.group(group)
+        return _Token(_PUNCT.get(text, "int" if group == 1 else "id"), text, line, col)
 
-    def peek(self) -> _Token:
+    def _peek(self) -> _Token:
         if self._buffer is None:
             self._buffer = self._scan()
         return self._buffer
 
-    def take(self) -> _Token:
-        tok = self.peek()
+    def _next(self) -> _Token:
+        tok = self._buffer or self._scan()  # a token, a 4-tuple, is never false
         self._buffer = None
         return tok
 
-    def raw_args(self) -> str:
+    def _raw_args(self) -> str:
         """Read opaque text up to the matching ')'.
 
         Must be called directly after consuming a '(' token, with no pending
         lookahead.
         """
         if self._buffer is not None:
-            raise AssertionError("raw_args called with buffered lookahead")
+            raise AssertionError("_raw_args called with buffered lookahead")
         start = self._pos
         depth = 0
         for m in _PARENS.finditer(self._text, start):
@@ -295,21 +305,7 @@ class _Lexer:
                 self._advance(m.end())
                 return self._text[start : m.start()].strip()
         self._advance(len(self._text))
-        raise DslSyntaxError("unterminated argument list", self._line, self._col)
-
-
-# ---------------------------------------------------------------------------
-# Parser
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self._lex = _Lexer(text)
-
-    # --- token helpers
-
-    def _peek(self) -> _Token:
-        return self._lex.peek()
+        raise DslSyntaxError("unterminated argument list", self._line, self._pos - self._line_start + 1)
 
     def _at_kw(self, *kws: str) -> bool:
         tok = self._peek()
@@ -317,7 +313,7 @@ class _Parser:
 
     def _take(self, kind: str, expected: str, text: str | None = None) -> _Token:
         """Consume the next token, which must be of `kind` (and read `text`)."""
-        tok = self._lex.take()
+        tok = self._next()
         if tok.kind != kind or (text is not None and tok.text != text):
             raise DslSyntaxError(f"expected {expected}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
         return tok
@@ -333,6 +329,8 @@ class _Parser:
 
     def _take_int(self, what: str) -> tuple[int, _Token]:
         tok = self._take("int", what)
+        if len(tok.text) > _MAX_DIGITS:
+            raise DslValidationError(f"{what} has {len(tok.text)} digits, more than {_MAX_DIGITS}", tok.line, tok.col)
         return int(tok.text), tok
 
     def _take_punct(self, sym: str) -> _Token:
@@ -350,13 +348,13 @@ class _Parser:
         self._take_punct(".")
         meth = self._take_id("method name")
         self._take_punct("(")
-        args = self._lex.raw_args()
+        args = self._raw_args()
         if empty_args and args:
             raise DslSyntaxError("argument list must be empty here", svc.line, svc.col)
         return MethodRef(svc.text, meth.text, args, pos=(svc.line, svc.col))
 
     def _activation(self) -> Activation:
-        tok = self._lex.take()
+        tok = self._next()
         if tok.kind == "id" and tok.text == "RPC":
             return RpcEntry(self._method_ref())
         if tok.kind == "id" and tok.text == "initialization":
@@ -381,7 +379,7 @@ class _Parser:
         return self._take_int(f"{key} value")
 
     def _step(self) -> Step:
-        tok = self._lex.take()
+        tok = self._next()
         if tok.text == "task":
             name = self._take_id("task name")
             self._take_kw("onto")
@@ -419,7 +417,7 @@ class _Parser:
             self._take_punct(".")
             meth = self._take_id("method name")
             self._take_punct("(")
-            args = self._lex.raw_args()
+            args = self._raw_args()
             if args:
                 raise DslSyntaxError("timing targets take no arguments", name.line, name.col)
             target: str | MethodRef = MethodRef(name.text, meth.text, "", pos=(name.line, name.col))
@@ -440,24 +438,24 @@ class _Parser:
         requires: list[tuple[str, _Token]] = []
         provides: list[tuple[str, _Token]] = []
         if self._at_kw("services"):
-            self._lex.take()
+            self._next()
             while self._at_kw("requires", "provides"):
-                which = self._lex.take().text
+                which = self._next().text
                 svc = self._take_id("service name")
                 (requires if which == "requires" else provides).append((svc.text, svc))
         threads: list[Thread] = []
         if self._at_kw("threads"):
-            self._lex.take()
+            self._next()
             while self._at_kw("thread"):
                 threads.append(self._thread())
         timings: list[TimingReq] = []
         if self._at_kw("timings"):
-            self._lex.take()
+            self._next()
             while self._at_kw("timing"):
                 timings.append(self._timing())
         control_flow: list[NotUntilReq] = []
         if self._at_kw("control_flow"):
-            self._lex.take()
+            self._next()
             while self._at_kw("not"):
                 control_flow.append(self._not_until())
         self._expect_eof()
@@ -475,24 +473,24 @@ class _Parser:
     def parse_repository(self) -> dict[str, ServiceInterface]:
         interfaces: dict[str, ServiceInterface] = {}
         while self._at_kw("service"):
-            self._lex.take()
+            self._next()
             name = self._take_id("service name")
             if name.text in interfaces:
                 raise DslValidationError(f"duplicate service {name.text!r}", name.line, name.col)
             max_clients: int | None = None
             if self._at_kw("max_clients"):
-                self._lex.take()
+                self._next()
                 max_clients, mtok = self._take_int("client bound")
                 if max_clients < 1:
                     raise DslValidationError("max_clients must be at least 1", mtok.line, mtok.col)
             methods: list[ServiceMethod] = []
             while self._at_kw("method"):
-                self._lex.take()
+                self._next()
                 mname = self._take_id("method name")
                 if any(m.name == mname.text for m in methods):
                     raise DslValidationError(f"duplicate method {mname.text!r}", mname.line, mname.col)
                 self._take_punct("(")
-                args = self._lex.raw_args()
+                args = self._raw_args()
                 methods.append(ServiceMethod(mname.text, args))
             interfaces[name.text] = ServiceInterface(name.text, tuple(methods), max_clients)
         self._expect_eof()

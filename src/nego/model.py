@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from nego.dsl import Contract, SoftwareModel, TimeActivation
+from nego.dsl import _MAX_DIGITS, Contract, SoftwareModel, TimeActivation
 
 QualId = tuple[str, str]  # (component, task-or-thread name)
 
@@ -370,6 +370,8 @@ def parse_configuration(text: str) -> Configuration:
             parts = line.split()
             if len(parts) != 2 or not parts[0].isdecimal():
                 raise ModelError(f"configuration line {lineno}: expected '<rank> component.thread'")
+            if len(parts[0]) > _MAX_DIGITS:
+                raise ModelError(f"configuration line {lineno}: rank has {len(parts[0])} digits, more than {_MAX_DIGITS}")
             ranked.append((int(parts[0]), parse_qual(parts[1])))
         else:
             raise ModelError(f"configuration line {lineno}: content before any section header")

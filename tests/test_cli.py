@@ -120,7 +120,7 @@ def _non_utf8_inputs(tmp_path, which: str) -> list[str]:
     return ["negotiate", *(arg for flag, path in files.items() for arg in (flag, str(path)))]
 
 
-@pytest.mark.parametrize("which", ["--services", "--platform", "--config", "contract", "request contract"])
+@pytest.mark.parametrize("which", ["--services", "--platform", "--config", "contract", "--request", "request contract"])
 def test_non_utf8_input_is_a_clean_error(tmp_path, which):
     env = dict(os.environ, PYTHONPATH=str(CORPUS.parent / "src"))
     done = subprocess.run(
@@ -130,6 +130,41 @@ def test_non_utf8_input_is_a_clean_error(tmp_path, which):
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error: ")
     assert "Traceback" not in done.stderr
+    # the message names the file that is not UTF-8
+    bad = tmp_path / "contracts" / "X.contract" if which == "contract" else tmp_path / "bad"
+    assert done.stderr.startswith(f"error: {bad}: not UTF-8 text")
+
+
+def _digits(n: int) -> str:
+    return "9" * n
+
+
+@pytest.mark.parametrize("digits", [641, 5000])
+def test_number_with_too_many_digits_is_a_clean_error(tmp_path, capsys, digits):
+    # 5000 digits is more than int() converts from text by default
+    (tmp_path / "X.contract").write_text(f"component X threads thread t on time (period={_digits(digits)} jitter=0)")
+    (tmp_path / "empty.repo").write_text("")
+    argv = ["validate", "--contracts", str(tmp_path), "--services", str(tmp_path / "empty.repo")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: line 1, column 46: period value has {digits} digits, more than 640\n"
+
+
+@pytest.mark.parametrize("digits", [641, 5000])
+def test_rank_with_too_many_digits_is_a_clean_error(tmp_path, capsys, digits):
+    config = tmp_path / "long.config"
+    config.write_text((CORPUS / "current.config").read_text().replace("\n0 ", f"\n{_digits(digits)} ", 1))
+    assert cli.main(["validate", *BASE, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: configuration line ")
+    assert err.endswith(f": rank has {digits} digits, more than 640\n")
+
+
+def test_rank_of_most_digits_is_read(tmp_path, capsys):
+    # 640 digits pass the digit bound; the rank is then out of 0..n-1
+    config = tmp_path / "long.config"
+    config.write_text((CORPUS / "current.config").read_text().replace("\n0 ", f"\n{_digits(640)} ", 1))
+    assert cli.main(["validate", *BASE, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: priority ranks must be 0..n-1 without gaps\n"
 
 
 def test_unknown_service_has_no_position(tmp_path, capsys):

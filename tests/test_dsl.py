@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -147,6 +149,23 @@ def test_args_kept_verbatim():
     assert call.ref.args == "int x, pair(int, int) y"
 
 
+def test_digit_bound_does_not_depend_on_int_limit():
+    # 640 digits convert under the lowest limit CPython lets anyone set on
+    # int() from text, so the bound reads the same on every interpreter
+    text = "component X threads thread t on time (period={} jitter=0)"
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(640)
+    try:
+        assert parse_contract(text.format("9" * 640)).threads[0].activation.period == 10**640 - 1
+        with pytest.raises(DslValidationError) as caught:
+            parse_contract(text.format("9" * 641))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    assert str(caught.value) == "line 1, column 46: period value has 641 digits, more than 640"
+
+
 def test_whitespace_is_insignificant(corpus_dir):
     text = (corpus_dir / "contracts" / "P.contract").read_text()
     squashed = " ".join(text.split())
@@ -186,6 +205,13 @@ REJECTS = [
      "line 1, column 46: unexpected character '\u0663'"),
     ("component X\nthreads\n  thread t on bus", DslSyntaxError,
      "line 3, column 15: expected RPC, initialization, or time, found 'bus'"),
+    # lines break at '\n' only; '\r' and '\t' are one column each
+    ("component X\r\nthreads\r\n  thread t on bus", DslSyntaxError,
+     "line 3, column 15: expected RPC, initialization, or time, found 'bus'"),
+    ("component X threads\n\tthread t on bus", DslSyntaxError,
+     "line 2, column 14: expected RPC, initialization, or time, found 'bus'"),
+    ("component X\n\n  {", DslSyntaxError, "line 3, column 3: unexpected character '{'"),
+    ("component\n\n\n", DslSyntaxError, "line 4, column 1: expected component name, found 'end of input'"),
     ("component X threads thread t in initialization", DslSyntaxError, "line 1, column 30: expected 'on', found 'in'"),
     ("component thread", DslSyntaxError, "line 1, column 11: expected component name, found keyword 'thread'"),
     ("component X timings timing five t", DslSyntaxError, "line 1, column 28: expected latency bound, found 'five'"),

@@ -1,7 +1,9 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports, and every private name it
+defines at module level, is used in that module.
 
-A stand-in for a linter's unused-import rule (F401), which the package
-does not depend on.  An import kept on purpose carries ``# noqa: F401``.
+A stand-in for a linter's unused-import rule (F401) and dead-code check,
+which the package does not depend on.  An import kept on purpose carries
+``# noqa: F401``.
 """
 
 import ast
@@ -38,7 +40,7 @@ def _used(tree: ast.AST) -> set[str]:
     """Names loaded anywhere, including inside string annotations."""
     used: set[str] = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         for annotation in _annotations(node):
             if annotation is None:
@@ -60,3 +62,30 @@ def test_no_unused_imports(path):
         if name not in used
     )
     assert unused == []
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Names such as `_X = ...`, `def _x` and `class _X` bound at module level."""
+    names: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            bound = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [name.id for target in bound for name in ast.walk(target) if isinstance(name, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_private_names(path):
+    tree = ast.parse(path.read_text())
+    used = _used(tree)
+    dead = sorted(
+        f"{path.name}:{line}: {name}" for name, line in _private_definitions(tree).items() if name not in used
+    )
+    assert dead == []
