@@ -237,7 +237,7 @@ _PARENS = re.compile(r"[()]")
 # The most digits an integer may have, here and in a configuration's ranks.
 # 640 is the lowest limit CPython lets anyone set on int() from text, so every
 # interpreter converts what passes.
-_MAX_DIGITS = 640
+MAX_DIGITS = 640
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +329,8 @@ class _Parser:
 
     def _take_int(self, what: str) -> tuple[int, _Token]:
         tok = self._take("int", what)
-        if len(tok.text) > _MAX_DIGITS:
-            raise DslValidationError(f"{what} has {len(tok.text)} digits, more than {_MAX_DIGITS}", tok.line, tok.col)
+        if len(tok.text) > MAX_DIGITS:
+            raise DslValidationError(f"{what} has {len(tok.text)} digits, more than {MAX_DIGITS}", tok.line, tok.col)
         return int(tok.text), tok
 
     def _take_punct(self, sym: str) -> _Token:
@@ -638,11 +638,14 @@ def load_software_model(contract_texts: Iterable[str], repository_text: str) -> 
         contracts[contract.component] = contract
     model = SoftwareModel(contracts, interfaces)
     for contract in contracts.values():
-        _check_against_repository(contract, interfaces)
+        check_against_repository(contract, interfaces)
     return model
 
 
-def _check_against_repository(contract: Contract, interfaces: Mapping[str, ServiceInterface]) -> None:
+def check_against_repository(contract: Contract, interfaces: Mapping[str, ServiceInterface]) -> None:
+    """Raise DslValidationError unless every service the contract names is
+    in the repository and every method it references exists there with the
+    same signature."""
     for svc in sorted(contract.requires | contract.provides):
         if svc not in interfaces:
             raise DslValidationError(f"component {contract.component!r} references unknown service {svc!r}")

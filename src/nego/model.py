@@ -8,11 +8,12 @@ spells them dotted, e.g. ``P.park_assist``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from nego.dsl import _MAX_DIGITS, Contract, SoftwareModel, TimeActivation
+from nego.dsl import MAX_DIGITS, Contract, SoftwareModel, TimeActivation, check_against_repository
 
 QualId = tuple[str, str]  # (component, task-or-thread name)
 
@@ -132,13 +133,16 @@ class UpdateRequest:
 def apply_update(software: SoftwareModel, request: UpdateRequest) -> SoftwareModel:
     """Return a new software model with the request applied.
 
-    Pure: the input model is left untouched.
+    Pure: the input model is left untouched.  An added or updated contract
+    is checked against the service repository like an installed one, and a
+    mismatch raises DslValidationError.
     """
     name = request.contract.component
     contracts = dict(software.contracts)
     if request.change == "add":
         if name in contracts:
             raise UpdateError(f"component {name!r} already present")
+        check_against_repository(request.contract, software.interfaces)
         contracts[name] = request.contract
     elif request.change == "remove":
         if name not in contracts:
@@ -147,6 +151,7 @@ def apply_update(software: SoftwareModel, request: UpdateRequest) -> SoftwareMod
     elif request.change == "update":
         if name not in contracts:
             raise UpdateError(f"component {name!r} not present")
+        check_against_repository(request.contract, software.interfaces)
         contracts[name] = request.contract
     else:
         raise UpdateError(f"unknown change kind {request.change!r}")
@@ -238,11 +243,11 @@ def check_well_formed(
             bad("1", subject, f"{c2} does not provide {s}")
 
     # 2: exactly one provider per required service of every selected component.
+    providers = Counter((c1, s) for c1, s, _ in cfg.connections)
     for c1 in sorted(cfg.selected):
         for s in sorted(software.contracts[c1].requires):
-            providers = sorted(c2 for cc1, ss, c2 in cfg.connections if cc1 == c1 and ss == s)
-            if len(providers) != 1:
-                bad("2", f"{c1} -> {s}", f"{len(providers)} providers connected, need exactly 1")
+            if providers[c1, s] != 1:
+                bad("2", f"{c1} -> {s}", f"{providers[c1, s]} providers connected, need exactly 1")
 
     # 3: mapping covers exactly the tasks of selected components, type-compatibly.
     expected_tasks = {
@@ -276,13 +281,11 @@ def check_well_formed(
         bad("4", qual_str(th), "priority assigned to a thread of an unselected component")
 
     # max_clients: bounded services cap the number of clients per provider.
-    per_provider: dict[tuple[str, str], list[str]] = {}
-    for c1, s, c2 in cfg.connections:
-        per_provider.setdefault((c2, s), []).append(c1)
-    for (c2, s), clients in sorted(per_provider.items()):
+    clients = Counter((c2, s) for _, s, c2 in cfg.connections)
+    for (c2, s), count in sorted(clients.items()):
         bound = software.interfaces[s].max_clients
-        if bound is not None and len(clients) > bound:
-            bad("max_clients", f"{c2} / {s}", f"{len(clients)} clients connected, at most {bound} allowed")
+        if bound is not None and count > bound:
+            bad("max_clients", f"{c2} / {s}", f"{count} clients connected, at most {bound} allowed")
 
     # strict priorities: no thread listed twice.
     seen: set[QualId] = set()
@@ -370,8 +373,8 @@ def parse_configuration(text: str) -> Configuration:
             parts = line.split()
             if len(parts) != 2 or not parts[0].isdecimal():
                 raise ModelError(f"configuration line {lineno}: expected '<rank> component.thread'")
-            if len(parts[0]) > _MAX_DIGITS:
-                raise ModelError(f"configuration line {lineno}: rank has {len(parts[0])} digits, more than {_MAX_DIGITS}")
+            if len(parts[0]) > MAX_DIGITS:
+                raise ModelError(f"configuration line {lineno}: rank has {len(parts[0])} digits, more than {MAX_DIGITS}")
             ranked.append((int(parts[0]), parse_qual(parts[1])))
         else:
             raise ModelError(f"configuration line {lineno}: content before any section header")

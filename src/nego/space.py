@@ -26,8 +26,14 @@ count is refused.  Connection-only conjunctions therefore prune connection
 levels before any mapping is tried, conjunctions with map literals prune
 at the task that decides the last of them, and `sel[c]=false` literals are
 decided when the connection assignment is complete.  Conjunctions learned
-since the last call are counted against the trail when the search resumes,
-and the search backs out of the shallowest level one of them blocks.
+since the last call are counted when the search resumes, against one map
+from what holds on the trail to the level that decided it, keyed as the
+choices count their literals: sel[c]=true at the level that selected c
+(-1 if pinned), each connection at its level, and on a complete structure
+the watched sel[c]=false at the structure level and each mapped task at
+its own.  A literal missing from the map does not hold.  The search then
+backs out of the shallowest level a learned conjunction blocks: the
+deepest level among its literals.
 
 The trail holds one selection, one assignment and one mapping, undone on
 backtrack: its state grows with the number of levels, not with their
@@ -109,10 +115,9 @@ class ConstraintStore:
         self._structure: Structure | None = None
         self._threads: list[QualId] = []
         self._tasks: list[QualId] = []
-        self._task_level: dict[QualId, int] = {}  # task -> its index in _tasks
         self._pools: list[tuple[str, ...]] = []
         self._choice: list[int] = []  # resource index per mapped task
-        self._orders: Iterator[Configuration] | None = None  # candidates at the current partial
+        self._orders: Iterator[Configuration] = iter(())  # candidates at the current partial
         self._fresh = True
 
     @property
@@ -148,26 +153,18 @@ class ConstraintStore:
         """The next configuration compatible with every constraint, or None
         when the space is exhausted."""
         cut = self._count_new_forbids()
-        if self._orders is not None:
-            candidate = next(self._orders, None)
-            if candidate is not None:
-                return candidate
-            self._orders = None
-        forward = self._fresh and not cut
-        self._fresh = False
-        while self._advance(forward):
+        forward, self._fresh = self._fresh and not cut, False
+        while (candidate := next(self._orders, None)) is None:
+            if not self._advance(forward):
+                return None
+            forward = False
             partial = Configuration(
                 *self._structure,
                 {task: pool[i] for task, pool, i in zip(self._tasks, self._pools, self._choice)},
                 (),
             )
             self._orders = self._candidates(partial, self._threads)
-            candidate = next(self._orders, None)
-            if candidate is not None:
-                return candidate
-            self._orders = None
-            forward = False
-        return None
+        return candidate
 
     def _candidates(self, partial: Configuration, threads: list[QualId]) -> Iterator[Configuration]:
         """The baseline order if allowed, then synthesized orders while they
@@ -291,7 +288,6 @@ class ConstraintStore:
         self._structure = (selected, self._conn.connections())
         self._threads = _threads(self._software, selected)
         self._tasks = [task for task, _ in tasks]
-        self._task_level = {task: i for i, task in enumerate(self._tasks)}
         self._pools = pools
         return True
 
@@ -299,7 +295,7 @@ class ConstraintStore:
         self._graphs.pop(self._structure, None)  # the search never comes back to it
         self._release(*self._unselected_literals())
         self._structure = None
-        self._tasks, self._task_level, self._pools = [], {}, []
+        self._tasks, self._pools = [], []
 
     def _map_literal(self) -> tuple:
         i = len(self._choice) - 1
@@ -319,23 +315,6 @@ class ConstraintStore:
 
     # --- constraints learned since the last call
 
-    def _depth(self, lit: Literal, connections: dict[tuple[str, str], tuple[str, int]]) -> int | None:
-        """Trail level at which the literal came to hold (-1: from the
-        start), or None if it does not hold on the trail."""
-        if isinstance(lit, ConnLit):
-            provider, level = connections.get((lit.client, lit.service), (None, 0))
-            return level if provider == lit.provider else None
-        if isinstance(lit, SelLit):
-            if lit.value:
-                return self._conn.selected_at.get(lit.component)
-            if self._structure is not None and lit.component not in self._conn.selected_at:
-                return len(self._conn.levels)
-            return None
-        i = self._task_level.get((lit.component, lit.task), len(self._choice))
-        if i < len(self._choice) and self._pools[i][self._choice[i]] == lit.resource:
-            return len(self._conn.levels) + 1 + i
-        return None
-
     def _count_new_forbids(self) -> bool:
         """Index the forbids learned since the last call and count their
         literals on the trail.  If one of them blocks the trail, cut it back
@@ -345,20 +324,26 @@ class ConstraintStore:
         self._counted = len(self._constraints)
         if not fresh:
             return False
-        connections = {
-            (client, service): (options[index], level)
-            for level, (client, service, options, index) in enumerate(self._conn.levels)
-        }
-        cut: int | None = None
-        for forbid in fresh:
-            k = len(self._size)
-            depths = [self._depth(lit, connections) for lit in forbid.literals]
-            self._size.append(len(depths))
-            self._holding.append(sum(d is not None for d in depths))
+        for k, forbid in enumerate(fresh, len(self._size)):
+            self._size.append(len(forbid.literals))
             for lit in forbid.literals:
                 self._watch.setdefault(_key(lit), []).append(k)
                 if isinstance(lit, SelLit) and not lit.value and lit.component not in self._unselected_watched:
                     self._unselected_watched.append(lit.component)
+        # what holds on the trail, keyed as _hold counts it: the level at
+        # which it came to hold, -1 for pinned components
+        conn = self._conn
+        trail = {("sel", c, True): level for c, level in conn.selected_at.items()}
+        for level, (client, service, options, index) in enumerate(conn.levels):
+            trail[("conn", client, service, options[index])] = level
+        if self._structure is not None:
+            trail.update(dict.fromkeys(self._unselected_literals(), len(conn.levels)))
+            for i, ((comp, task), pool, index) in enumerate(zip(self._tasks, self._pools, self._choice)):
+                trail[("map", comp, task, pool[index])] = len(conn.levels) + 1 + i
+        cut: int | None = None
+        for forbid in fresh:
+            depths = [trail.get(_key(lit)) for lit in forbid.literals]
+            self._holding.append(sum(d is not None for d in depths))
             if None not in depths:
                 level = max(depths, default=-1)
                 cut = level if cut is None else min(cut, level)
@@ -369,7 +354,7 @@ class ConstraintStore:
 
     def _cut_back(self, level: int) -> None:
         """Undo every level deeper than `level`, which stays the deepest."""
-        self._orders = None
+        self._orders = iter(())
         conn = self._conn
         while self._choice and len(conn.levels) + len(self._choice) > level:
             self._release(self._map_literal())

@@ -148,7 +148,6 @@ def chain_latency_bound(
     cfg: Configuration,
     ranks: Mapping[QualId, int],
     model: str,
-    cap: int | None = None,
 ) -> int | None:
     """Upper bound on the span's latency, or None when the analysis cannot
     bound it (the busy window never closes within the iteration cap).
@@ -166,12 +165,10 @@ def chain_latency_bound(
     interferers = _interferers(chain, range_nodes, graph, cfg, ranks)
     if model == SINGLE_BLOCKING:
         return own + sum(n.wcet for _, tasks in interferers for n in tasks)
-    if cap is None:
-        cap = _iteration_cap(graph)
     interference = [
         (other.event, sum(n.wcet for n in tasks)) for other, tasks in interferers
     ]
-    return _busy_window(chain.event, own, interference, cap)
+    return _busy_window(chain.event, own, interference, _iteration_cap(graph))
 
 
 class _InterferenceIndex:
@@ -237,7 +234,6 @@ class _InterferenceIndex:
 
 @dataclass(frozen=True)
 class TimingVerdict:
-    chain_root: QualId
     target: str
     bound: int | None  # required bound; None when the chain states none
     computed: int | None  # None: unbounded
@@ -364,7 +360,7 @@ def check_timing(
                 passed = True
             else:
                 passed = computed is not None and computed <= bound
-            verdicts.append(TimingVerdict(chain.root, target, bound, computed, passed, model))
+            verdicts.append(TimingVerdict(target, bound, computed, passed, model))
             if not passed and bound is not None:
                 range_nodes = chain.span_nodes(span)
                 interferers = _interferers(chain, range_nodes, graph, cfg, ranks)

@@ -94,6 +94,49 @@ def test_bad_request_line(tmp_path, capsys):
         assert "bad request line" in capsys.readouterr().err
 
 
+def _mismatched_request(tmp_path, edit) -> Path:
+    """The corpus lane-assist request, with `edit` applied to S's contract."""
+    updates = tmp_path / "updates"
+    updates.mkdir()
+    (updates / "L.contract").write_text((CORPUS / "updates" / "L.contract").read_text())
+    (updates / "S.contract").write_text(edit((CORPUS / "updates" / "S.contract").read_text()))
+    request = tmp_path / "add.req"
+    request.write_text("add updates/S.contract\nadd updates/L.contract\n")
+    return request
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda text: text.replace("setAngle(int value)", "setAngle(float value)"),
+            "error: line 5, column 37: signature mismatch for steering.setAngle(float value): "
+            "repository declares (int value)\n",
+        ),
+        (
+            lambda text: text.replace("provides steering", "provides steering\n    provides ghost"),
+            "error: component 'S' references unknown service 'ghost'\n",
+        ),
+    ],
+    ids=["signature", "unknown service"],
+)
+def test_request_contract_is_checked_against_repository(tmp_path, capsys, edit, message):
+    # the same check as for installed contracts: `validate` on the edited
+    # contract and `negotiate` on the request fail alike
+    request = _mismatched_request(tmp_path, edit)
+    argv = ["negotiate", *BASE, "--config", str(CORPUS / "current.config"),
+            "--request", str(request), "--model", "single-blocking"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)
+    contracts = tmp_path / "contracts"
+    contracts.mkdir()
+    (contracts / "S.contract").write_text((tmp_path / "updates" / "S.contract").read_text())
+    argv = ["validate", "--contracts", str(contracts), "--services", str(CORPUS / "services.repo")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == message
+
+
 def _non_utf8_inputs(tmp_path, which: str) -> list[str]:
     """A negotiate command line whose `which` input holds a byte no UTF-8 text has."""
     bad = tmp_path / "bad"
@@ -211,3 +254,13 @@ def test_simulate_warns_when_nothing_completes(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "warning: no activation completed within the horizon\n"
+
+
+def test_simulate_initialization_releases_each_chain_once(capsys):
+    # initialization chains have no period: one release each at offset 0,
+    # and the default horizon is the longest chain's WCET sum
+    argv = ["simulate", *BASE, "--config", str(CORPUS / "current.config"),
+            "--mode", "initialization", "--seed", "1"]
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("observed P.init[0:1] = 10\n", "")

@@ -81,6 +81,19 @@ def test_call_before_prerequisite_violates():
     assert set(violations[0].feedback.literals) == {ConnLit("A", "s", "B")}
 
 
+def test_forbidden_method_called_twice_is_one_violation():
+    # both call sites of one thread share the provider, rule and mode
+    software = _two_component_model(
+        "thread t on time (period=9 jitter=0) task a1 onto R wcet=1 bcet=1 "
+        "RPC s.go() task a2 onto R wcet=1 bcet=1 RPC s.go() RPC s.prep()"
+    )
+    cfg = _cfg(software, [("A", "a1"), ("A", "a2"), ("B", "bg"), ("B", "bp")])
+    violations = check_control_flow(software, cfg)
+    assert [v.message() for v in violations] == [
+        "control_flow: B.s.go reachable before prep via A/t",
+    ]
+
+
 def test_init_mode_call_satisfies_normal_callers():
     software = _two_component_model(
         "thread boot on initialization RPC s.prep() "

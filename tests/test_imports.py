@@ -1,5 +1,6 @@
 """Every name a module of the package imports, and every private name it
-defines at module level, is used in that module.
+defines at module level, is used in that module, and no module imports
+another module's private name.
 
 A stand-in for a linter's unused-import rule (F401) and dead-code check,
 which the package does not depend on.  An import kept on purpose carries
@@ -89,3 +90,17 @@ def test_no_unused_private_names(path):
         f"{path.name}:{line}: {name}" for name, line in _private_definitions(tree).items() if name not in used
     )
     assert dead == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_name_crosses_modules(path):
+    # a module's `_`-prefixed names are its own: no other module of the
+    # package imports them
+    crossing = sorted(
+        f"{path.name}:{node.lineno}: {node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "nego")
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+    assert crossing == []

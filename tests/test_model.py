@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nego.dsl import parse_contract
+from nego.dsl import DslValidationError, parse_contract
 from nego.model import (
     Configuration,
     ModelError,
@@ -90,6 +90,23 @@ def test_apply_update_errors(software_pre):
         apply_update(software_pre, UpdateRequest.update(parse_contract("component ZZ")))
 
 
+def test_apply_update_checks_contract_against_repository(software_pre):
+    # an added or updated contract must fit the service repository, like
+    # an installed one; the model is left untouched
+    provider = "component Z services provides steering threads thread e on RPC steering.setAngle({}) "
+    with pytest.raises(DslValidationError, match="signature mismatch for steering.setAngle"):
+        apply_update(software_pre, UpdateRequest.add(parse_contract(provider.format("float value"))))
+    with pytest.raises(DslValidationError, match="^component 'T' references unknown service 'ghost'$"):
+        apply_update(software_pre, UpdateRequest.update(parse_contract("component T services provides ghost")))
+    with pytest.raises(DslValidationError, match="^line 1, column 64: service 'steering' has no method 'stop'$"):
+        apply_update(software_pre, UpdateRequest.update(parse_contract(
+            "component T services provides steering threads thread e on RPC steering.stop()"
+        )))
+    added = apply_update(software_pre, UpdateRequest.add(parse_contract(provider.format("int value"))))
+    assert sorted(added.contracts) == ["O1", "O2", "P", "T", "Z"]
+    assert sorted(software_pre.contracts) == ["O1", "O2", "P", "T"]
+
+
 def test_well_formed_current(current_config, software_pre, platform):
     assert check_well_formed(current_config, software_pre, platform) == []
 
@@ -135,6 +152,57 @@ def test_well_formed_catches_missing_priority(current_config, software_pre, plat
     )
     violations = check_well_formed(broken, software_pre, platform)
     assert any(v.condition == "4" for v in violations)
+
+
+def _with(cfg, connections=None, mapping=None, priorities=None):
+    return Configuration(
+        cfg.selected,
+        cfg.connections if connections is None else connections,
+        cfg.mapping if mapping is None else mapping,
+        cfg.priorities if priorities is None else priorities,
+    )
+
+
+def test_well_formed_reports_every_violation(current_config, software_pre):
+    # one configuration per message, each printed as `nego validate` prints it
+    platform = parse_platform("resource CPU1 type CPU_type_1\nresource G1 type GPU")
+    cfg = current_config
+    cases = [
+        (
+            _with(cfg, connections=cfg.connections | {("T", "object_recognition", "O1")}),
+            [
+                "[1] T -> object_recognition -> O1: connection endpoint not selected",
+                "[2] T -> object_recognition: 2 providers connected, need exactly 1",
+            ],
+        ),
+        (
+            _with(cfg, connections=cfg.connections | {("O2", "trajectory_calculation", "T")}),
+            ["[1] O2 -> trajectory_calculation -> T: O2 does not require trajectory_calculation"],
+        ),
+        (
+            _with(cfg, connections=(cfg.connections - {("P", "trajectory_calculation", "T")})
+                  | {("P", "trajectory_calculation", "O2")}),
+            ["[1] P -> trajectory_calculation -> O2: O2 does not provide trajectory_calculation"],
+        ),
+        (
+            _with(cfg, mapping={**cfg.mapping, ("P", "p1"): "G1"}),
+            ["[3] P.p1: needs CPU_type_1, mapped to G1 of type GPU"],
+        ),
+        (
+            _with(cfg, mapping={**cfg.mapping, ("O1", "or1"): "CPU1"}),
+            ["[3] O1.or1: mapped task does not belong to a selected component"],
+        ),
+        (
+            _with(cfg, priorities=cfg.priorities + (("O1", "object_recognition_get"),)),
+            ["[4] O1.object_recognition_get: priority assigned to a thread of an unselected component"],
+        ),
+        (
+            _with(cfg, priorities=cfg.priorities + (("P", "init"),)),
+            ["[priority_strict] P.init: thread listed more than once"],
+        ),
+    ]
+    for broken, expected in cases:
+        assert [str(v) for v in check_well_formed(broken, software_pre, platform)] == expected
 
 
 def test_well_formed_catches_max_clients(software_post, platform, cfg_lane_on_o2):

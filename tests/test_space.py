@@ -220,15 +220,26 @@ def _partial_key(cfg):
     return cfg.selected, cfg.connections, tuple(sorted(cfg.mapping.items()))
 
 
+def _literals(cfg, software):
+    """Every literal that holds on cfg: its connections, its mapping and the
+    selection of each component of the model, true or false."""
+    literals = [ConnLit(*c) for c in sorted(cfg.connections)]
+    literals += [MapLit(*task, res) for task, res in sorted(cfg.mapping.items())]
+    literals += [SelLit(c, c in cfg.selected) for c in software.component_names()]
+    return literals
+
+
 def test_forbids_learned_between_calls_cut_exactly():
-    # Forbids over random literals of each candidate (sel[c]=false included)
-    # are learned between calls.  Every proposal satisfies the constraints
-    # held at that call, and every partial the final forbids leave open was
-    # proposed.
+    # Forbids over random literals are learned between calls: literals of
+    # the candidate (sel[c]=true and sel[c]=false included), mixed with
+    # literals of another point of the space, which need not hold on the
+    # trail.  Every proposal satisfies the constraints held at that call,
+    # and every partial the final forbids leave open was proposed.
     for seed in range(200):
         rng = random.Random(seed)
         system = random_software_system(random.Random(seed))
         software, platform = system.software, system.platform
+        space = list(_structural_space(software, platform))
         store = ConstraintStore(software, platform, pinned_components(software))
         proposed = set()
         while True:
@@ -238,16 +249,89 @@ def test_forbids_learned_between_calls_cut_exactly():
                 break
             assert configuration_ok(cfg, constraints), seed
             proposed.add(_partial_key(cfg))
-            literals = [ConnLit(*c) for c in sorted(cfg.connections)]
-            literals += [MapLit(*task, res) for task, res in sorted(cfg.mapping.items())]
-            literals += [SelLit(c, False) for c in software.component_names() if c not in cfg.selected]
-            if literals and rng.random() < 0.7:
+            literals = _literals(cfg, software)
+            if rng.random() < 0.5:
+                literals += _literals(rng.choice(space), software)
+            if rng.random() < 0.7:
                 k = rng.randint(1, min(3, len(literals)))
                 store.add_constraint(ForbidConjunction(frozenset(rng.sample(literals, k))))
         forbids = store.constraints
-        for partial in _structural_space(software, platform):
+        for partial in space:
             if not any(f.blocks(partial) for f in forbids):
                 assert _partial_key(partial) in proposed, seed
+
+
+def _proposals(store, learn=()):
+    """Every candidate's (connections, mapping) in order, the constraints in
+    `learn` added after the first one."""
+    out = []
+    while (cfg := store.next_candidate()) is not None:
+        if not out:
+            for c in learn:
+                store.add_constraint(c)
+        out.append((cfg.connections, tuple(sorted(cfg.mapping.items()))))
+    return out
+
+
+CHOICE_OF_PROVIDERS = [
+    "component A services requires s threads thread t on time (period=10 jitter=0) "
+    "task a onto CPU wcet=1 bcet=1",
+    "component B services provides s threads thread e on RPC s.m() task b onto {b} wcet=1 bcet=1",
+    "component C services provides s threads thread e on RPC s.m() task c onto CPU wcet=1 bcet=1",
+    "component X services provides u threads thread e on RPC u.m() task x onto CPU wcet=1 bcet=1",
+]
+
+
+def _providers_store(b_type="CPU", resources=("R1",)):
+    texts = [t.replace("{b}", b_type) for t in CHOICE_OF_PROVIDERS]
+    software = load_software_model(texts, "service s method m () service u method m ()")
+    platform = parse_platform("".join(f"resource {r} type CPU\n" for r in resources))
+    return ConstraintStore(software, platform, pinned_components(software))
+
+
+def test_task_type_missing_from_platform_rules_out_its_structures():
+    # B's task needs a GPU, which the platform lacks: only A -> s -> C
+    # completes, and a pinned component that needs one empties the space
+    via_c = frozenset({("A", "s", "C")})
+    assert {conns for conns, _ in _proposals(_providers_store("GPU"))} == {via_c}
+    assert {conns for conns, _ in _proposals(_providers_store())} == {
+        frozenset({("A", "s", "B")}),
+        via_c,
+    }
+    texts = ["component A threads thread t on time (period=10 jitter=0) task a onto GPU wcet=1 bcet=1"]
+    software = load_software_model(texts, "")
+    store = ConstraintStore(software, parse_platform("resource R1 type CPU"), pinned_components(software))
+    assert store.next_candidate() is None
+
+
+def test_learned_unselected_forbid_refuses_a_later_completion():
+    # X provides a service nobody requires, so sel[X]=false holds on every
+    # structure.  Learned while the trail is at A -> s -> B, the forbid is
+    # one literal short there, and completing A -> s -> C is refused.
+    forbid = ForbidConjunction(frozenset({SelLit("X", False), ConnLit("A", "s", "C")}))
+    got = _proposals(_providers_store(resources=("R1", "R2")), [forbid])
+    assert [conns for conns, _ in got] == [frozenset({("A", "s", "B")})] * 4
+    assert len(set(got)) == 4
+    # a forbid of sel[X]=false alone blocks the trail where it is learned
+    alone = ForbidConjunction(frozenset({SelLit("X", False)}))
+    assert len(_proposals(_providers_store(resources=("R1", "R2")), [alone])) == 1
+
+
+def test_learned_forbids_that_do_not_hold_cut_nothing():
+    # sel[C]=true, sel[B]=false, and map literals of the other resource or
+    # of a task off the structure do not hold at the first candidate:
+    # learning them there cuts nothing, and they still refuse what they
+    # forbid later
+    store = _providers_store(resources=("R1", "R2"))
+    plain = _proposals(_providers_store(resources=("R1", "R2")))
+    forbids = [
+        ForbidConjunction(frozenset({SelLit("C", True), MapLit("A", "a", "R2")})),
+        ForbidConjunction(frozenset({MapLit("C", "c", "R1"), ConnLit("A", "s", "C")})),
+        ForbidConjunction(frozenset({SelLit("B", False), MapLit("C", "c", "R2"), MapLit("A", "a", "R1")})),
+    ]
+    via_b, via_c = frozenset({("A", "s", "B")}), frozenset({("A", "s", "C")})
+    assert [conns for conns, _ in plain] == [via_b] * 4 + [via_c] * 4
+    assert _proposals(store, forbids) == plain[:4]  # together they forbid every A -> s -> C partial
 
 
 def test_task_graphs_are_cached_with_their_error(monkeypatch):

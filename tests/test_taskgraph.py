@@ -2,7 +2,8 @@ import pytest
 
 import systems
 from nego.dsl import load_software_model
-from nego.model import Configuration
+from nego.model import Configuration, Rejected, SystemModel, parse_platform
+from nego.negotiation import negotiate
 from nego.taskgraph import (
     CycleError,
     EventModel,
@@ -186,6 +187,22 @@ def test_signal_forks_new_chain():
     assert qs(forked) == ["B.b"]
     assert forked.triggered_by == (("A", "t"), 1)
     assert forked.event == graph.chain(("A", "t")).event
+
+
+def test_entry_thread_signalled_by_two_chains_is_structural():
+    texts = [
+        "component A services requires s threads thread t on time (period=20 jitter=0) "
+        "task a onto R wcet=1 bcet=1 SIGNAL s.m()",
+        "component C services requires s threads thread t on time (period=10 jitter=0) "
+        "task c onto R wcet=1 bcet=1 SIGNAL s.m()",
+        "component B services provides s threads thread e on RPC s.m() task b onto R wcet=1 bcet=1",
+    ]
+    software = load_software_model(texts, "service s method m ()")
+    system = SystemModel(software, parse_platform("resource R1 type R"), None)
+    answer, trace = negotiate(system, [])
+    assert answer == Rejected("exhausted", answer.constraints)
+    assert "  structure: thread B.e activated by more than one chain" in trace.lines
+    assert [str(c) for c in answer.constraints] == ["forbid{conn[A,s]=B, conn[C,s]=B}"]
 
 
 def test_render_graph_mentions_chains(software_pre, current_config):

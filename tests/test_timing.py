@@ -286,6 +286,30 @@ def test_unknown_model_rejected(software_pre, current_config):
         chain_latency_bound(chain, (0, 1), graph, current_config, current_config.ranks(), "exact")
 
 
+def test_requirement_on_entry_thread_without_tasks_is_bounded_by_zero():
+    # the span of s.m() in A's chain holds no task: both the index and the
+    # one-span bound give 0
+    texts = [
+        "component A services requires s threads thread t on time (period=20 jitter=0) "
+        "task a onto R wcet=2 bcet=1 RPC s.m() timings timing 10 s.m()",
+        "component B services provides s threads thread e on RPC s.m()",
+    ]
+    software = load_software_model(texts, "service s method m ()")
+    cfg = Configuration(
+        frozenset({"A", "B"}), frozenset({("A", "s", "B")}), {("A", "a"): "R1"}, (("A", "t"), ("B", "e"))
+    )
+    graph = build_task_graph(software, cfg, NORMAL)
+    platform = parse_platform("resource R1 type R")
+    chain = graph.chain(("A", "t"))
+    (req,) = chain.requirements
+    for model in MODELS:
+        assert check_timing(graph, cfg, platform, model).lines() == [
+            "utilization R1: 1/10 OK",
+            f"timing 10 s.m(): bound=0 PASS model={model}",
+        ]
+        assert chain_latency_bound(chain, req.span, graph, cfg, cfg.ranks(), model) == 0
+
+
 def test_activation_count_is_exact_beyond_float_precision():
     # (3 * 2**54 + 1) / 3 rounds down to 2**54 in floating point
     assert EventModel(3, 0).eta(3 * 2**54 + 1) == 2**54 + 1
