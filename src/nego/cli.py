@@ -50,12 +50,21 @@ def _read(path: Path) -> str:
         raise ModelError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
+def _in_file(path: Path, exc: DslError) -> DslError:
+    """The error with the path of the file at fault before its message."""
+    return type(exc)(f"{path}: {exc}")
+
+
 def _load_software(args):
     directory = Path(args.contracts)
     paths = sorted(directory.glob("*.contract"))
     if not paths:
         raise ModelError(f"no *.contract files in {directory}")
-    return load_software_model([_read(path) for path in paths], _read(Path(args.services)))
+    services = Path(args.services)
+    try:
+        return load_software_model([_read(path) for path in paths], _read(services))
+    except DslError as exc:
+        raise _in_file(services if exc.source is None else paths[exc.source], exc) from None
 
 
 def _load_platform(args):
@@ -70,8 +79,10 @@ def _load_config(args) -> Configuration | None:
     return parse_configuration(_read(Path(args.config)))
 
 
-def _parse_request_file(path: Path) -> list[UpdateRequest]:
-    requests = []
+def _parse_request_file(path: Path) -> tuple[list[UpdateRequest], list[Path]]:
+    """The requests in the file, and for each the file that holds its
+    contract (the request file itself for a remove)."""
+    requests, sources = [], []
     for raw in _read(path).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -83,10 +94,16 @@ def _parse_request_file(path: Path) -> list[UpdateRequest]:
         kind, rest = parts
         if kind == "remove":
             requests.append(UpdateRequest.remove(rest.strip()))
+            sources.append(path)
         else:
-            contract = parse_contract(_read(path.parent / rest.strip()))
+            source = path.parent / rest.strip()
+            try:
+                contract = parse_contract(_read(source))
+            except DslError as exc:
+                raise _in_file(source, exc) from None
             requests.append(getattr(UpdateRequest, kind)(contract))
-    return requests
+            sources.append(source)
+    return requests, sources
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +207,7 @@ def _cmd_simulate(args) -> int:
             else:
                 scenario = synchronous_scenario(graph, horizon)
             result = simulate(graph, config, scenario, trace=args.trace)
-    except ValueError as exc:  # a horizon below 1
+    except ValueError as exc:  # a horizon below 1, or a run or sweep over its cap
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not args.sweep:
@@ -211,8 +228,11 @@ def _cmd_negotiate(args) -> int:
     platform = _load_platform(args)
     config = _load_config(args)
     system = SystemModel(software, platform, config)
-    requests = _parse_request_file(Path(args.request))
-    answer, trace = negotiate(system, requests, model=args.model)
+    requests, sources = _parse_request_file(Path(args.request))
+    try:
+        answer, trace = negotiate(system, requests, model=args.model)
+    except DslError as exc:  # a request contract that fails the repository check
+        raise _in_file(sources[exc.source], exc) from None
 
     if answer.ok:
         answer_line = "Yes"

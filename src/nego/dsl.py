@@ -42,7 +42,14 @@ KEYWORDS = frozenset(
 
 
 class DslError(ValueError):
-    """Base for contract-language errors, with source position when known."""
+    """Base for contract-language errors, with source position when known.
+
+    When one call reads several inputs, `source` is the index of the input
+    at fault: `load_software_model` sets it for a contract text (None for
+    the repository), `model.apply_updates` for a request.
+    """
+
+    source: int | None = None
 
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
         self.line = line
@@ -628,18 +635,26 @@ def render_service_repository(interfaces: Mapping[str, ServiceInterface]) -> str
 
 
 def load_software_model(contract_texts: Iterable[str], repository_text: str) -> SoftwareModel:
-    """Parse contracts plus the repository and cross-check every reference."""
+    """Parse contracts plus the repository and cross-check every reference.
+    A DslError from a contract text carries the text's index in `source`."""
     interfaces = parse_service_repository(repository_text)
     contracts: dict[str, Contract] = {}
-    for text in contract_texts:
-        contract = parse_contract(text)
-        if contract.component in contracts:
-            raise DslValidationError(f"duplicate component {contract.component!r}")
+    for index, text in enumerate(contract_texts):
+        try:
+            contract = parse_contract(text)
+            if contract.component in contracts:
+                raise DslValidationError(f"duplicate component {contract.component!r}")
+        except DslError as exc:
+            exc.source = index
+            raise
         contracts[contract.component] = contract
-    model = SoftwareModel(contracts, interfaces)
-    for contract in contracts.values():
-        check_against_repository(contract, interfaces)
-    return model
+    for index, contract in enumerate(contracts.values()):
+        try:
+            check_against_repository(contract, interfaces)
+        except DslError as exc:
+            exc.source = index
+            raise
+    return SoftwareModel(contracts, interfaces)
 
 
 def check_against_repository(contract: Contract, interfaces: Mapping[str, ServiceInterface]) -> None:

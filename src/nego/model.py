@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from nego.dsl import MAX_DIGITS, Contract, SoftwareModel, TimeActivation, check_against_repository
+from nego.dsl import MAX_DIGITS, Contract, DslError, SoftwareModel, TimeActivation, check_against_repository
 
 QualId = tuple[str, str]  # (component, task-or-thread name)
 
@@ -159,8 +159,14 @@ def apply_update(software: SoftwareModel, request: UpdateRequest) -> SoftwareMod
 
 
 def apply_updates(software: SoftwareModel, requests: Sequence[UpdateRequest]) -> SoftwareModel:
-    for request in requests:
-        software = apply_update(software, request)
+    """Apply the requests in order.  A DslError carries the index of the
+    request at fault in `source`."""
+    for index, request in enumerate(requests):
+        try:
+            software = apply_update(software, request)
+        except DslError as exc:
+            exc.source = index
+            raise
     return software
 
 

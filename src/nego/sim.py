@@ -54,13 +54,32 @@ def synchronous_scenario(graph: TaskGraph, horizon: int, pattern: str = "max-fir
     return ReleaseScenario(tuple(0 for _ in graph.chains), _pattern_draws(graph, pattern), horizon)
 
 
-def _check_horizon(horizon: int) -> None:
+# Caps on the work one call may take on, far above every input the corpus,
+# the tests and the soundness sweeps simulate (at most 46 jobs in one run,
+# 200 grid points and 5440 jobs in one sweep): a run releasing more jobs, or
+# a sweep over more offset vectors or releasing more jobs in all its runs,
+# is refused before any job is built.
+MAX_JOBS = 100_000
+MAX_GRID = 10_000
+MAX_SWEEP_JOBS = 1_000_000
+
+
+def _check_run(graph: TaskGraph, horizon: int) -> int:
+    """The most jobs a run over `horizon` releases: a periodic chain at
+    most ceil(horizon / period), a one-shot chain one.  A horizon below 1,
+    or more than MAX_JOBS jobs, is refused."""
     if horizon < 1:
         raise ValueError(f"horizon {horizon} is below 1")
+    jobs = sum(-(-horizon // c.event.period) if c.event is not None else 1 for c in graph.chains if c.nodes)
+    if jobs > MAX_JOBS:
+        raise ValueError(
+            f"a run over horizon {horizon} releases up to {jobs} jobs, more than the cap of {MAX_JOBS}"
+        )
+    return jobs
 
 
 def random_scenario(graph: TaskGraph, rng, horizon: int) -> ReleaseScenario:
-    _check_horizon(horizon)
+    _check_run(graph, horizon)
     offsets = []
     draws = []
     for chain in graph.chains:
@@ -134,9 +153,9 @@ def _run(
     Each resource keeps a heap of its ready jobs; the top of each heap runs.
     Time jumps to the next release or the soonest completion of a top.
     Returns the jobs in (chain, activation) order; with `lines`, appends the
-    release, dispatch, preempt and complete trace lines to it.
+    release, dispatch, preempt and complete trace lines to it.  Callers
+    check the horizon with `_check_run` first.
     """
-    _check_horizon(horizon)
     jobs: list[list] = []
     for ci, event, nodes in plan.chains:
         offset = offsets[ci]
@@ -231,6 +250,7 @@ def _observations(plan: _Plan, jobs: list[list]):
 def simulate(
     graph: TaskGraph, cfg: Configuration, scenario: ReleaseScenario, trace: bool = False
 ) -> SimResult:
+    _check_run(graph, scenario.horizon)
     plan = _Plan(graph, cfg)
     lines: list[str] | None = [] if trace else None
     jobs = _run(plan, scenario.offsets, scenario.draws, scenario.horizon, lines)
@@ -260,16 +280,28 @@ def worst_observed(
     The first chain anchors the grid at offset zero; every other periodic
     chain sweeps each offset in [0, period).  One-shot chains stay at zero.
     Patterns that draw alike, as both do when no chain has jitter, run once.
+    A grid of more than MAX_GRID offset vectors, or runs releasing more
+    than MAX_SWEEP_JOBS jobs in all, is refused.
     """
     if horizon is None:
         horizon = default_horizon(graph)
+    jobs = _check_run(graph, horizon)
     axes: list[range] = []
     for ci, chain in enumerate(graph.chains):
         if ci == 0 or chain.event is None:
             axes.append(range(1))
         else:
             axes.append(range(chain.event.period))
+    grid = math.prod(map(len, axes))
+    if grid > MAX_GRID:
+        raise ValueError(f"the offset sweep has {grid} grid points, more than the cap of {MAX_GRID}")
     draws = list(dict.fromkeys(_pattern_draws(graph, pattern) for pattern in JITTER_PATTERNS))
+    total = grid * len(draws) * jobs
+    if total > MAX_SWEEP_JOBS:
+        raise ValueError(
+            f"the offset sweep runs {grid * len(draws)} schedules of up to {jobs} jobs, "
+            f"{total} in all, more than the cap of {MAX_SWEEP_JOBS}"
+        )
     plan = _Plan(graph, cfg)
     maxima: dict[SpanKey, int] = {}
     for offsets in itertools.product(*axes):

@@ -25,14 +25,15 @@ counts its literals that hold on the trail, and a choice that completes a
 count is refused.  Connection-only conjunctions therefore prune connection
 levels before any mapping is tried, conjunctions with map literals prune
 at the task that decides the last of them, and `sel[c]=false` literals are
-decided when the connection assignment is complete.  Conjunctions learned
-since the last call are counted when the search resumes, against one map
-from what holds on the trail to the level that decided it, keyed as the
-choices count their literals: sel[c]=true at the level that selected c
-(-1 if pinned), each connection at its level, and on a complete structure
-the watched sel[c]=false at the structure level and each mapped task at
-its own.  A literal missing from the map does not hold.  The search then
-backs out of the shallowest level a learned conjunction blocks: the
+decided when the connection assignment is complete.  The trail keeps one
+record per decided level of the literals its choice made hold: a
+connection and the sel[c]=true of the provider it selects, the watched
+sel[c]=false of a complete structure, a task's mapping.  Backtracking and
+cutting pop a level's record and release its literals.  Conjunctions
+learned since the last call are counted against that record when the
+search resumes, each literal at the level that holds it (sel[c]=true of a
+pinned c at -1); a literal the record lacks does not hold.  The search
+then backs out of the shallowest level a learned conjunction blocks: the
 deepest level among its literals.
 
 The trail holds one selection, one assignment and one mapping, undone on
@@ -97,7 +98,8 @@ class ConstraintStore:
         for res in platform.resources:
             self._resources[res.rtype] = self._resources.get(res.rtype, ()) + (res.name,)
         self._pinned = frozenset(pinned)
-        self._constraints: list[Constraint] = []
+        self._constraints: list[Constraint] = []  # in the order learned
+        self._known: set[Constraint] = set()
         self._graphs: dict[Structure, tuple[TaskGraph, TaskGraph] | GraphError] = {}
 
         # forbidden conjunctions, by index: literal count, literals holding
@@ -110,7 +112,9 @@ class ConstraintStore:
 
         # the trail: connection levels 0..C-1; once the assignment is
         # complete, level C fixes the structure and level C+1+i the
-        # resource of task i
+        # resource of task i.  _held[level] lists the keys that level's
+        # choice made hold.
+        self._held: list[list[tuple]] = []
         self._conn = ConnectionSearch(connection_candidates(software, self._pinned), software.interfaces)
         self._structure: Structure | None = None
         self._threads: list[QualId] = []
@@ -125,7 +129,8 @@ class ConstraintStore:
         return tuple(self._constraints)
 
     def add_constraint(self, constraint: Constraint) -> None:
-        if constraint not in self._constraints:
+        if constraint not in self._known:
+            self._known.add(constraint)
             self._constraints.append(constraint)
 
     def task_graphs(self, cfg: Configuration) -> tuple[TaskGraph, TaskGraph]:
@@ -221,20 +226,21 @@ class ConstraintStore:
                     forward = self._choose_resource()
                 else:
                     return True
-            elif self._choice:
-                self._release(self._map_literal())
-                forward = self._choose_resource()
-            elif self._structure is not None:
-                self._uncomplete()
-            elif conn.levels:
-                self._release(*self._connection_literals())
-                conn.retract()
-                forward = self._choose_connection()
-            else:
+            elif not self._held:
                 return False
+            else:
+                self._release(*self._held.pop())
+                if self._choice:
+                    forward = self._choose_resource()
+                elif self._structure is not None:
+                    self._uncomplete()
+                else:
+                    conn.retract()
+                    forward = self._choose_connection()
 
-    def _hold(self, *keys: tuple) -> bool:
-        """Count the literals as holding, unless that completes a forbid."""
+    def _hold(self, keys: list[tuple]) -> bool:
+        """Count the literals as holding and record them as the next level,
+        unless that completes a forbid."""
         hits = [k for key in keys for k in self._watch.get(key, ())]
         for k in hits:
             self._holding[k] += 1
@@ -242,6 +248,7 @@ class ConstraintStore:
             for k in hits:
                 self._holding[k] -= 1
             return False
+        self._held.append(keys)
         return True
 
     def _release(self, *keys: tuple) -> None:
@@ -249,31 +256,22 @@ class ConstraintStore:
             for k in self._watch.get(key, ()):
                 self._holding[k] -= 1
 
-    def _connection_literals(self) -> list[tuple]:
-        client, service, provider = self._conn.choice()
-        keys = [("conn", client, service, provider)]
-        if self._conn.selected_at[provider] == len(self._conn.levels) - 1:
-            keys.append(("sel", provider, True))
-        return keys
-
     def _choose_connection(self) -> bool:
         conn = self._conn
         while conn.choose_next():
-            if self._hold(*self._connection_literals()):
+            client, service, provider = conn.choice()
+            keys = [("conn", client, service, provider)]
+            if conn.selected_at[provider] == len(conn.levels) - 1:
+                keys.append(("sel", provider, True))
+            if self._hold(keys):
                 return True
             conn.retract()
         return False
 
-    def _unselected_literals(self) -> list[tuple]:
-        selected = self._conn.selected_at
-        return [("sel", c, False) for c in self._unselected_watched if c not in selected]
-
     def _complete(self) -> bool:
         """The connection assignment is complete: decide sel[c]=false and
-        open the mapping levels, unless a forbid or a task with no
-        resource of its type rules the assignment out."""
-        if not self._hold(*self._unselected_literals()):
-            return False
+        open the mapping levels, unless a task with no resource of its type
+        or a forbid rules the assignment out."""
         selected = frozenset(self._conn.selected_at)
         tasks = sorted(
             ((comp, step.name), step.resource_type)
@@ -282,8 +280,8 @@ class ConstraintStore:
             for step in thread.tasks()
         )
         pools = [self._resources.get(rtype, ()) for _, rtype in tasks]
-        if not all(pools):
-            self._release(*self._unselected_literals())
+        unselected = [("sel", c, False) for c in self._unselected_watched if c not in selected]
+        if not all(pools) or not self._hold(unselected):
             return False
         self._structure = (selected, self._conn.connections())
         self._threads = _threads(self._software, selected)
@@ -293,21 +291,15 @@ class ConstraintStore:
 
     def _uncomplete(self) -> None:
         self._graphs.pop(self._structure, None)  # the search never comes back to it
-        self._release(*self._unselected_literals())
         self._structure = None
         self._tasks, self._pools = [], []
-
-    def _map_literal(self) -> tuple:
-        i = len(self._choice) - 1
-        comp, task = self._tasks[i]
-        return ("map", comp, task, self._pools[i][self._choice[i]])
 
     def _choose_resource(self) -> bool:
         i = len(self._choice) - 1
         comp, task = self._tasks[i]
         pool = self._pools[i]
         for index in range(self._choice[i] + 1, len(pool)):
-            if self._hold(("map", comp, task, pool[index])):
+            if self._hold([("map", comp, task, pool[index])]):
                 self._choice[i] = index
                 return True
         self._choice.pop()
@@ -327,19 +319,15 @@ class ConstraintStore:
         for k, forbid in enumerate(fresh, len(self._size)):
             self._size.append(len(forbid.literals))
             for lit in forbid.literals:
-                self._watch.setdefault(_key(lit), []).append(k)
+                key = _key(lit)
+                self._watch.setdefault(key, []).append(k)
                 if isinstance(lit, SelLit) and not lit.value and lit.component not in self._unselected_watched:
                     self._unselected_watched.append(lit.component)
-        # what holds on the trail, keyed as _hold counts it: the level at
-        # which it came to hold, -1 for pinned components
-        conn = self._conn
-        trail = {("sel", c, True): level for c, level in conn.selected_at.items()}
-        for level, (client, service, options, index) in enumerate(conn.levels):
-            trail[("conn", client, service, options[index])] = level
-        if self._structure is not None:
-            trail.update(dict.fromkeys(self._unselected_literals(), len(conn.levels)))
-            for i, ((comp, task), pool, index) in enumerate(zip(self._tasks, self._pools, self._choice)):
-                trail[("map", comp, task, pool[index])] = len(conn.levels) + 1 + i
+                    if self._structure is not None and lit.component not in self._conn.selected_at:
+                        # the complete structure decided it: it holds there
+                        self._held[len(self._conn.levels)].append(key)
+        trail = {("sel", c, True): -1 for c in self._pinned}
+        trail.update({key: level for level, keys in enumerate(self._held) for key in keys})
         cut: int | None = None
         for forbid in fresh:
             depths = [trail.get(_key(lit)) for lit in forbid.literals]
@@ -355,13 +343,12 @@ class ConstraintStore:
     def _cut_back(self, level: int) -> None:
         """Undo every level deeper than `level`, which stays the deepest."""
         self._orders = iter(())
-        conn = self._conn
-        while self._choice and len(conn.levels) + len(self._choice) > level:
-            self._release(self._map_literal())
-            self._choice.pop()
-        if self._structure is not None and len(conn.levels) > level:
-            self._uncomplete()
-        while len(conn.levels) - 1 > level:
-            self._release(*self._connection_literals())
-            conn.retract()
-            conn.close()
+        while len(self._held) - 1 > level:
+            self._release(*self._held.pop())
+            if self._choice:
+                self._choice.pop()
+            elif self._structure is not None:
+                self._uncomplete()
+            else:
+                self._conn.retract()
+                self._conn.close()

@@ -3,6 +3,8 @@
 `feasible` answers the same question as negotiation by exhaustive search:
 every reachable connection assignment, every type-compatible mapping,
 every priority permutation.  No learned constraints, no pruning.
+`invalid_constraints` walks the same configurations and reports every one
+that a learned constraint excludes although it passes every analysis.
 `reference_simulate` and `reference_worst_observed` step the schedule one
 time unit at a time, as plainly as possible, for the event-driven simulator.
 `reference_synthesize` walks every priority permutation for the
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 
-from nego.constraints import PriorityPrecedence
+from nego.constraints import PriorityPrecedence, configuration_ok
 from nego.controlflow import check_control_flow
 from nego.model import Configuration, SystemModel, pinned_components
 from nego.sim import ReleaseScenario
@@ -63,33 +65,60 @@ def _task_types(software, selected):
     return types
 
 
-def feasible(system: SystemModel, model: str = "busy-window") -> bool:
-    software, platform = system.software, system.platform
-    pinned = pinned_components(software)
-    for selected, conns in assignments(software, pinned):
+def _structures(system: SystemModel):
+    """Every reachable connection assignment whose structure passes, as
+    (base configuration, task graphs of both modes): the task graphs build
+    and control flow finds no violation.  Every configuration of any other
+    assignment fails an analysis whatever its mapping and priorities."""
+    software = system.software
+    for selected, conns in assignments(software, pinned_components(software)):
         connections = frozenset((c, s, p) for (c, s), p in conns.items())
         base = Configuration(selected, connections, {}, ())
-        graphs = {}
         try:
-            for mode in (NORMAL, INITIALIZATION):
-                graphs[mode] = build_task_graph(software, base, mode)
+            graphs = tuple(build_task_graph(software, base, mode) for mode in (NORMAL, INITIALIZATION))
         except GraphError:
             continue
-        if check_control_flow(software, base):
-            continue
-        types = _task_types(software, selected)
-        tasks = sorted(types)
-        options = [[r.name for r in platform.by_type(types[t])] for t in tasks]
-        if any(not opts for opts in options):
-            continue
-        threads = sorted((c, th.name) for c in selected for th in software.contracts[c].threads)
-        for combo in itertools.product(*options):
-            mapping = dict(zip(tasks, combo))
-            for perm in itertools.permutations(threads):
-                cfg = Configuration(selected, connections, mapping, perm)
-                if all(check_timing(graphs[m], cfg, platform, model).ok for m in graphs):
-                    return True
-    return False
+        if not check_control_flow(software, base):
+            yield base, graphs
+
+
+def _completions(system: SystemModel, base: Configuration):
+    """Every complete configuration of a structure: each type-compatible
+    mapping, each priority permutation."""
+    types = _task_types(system.software, base.selected)
+    tasks = sorted(types)
+    options = [[r.name for r in system.platform.by_type(types[t])] for t in tasks]
+    threads = sorted((c, th.name) for c in base.selected for th in system.software.contracts[c].threads)
+    for combo in itertools.product(*options):
+        mapping = dict(zip(tasks, combo))
+        for perm in itertools.permutations(threads):
+            yield Configuration(base.selected, base.connections, mapping, perm)
+
+
+def _timing_ok(system: SystemModel, graphs, cfg: Configuration, model: str) -> bool:
+    return all(check_timing(graph, cfg, system.platform, model).ok for graph in graphs)
+
+
+def feasible(system: SystemModel, model: str = "busy-window") -> bool:
+    return any(
+        _timing_ok(system, graphs, cfg, model)
+        for base, graphs in _structures(system)
+        for cfg in _completions(system, base)
+    )
+
+
+def invalid_constraints(system: SystemModel, model: str, constraints):
+    """Every (constraint, configuration) pair where the constraint excludes
+    a complete configuration that passes every analysis under `model`:
+    control flow, task-graph structure and timing in both modes.  A
+    learned constraint is valid when it has no such pair."""
+    found = []
+    for base, graphs in _structures(system):
+        for cfg in _completions(system, base):
+            excluding = [c for c in constraints if not configuration_ok(cfg, (c,))]
+            if excluding and _timing_ok(system, graphs, cfg, model):
+                found.extend((c, cfg) for c in excluding)
+    return found
 
 
 def reference_synthesize(threads, graphs, constraints):

@@ -7,6 +7,7 @@ pin the exit codes and messages for inputs that do not fit together.
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -110,31 +111,67 @@ def _mismatched_request(tmp_path, edit) -> Path:
     [
         (
             lambda text: text.replace("setAngle(int value)", "setAngle(float value)"),
-            "error: line 5, column 37: signature mismatch for steering.setAngle(float value): "
+            "error: {path}: line 5, column 37: signature mismatch for steering.setAngle(float value): "
             "repository declares (int value)\n",
         ),
         (
             lambda text: text.replace("provides steering", "provides steering\n    provides ghost"),
-            "error: component 'S' references unknown service 'ghost'\n",
+            "error: {path}: component 'S' references unknown service 'ghost'\n",
         ),
+        (lambda text: text + "garbage\n", "error: {path}: line 7, column 1: unexpected token 'garbage'\n"),
     ],
-    ids=["signature", "unknown service"],
+    ids=["signature", "unknown service", "syntax"],
 )
 def test_request_contract_is_checked_against_repository(tmp_path, capsys, edit, message):
     # the same check as for installed contracts: `validate` on the edited
-    # contract and `negotiate` on the request fail alike
+    # contract and `negotiate` on the request fail alike, each naming the
+    # file that holds the contract
     request = _mismatched_request(tmp_path, edit)
     argv = ["negotiate", *BASE, "--config", str(CORPUS / "current.config"),
             "--request", str(request), "--model", "single-blocking"]
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", message)
+    assert (captured.out, captured.err) == ("", message.format(path=tmp_path / "updates" / "S.contract"))
     contracts = tmp_path / "contracts"
     contracts.mkdir()
     (contracts / "S.contract").write_text((tmp_path / "updates" / "S.contract").read_text())
     argv = ["validate", "--contracts", str(contracts), "--services", str(CORPUS / "services.repo")]
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err == message
+    assert capsys.readouterr().err == message.format(path=contracts / "S.contract")
+
+
+def _corpus_contracts(tmp_path) -> Path:
+    contracts = tmp_path / "contracts"
+    contracts.mkdir()
+    for src in (CORPUS / "contracts").glob("*.contract"):
+        (contracts / src.name).write_text(src.read_text())
+    return contracts
+
+
+@pytest.mark.parametrize(
+    "name, text, services, message",
+    [
+        ("P.contract", "garbage\n", None, "line 1, column 1: expected 'component', found 'garbage'"),
+        # the second file to declare T is at fault
+        ("Z.contract", "component T\n", None, "duplicate component 'T'"),
+        ("Z.contract", "component Z services requires ghost\n", None,
+         "component 'Z' references unknown service 'ghost'"),
+        (None, None, "service steering\nservice steering\n",
+         "line 2, column 9: duplicate service 'steering'"),
+    ],
+    ids=["syntax", "duplicate component", "unknown service", "repository"],
+)
+def test_validate_names_the_file_at_fault(tmp_path, capsys, name, text, services, message):
+    # one broken input among the corpus contracts and repository
+    contracts = _corpus_contracts(tmp_path)
+    repository = tmp_path / "services.repo"
+    repository.write_text(services or (CORPUS / "services.repo").read_text())
+    if name is not None:
+        (contracts / name).write_text(text)
+    at_fault = repository if name is None else contracts / name
+    argv = ["validate", "--contracts", str(contracts), "--services", str(repository)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {at_fault}: {message}\n")
 
 
 def _non_utf8_inputs(tmp_path, which: str) -> list[str]:
@@ -189,7 +226,8 @@ def test_number_with_too_many_digits_is_a_clean_error(tmp_path, capsys, digits):
     (tmp_path / "empty.repo").write_text("")
     argv = ["validate", "--contracts", str(tmp_path), "--services", str(tmp_path / "empty.repo")]
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err == f"error: line 1, column 46: period value has {digits} digits, more than 640\n"
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / 'X.contract'}: line 1, column 46: period value has {digits} digits, more than 640\n"
 
 
 @pytest.mark.parametrize("digits", [641, 5000])
@@ -215,7 +253,7 @@ def test_unknown_service_has_no_position(tmp_path, capsys):
     (tmp_path / "empty.repo").write_text("")
     argv = ["deps", "--contracts", str(tmp_path), "--services", str(tmp_path / "empty.repo")]
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err == "error: component 'X' references unknown service 'nothing'\n"
+    assert capsys.readouterr().err == f"error: {tmp_path / 'X.contract'}: component 'X' references unknown service 'nothing'\n"
 
 
 def _config_without(tmp_path, *dropped: str) -> Path:
@@ -264,3 +302,53 @@ def test_simulate_initialization_releases_each_chain_once(capsys):
     assert cli.main(argv) == 0
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("observed P.init[0:1] = 10\n", "")
+
+
+def _coprime_system(tmp_path, periods) -> list[str]:
+    """A `simulate` command line on three chains of the given coprime
+    periods on one CPU, released by A, B and C in that priority order."""
+    contracts = tmp_path / "contracts"
+    contracts.mkdir()
+    for name, period in zip("ABC", periods):
+        (contracts / f"{name}.contract").write_text(
+            f"component {name}\n  threads\n    thread t on time (period={period} jitter=0)\n"
+            f"      task x onto CPU wcet=1 bcet=1\n"
+        )
+    (tmp_path / "empty.repo").write_text("")
+    (tmp_path / "platform.txt").write_text("resource R type CPU\n")
+    (tmp_path / "coprime.config").write_text(
+        "[selected]\nA\nB\nC\n\n[connections]\n\n[mapping]\nA.x -> R\nB.x -> R\nC.x -> R\n\n"
+        "[priorities]\n0 A.t\n1 B.t\n2 C.t\n"
+    )
+    return ["simulate", "--contracts", str(contracts), "--services", str(tmp_path / "empty.repo"),
+            "--platform", str(tmp_path / "platform.txt"), "--config", str(tmp_path / "coprime.config")]
+
+
+# Periods near 1000: two hyperperiods span about 2e9 time units and the
+# offset grid about 1e6 points.  Periods near 100: each run and the grid are
+# within their caps, but the sweep would release about 3.6e8 jobs.
+_NEAR_1000 = (997, 991, 983)
+_NEAR_100 = (97, 89, 83)
+_TOO_MANY_JOBS = "error: a run over horizon 1942461082 releases up to 5884462 jobs, more than the cap of 100000\n"
+
+
+@pytest.mark.parametrize(
+    "periods, extra, message",
+    [
+        (_NEAR_1000, [], _TOO_MANY_JOBS),
+        (_NEAR_1000, ["--seed", "1"], _TOO_MANY_JOBS),
+        (_NEAR_1000, ["--sweep"], _TOO_MANY_JOBS),
+        (_NEAR_1000, ["--sweep", "--horizon", "5000"],
+         "error: the offset sweep has 974153 grid points, more than the cap of 10000\n"),
+        (_NEAR_100, ["--sweep"],
+         "error: the offset sweep runs 7387 schedules of up to 48142 jobs, 355624954 in all, "
+         "more than the cap of 1000000\n"),
+    ],
+    ids=["plain", "seed", "sweep", "sweep grid", "sweep jobs"],
+)
+def test_simulate_over_its_caps_is_a_clean_error(tmp_path, capsys, periods, extra, message):
+    argv = _coprime_system(tmp_path, periods) + extra
+    start = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == ("", message)

@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         ["scripts/run_example.py", "--quiet"],
         ["scripts/sweep_random_soundness.py", "--systems", "20"],
+        ["scripts/check_constraint_validity.py", "--seeds", "20"],
         ["scripts/fuzz_parsers.py", "--mutations", "2000"],
     ],
 )

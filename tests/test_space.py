@@ -138,11 +138,16 @@ def test_self_precedence_constrains_nothing(software_post, platform):
 
 
 def test_duplicate_constraints_collapse(software_post, platform):
+    # the same object again, or an equal one, keeps the first in its place
     store = post_store(software_post, platform)
     c = ForbidConjunction(frozenset({ConnLit("L", "object_recognition", "O1")}))
+    d = PriorityPrecedence(("T", "trajectory_calculation_init"), ("P", "init"))
     store.add_constraint(c)
     store.add_constraint(c)
-    assert store.constraints == (c,)
+    store.add_constraint(d)
+    store.add_constraint(ForbidConjunction(frozenset({ConnLit("L", "object_recognition", "O1")})))
+    store.add_constraint(PriorityPrecedence(("T", "trajectory_calculation_init"), ("P", "init")))
+    assert store.constraints == (c, d)
 
 
 def test_unknown_pinned_component(software_post, platform):
