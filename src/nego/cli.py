@@ -90,7 +90,7 @@ def _parse_request_file(path: Path) -> tuple[list[UpdateRequest], list[Path]]:
         parts = line.split(None, 1)
         # no file name holds a NUL, and open() raises ValueError on one
         if len(parts) != 2 or parts[0] not in ("add", "update", "remove") or "\0" in parts[1]:
-            raise ModelError(f"bad request line {line!r}")
+            raise ModelError(f"{path}: bad request line {line!r}")
         kind, rest = parts
         if kind == "remove":
             requests.append(UpdateRequest.remove(rest.strip()))

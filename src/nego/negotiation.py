@@ -10,11 +10,19 @@ revalidation checks the outside input first: the configuration must still
 resolve against the updated model, be well-formed and keep every pinned
 component.  Each rejection of a candidate feeds its constraints back into
 the store, so no failing region is visited twice.
+
+The device needs the verdict; the trace is an audit record read on
+request.  So `negotiate` records what happened as events that hold the
+objects it already has (the request, the `Configuration`, the `Evaluation`,
+the `Constraint`), and the trace text is rendered from them only when
+`NegotiationTrace.lines` is first read.  An `Evaluation` likewise renders
+its report lines and reason only when they are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from nego.constraints import ConnLit, Constraint, ForbidConjunction, sort_constraints
@@ -43,10 +51,48 @@ from nego.timing import BUSY_WINDOW, MODELS, check_timing
 DEFAULT_BUDGET = 10000
 
 
+# One step of a negotiation, as (kind, value):
+#   ("request", UpdateRequest)           ("revalidation", str | Evaluation)
+#   ("candidate", Configuration)         ("evaluation", Evaluation)
+#   ("constraint", Constraint)           ("reject", layer)
+#   ("accept", None)   ("exhausted", None)   ("budget", budget)
+# Candidates are numbered in the order their events occur.
+Event = tuple[str, object]
+
+
 @dataclass(frozen=True)
 class NegotiationTrace:
-    lines: tuple[str, ...]
+    events: tuple[Event, ...]
     candidates: int
+
+    @cached_property
+    def lines(self) -> tuple[str, ...]:
+        """The trace text, one line per entry, rendered on first read."""
+        out: list[str] = []
+        count = 0
+        for kind, value in self.events:
+            if kind == "request":
+                out.append(f"request: {value.change} {value.contract.component}")
+            elif kind == "revalidation":
+                reason = value if isinstance(value, str) else value.reason
+                out.append(f"revalidation: {reason or 'ok'}")
+            elif kind == "candidate":
+                count += 1
+                out.append(f"candidate {count}")
+                _describe(value, out)
+            elif kind == "evaluation":
+                out.extend("  " + line for line in value.lines)
+            elif kind == "constraint":
+                out.append(f"  constraint: {value}")
+            elif kind == "reject":
+                out.append(f"  reject: {value}")
+            elif kind == "accept":
+                out.append(f"accept: candidate {count}")
+            elif kind == "exhausted":
+                out.append(f"exhausted: {count} candidates tried")
+            else:
+                out.append(f"budget: {value} candidates tried")
+        return tuple(out)
 
     def text(self) -> str:
         return "\n".join(self.lines) + "\n"
@@ -57,15 +103,33 @@ class Evaluation:
     """What the analyses said about one configuration.
 
     `layer` is the rejecting layer (`control_flow`, `structure` or
-    `timing`), None when the configuration passes.  `lines` is the report
-    of the last layer that ran; on a pass it is the timing report of both
-    modes.  `reason` is one line on the first failure, "" on a pass.
+    `timing`), None when the configuration passes.  `findings` is what the
+    last layer that ran found: its control-flow violations, the graph
+    error's message, or the timing reports of both modes.  `lines`, the
+    report of that layer (on a pass, the timing report of both modes), and
+    `reason`, one line on the first failure ("" on a pass), are rendered
+    from the findings when read.
     """
 
     layer: str | None
-    lines: tuple[str, ...]
     constraints: tuple[Constraint, ...]
-    reason: str
+    findings: tuple
+
+    @property
+    def lines(self) -> tuple[str, ...]:
+        if self.layer == "control_flow":
+            return tuple(v.message() for v in self.findings)
+        if self.layer == "structure":
+            return (f"structure: {self.findings[0]}",)
+        normal, init = self.findings
+        return tuple(normal.lines() + [v.line() for v in init.verdicts])
+
+    @property
+    def reason(self) -> str:
+        if self.layer != "timing":
+            return self.lines[0] if self.layer else ""
+        failed = next((v for r in self.findings for v in r.verdicts if not v.passed), None)
+        return "utilization overload" if failed is None else failed.line()
 
 
 def evaluate(
@@ -78,28 +142,21 @@ def evaluate(
     """Run the viewpoint analyses on a well-formed configuration."""
     violations = check_control_flow(software, cfg)
     if violations:
-        lines = tuple(v.message() for v in violations)
         constraints = tuple(sort_constraints(dict.fromkeys(v.feedback for v in violations)))
-        return Evaluation("control_flow", lines, constraints, lines[0])
+        return Evaluation("control_flow", constraints, tuple(violations))
 
     try:
         normal, init = store.task_graphs(cfg)
     except GraphError as exc:
-        line = f"structure: {exc}"
         forbid = ForbidConjunction(frozenset(ConnLit(*c) for c in cfg.connections))
-        return Evaluation("structure", (line,), (forbid,), line)
+        return Evaluation("structure", (forbid,), (str(exc),))
 
     normal_report = check_timing(normal, cfg, platform, model)
     init_report = check_timing(init, cfg, platform, model)
-    lines = tuple(normal_report.lines() + [v.line() for v in init_report.verdicts])
     constraints = tuple(
         sort_constraints(dict.fromkeys(normal_report.constraints + init_report.constraints))
     )
-    if not constraints:
-        return Evaluation(None, lines, (), "")
-    failed = next((v for r in (normal_report, init_report) for v in r.verdicts if not v.passed), None)
-    reason = "utilization overload" if failed is None else failed.line()
-    return Evaluation("timing", lines, constraints, reason)
+    return Evaluation("timing" if constraints else None, constraints, (normal_report, init_report))
 
 
 def _check_current(
@@ -135,9 +192,7 @@ def negotiate(
 ) -> tuple[Answer, NegotiationTrace]:
     if model not in MODELS:
         raise ValueError(f"unknown interference model {model!r}")
-    trace: list[str] = []
-    for request in requests:
-        trace.append(f"request: {request.change} {request.contract.component}")
+    trace: list[Event] = [("request", request) for request in requests]
     software = apply_updates(system.software, requests)
     pinned = pinned_components(software)
     platform = system.platform
@@ -146,42 +201,41 @@ def negotiate(
 
     if current is not None:
         reason = _check_current(software, platform, current, pinned)
-        if not reason:
+        if reason:
+            trace.append(("revalidation", reason))
+        else:
             result = evaluate(software, platform, store, current, model)
+            trace.append(("revalidation", result))
             if result.layer is None:
-                trace.append("revalidation: ok")
                 return (
                     Accepted(current, result.lines, previous=current),
                     NegotiationTrace(tuple(trace), 0),
                 )
-            reason = result.reason
-        trace.append(f"revalidation: {reason}")
 
     count = 0
     while count < budget:
         candidate = store.next_candidate()
         if candidate is None:
-            trace.append(f"exhausted: {count} candidates tried")
+            trace.append(("exhausted", None))
             return (
                 Rejected("exhausted", store.constraints),
                 NegotiationTrace(tuple(trace), count),
             )
         count += 1
-        trace.append(f"candidate {count}")
-        _describe(candidate, trace)
+        trace.append(("candidate", candidate))
 
         result = evaluate(software, platform, store, candidate, model)
-        trace.extend("  " + line for line in result.lines)
+        trace.append(("evaluation", result))
         if result.layer is None:
-            trace.append(f"accept: candidate {count}")
+            trace.append(("accept", None))
             return (
                 Accepted(candidate, result.lines, previous=current, constraints=store.constraints),
                 NegotiationTrace(tuple(trace), count),
             )
         for c in result.constraints:
             store.add_constraint(c)
-            trace.append("  constraint: " + str(c))
-        trace.append(f"  reject: {result.layer}")
+            trace.append(("constraint", c))
+        trace.append(("reject", result.layer))
 
-    trace.append(f"budget: {budget} candidates tried")
+    trace.append(("budget", budget))
     return Rejected("budget", store.constraints), NegotiationTrace(tuple(trace), count)

@@ -44,25 +44,23 @@ SINGLE_BLOCKING = "single-blocking"
 MODELS = (BUSY_WINDOW, SINGLE_BLOCKING)
 
 
-def chain_utilization(chain: Chain, cfg: Configuration) -> dict[str, Fraction]:
-    """Per-resource demand fraction of one periodic chain."""
-    if chain.event is None:
-        return {}
-    demand: dict[str, int] = {}
-    for node in chain.nodes:
-        resource = cfg.mapping[node.task_id]
-        demand[resource] = demand.get(resource, 0) + node.wcet
-    return {r: Fraction(w, chain.event.period) for r, w in demand.items()}
-
-
 def utilization(graph: TaskGraph, cfg: Configuration, platform: PlatformModel) -> dict[str, Fraction]:
-    """Total demand fraction per resource; one-shot chains contribute none."""
-    out: dict[str, Fraction] = {res.name: Fraction(0) for res in platform.resources}
+    """Total demand fraction per resource; one-shot chains contribute none.
+    Integer WCET is summed per (resource, period) first, so each period
+    costs one division."""
+    demand: dict[tuple[str, int], int] = {}
     for chain in graph.chains:
-        if chain.event is None and graph.mode == NORMAL:
-            raise ValueError(f"chain {qual_str(chain.root)} has no resolved period in normal mode")
-        for resource, frac in chain_utilization(chain, cfg).items():
-            out[resource] += frac
+        if chain.event is None:
+            if graph.mode == NORMAL:
+                raise ValueError(f"chain {qual_str(chain.root)} has no resolved period in normal mode")
+            continue
+        period = chain.event.period
+        for node in chain.nodes:
+            key = (cfg.mapping[node.task_id], period)
+            demand[key] = demand.get(key, 0) + node.wcet
+    out: dict[str, Fraction] = {res.name: Fraction(0) for res in platform.resources}
+    for (resource, period), wcet in demand.items():
+        out[resource] += Fraction(wcet, period)
     return out
 
 

@@ -8,15 +8,27 @@ that a learned constraint excludes although it passes every analysis.
 `reference_simulate` and `reference_worst_observed` step the schedule one
 time unit at a time, as plainly as possible, for the event-driven simulator.
 `reference_synthesize` walks every priority permutation for the
-backtracking priority synthesis.
+backtracking priority synthesis.  `chain_utilization` is one chain's
+demand, which `timing.utilization` must sum to over a graph.
+`reference_check_control_flow` indexes every routed call site of every
+selected thread, whether or not a rule names its method, for the
+rules-first `check_control_flow`.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
-from nego.constraints import PriorityPrecedence, configuration_ok
-from nego.controlflow import check_control_flow
+from nego.constraints import ConnLit, ForbidConjunction, PriorityPrecedence, SelLit, configuration_ok
+from nego.controlflow import (
+    CallSite,
+    CfViolation,
+    _method,
+    _unselected_initializers,
+    check_control_flow,
+    thread_modes,
+)
 from nego.model import Configuration, SystemModel, pinned_components
 from nego.sim import ReleaseScenario
 from nego.taskgraph import GraphError, INITIALIZATION, NORMAL, build_task_graph
@@ -136,6 +148,80 @@ def reference_synthesize(threads, graphs, constraints):
         ):
             return order
     return None
+
+
+def chain_utilization(chain, cfg) -> dict[str, Fraction]:
+    """Per-resource demand fraction of one periodic chain."""
+    if chain.event is None:
+        return {}
+    demand: dict[str, int] = {}
+    for node in chain.nodes:
+        resource = cfg.mapping[node.task_id]
+        demand[resource] = demand.get(resource, 0) + node.wcet
+    return {r: Fraction(w, chain.event.period) for r, w in demand.items()}
+
+
+def reference_check_control_flow(software, cfg):
+    """`check_control_flow` over an index of every routed call site of
+    every selected thread that executes in some mode."""
+    modes = thread_modes(software, cfg)
+    sites = {}  # by called method
+    for comp in sorted(cfg.selected):
+        for thread in software.contracts[comp].threads:
+            executing = modes[(comp, thread.name)]
+            if not executing:
+                continue
+            for index, call in thread.calls():
+                provider = cfg.provider_of(comp, call.ref.service)
+                if provider is None:
+                    continue
+                site = CallSite(comp, thread, index, provider, executing)
+                sites.setdefault(_method(call.ref), []).append(site)
+    violations = []
+    seen = set()
+    for provider in sorted(cfg.selected):
+        for req in software.contracts[provider].control_flow:
+            forbidden, prerequisite = req.forbidden, req.prerequisite
+            prerequisite_key = _method(prerequisite)
+            initializers = [s for s in sites.get(prerequisite_key, ()) if INITIALIZATION in s.modes]
+            normal_covered = any(s.provider == provider for s in initializers)
+            routed_elsewhere = {ConnLit(s.client, prerequisite.service, s.provider) for s in initializers}
+            for site in sites.get(_method(forbidden), ()):
+                if site.provider != provider:
+                    continue
+                earlier = any(
+                    _method(call.ref) == prerequisite_key for i, call in site.thread.calls() if i < site.index
+                )
+                earlier_route = cfg.provider_of(site.client, prerequisite.service) if earlier else None
+                if earlier_route == provider:
+                    continue
+                for mode in sorted(site.modes):
+                    if mode == NORMAL and normal_covered:
+                        continue
+                    key = (provider, str(forbidden), str(prerequisite), site.client, site.thread.name, mode)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    literals = {ConnLit(site.client, forbidden.service, provider)}
+                    if earlier_route is not None:
+                        literals.add(ConnLit(site.client, prerequisite.service, earlier_route))
+                    if mode == NORMAL:
+                        literals |= routed_elsewhere
+                        for dormant in _unselected_initializers(software, cfg, prerequisite):
+                            literals.add(SelLit(dormant, False))
+                    violations.append(
+                        CfViolation(
+                            provider=provider,
+                            forbidden=forbidden,
+                            prerequisite=prerequisite,
+                            client=site.client,
+                            thread=site.thread.name,
+                            mode=mode,
+                            feedback=ForbidConjunction(frozenset(literals)),
+                        )
+                    )
+    violations.sort(key=lambda v: (v.provider, str(v.forbidden), v.client, v.thread, v.mode))
+    return violations
 
 
 def _releases(chain, offset, draws, horizon):

@@ -15,13 +15,23 @@ watches a constraint store from outside while `negotiate` drives it.
   one task of WCET 1) with bound n - i on C{i}, on one CPU.  The
   name-ordered priorities miss the bounds of the later half; the
   deadline-monotonic seed, which reverses them, meets every bound.
+
+`negotiation_digest` hashes what negotiation prints over many systems, so a
+change that must keep every output byte-identical can be checked at once.
 """
 
 from __future__ import annotations
 
+import hashlib
+import random
+from typing import Iterable
+
 from nego.dsl import load_software_model
-from nego.model import Configuration, SystemModel, parse_platform
+from nego.model import Configuration, SystemModel, parse_platform, render_configuration
+from nego.negotiation import negotiate
+from nego.randsys import random_software_system
 from nego.space import ConstraintStore
+from nego.timing import MODELS
 
 
 def _system(contracts: list[str], repository: str, cpus: int) -> SystemModel:
@@ -80,6 +90,32 @@ def revdl(n: int) -> SystemModel:
         for i in range(n)
     ]
     return _system(texts, "", 1)
+
+
+def ladder() -> list[SystemModel]:
+    """The search and scale rungs whose negotiation output is pinned."""
+    return [shared(3, 1), shared(3, 2), indep(6, 1, 1, 8, 20, 2), indep(5, 2, 2, 14, 24, 2), deep(50), revdl(50)]
+
+
+def negotiation_digest(systems: Iterable[SystemModel]) -> str:
+    """SHA-256 over every system negotiated under both models: the trace
+    text, the answer line, the learned constraints in order and, on a Yes,
+    the report and the configuration.  None of it depends on the hash
+    seed; `repr(answer)` would, through frozenset order."""
+    digest = hashlib.sha256()
+    for system in systems:
+        for model in MODELS:
+            answer, trace = negotiate(system, [], model=model)
+            parts = [trace.text(), "Yes" if answer.ok else f"No: {answer.reason}"]
+            parts += [str(c) for c in answer.constraints]
+            if answer.ok:
+                parts += [*answer.report, render_configuration(answer.config)]
+            digest.update(("\n".join(parts) + "\n").encode())
+    return digest.hexdigest()
+
+
+def random_systems(seeds: int) -> Iterable[SystemModel]:
+    return (random_software_system(random.Random(seed)) for seed in range(seeds))
 
 
 class StoreProbe:

@@ -22,10 +22,10 @@ from nego.negotiation import negotiate
 from nego.randsys import random_chain_system, random_software_system
 from nego.sim import simulate, synchronous_scenario, worst_observed
 from nego.taskgraph import INITIALIZATION, NORMAL, build_task_graph
-from nego.timing import BUSY_WINDOW, SINGLE_BLOCKING, chain_latency_bound, chain_utilization, check_timing
+from nego.timing import BUSY_WINDOW, SINGLE_BLOCKING, chain_latency_bound, check_timing
 
 from conftest import CORPUS
-from oracles import feasible
+from oracles import chain_utilization, feasible
 from test_dsl import GOLDEN_L, GOLDEN_P, GOLDEN_T
 
 ORG1 = ("O1", "object_recognition_get")

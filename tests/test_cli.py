@@ -92,7 +92,7 @@ def test_bad_request_line(tmp_path, capsys):
     for line in ("frobnicate L", "add ../updates/S\0.contract"):
         req.write_text(line + "\n")
         assert cli.main(argv) == 2
-        assert "bad request line" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {req}: bad request line {line!r}\n"
 
 
 def _mismatched_request(tmp_path, edit) -> Path:

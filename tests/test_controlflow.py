@@ -1,8 +1,15 @@
+import itertools
+import random
+
+import nego.controlflow
 from nego.constraints import ConnLit, SelLit
 from nego.controlflow import check_control_flow, thread_modes
 from nego.dsl import load_software_model, parse_contract
-from nego.model import Configuration, UpdateRequest, apply_update
+from nego.model import Configuration, UpdateRequest, apply_update, pinned_components
+from nego.randsys import random_software_system
 from nego.taskgraph import INITIALIZATION, NORMAL
+
+from oracles import assignments, reference_check_control_flow
 
 
 def test_pre_update_clean(software_pre, current_config):
@@ -215,3 +222,48 @@ def test_normal_violation_names_initializer_routed_elsewhere():
         ("control_flow: B.s.go reachable before prep via A/t", NORMAL)
     ]
     assert set(violations[0].feedback.literals) == {ConnLit("A", "s", "B"), ConnLit("D", "s", "C")}
+
+
+def _configurations(models):
+    """(software, configuration) for every complete connection assignment
+    of each software model; control flow reads no mapping or priority."""
+    for software in models:
+        for selected, conns in assignments(software, pinned_components(software)):
+            connections = frozenset((c, s, p) for (c, s), p in conns.items())
+            yield software, Configuration(selected, connections, {}, ())
+
+
+def _random_configurations(seeds: range):
+    return _configurations(random_software_system(random.Random(seed)).software for seed in seeds)
+
+
+def _has_rules(software, cfg) -> bool:
+    return any(software.contracts[p].control_flow for p in cfg.selected)
+
+
+def test_rules_first_check_matches_the_full_index(software_pre, software_post, corpus_dir):
+    # Seeds 0..199 hold only 17 configurations with a rule, 2 of them
+    # violated; 0..1999 hold 201 and 24.  The corpus adds rules whose
+    # prerequisite is called in initialization mode.
+    mutant = parse_contract((corpus_dir / "updates" / "P_no_init.contract").read_text())
+    corpus = [software_pre, software_post, apply_update(software_pre, UpdateRequest.update(mutant))]
+    checked = violated = 0
+    for software, cfg in itertools.chain(_configurations(corpus), _random_configurations(range(2000))):
+        violations = check_control_flow(software, cfg)
+        assert violations == reference_check_control_flow(software, cfg), cfg
+        checked += _has_rules(software, cfg)
+        violated += bool(violations)
+    assert checked > 150 and violated > 15
+
+
+def test_selection_without_rules_walks_no_thread_modes(monkeypatch):
+    def refuse(software, cfg):
+        raise AssertionError("thread_modes called on a selection without rules")
+
+    monkeypatch.setattr(nego.controlflow, "thread_modes", refuse)
+    ruleless = 0
+    for software, cfg in _random_configurations(range(200)):
+        if not _has_rules(software, cfg):
+            assert check_control_flow(software, cfg) == []
+            ruleless += 1
+    assert ruleless > 100

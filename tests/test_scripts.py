@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
         ["scripts/sweep_random_soundness.py", "--systems", "20"],
         ["scripts/check_constraint_validity.py", "--seeds", "20"],
         ["scripts/fuzz_parsers.py", "--mutations", "2000"],
+        ["scripts/trace_digest.py", "--seeds", "20"],
     ],
 )
 def test_script_exits_cleanly(args):

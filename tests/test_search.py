@@ -14,6 +14,7 @@ import nego.space
 import systems
 from nego import cli
 from nego.constraints import configuration_ok
+from nego.controlflow import CfViolation
 from nego.deps import connection_candidates, count_solutions
 from nego.model import Accepted, pinned_components
 from nego.negotiation import negotiate
@@ -39,7 +40,7 @@ GOLDEN_NEGOTIATE = {
 }
 
 
-def _negotiate_cli(request: str, model: str) -> tuple[int, str]:
+def _negotiate_cli(request: str, model: str, trace: bool = True) -> tuple[int, str]:
     argv = [
         "negotiate",
         "--contracts", str(CORPUS / "contracts"),
@@ -48,8 +49,7 @@ def _negotiate_cli(request: str, model: str) -> tuple[int, str]:
         "--config", str(CORPUS / "current.config"),
         "--request", str(CORPUS / "requests" / f"{request}.req"),
         "--model", model,
-        "--trace",
-    ]
+    ] + ["--trace"] * trace
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
@@ -71,6 +71,36 @@ def test_corpus_negotiate_output_is_pinned(request_name, model):
     code, text = _negotiate_cli(request_name, model)
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert (code, digest) == GOLDEN_NEGOTIATE[(request_name, model)]
+
+
+def test_trace_is_rendered_only_on_demand(monkeypatch):
+    plain = {key: _negotiate_cli(*key, trace=False) for key in GOLDEN_NEGOTIATE}
+
+    def refuse(*args):
+        raise AssertionError("trace rendered without --trace or --out")
+
+    monkeypatch.setattr(nego.negotiation, "_describe", refuse)
+    monkeypatch.setattr(CfViolation, "message", refuse)
+    for key in GOLDEN_NEGOTIATE:
+        assert _negotiate_cli(*key, trace=False) == plain[key], key
+
+
+def test_trace_lines_are_rendered_once():
+    answer, trace = negotiate(systems.shared(3, 1), [])
+    lines = trace.lines
+    assert trace.lines is lines
+    assert trace.text() == "\n".join(lines) + "\n"
+    assert lines[-1] == f"exhausted: {trace.candidates} candidates tried"
+
+
+# `systems.negotiation_digest` over random_software_system seeds 0..999 and
+# the `systems.ladder` rungs, under both models.
+NEGOTIATION_DIGEST = "3d17a1e262f26af688ec61547ef6725e55184dc019f7ba088f515eccd3bea026"
+
+
+def test_negotiation_output_is_pinned():
+    digest = systems.negotiation_digest([*systems.random_systems(1000), *systems.ladder()])
+    assert digest == NEGOTIATION_DIGEST
 
 
 def test_every_rejection_excludes_its_candidate(monkeypatch):

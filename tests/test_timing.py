@@ -15,7 +15,7 @@ from nego.constraints import (
 from nego.dsl import load_software_model
 from nego.model import Accepted, Configuration, parse_platform
 from nego.negotiation import negotiate
-from nego.randsys import random_chain_system
+from nego.randsys import random_chain_system, random_software_system
 from nego.taskgraph import INITIALIZATION, MODES, NORMAL, EventModel, build_task_graph
 from nego.timing import (
     BUSY_WINDOW,
@@ -24,7 +24,6 @@ from nego.timing import (
     _InterferenceIndex,
     _iteration_cap,
     chain_latency_bound,
-    chain_utilization,
     check_timing,
     synthesize_priorities,
     utilization,
@@ -32,6 +31,7 @@ from nego.timing import (
 
 import systems
 from conftest import ACCEPTED_ORDER, CONNS_LANE_ON_O2, LEX_ORDER, POST_MAPPING, POST_SELECTED
+from oracles import _structures, _task_types, chain_utilization
 
 LANE = ("L", "lane_assist")
 OMG = ("O2", "object_masking_get")
@@ -500,3 +500,39 @@ def test_synthesis_over_many_threads_needs_no_recursion():
     top = threads[0]
     push_down = [PriorityNogood(frozenset(), frozenset({(top, t)})) for t in threads[1:]]
     assert synthesize_priorities(threads, [], push_down) == tuple(threads[1:]) + (top,)
+
+
+def _assert_per_chain_sum(graph, cfg, platform) -> None:
+    expected = {r.name: Fraction(0) for r in platform.resources}
+    for chain in graph.chains:
+        for resource, frac in chain_utilization(chain, cfg).items():
+            expected[resource] += frac
+    util = utilization(graph, cfg, platform)
+    assert util == expected and list(util) == list(expected)
+    assert all(type(frac) is Fraction for frac in util.values())
+
+
+def test_utilization_is_the_per_chain_sum_on_chain_systems():
+    platform = parse_platform("resource R1 type CPU\nresource R2 type CPU\n")
+    for seed in range(300):
+        system = random_chain_system(random.Random(seed))
+        rng = random.Random(seed)
+        mapping = {task: rng.choice(("R1", "R2")) for task in sorted(system.config.mapping)}
+        cfg = Configuration(system.config.selected, system.config.connections, mapping, system.config.priorities)
+        _assert_per_chain_sum(build_task_graph(system.software, cfg, NORMAL), cfg, platform)
+
+
+def test_utilization_is_the_per_chain_sum_on_software_systems():
+    checked = 0
+    for seed in range(200):
+        system = random_software_system(random.Random(seed))
+        for base, graphs in _structures(system):
+            types = _task_types(system.software, base.selected)
+            tasks = sorted(types)
+            options = [[r.name for r in system.platform.by_type(types[t])] for t in tasks]
+            for combo in itertools.product(*options):
+                cfg = Configuration(base.selected, base.connections, dict(zip(tasks, combo)), ())
+                for graph in graphs:
+                    _assert_per_chain_sum(graph, cfg, system.platform)
+                    checked += 1
+    assert checked > 500
