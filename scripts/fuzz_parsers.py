@@ -8,16 +8,26 @@ line that names a file that cannot be read may also raise OSError. Any other
 exception is a crash: the script names the input, prints the mutated text and
 exits 1.
 
+The script also prints one SHA-256 over every mutation's outcome: the class
+name and message of a rejection, or a rendering of what the reader returned
+that holds every field (source positions too) and lists set members in sorted
+order.  With `--expect HEX`, exit 1 unless the digest equals HEX: a change to
+the readers that keeps every message, position and parsed value keeps the
+digest, whatever the hash seed.
+
     PYTHONPATH=src python3 scripts/fuzz_parsers.py --mutations 2000 --seed 0
 """
 
 import argparse
+import dataclasses
+import hashlib
 import random
 import re
 import shutil
+import sys
 import tempfile
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Mapping
 
 from nego.cli import _parse_request_file
 from nego.dsl import DslError, load_software_model, parse_contract, parse_service_repository
@@ -67,8 +77,24 @@ def mutate(text: str, corpus_pieces: list[str], rng: random.Random) -> str:
     return text
 
 
+def canonical(value: object) -> str:
+    """Every dataclass field of `value`, nested, with the members of a set and
+    the items of a mapping in sorted order."""
+    if dataclasses.is_dataclass(value):
+        fields = ", ".join(f"{f.name}={canonical(getattr(value, f.name))}" for f in dataclasses.fields(value))
+        return f"{type(value).__name__}({fields})"
+    if isinstance(value, (set, frozenset)):
+        return "{" + ", ".join(sorted(canonical(item) for item in value)) + "}"
+    if isinstance(value, Mapping):
+        return "{" + ", ".join(sorted(f"{canonical(k)}: {canonical(v)}" for k, v in value.items())) + "}"
+    if isinstance(value, (tuple, list)):
+        return "[" + ", ".join(canonical(item) for item in value) + "]"
+    return repr(value)
+
+
 def readers(scratch: Path) -> dict[Path, tuple[str, Callable[[str], object], tuple[type[Exception], ...]]]:
-    """Corpus file -> (its text, the reader of a mutation, exceptions the reader may raise)."""
+    """Corpus file -> (its text, the reader of a mutation, exceptions the
+    reader may raise).  A reader returns what it parsed."""
     rejections = (DslError, ModelError)
     contracts = {path: path.read_text() for path in sorted(CORPUS.glob("*/*.contract"))}
     installed = {path: text for path, text in contracts.items() if path.parent.name == "contracts"}
@@ -80,20 +106,26 @@ def readers(scratch: Path) -> dict[Path, tuple[str, Callable[[str], object], tup
         # the mutated contract joins, or replaces, the installed one of its component
         others = [text for text in installed.values() if parse_contract(text).component != component]
 
-        def read(text: str) -> None:
-            parse_contract(text)
+        def read(text: str) -> object:
+            contract = parse_contract(text)
             load_software_model([*others, text], repository)
+            return contract
 
         return read
 
-    def read_repository(text: str) -> None:
-        parse_service_repository(text)
+    def read_repository(text: str) -> object:
+        interfaces = parse_service_repository(text)
         load_software_model(installed.values(), text)
+        return interfaces
 
-    def read_request(text: str) -> None:
+    def read_configuration(text: str) -> object:
+        config = parse_configuration(text)
+        return config, check_well_formed(config, software, platform)
+
+    def read_request(text: str) -> object:
         path = scratch / "requests" / "fuzz.req"
         path.write_text(text)
-        _parse_request_file(path)
+        return _parse_request_file(path)
 
     table = {
         path: (text, contract_reader(parse_contract(text).component), rejections)
@@ -101,11 +133,7 @@ def readers(scratch: Path) -> dict[Path, tuple[str, Callable[[str], object], tup
     }
     table[CORPUS / "services.repo"] = (repository, read_repository, rejections)
     table[CORPUS / "platform.txt"] = ((CORPUS / "platform.txt").read_text(), parse_platform, rejections)
-    table[CORPUS / "current.config"] = (
-        (CORPUS / "current.config").read_text(),
-        lambda text: check_well_formed(parse_configuration(text), software, platform),
-        rejections,
-    )
+    table[CORPUS / "current.config"] = ((CORPUS / "current.config").read_text(), read_configuration, rejections)
     for path in sorted(CORPUS.glob("requests/*.req")):
         table[path] = (path.read_text(), read_request, (*rejections, OSError))
     return table
@@ -115,10 +143,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--mutations", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--expect", help="the digest the run must give")
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
     crashes = 0
+    digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         scratch = Path(tmp)
         # request files name their contracts relative to their own directory
@@ -132,14 +162,21 @@ def main() -> int:
             original, read, allowed = table[path]
             text = mutate(original, pieces, rng)
             try:
-                read(text)
-            except allowed:
-                pass
+                outcome = canonical(read(text))
+            except allowed as exc:
+                outcome = f"{type(exc).__name__}: {exc}"
             except Exception as exc:  # a crash: report it and go on
                 crashes += 1
                 print(f"CRASH mutation {index} of {path.relative_to(ROOT)}: {type(exc).__name__}: {exc}")
                 print(f"  input: {text!r}")
-    print(f"{args.mutations} mutations, {crashes} crashes")
+                continue
+            # request paths and their errors name the temporary directory
+            outcome = outcome.replace(str(scratch), "<scratch>")
+            digest.update(f"{index} {path.relative_to(ROOT)}\n{outcome}\n".encode())
+    print(f"{args.mutations} mutations, {crashes} crashes: {digest.hexdigest()}")
+    if args.expect is not None and digest.hexdigest() != args.expect:
+        print(f"expected {args.expect}", file=sys.stderr)
+        return 1
     return 1 if crashes else 0
 
 

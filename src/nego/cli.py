@@ -12,6 +12,7 @@ import argparse
 import random
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from nego.deps import connection_candidates, count_solutions, render_candidates, render_dot
 from nego.dsl import DslError, load_software_model, parse_contract
@@ -32,14 +33,6 @@ from nego.negotiation import negotiate
 from nego.sim import default_horizon, random_scenario, simulate, synchronous_scenario, worst_observed
 from nego.taskgraph import INITIALIZATION, NORMAL, GraphError, TaskGraph, build_task_graph, render_graph
 from nego.timing import BUSY_WINDOW, MODELS, check_timing
-
-
-def _add_model_args(sub: argparse.ArgumentParser, config_required: bool = False) -> None:
-    sub.add_argument("--contracts", required=True, help="directory of *.contract files")
-    sub.add_argument("--services", required=True, help="service repository file")
-    sub.add_argument("--platform", help="platform description file")
-    flag = {"required": True} if config_required else {}
-    sub.add_argument("--config", help="current configuration file", **flag)
 
 
 def _read(path: Path) -> str:
@@ -229,6 +222,10 @@ def _cmd_negotiate(args) -> int:
     config = _load_config(args)
     system = SystemModel(software, platform, config)
     requests, sources = _parse_request_file(Path(args.request))
+    if args.out:
+        # an --out that cannot be made fails before there is an answer to print
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
     try:
         answer, trace = negotiate(system, requests, model=args.model)
     except DslError as exc:  # a request contract that fails the repository check
@@ -238,14 +235,7 @@ def _cmd_negotiate(args) -> int:
         answer_line = "Yes"
     else:
         answer_line = f"No: {answer.reason}"
-    print(answer_line)
-    if answer.ok:
-        for line in answer.report:
-            print(line)
-
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         (out / "answer.txt").write_text(answer_line + "\n")
         (out / "trace.txt").write_text(trace.text())
         if answer.ok:
@@ -253,7 +243,11 @@ def _cmd_negotiate(args) -> int:
             (out / "config.txt").write_text(render_configuration(answer.config))
             if answer.previous is not None:
                 (out / "previous.config").write_text(render_configuration(answer.previous))
-    elif args.trace:
+    print(answer_line)
+    if answer.ok:
+        for line in answer.report:
+            print(line)
+    if args.trace and not args.out:
         print(trace.text(), end="")
     return 0 if answer.ok else 1
 
@@ -261,53 +255,85 @@ def _cmd_negotiate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+class _Command(NamedTuple):
+    """A subcommand: its help line, its body, whether it needs --config, and
+    its arguments beyond the model files, as add_argument's flag and keywords."""
+
+    help: str
+    run: Callable[[argparse.Namespace], int]
+    config_required: bool = False
+    args: tuple[tuple[str, dict], ...] = ()
+
+
+_MODE = ("--mode", {"choices": (NORMAL, INITIALIZATION), "default": NORMAL})
+_MODEL = ("--model", {"choices": MODELS, "default": BUSY_WINDOW})
+
+_COMMANDS = {
+    "validate": _Command("parse contracts and optionally check a configuration", _cmd_validate),
+    "deps": _Command(
+        "show connection candidates and solution count",
+        _cmd_deps,
+        args=(("--dot", {"action": "store_true", "help": "emit graphviz instead of text"}),),
+    ),
+    "graph": _Command("print the unfolded task chains of a configuration", _cmd_graph, True, (_MODE,)),
+    "bound": _Command("check utilization and latency bounds", _cmd_bound, True, (_MODEL,)),
+    "simulate": _Command(
+        "run the discrete-event scheduler",
+        _cmd_simulate,
+        True,
+        (
+            _MODE,
+            ("--horizon", {"type": int}),
+            ("--seed", {"type": int, "help": "random offsets and jitter draws"}),
+            ("--sweep", {"action": "store_true", "help": "grid of offsets, report worst case"}),
+            ("--trace", {"action": "store_true"}),
+        ),
+    ),
+    "negotiate": _Command(
+        "negotiate an update request",
+        _cmd_negotiate,
+        args=(
+            ("--request", {"required": True, "help": "file of add/update/remove lines"}),
+            _MODEL,
+            ("--out", {"help": "directory for answer, trace, report and configuration"}),
+            ("--trace", {"action": "store_true", "help": "print the trace when no --out is given"}),
+        ),
+    ),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone.  Both print the
+    same usage and the same errors for a command line that names `command`."""
     parser = argparse.ArgumentParser(prog="nego", description="contract negotiation for software updates")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("validate", help="parse contracts and optionally check a configuration")
-    _add_model_args(sub)
-    sub.set_defaults(func=_cmd_validate)
-
-    sub = subs.add_parser("deps", help="show connection candidates and solution count")
-    _add_model_args(sub)
-    sub.add_argument("--dot", action="store_true", help="emit graphviz instead of text")
-    sub.set_defaults(func=_cmd_deps)
-
-    sub = subs.add_parser("graph", help="print the unfolded task chains of a configuration")
-    _add_model_args(sub, config_required=True)
-    sub.add_argument("--mode", choices=(NORMAL, INITIALIZATION), default=NORMAL)
-    sub.set_defaults(func=_cmd_graph)
-
-    sub = subs.add_parser("bound", help="check utilization and latency bounds")
-    _add_model_args(sub, config_required=True)
-    sub.add_argument("--model", choices=MODELS, default=BUSY_WINDOW)
-    sub.set_defaults(func=_cmd_bound)
-
-    sub = subs.add_parser("simulate", help="run the discrete-event scheduler")
-    _add_model_args(sub, config_required=True)
-    sub.add_argument("--mode", choices=(NORMAL, INITIALIZATION), default=NORMAL)
-    sub.add_argument("--horizon", type=int)
-    sub.add_argument("--seed", type=int, help="random offsets and jitter draws")
-    sub.add_argument("--sweep", action="store_true", help="grid of offsets, report worst case")
-    sub.add_argument("--trace", action="store_true")
-    sub.set_defaults(func=_cmd_simulate)
-
-    sub = subs.add_parser("negotiate", help="negotiate an update request")
-    _add_model_args(sub)
-    sub.add_argument("--request", required=True, help="file of add/update/remove lines")
-    sub.add_argument("--model", choices=MODELS, default=BUSY_WINDOW)
-    sub.add_argument("--out", help="directory for answer, trace, report and configuration")
-    sub.add_argument("--trace", action="store_true", help="print the trace when no --out is given")
-    sub.set_defaults(func=_cmd_negotiate)
+    # Usage lines list every command: the full parser derives the list from its
+    # subparsers, the lean one is given it.  Only the lean parser sets it, as
+    # argparse names a missing command by its metavar, and a command line
+    # that reaches the lean parser never misses its command.
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, spec in _COMMANDS.items():
+        if command not in (None, name):
+            continue
+        sub = subs.add_parser(name, help=spec.help)
+        sub.add_argument("--contracts", required=True, help="directory of *.contract files")
+        sub.add_argument("--services", required=True, help="service repository file")
+        sub.add_argument("--platform", help="platform description file")
+        sub.add_argument("--config", required=spec.config_required, help="current configuration file")
+        for flag, options in spec.args:
+            sub.add_argument(flag, **options)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # only the invoked command's parser is built; anything else, such as -h
+    # or a misspelt command, gets the full parser and its messages
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
-        return args.func(args)
+        return _COMMANDS[args.command].run(args)
     except (DslError, ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,8 +11,10 @@ requirements.  A separate repository file declares service interfaces
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping
 
 KEYWORDS = frozenset(
     [
@@ -228,19 +230,19 @@ class SoftwareModel:
 # Lexer
 
 
-class _Token(NamedTuple):
-    kind: str  # id, int, lparen, rparen, dot, eq, eof
-    text: str
-    line: int
-    col: int
-
-
+# One match per token, and an empty `eof` match at the end of the text; the
+# search skips the blanks between tokens.  A run of characters that start no
+# token is one `bad` token, so every parenthesis is a token of its own.  ASCII
+# classes only: any other character, blank or digit is unexpected.
+_TOKEN = re.compile(
+    r"(?P<int>[0-9]+)|(?P<id>[A-Za-z_][A-Za-z0-9_]*)|(?P<lparen>\()|(?P<rparen>\))|(?P<dot>\.)|(?P<eq>=)"
+    r"|(?P<bad>[^ \t\r\n0-9A-Za-z_().=]+)|(?P<eof>\Z)"
+)
+# A token is its match: `lastgroup` names its kind, `group()` is its text and
+# `start()` its offset in the text.
+_Token = re.Match
 _PUNCT = {"(": "lparen", ")": "rparen", ".": "dot", "=": "eq"}
-# The blanks before a token and the token, in one match; no group matches at
-# the end of input or before an unexpected character.  ASCII classes only: any
-# other character, blank or digit is unexpected.
-_TOKEN = re.compile(r"[ \t\r\n]*(?:([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([().=]))?")
-_PARENS = re.compile(r"[()]")
+_NEWLINE = re.compile("\n")
 # The most digits an integer may have, here and in a configuration's ranks.
 # 640 is the lowest limit CPython lets anyone set on int() from text, so every
 # interpreter converts what passes.
@@ -254,75 +256,60 @@ MAX_DIGITS = 640
 class _Parser:
     def __init__(self, text: str):
         self._text = text
-        self._pos = 0
-        self._line = 1
-        self._line_start = 0  # offset of the first character of the current line
-        self._buffer: _Token | None = None
+        self._tokens = list(_TOKEN.finditer(text))
+        self._index = 0  # of the next token
 
     # --- token helpers
 
-    def _advance(self, end: int) -> None:
-        """Consume the text up to `end`, counting its line breaks."""
-        newlines = self._text.count("\n", self._pos, end)
-        if newlines:
-            self._line += newlines
-            self._line_start = self._text.rfind("\n", self._pos, end) + 1
-        self._pos = end
+    @cached_property
+    def _line_starts(self) -> list[int]:
+        return [0, *(m.end() for m in _NEWLINE.finditer(self._text))]
 
-    def _scan(self) -> _Token:
-        m = _TOKEN.match(self._text, self._pos)
-        group = m.lastindex
-        # tokens hold no line break: only the blanks before one need counting
-        self._advance(m.start(group) if group else m.end())
-        line, col = self._line, self._pos - self._line_start + 1
-        if group is None:
-            if self._pos == len(self._text):
-                return _Token("eof", "", line, col)
-            raise DslSyntaxError(f"unexpected character {self._text[self._pos]!r}", line, col)
-        self._pos = m.end()
-        text = m.group(group)
-        return _Token(_PUNCT.get(text, "int" if group == 1 else "id"), text, line, col)
+    def _where(self, offset: int) -> tuple[int, int]:
+        """Line and column of the character at `offset`; only a line feed
+        starts a line."""
+        line = bisect_right(self._line_starts, offset)
+        return line, offset - self._line_starts[line - 1] + 1
+
+    def _pos(self, tok: _Token) -> tuple[int, int]:
+        return self._where(tok.start())
 
     def _peek(self) -> _Token:
-        if self._buffer is None:
-            self._buffer = self._scan()
-        return self._buffer
+        tok = self._tokens[self._index]
+        if tok.lastgroup == "bad":
+            raise DslSyntaxError(f"unexpected character {tok.group()[0]!r}", *self._pos(tok))
+        return tok
 
     def _next(self) -> _Token:
-        tok = self._buffer or self._scan()  # a token, a 4-tuple, is never false
-        self._buffer = None
+        tok = self._peek()
+        self._index += 1
         return tok
 
     def _raw_args(self) -> str:
-        """Read opaque text up to the matching ')'.
-
-        Must be called directly after consuming a '(' token, with no pending
-        lookahead.
-        """
-        if self._buffer is not None:
-            raise AssertionError("_raw_args called with buffered lookahead")
-        start = self._pos
+        """The opaque text between the '(' token just consumed and its
+        matching ')', which is consumed too; no token between is checked."""
+        tokens = self._tokens
         depth = 0
-        for m in _PARENS.finditer(self._text, start):
-            if m.group() == "(":
+        for index in range(self._index, len(tokens)):
+            kind = tokens[index].lastgroup
+            if kind == "lparen":
                 depth += 1
-            elif depth:
+            elif kind == "rparen" and depth:
                 depth -= 1
-            else:
-                self._advance(m.end())
-                return self._text[start : m.start()].strip()
-        self._advance(len(self._text))
-        raise DslSyntaxError("unterminated argument list", self._line, self._pos - self._line_start + 1)
+            elif kind == "rparen":
+                start = tokens[self._index - 1].start() + 1
+                self._index = index + 1
+                return self._text[start : tokens[index].start()].strip()
+        raise DslSyntaxError("unterminated argument list", *self._where(len(self._text)))
 
     def _at_kw(self, *kws: str) -> bool:
-        tok = self._peek()
-        return tok.kind == "id" and tok.text in kws
+        return self._peek().group() in kws  # only a name reads as a keyword
 
     def _take(self, kind: str, expected: str, text: str | None = None) -> _Token:
         """Consume the next token, which must be of `kind` (and read `text`)."""
         tok = self._next()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            raise DslSyntaxError(f"expected {expected}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
+        if tok.lastgroup != kind or (text is not None and tok.group() != text):
+            raise DslSyntaxError(f"expected {expected}, found {tok.group() or 'end of input'!r}", *self._pos(tok))
         return tok
 
     def _take_kw(self, kw: str) -> _Token:
@@ -330,23 +317,24 @@ class _Parser:
 
     def _take_id(self, what: str) -> _Token:
         tok = self._take("id", what)
-        if tok.text in KEYWORDS:
-            raise DslSyntaxError(f"expected {what}, found keyword {tok.text!r}", tok.line, tok.col)
+        if tok.group() in KEYWORDS:
+            raise DslSyntaxError(f"expected {what}, found keyword {tok.group()!r}", *self._pos(tok))
         return tok
 
     def _take_int(self, what: str) -> tuple[int, _Token]:
         tok = self._take("int", what)
-        if len(tok.text) > MAX_DIGITS:
-            raise DslValidationError(f"{what} has {len(tok.text)} digits, more than {MAX_DIGITS}", tok.line, tok.col)
-        return int(tok.text), tok
+        digits = tok.group()
+        if len(digits) > MAX_DIGITS:
+            raise DslValidationError(f"{what} has {len(digits)} digits, more than {MAX_DIGITS}", *self._pos(tok))
+        return int(digits), tok
 
     def _take_punct(self, sym: str) -> _Token:
         return self._take(_PUNCT[sym], repr(sym))
 
     def _expect_eof(self) -> None:
         tok = self._peek()
-        if tok.kind != "eof":
-            raise DslSyntaxError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+        if tok.lastgroup != "eof":
+            raise DslSyntaxError(f"unexpected token {tok.group()!r}", *self._pos(tok))
 
     # --- grammar
 
@@ -357,27 +345,28 @@ class _Parser:
         self._take_punct("(")
         args = self._raw_args()
         if empty_args and args:
-            raise DslSyntaxError("argument list must be empty here", svc.line, svc.col)
-        return MethodRef(svc.text, meth.text, args, pos=(svc.line, svc.col))
+            raise DslSyntaxError("argument list must be empty here", *self._pos(svc))
+        return MethodRef(svc.group(), meth.group(), args, pos=self._pos(svc))
 
     def _activation(self) -> Activation:
         tok = self._next()
-        if tok.kind == "id" and tok.text == "RPC":
+        word = tok.group()  # only a name reads as a keyword
+        if word == "RPC":
             return RpcEntry(self._method_ref())
-        if tok.kind == "id" and tok.text == "initialization":
+        if word == "initialization":
             return Initialization()
-        if tok.kind == "id" and tok.text == "time":
+        if word == "time":
             self._take_punct("(")
             period, ptok = self._key_int("period")
             jitter, jtok = self._key_int("jitter")
             self._take_punct(")")
             if period <= 0:
-                raise DslValidationError("period must be positive", ptok.line, ptok.col)
+                raise DslValidationError("period must be positive", *self._pos(ptok))
             if jitter >= period:
-                raise DslValidationError("jitter must be smaller than the period", jtok.line, jtok.col)
+                raise DslValidationError("jitter must be smaller than the period", *self._pos(jtok))
             return TimeActivation(period, jitter)
         raise DslSyntaxError(
-            f"expected RPC, initialization, or time, found {tok.text or 'end of input'!r}", tok.line, tok.col
+            f"expected RPC, initialization, or time, found {word or 'end of input'!r}", *self._pos(tok)
         )
 
     def _key_int(self, key: str) -> tuple[int, _Token]:
@@ -386,23 +375,23 @@ class _Parser:
         return self._take_int(f"{key} value")
 
     def _step(self) -> Step:
-        tok = self._next()
-        if tok.text == "task":
+        word = self._next().group()
+        if word == "task":
             name = self._take_id("task name")
             self._take_kw("onto")
             rtype = self._take_id("resource type")
             wcet, wtok = self._key_int("wcet")
             bcet, btok = self._key_int("bcet")
             if wcet <= 0:
-                raise DslValidationError("wcet must be positive", wtok.line, wtok.col)
+                raise DslValidationError("wcet must be positive", *self._pos(wtok))
             if bcet <= 0:
-                raise DslValidationError("bcet must be positive", btok.line, btok.col)
+                raise DslValidationError("bcet must be positive", *self._pos(btok))
             if bcet > wcet:
-                raise DslValidationError(f"bcet {bcet} exceeds wcet {wcet}", btok.line, btok.col)
-            return TaskStep(name.text, rtype.text, wcet, bcet, pos=(name.line, name.col))
-        if tok.text in ("RPC", "SIGNAL"):
-            return CallStep(tok.text, self._method_ref())
-        raise AssertionError(tok)
+                raise DslValidationError(f"bcet {bcet} exceeds wcet {wcet}", *self._pos(btok))
+            return TaskStep(name.group(), rtype.group(), wcet, bcet, pos=self._pos(name))
+        if word in ("RPC", "SIGNAL"):
+            return CallStep(word, self._method_ref())
+        raise AssertionError(word)
 
     def _thread(self) -> Thread:
         self._take_kw("thread")
@@ -412,44 +401,43 @@ class _Parser:
         steps = []
         while self._at_kw("task", "RPC", "SIGNAL"):
             steps.append(self._step())
-        return Thread(name.text, activation, tuple(steps), pos=(name.line, name.col))
+        return Thread(name.group(), activation, tuple(steps), pos=self._pos(name))
 
     def _timing(self) -> TimingReq:
         self._take_kw("timing")
         bound, btok = self._take_int("latency bound")
         if bound <= 0:
-            raise DslValidationError("latency bound must be positive", btok.line, btok.col)
+            raise DslValidationError("latency bound must be positive", *self._pos(btok))
         name = self._take_id("timing target")
-        if self._peek().kind == "dot":
+        if self._peek().lastgroup == "dot":
             self._take_punct(".")
             meth = self._take_id("method name")
             self._take_punct("(")
             args = self._raw_args()
             if args:
-                raise DslSyntaxError("timing targets take no arguments", name.line, name.col)
-            target: str | MethodRef = MethodRef(name.text, meth.text, "", pos=(name.line, name.col))
+                raise DslSyntaxError("timing targets take no arguments", *self._pos(name))
+            target: str | MethodRef = MethodRef(name.group(), meth.group(), "", pos=self._pos(name))
         else:
-            target = name.text
-        return TimingReq(bound, target, pos=(btok.line, btok.col))
+            target = name.group()
+        return TimingReq(bound, target, pos=self._pos(btok))
 
     def _not_until(self) -> NotUntilReq:
         tok = self._take_kw("not")
         forbidden = self._method_ref(empty_args=True)
         self._take_kw("until")
         prerequisite = self._method_ref(empty_args=True)
-        return NotUntilReq(forbidden, prerequisite, pos=(tok.line, tok.col))
+        return NotUntilReq(forbidden, prerequisite, pos=self._pos(tok))
 
     def parse_contract(self) -> Contract:
         self._take_kw("component")
         name = self._take_id("component name")
-        requires: list[tuple[str, _Token]] = []
-        provides: list[tuple[str, _Token]] = []
+        requires: list[_Token] = []
+        provides: list[_Token] = []
         if self._at_kw("services"):
             self._next()
             while self._at_kw("requires", "provides"):
-                which = self._next().text
-                svc = self._take_id("service name")
-                (requires if which == "requires" else provides).append((svc.text, svc))
+                which = self._next().group()
+                (requires if which == "requires" else provides).append(self._take_id("service name"))
         threads: list[Thread] = []
         if self._at_kw("threads"):
             self._next()
@@ -466,59 +454,59 @@ class _Parser:
             while self._at_kw("not"):
                 control_flow.append(self._not_until())
         self._expect_eof()
+        self._check_services(requires, provides)
         contract = Contract(
-            component=name.text,
-            requires=frozenset(s for s, _ in requires),
-            provides=frozenset(s for s, _ in provides),
+            component=name.group(),
+            requires=frozenset(tok.group() for tok in requires),
+            provides=frozenset(tok.group() for tok in provides),
             threads=tuple(threads),
             timings=tuple(timings),
             control_flow=tuple(control_flow),
         )
-        _validate_contract(contract, requires, provides)
+        _validate_contract(contract)
         return contract
+
+    def _check_services(self, requires: list[_Token], provides: list[_Token]) -> None:
+        """No service is declared twice on one side, or on both sides."""
+        for which, decls in (("requires", requires), ("provides", provides)):
+            seen: set[str] = set()
+            for tok in decls:
+                if tok.group() in seen:
+                    raise DslValidationError(f"duplicate {which} declaration for {tok.group()!r}", *self._pos(tok))
+                seen.add(tok.group())
+        required = {tok.group() for tok in requires}
+        for tok in provides:
+            if tok.group() in required:
+                raise DslValidationError(f"service {tok.group()!r} both required and provided", *self._pos(tok))
 
     def parse_repository(self) -> dict[str, ServiceInterface]:
         interfaces: dict[str, ServiceInterface] = {}
         while self._at_kw("service"):
             self._next()
             name = self._take_id("service name")
-            if name.text in interfaces:
-                raise DslValidationError(f"duplicate service {name.text!r}", name.line, name.col)
+            if name.group() in interfaces:
+                raise DslValidationError(f"duplicate service {name.group()!r}", *self._pos(name))
             max_clients: int | None = None
             if self._at_kw("max_clients"):
                 self._next()
                 max_clients, mtok = self._take_int("client bound")
                 if max_clients < 1:
-                    raise DslValidationError("max_clients must be at least 1", mtok.line, mtok.col)
+                    raise DslValidationError("max_clients must be at least 1", *self._pos(mtok))
             methods: list[ServiceMethod] = []
             while self._at_kw("method"):
                 self._next()
                 mname = self._take_id("method name")
-                if any(m.name == mname.text for m in methods):
-                    raise DslValidationError(f"duplicate method {mname.text!r}", mname.line, mname.col)
+                if any(m.name == mname.group() for m in methods):
+                    raise DslValidationError(f"duplicate method {mname.group()!r}", *self._pos(mname))
                 self._take_punct("(")
                 args = self._raw_args()
-                methods.append(ServiceMethod(mname.text, args))
-            interfaces[name.text] = ServiceInterface(name.text, tuple(methods), max_clients)
+                methods.append(ServiceMethod(mname.group(), args))
+            interfaces[name.group()] = ServiceInterface(name.group(), tuple(methods), max_clients)
         self._expect_eof()
         return interfaces
 
 
-def _validate_contract(
-    contract: Contract,
-    requires: list[tuple[str, _Token]],
-    provides: list[tuple[str, _Token]],
-) -> None:
-    seen: set[tuple[str, str]] = set()
-    for which, decls in (("requires", requires), ("provides", provides)):
-        for svc, tok in decls:
-            if (which, svc) in seen:
-                raise DslValidationError(f"duplicate {which} declaration for {svc!r}", tok.line, tok.col)
-            seen.add((which, svc))
-    for svc, tok in provides:
-        if svc in contract.requires:
-            raise DslValidationError(f"service {svc!r} both required and provided", tok.line, tok.col)
-
+def _validate_contract(contract: Contract) -> None:
     thread_names: set[str] = set()
     task_names: set[str] = set()
     entries: set[tuple[str, str]] = set()

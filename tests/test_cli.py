@@ -4,6 +4,7 @@ Happy paths and determinism are exercised by the acceptance suite; here we
 pin the exit codes and messages for inputs that do not fit together.
 """
 
+import argparse
 import os
 import subprocess
 import sys
@@ -34,6 +35,95 @@ def _negotiated_config(tmp_path) -> Path:
     )
     assert code == 0
     return out / "config.txt"
+
+
+def _parse_outcome(parse, argv, capsys) -> tuple[object, str, str]:
+    """Exit code, stdout and stderr of `parse(argv)`, which must exit."""
+    with pytest.raises(SystemExit) as exited:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exited.value.code, captured.out, captured.err
+
+
+_REQUEST = ["--request", str(CORPUS / "requests" / "revalidate.req")]
+_CONFIG = ["--config", str(CORPUS / "current.config")]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["-h", "negotiate"],
+        ["frobnicate", *BASE],
+        ["negotiat", *BASE, *_REQUEST],
+        ["negotiate", "-h"],
+        ["simulate", "--help"],
+        ["negotiate"],
+        ["negotiate", *BASE],
+        ["negotiate", *BASE, *_REQUEST, "--bogus"],
+        ["negotiate", *BASE, *_REQUEST, "extra"],
+        ["negotiate", *BASE, *_REQUEST, "--model", "optimistic"],
+        ["negotiate", *BASE, *_REQUEST, "--model"],
+        ["validate", *BASE, "validate"],
+        ["deps", "--dot"],
+        ["graph", *BASE],
+        ["graph", *BASE, *_CONFIG, "--mode", "degraded"],
+        ["bound", *BASE, *_CONFIG, "--model", "exact"],
+        ["simulate", *BASE, *_CONFIG, "--horizon", "soon"],
+    ],
+    ids=lambda argv: " ".join(arg if not arg.startswith("/") else Path(arg).name for arg in argv) or "no argument",
+)
+def test_lean_parser_prints_what_the_full_parser_prints(argv, capsys):
+    # main builds only the invoked command's parser; on every command line
+    # that does not parse, it must answer as the parser of all commands does
+    lean = _parse_outcome(cli.main, argv, capsys)
+    full = _parse_outcome(cli.build_parser().parse_args, argv, capsys)
+    assert lean == full
+    assert lean[0] in (0, 2)
+
+
+def _parsers_built(monkeypatch, call) -> int:
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    call()
+    return len(built)
+
+
+def test_main_builds_only_the_invoked_commands_parser(monkeypatch, capsys):
+    argv = ["negotiate", *BASE, *_CONFIG, *_REQUEST]
+    assert _parsers_built(monkeypatch, lambda: cli.main(argv)) == 2
+    assert capsys.readouterr().out.startswith("Yes\n")
+    # the full parser: the top level and one per command
+    assert _parsers_built(monkeypatch, cli.build_parser) == 1 + len(cli._COMMANDS) == 7
+
+
+def test_installed_entry_point_reads_sys_argv():
+    env = dict(os.environ, PYTHONPATH=str(CORPUS.parent / "src"))
+    argv = ["negotiate", *BASE, *_CONFIG,
+            "--request", str(CORPUS / "requests" / "add_lane_assist.req"), "--model", "single-blocking"]
+    done = subprocess.run(
+        [sys.executable, "-m", "nego.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[0] == "Yes"
+
+
+def test_out_that_cannot_be_made_prints_no_answer(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = ["negotiate", *BASE, *_CONFIG,
+            "--request", str(CORPUS / "requests" / "add_lane_assist.req"), "--out", str(blocker / "x")]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 20] Not a directory: '{blocker / 'x'}'\n"
 
 
 def test_stale_config_is_a_clean_error(tmp_path, capsys):

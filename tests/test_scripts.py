@@ -16,7 +16,8 @@ ROOT = Path(__file__).resolve().parent.parent
         ["scripts/run_example.py", "--quiet"],
         ["scripts/sweep_random_soundness.py", "--systems", "20"],
         ["scripts/check_constraint_validity.py", "--seeds", "20"],
-        ["scripts/fuzz_parsers.py", "--mutations", "2000"],
+        ["scripts/fuzz_parsers.py", "--mutations", "2000",
+         "--expect", "4facd71cba90d3622d4f81948455ac6af6c681fb0d0fcf484cd8afd842ea0bac"],
         ["scripts/trace_digest.py", "--seeds", "20"],
     ],
 )
