@@ -32,7 +32,7 @@ from nego.model import (
 from nego.negotiation import negotiate
 from nego.sim import default_horizon, random_scenario, simulate, synchronous_scenario, worst_observed
 from nego.taskgraph import INITIALIZATION, NORMAL, GraphError, TaskGraph, build_task_graph, render_graph
-from nego.timing import BUSY_WINDOW, MODELS, check_timing
+from nego.timing import BUSY_WINDOW, MODELS, TimingContext, check_timing
 
 
 def _read(path: Path) -> str:
@@ -175,7 +175,7 @@ def _cmd_bound(args) -> int:
         return 1
     ok = True
     for mode, graph in zip((NORMAL, INITIALIZATION), graphs):
-        report = check_timing(graph, config, platform, args.model)
+        report = check_timing(TimingContext(graph, config, platform), config, args.model)
         print(f"[{mode}]")
         for line in report.lines():
             print(line)

@@ -146,13 +146,13 @@ def evaluate(
         return Evaluation("control_flow", constraints, tuple(violations))
 
     try:
-        normal, init = store.task_graphs(cfg)
+        normal, init = store.timing_contexts(cfg)
     except GraphError as exc:
         forbid = ForbidConjunction(frozenset(ConnLit(*c) for c in cfg.connections))
         return Evaluation("structure", (forbid,), (str(exc),))
 
-    normal_report = check_timing(normal, cfg, platform, model)
-    init_report = check_timing(init, cfg, platform, model)
+    normal_report = check_timing(normal, cfg, model)
+    init_report = check_timing(init, cfg, model)
     constraints = tuple(
         sort_constraints(dict.fromkeys(normal_report.constraints + init_report.constraints))
     )

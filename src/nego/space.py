@@ -13,9 +13,13 @@ stopped.  Candidates come out in a fixed order:
   if the priority constraints allow it, then each order
   `synthesize_priorities` finds under the constraints learned so far.
   Those constraints reach synthesis as nogoods, a precedence as the
-  one-pair nogood on its reverse.  Synthesis runs again after every
-  learned priority constraint that binds the partial and the partial is
-  left as soon as it finds nothing new.  Synthesis is a complete
+  one-pair nogood on its reverse.  One `PrioritySearch` per partial
+  computes the seed order once and keeps its placement stack: after each
+  learned priority constraint that binds the partial, synthesis counts the
+  new nogoods against the order it last returned and, if one holds in
+  full there, cuts back to the shallowest depth where one is complete and
+  goes on in seed order, as the trail does for forbids.  The partial is
+  left as soon as synthesis finds nothing new.  Synthesis is a complete
   backtracking search, and every rejection excludes its candidate, so no
   order that the constraints allow is skipped.
 
@@ -44,7 +48,10 @@ new orders are proposed.
 
 Task graphs read only the selection and the connections; `task_graphs`
 builds both modes once per structure and serves the store and
-`negotiate` alike.
+`negotiate` alike.  Timing contexts read the mapping too;
+`timing_contexts` builds both modes once per partial, shared by every
+order tried there, and drops them when the trail moves to the next
+partial.
 """
 
 from __future__ import annotations
@@ -65,7 +72,7 @@ from nego.deps import ConnectionSearch, connection_candidates
 from nego.dsl import SoftwareModel
 from nego.model import Configuration, PlatformModel, QualId
 from nego.taskgraph import INITIALIZATION, NORMAL, GraphError, TaskGraph, build_task_graph
-from nego.timing import synthesize_priorities
+from nego.timing import PrioritySearch, TimingContext, synthesize_priorities
 
 Structure = tuple[frozenset[str], frozenset[tuple[str, str, str]]]  # (selected, connections)
 
@@ -94,6 +101,7 @@ def _allows(order: tuple[QualId, ...], nogoods: Sequence[PriorityNogood]) -> boo
 class ConstraintStore:
     def __init__(self, software: SoftwareModel, platform: PlatformModel, pinned: frozenset[str]):
         self._software = software
+        self._platform = platform
         self._resources: dict[str, tuple[str, ...]] = {}  # resource type -> names, in platform order
         for res in platform.resources:
             self._resources[res.rtype] = self._resources.get(res.rtype, ()) + (res.name,)
@@ -101,6 +109,9 @@ class ConstraintStore:
         self._constraints: list[Constraint] = []  # in the order learned
         self._known: set[Constraint] = set()
         self._graphs: dict[Structure, tuple[TaskGraph, TaskGraph] | GraphError] = {}
+        # the timing contexts of both modes and the (selected, connections,
+        # mapping) they were built for
+        self._timing: tuple[tuple, tuple[TimingContext, TimingContext]] | None = None
 
         # forbidden conjunctions, by index: literal count, literals holding
         # on the trail, and the conjunctions each literal occurs in
@@ -152,6 +163,17 @@ class ConstraintStore:
             raise graphs.with_traceback(None)
         return graphs
 
+    def timing_contexts(self, cfg: Configuration) -> tuple[TimingContext, TimingContext]:
+        """Normal and initialization timing contexts of cfg's partial (its
+        structure and mapping), built once while the search is at that
+        partial and shared by every priority order tried there."""
+        key = (cfg.selected, cfg.connections, cfg.mapping)
+        if self._timing is None or self._timing[0] != key:
+            normal, init = self.task_graphs(cfg)
+            contexts = (TimingContext(normal, cfg, self._platform), TimingContext(init, cfg, self._platform))
+            self._timing = (key, contexts)
+        return self._timing[1]
+
     # --- candidates
 
     def next_candidate(self) -> Configuration | None:
@@ -168,43 +190,43 @@ class ConstraintStore:
                 {task: pool[i] for task, pool, i in zip(self._tasks, self._pools, self._choice)},
                 (),
             )
+            self._timing = None  # the contexts of the partial the trail left
             self._orders = self._candidates(partial, self._threads)
         return candidate
 
     def _candidates(self, partial: Configuration, threads: list[QualId]) -> Iterator[Configuration]:
         """The baseline order if allowed, then synthesized orders while they
-        are new; synthesis reruns only once a new binding constraint is in."""
-        nogoods: list[PriorityNogood] = []
+        are new; synthesis resumes only once a new binding constraint is in."""
         seen = 0
 
-        def learn() -> bool:
+        def learn() -> list[PriorityNogood]:
             nonlocal seen
             fresh = active_priority_constraints(self._constraints[seen:], partial)
             seen = len(self._constraints)
-            nogoods.extend(fresh)
-            return bool(fresh)
+            return fresh
 
         def with_order(order: tuple[QualId, ...]) -> Configuration:
             return Configuration(partial.selected, partial.connections, partial.mapping, order)
 
-        learn()
+        nogoods = learn()
         tried: list[tuple[QualId, ...]] = []
         baseline = tuple(threads)
         if _allows(baseline, nogoods):
             tried.append(baseline)
             yield with_order(baseline)
-            learn()
+            nogoods += learn()
         try:
-            graphs = self.task_graphs(partial)
+            search = PrioritySearch(threads, self.task_graphs(partial))
         except GraphError:
             return  # the structure is broken whatever the order; negotiation learns why
         while True:
-            order = synthesize_priorities(threads, graphs, nogoods)
+            order = synthesize_priorities(search, nogoods)
             if order is None or order in tried:
                 return
             tried.append(order)
             yield with_order(order)
-            if not learn():
+            nogoods = learn()
+            if not nogoods:
                 return
 
     # --- the trail

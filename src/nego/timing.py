@@ -7,16 +7,26 @@ its own period); `single-blocking` charges every interfering task once.
 A failed requirement produces priority nogoods that tell the store which
 demotions could help, or a structural forbid when no demotion can.
 
-`check_timing` bounds every span of a graph from one interference index,
-built once per (graph, configuration): per resource and event model, the
-ranks of the resource's tasks in ascending order and their cumulative WCET.
-The tasks that can preempt a span on a resource are those ranked above its
-lowest-priority thread, a prefix found by bisection, so a span's demand per
-event model is one prefix sum per resource, less its own chain's tasks.
-The recurrence then evaluates `eta` once per event model, not once per
-interferer, and wide systems are analysed in near-linear time.  The public
-`chain_latency_bound` answers one span with one pass over the other chains
-and builds no index; both share the busy-window loop, so they agree.
+`check_timing` bounds every span of a graph from a `TimingContext`, built
+once per partial (the graph of one mode, the partial's mapping and the
+platform) and shared by every priority order tried there: it holds the
+utilization and the overload verdict, the iteration cap, each reported
+span's WCET, resources and threads, and per resource and event model the
+thread and WCET of each task there.  An order only applies its ranks: it
+sorts each group by rank into cumulative WCET, and the tasks that can
+preempt a span on a resource are those ranked above its lowest-priority
+thread, a prefix found by bisection, so a span's demand per event model is
+one prefix sum per resource, less its own chain's tasks.  The recurrence
+then evaluates `eta` once per event model, not once per interferer, and
+wide systems are analysed in near-linear time.  The feedback literals of a
+task or a chain are built when a failing span first needs them and kept
+for the orders that follow.  The public `chain_latency_bound` answers one
+span with one pass over the other chains and builds no context; both share
+the busy-window loop, so they agree.
+
+Priority synthesis resumes: a `PrioritySearch` keeps its placement stack
+and nogood counts between steps over one thread set, so a step given new
+nogoods goes on from the order the last step returned.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from nego.constraints import (
     ConnLit,
@@ -80,13 +90,13 @@ def _interferers(
     chain: Chain,
     range_nodes: Sequence[TaskNode],
     graph: TaskGraph,
-    cfg: Configuration,
+    mapping: Mapping[QualId, str],
     ranks: Mapping[QualId, int],
 ) -> list[tuple[Chain, list[TaskNode]]]:
     """Per other chain, the tasks that can preempt the range: mapped onto one
     of the range's resources and owned by a thread that outranks the range's
     lowest-priority thread."""
-    resources = {cfg.mapping[n.task_id] for n in range_nodes}
+    resources = {mapping[n.task_id] for n in range_nodes}
     floor = max(ranks[n.thread] for n in range_nodes)
     out: list[tuple[Chain, list[TaskNode]]] = []
     for other in graph.chains:
@@ -95,7 +105,7 @@ def _interferers(
         tasks = [
             n
             for n in other.nodes
-            if cfg.mapping[n.task_id] in resources and ranks[n.thread] < floor
+            if mapping[n.task_id] in resources and ranks[n.thread] < floor
         ]
         if tasks:
             out.append((other, tasks))
@@ -153,14 +163,14 @@ def chain_latency_bound(
     One pass over the other chains, one demand pair per interfering chain:
     callers bound one or two spans of a small graph, where grouping pairs
     per event model costs more than it saves.  `check_timing`, which bounds
-    every span of a graph, reads grouped demand from an `_InterferenceIndex`."""
+    every span of a graph, reads grouped demand from a `TimingContext`."""
     if model not in MODELS:
         raise ValueError(f"unknown interference model {model!r}")
     range_nodes = chain.span_nodes(span)
     if not range_nodes:
         return 0
     own = sum(n.wcet for n in range_nodes)
-    interferers = _interferers(chain, range_nodes, graph, cfg, ranks)
+    interferers = _interferers(chain, range_nodes, graph, cfg.mapping, ranks)
     if model == SINGLE_BLOCKING:
         return own + sum(n.wcet for _, tasks in interferers for n in tasks)
     interference = [
@@ -169,61 +179,114 @@ def chain_latency_bound(
     return _busy_window(chain.event, own, interference, _iteration_cap(graph))
 
 
-class _InterferenceIndex:
-    """Per resource and event model, the ranks of the resource's tasks in
-    ascending order and their cumulative WCET, built once per (graph,
-    configuration).  The tasks that can preempt a span on one resource are
-    a prefix of that order, so a span's demand is a bisection per resource
-    and model, less its own chain's tasks in the prefixes."""
+class _Span(NamedTuple):
+    """One reported span and what of it no priority order changes."""
 
-    def __init__(self, graph: TaskGraph, cfg: Configuration, ranks: Mapping[QualId, int]) -> None:
-        tasks: dict[str, dict[EventModel | None, list[tuple[int, int]]]] = {}
-        for chain in graph.chains:
-            for n in chain.nodes:
-                per_event = tasks.setdefault(cfg.mapping[n.task_id], {})
-                per_event.setdefault(chain.event, []).append((ranks[n.thread], n.wcet))
-        self.prefixes: dict[str, list[tuple[EventModel | None, list[int], list[int]]]] = {}
-        for resource, per_event in tasks.items():
-            self.prefixes[resource] = []
-            for event, rows in per_event.items():
-                rows.sort()
-                cumulative = list(accumulate((wcet for _, wcet in rows), initial=0))
-                self.prefixes[resource].append((event, [rank for rank, _ in rows], cumulative))
+    chain: Chain
+    bound: int | None  # required bound; None when the chain states none
+    target: str
+    nodes: tuple[TaskNode, ...]
+    own: int  # summed WCET of the nodes
+    resources: tuple[str, ...]  # where the nodes are mapped
+    threads: tuple[QualId, ...]  # that own the nodes
+    # (thread, WCET) of the chain's tasks on `resources`; empty when the
+    # chain has one thread, whose tasks never outrank the span
+    same_chain: tuple[tuple[QualId, int], ...]
+
+
+class TimingContext:
+    """What every priority order of one partial shares, from the task graph
+    of one mode, the partial's mapping and the platform: the utilization
+    and overloaded resources, the iteration cap, one `_Span` per reported
+    span, and per resource and event model the thread and WCET of each
+    task there.  `map_lit` and `conn_lits` build feedback literals on
+    first use and keep them."""
+
+    def __init__(self, graph: TaskGraph, cfg: Configuration, platform: PlatformModel) -> None:
+        self.graph = graph
         self.mapping = cfg.mapping
-        self.ranks = ranks
+        self.utilization = utilization(graph, cfg, platform)
+        self.overloaded = sorted(r for r, frac in self.utilization.items() if frac > 1)
+        self.cap = _iteration_cap(graph)
+        self.spans: list[_Span] = []
+        # per resource and event model, (thread, WCET) of each task there
+        self.groups: dict[str, dict[EventModel | None, list[tuple[QualId, int]]]] = {}
+        self._maps: dict[QualId, MapLit] = {}
+        self._conns: dict[QualId, frozenset[ConnLit]] = {}
+        if self.overloaded:
+            return  # no latency is bounded
+        mapping = cfg.mapping
+        for chain in graph.chains:
+            nodes = chain.nodes
+            if not nodes:
+                continue
+            placed = [mapping[n.task_id] for n in nodes]
+            own_groups: dict[str, list[tuple[QualId, int]]] = {}  # this chain's, by resource
+            for n, resource in zip(nodes, placed):
+                group = own_groups.get(resource)
+                if group is None:
+                    per_event = self.groups.setdefault(resource, {})
+                    group = own_groups[resource] = per_event.setdefault(chain.event, [])
+                group.append((n.thread, n.wcet))
+            if chain.requirements:
+                rows = [(req.bound, req.span, req.target) for req in chain.requirements]
+            else:
+                rows = [(None, (0, len(nodes)), qual_str(chain.root))]
+            threads = tuple({n.thread for n in nodes})
+            for bound, (start, stop), target in rows:
+                span = nodes[start:stop]
+                resources = tuple(set(placed[start:stop]))
+                if len(threads) == 1:
+                    span_threads, same = threads, ()
+                else:
+                    span_threads = tuple({n.thread for n in span})
+                    same = tuple(
+                        (n.thread, n.wcet) for n, resource in zip(nodes, placed) if resource in resources
+                    )
+                own = sum(n.wcet for n in span)
+                self.spans.append(_Span(chain, bound, target, span, own, resources, span_threads, same))
 
-    def bound(self, chain: Chain, span: tuple[int, int], model: str, cap: int) -> int | None:
-        """`chain_latency_bound` of the span on the indexed graph."""
-        range_nodes = chain.span_nodes(span)
-        if not range_nodes:
-            return 0
-        own = sum(n.wcet for n in range_nodes)
-        demand = self._demand(chain, range_nodes)
-        if model == SINGLE_BLOCKING:
-            return own + sum(demand.values())
-        return _busy_window(chain.event, own, demand.items(), cap)
+    def map_lit(self, node: TaskNode) -> MapLit:
+        lit = self._maps.get(node.task_id)
+        if lit is None:
+            lit = self._maps[node.task_id] = MapLit(node.component, node.task, self.mapping[node.task_id])
+        return lit
 
-    def _demand(self, chain: Chain, range_nodes: Sequence[TaskNode]) -> dict[EventModel | None, int]:
-        """Per event model, the summed WCET of the other chains' tasks that
-        can preempt the span."""
-        resources = {self.mapping[n.task_id] for n in range_nodes}
-        floor = max(self.ranks[n.thread] for n in range_nodes)
-        demand: dict[EventModel | None, int] = {}
-        for resource in resources:
-            for event, ranked, cumulative in self.prefixes[resource]:
-                wcet = cumulative[bisect_left(ranked, floor)]
-                if wcet:
-                    demand[event] = demand.get(event, 0) + wcet
-        own = sum(
-            n.wcet
-            for n in chain.nodes
-            if self.mapping[n.task_id] in resources and self.ranks[n.thread] < floor
-        )
-        if own:
-            demand[chain.event] -= own
-            if not demand[chain.event]:
-                del demand[chain.event]
-        return demand
+    def conn_lits(self, chain: Chain) -> frozenset[ConnLit]:
+        lits = self._conns.get(chain.root)
+        if lits is None:
+            lits = self._conns[chain.root] = frozenset(ConnLit(*edge) for edge in chain.connections_used)
+        return lits
+
+
+def _span_bound(
+    span: _Span,
+    prefixes: Mapping[str, list[tuple[EventModel | None, list[int], list[int]]]],
+    ranks: Mapping[QualId, int],
+    model: str,
+    cap: int,
+) -> int | None:
+    """`chain_latency_bound` of the span under the ranks, from the ranked
+    prefixes of its resources: per event model, the summed WCET of the
+    other chains' tasks that can preempt it."""
+    if not span.nodes:
+        return 0
+    floor = max(map(ranks.__getitem__, span.threads))
+    demand: dict[EventModel | None, int] = {}
+    for resource in span.resources:
+        for event, ranked, cumulative in prefixes[resource]:
+            wcet = cumulative[bisect_left(ranked, floor)]
+            if wcet:
+                demand[event] = demand.get(event, 0) + wcet
+    own_chain = sum(wcet for thread, wcet in span.same_chain if ranks[thread] < floor)
+    if own_chain:
+        event = span.chain.event
+        demand[event] -= own_chain
+        if not demand[event]:
+            del demand[event]
+    if model == SINGLE_BLOCKING:
+        return span.own + sum(demand.values())
+    return _busy_window(span.chain.event, span.own, demand.items(), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -266,105 +329,85 @@ class TimingReport:
         return out
 
 
-def _conn_lits(chains: Iterable[Chain]) -> set[Literal]:
-    return {ConnLit(*edge) for chain in chains for edge in chain.connections_used}
-
-
-def _map_lits(nodes: Iterable[TaskNode], cfg: Configuration) -> set[Literal]:
-    return {MapLit(n.component, n.task, cfg.mapping[n.task_id]) for n in nodes}
-
-
-def _overload_forbid(graph: TaskGraph, cfg: Configuration, resource: str) -> ForbidConjunction:
+def _overload_forbid(context: TimingContext, resource: str) -> ForbidConjunction:
     """Pin the overload on the structure that caused it: the connections of
     every contributing periodic chain plus the placement of its tasks."""
     literals: set[Literal] = set()
-    for chain in graph.chains:
+    for chain in context.graph.chains:
         if chain.event is None:
             continue
-        on_resource = [n for n in chain.nodes if cfg.mapping[n.task_id] == resource]
+        on_resource = [n for n in chain.nodes if context.mapping[n.task_id] == resource]
         if not on_resource:
             continue
-        literals |= _conn_lits([chain])
-        literals |= _map_lits(on_resource, cfg)
+        literals |= context.conn_lits(chain)
+        literals.update(context.map_lit(n) for n in on_resource)
     return ForbidConjunction(frozenset(literals))
 
 
 def _latency_feedback(
-    chain: Chain,
-    range_nodes: Sequence[TaskNode],
-    bound: int,
+    context: TimingContext,
+    span: _Span,
     interferers: Sequence[tuple[Chain, list[TaskNode]]],
-    cfg: Configuration,
     ranks: Mapping[QualId, int],
 ) -> list[Constraint]:
-    own = sum(n.wcet for n in range_nodes)
-    structural = ForbidConjunction(
-        frozenset(_conn_lits([chain]) | _map_lits(range_nodes, cfg))
-    )
-    if own > bound:
-        # No demotion can help: the range alone exceeds the bound.
-        return [structural]
-    if not interferers:
-        return [structural]
-    context = frozenset(
-        _conn_lits([chain])
-        | _conn_lits(other for other, _ in interferers)
-        | _map_lits(range_nodes, cfg)
-        | _map_lits((n for _, tasks in interferers for n in tasks), cfg)
-    )
-    floor_thread = max((n.thread for n in range_nodes), key=lambda t: ranks[t])
+    range_maps = {context.map_lit(n) for n in span.nodes}
+    if span.own > span.bound or not interferers:
+        # No demotion can help: the range alone exceeds the bound, or
+        # nothing preempts it.
+        return [ForbidConjunction(frozenset(context.conn_lits(span.chain) | range_maps))]
+    literals: set[Literal] = set(context.conn_lits(span.chain)) | range_maps
+    for other, tasks in interferers:
+        literals |= context.conn_lits(other)
+        literals.update(context.map_lit(n) for n in tasks)
+    nogood_context = frozenset(literals)
+    floor_thread = max(span.threads, key=lambda t: ranks[t])
     interfering_threads = sorted({n.thread for _, tasks in interferers for n in tasks})
     out: list[Constraint] = [
-        PriorityNogood(context, frozenset((t, floor_thread) for t in interfering_threads))
+        PriorityNogood(nogood_context, frozenset((t, floor_thread) for t in interfering_threads))
     ]
     # A single interferer too big for the slack can never sit above any range
     # thread; emit one demotion nogood per (big task, range thread) pair.
-    slack = bound - own
-    range_threads = sorted({n.thread for n in range_nodes})
+    slack = span.bound - span.own
     big = sorted(
         {n.thread for _, tasks in interferers for n in tasks if n.wcet > slack}
     )
     for thread in big:
-        for below in range_threads:
-            out.append(PriorityNogood(context, frozenset({(thread, below)})))
+        for below in sorted(span.threads):
+            out.append(PriorityNogood(nogood_context, frozenset({(thread, below)})))
     return out
 
 
-def check_timing(
-    graph: TaskGraph, cfg: Configuration, platform: PlatformModel, model: str
-) -> TimingReport:
-    """Utilization first; latency bounds only on non-overloaded systems."""
-    util = utilization(graph, cfg, platform)
-    overloaded = sorted(r for r, frac in util.items() if frac > 1)
-    if overloaded:
-        constraints = [_overload_forbid(graph, cfg, r) for r in overloaded]
-        return TimingReport(model, util, (), tuple(sort_constraints(constraints)))
+def check_timing(context: TimingContext, cfg: Configuration, model: str) -> TimingReport:
+    """Utilization first; latency bounds only on non-overloaded systems.
+
+    `cfg` is a configuration of the context's partial: its priority order
+    is what the call adds."""
+    if context.overloaded:
+        constraints = [_overload_forbid(context, r) for r in context.overloaded]
+        return TimingReport(model, context.utilization, (), tuple(sort_constraints(constraints)))
 
     ranks = cfg.ranks()
-    index = _InterferenceIndex(graph, cfg, ranks)
-    cap = _iteration_cap(graph)
+    prefixes = {}
+    for resource, per_event in context.groups.items():
+        prefixes[resource] = rows = []
+        for event, tasks in per_event.items():
+            ranked = sorted((ranks[thread], wcet) for thread, wcet in tasks)
+            cumulative = list(accumulate((wcet for _, wcet in ranked), initial=0))
+            rows.append((event, [rank for rank, _ in ranked], cumulative))
     verdicts: list[TimingVerdict] = []
     constraints: dict[Constraint, None] = {}
-    for chain in graph.chains:
-        if not chain.nodes:
-            continue
-        if chain.requirements:
-            rows = [(req.bound, req.span, req.target) for req in chain.requirements]
+    for span in context.spans:
+        computed = _span_bound(span, prefixes, ranks, model, context.cap)
+        if span.bound is None:
+            passed = True
         else:
-            rows = [(None, (0, len(chain.nodes)), qual_str(chain.root))]
-        for bound, span, target in rows:
-            computed = index.bound(chain, span, model, cap)
-            if bound is None:
-                passed = True
-            else:
-                passed = computed is not None and computed <= bound
-            verdicts.append(TimingVerdict(target, bound, computed, passed, model))
-            if not passed and bound is not None:
-                range_nodes = chain.span_nodes(span)
-                interferers = _interferers(chain, range_nodes, graph, cfg, ranks)
-                for c in _latency_feedback(chain, range_nodes, bound, interferers, cfg, ranks):
-                    constraints[c] = None
-    return TimingReport(model, util, tuple(verdicts), tuple(sort_constraints(constraints)))
+            passed = computed is not None and computed <= span.bound
+        verdicts.append(TimingVerdict(span.target, span.bound, computed, passed, model))
+        if not passed:
+            interferers = _interferers(span.chain, span.nodes, context.graph, context.mapping, ranks)
+            for c in _latency_feedback(context, span, interferers, ranks):
+                constraints[c] = None
+    return TimingReport(model, context.utilization, tuple(verdicts), tuple(sort_constraints(constraints)))
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +435,70 @@ def _seed_key(graphs: Sequence[TaskGraph]):
     return key
 
 
+class PrioritySearch:
+    """The state `synthesize_priorities` keeps between its steps over one
+    thread set: the threads in reverse seed order, the nogoods counted so
+    far with their watches and counts of pairs decided true, and the
+    placement stack, lowest rank first."""
+
+    def __init__(self, threads: Sequence[QualId], graphs: Sequence[TaskGraph]) -> None:
+        self.reverse = sorted(frozenset(threads), key=_seed_key(graphs), reverse=True)
+        self.index = {t: i for i, t in enumerate(self.reverse)}
+        self.kept: set[frozenset[tuple[QualId, QualId]]] = set()
+        self.size: list[int] = []
+        self.holding: list[int] = []  # pairs decided true, per nogood
+        self.watch: list[list[tuple[int, int]]] = [[] for _ in self.reverse]  # per lo: (nogood, hi)
+        self.placed = [False] * len(self.reverse)
+        self.stack: list[int] = []  # indices into reverse, the lowest rank first
+        self.start = 0  # where a step that cuts nothing goes on: len(reverse) once exhausted
+
+    def count(self, i: int, step: int) -> None:
+        placed, holding = self.placed, self.holding
+        for k, hi in self.watch[i]:
+            if not placed[hi]:
+                holding[k] += step
+
+    def pop(self) -> int:
+        """Undo the top placement; the index of the next candidate there."""
+        i = self.stack.pop()
+        self.placed[i] = False
+        self.count(i, -1)
+        return i + 1
+
+    def learn(self, nogoods: Iterable[PriorityNogood]) -> int | None:
+        """Watch the nogoods not seen before and count their pairs decided
+        true by the placement; the shallowest depth at which one of them is
+        complete, or None."""
+        index = self.index
+        depth = {i: d for d, i in enumerate(self.stack)}
+        cut: int | None = None
+        for ng in nogoods:
+            pairs = frozenset(ng.pairs)
+            if not pairs or pairs in self.kept:
+                continue
+            if not all(hi != lo and hi in index and lo in index for hi, lo in pairs):
+                continue  # a pair that can never hold
+            self.kept.add(pairs)
+            k = len(self.size)
+            self.size.append(len(pairs))
+            decided = []  # depths of the pairs decided true
+            for hi, lo in pairs:
+                hi_i, lo_i = index[hi], index[lo]
+                self.watch[lo_i].append((k, hi_i))
+                if lo_i in depth and depth[lo_i] < depth.get(hi_i, len(self.stack)):
+                    decided.append(depth[lo_i])
+            self.holding.append(len(decided))
+            if len(decided) == len(pairs):
+                cut = max(decided) if cut is None else min(cut, max(decided))
+        return cut
+
+
 def synthesize_priorities(
-    threads: Sequence[QualId],
-    graphs: Sequence[TaskGraph],
-    nogoods: Sequence[PriorityNogood],
+    search: PrioritySearch, nogoods: Iterable[PriorityNogood]
 ) -> tuple[QualId, ...] | None:
-    """Find a total priority order on which no nogood holds in full, or None.
+    """The first total priority order on which no nogood holds in full, or
+    None: over the nogoods this search has been given so far, `nogoods`
+    being the ones added at this step.
 
     Bottom-up placement with full backtracking (Audsley 1991): the lowest
     rank is filled first, candidates tried in reverse seed order, so an
@@ -410,31 +511,23 @@ def synthesize_priorities(
     count reach its size is refused; a pair decided false keeps it below
     for good.  Backtracking undoes what placement counted.  A nogood with a
     pair that can never hold is dropped up front.
+
+    A step resumes from the order the last step returned: every earlier
+    permutation broke an earlier nogood.  If a new nogood holds in full on
+    that order, the stack is cut back to the shallowest depth at which one
+    is complete, as every order with that placement below breaks it, and
+    the search goes on from the next candidate there.  Otherwise the same
+    order is returned again.  After None, every step returns None.
     """
-    reverse = sorted(frozenset(threads), key=_seed_key(graphs), reverse=True)
-    index = {t: i for i, t in enumerate(reverse)}
-    kept = list({
-        frozenset(ng.pairs)
-        for ng in nogoods
-        if ng.pairs and all(hi != lo and hi in index and lo in index for hi, lo in ng.pairs)
-    })
-    size = [len(pairs) for pairs in kept]
-    holding = [0] * len(kept)  # pairs decided true, per nogood
-    watch: list[list[tuple[int, int]]] = [[] for _ in reverse]  # per lo: (nogood, hi)
-    for k, pairs in enumerate(kept):
-        for hi, lo in pairs:
-            watch[index[lo]].append((k, index[hi]))
-    placed = [False] * len(reverse)
-
-    def count(i: int, step: int) -> None:
-        for k, hi in watch[i]:
-            if not placed[hi]:
-                holding[k] += step
-
-    stack: list[int] = []  # indices into reverse, the lowest rank first
-    start = 0
-    while len(stack) < len(reverse):
-        for i in range(start, len(reverse)):
+    cut = search.learn(nogoods)
+    stack, placed, holding, size = search.stack, search.placed, search.holding, search.size
+    watch = search.watch
+    count, n, start = search.count, len(search.reverse), search.start
+    if cut is not None:
+        while len(stack) > cut:
+            start = search.pop()
+    while len(stack) < n:
+        for i in range(start, n):
             if placed[i]:
                 continue
             count(i, 1)
@@ -446,9 +539,7 @@ def synthesize_priorities(
             count(i, -1)
         else:
             if not stack:
+                search.start = n
                 return None
-            i = stack.pop()
-            placed[i] = False
-            count(i, -1)
-            start = i + 1
-    return tuple(reverse[i] for i in reversed(stack))
+            start = search.pop()
+    return tuple(search.reverse[i] for i in reversed(stack))

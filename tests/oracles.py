@@ -32,7 +32,7 @@ from nego.controlflow import (
 from nego.model import Configuration, SystemModel, pinned_components
 from nego.sim import ReleaseScenario
 from nego.taskgraph import GraphError, INITIALIZATION, NORMAL, build_task_graph
-from nego.timing import _seed_key, check_timing
+from nego.timing import TimingContext, _seed_key, check_timing
 
 
 def assignments(software, pinned):
@@ -108,7 +108,7 @@ def _completions(system: SystemModel, base: Configuration):
 
 
 def _timing_ok(system: SystemModel, graphs, cfg: Configuration, model: str) -> bool:
-    return all(check_timing(graph, cfg, system.platform, model).ok for graph in graphs)
+    return all(check_timing(TimingContext(graph, cfg, system.platform), cfg, model).ok for graph in graphs)
 
 
 def feasible(system: SystemModel, model: str = "busy-window") -> bool:

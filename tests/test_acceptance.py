@@ -22,7 +22,7 @@ from nego.negotiation import negotiate
 from nego.randsys import random_chain_system, random_software_system
 from nego.sim import simulate, synchronous_scenario, worst_observed
 from nego.taskgraph import INITIALIZATION, NORMAL, build_task_graph
-from nego.timing import BUSY_WINDOW, SINGLE_BLOCKING, chain_latency_bound, check_timing
+from nego.timing import BUSY_WINDOW, SINGLE_BLOCKING, TimingContext, chain_latency_bound, check_timing
 
 from conftest import CORPUS
 from oracles import chain_utilization, feasible
@@ -63,7 +63,7 @@ def test_c3_overload_is_rejected_priority_independently(software_post, cfg_lane_
     per_chain = {c.root: chain_utilization(c, cfg_lane_on_o1) for c in graph.chains}
     assert per_chain[("L", "lane_assist")]["CPU1"] == Fraction(9, 10)
     assert per_chain[("P", "park_assist")]["CPU1"] == Fraction(3, 20)
-    report = check_timing(graph, cfg_lane_on_o1, platform, BUSY_WINDOW)
+    report = check_timing(TimingContext(graph, cfg_lane_on_o1, platform), cfg_lane_on_o1, BUSY_WINDOW)
     assert len(report.constraints) == 1
     forbid = report.constraints[0]
     assert isinstance(forbid, ForbidConjunction)
@@ -132,14 +132,14 @@ def test_c7_pre_update_baseline_passes_both_models(software_pre, current_config,
     normal = build_task_graph(software_pre, current_config, NORMAL)
     init = build_task_graph(software_pre, current_config, INITIALIZATION)
     for model in (BUSY_WINDOW, SINGLE_BLOCKING):
-        report = check_timing(normal, current_config, platform, model)
+        report = check_timing(TimingContext(normal, current_config, platform), current_config, model)
         assert report.ok
         verdicts = {v.target: (v.computed, v.bound) for v in report.verdicts}
         assert verdicts == {
             "park_assist": (30, 150),
             "object_recognition.get()": (10, 100),
         }
-        init_report = check_timing(init, current_config, platform, model)
+        init_report = check_timing(TimingContext(init, current_config, platform), current_config, model)
         assert init_report.ok
         assert [(v.target, v.computed) for v in init_report.verdicts] == [("P.init", 10)]
 

@@ -60,20 +60,22 @@ def test_learned_constraints_are_valid(model):
 
 
 def _without_interferer_maps(feedback):
-    def mutant(chain, range_nodes, bound, interferers, cfg, ranks):
-        maps = {MapLit(n.component, n.task, cfg.mapping[n.task_id]) for _, tasks in interferers for n in tasks}
-        maps -= {MapLit(n.component, n.task, cfg.mapping[n.task_id]) for n in range_nodes}
+    def mutant(context, span, interferers, ranks):
+        def map_lit(n):
+            return MapLit(n.component, n.task, context.mapping[n.task_id])
+
+        maps = {map_lit(n) for _, tasks in interferers for n in tasks} - {map_lit(n) for n in span.nodes}
         return [
             replace(c, context=c.context - maps) if isinstance(c, PriorityNogood) else c
-            for c in feedback(chain, range_nodes, bound, interferers, cfg, ranks)
+            for c in feedback(context, span, interferers, ranks)
         ]
 
     return mutant
 
 
 def _without_connections(overload_forbid):
-    def mutant(graph, cfg, resource):
-        forbid = overload_forbid(graph, cfg, resource)
+    def mutant(context, resource):
+        forbid = overload_forbid(context, resource)
         return replace(forbid, literals=frozenset(l for l in forbid.literals if not isinstance(l, ConnLit)))
 
     return mutant

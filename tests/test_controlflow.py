@@ -237,18 +237,64 @@ def _random_configurations(seeds: range):
     return _configurations(random_software_system(random.Random(seed)).software for seed in seeds)
 
 
+def _init_prerequisite_model(rng: random.Random):
+    """A small software model in which the prerequisite of an ordering
+    rule is called in initialization mode.  B, and sometimes C, provide
+    `s` (go, prep) under the rule "not s.go() until s.prep()"; pinned
+    clients call s.go() in normal mode, some after s.prep(); initializers
+    I1 and sometimes I2 call s.prep(), sometimes after s.go(), from an
+    initialization thread and are selected only as a provider of `u`,
+    which U may provide instead, so in some assignments they stay dormant."""
+
+    def thread(head: str, task: str, calls: list[str]) -> str:
+        return f"thread {head} task {task} onto R wcet=1 bcet=1 " + " ".join(f"RPC {c}()" for c in calls)
+
+    def provider(name: str, rule: bool) -> str:
+        text = (f"component {name} services provides s threads "
+                + thread("e_go on RPC s.go()", f"{name.lower()}g", []) + " "
+                + thread("e_prep on RPC s.prep()", f"{name.lower()}p", []))
+        return text + (" control_flow not s.go() until s.prep()" if rule else "")
+
+    texts = [provider("B", True)]
+    if rng.random() < 0.6:
+        texts.append(provider("C", rng.random() < 0.5))
+    for name in ["I1", "I2"][: rng.randint(1, 2)]:
+        calls = ["s.go", "s.prep"] if rng.random() < 0.3 else ["s.prep"]
+        texts.append(
+            f"component {name} services requires s provides u threads "
+            + thread("serve on RPC u.get()", f"{name.lower()}u", []) + " "
+            + thread("boot on initialization", f"{name.lower()}b", calls)
+        )
+    if rng.random() < 0.5:
+        texts.append("component U services provides u threads " + thread("serve on RPC u.get()", "uu", []))
+    for name in ["A1", "A2"][: rng.randint(1, 2)]:
+        calls = rng.choice([["s.go"], ["s.prep", "s.go"], ["s.go", "s.prep"]])
+        if rng.random() < 0.7:
+            calls.insert(rng.randint(0, len(calls)), "u.get")
+        requires = "requires s requires u" if "u.get" in calls else "requires s"
+        threads = thread("t on time (period=9 jitter=0)", f"{name.lower()}t", calls)
+        if rng.random() < 0.3:
+            threads += " " + thread("boot on initialization", f"{name.lower()}b", ["s.prep"])
+        texts.append(f"component {name} services {requires} threads {threads}")
+    return load_software_model(texts, "service s method go () method prep () service u method get ()")
+
+
 def _has_rules(software, cfg) -> bool:
     return any(software.contracts[p].control_flow for p in cfg.selected)
 
 
 def test_rules_first_check_matches_the_full_index(software_pre, software_post, corpus_dir):
     # Seeds 0..199 hold only 17 configurations with a rule, 2 of them
-    # violated; 0..1999 hold 201 and 24.  The corpus adds rules whose
-    # prerequisite is called in initialization mode.
+    # violated; 0..1999 hold 201 and 24.  The corpus and the seeded
+    # initialization-prerequisite models add rules whose prerequisite is
+    # called in initialization mode.
     mutant = parse_contract((corpus_dir / "updates" / "P_no_init.contract").read_text())
     corpus = [software_pre, software_post, apply_update(software_pre, UpdateRequest.update(mutant))]
+    init_prerequisite = (_init_prerequisite_model(random.Random(seed)) for seed in range(40))
     checked = violated = 0
-    for software, cfg in itertools.chain(_configurations(corpus), _random_configurations(range(2000))):
+    for software, cfg in itertools.chain(
+        _configurations(corpus), _random_configurations(range(2000)), _configurations(init_prerequisite)
+    ):
         violations = check_control_flow(software, cfg)
         assert violations == reference_check_control_flow(software, cfg), cfg
         checked += _has_rules(software, cfg)

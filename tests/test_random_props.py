@@ -5,12 +5,18 @@ from hypothesis import strategies as st
 
 from nego.constraints import PriorityNogood, PriorityPrecedence, active_priority_constraints
 from nego.model import Configuration
-from nego.randsys import random_chain_system
+from nego.randsys import random_chain_system, random_software_system
 from nego.sim import worst_observed
 from nego.taskgraph import NORMAL, build_task_graph
-from nego.timing import BUSY_WINDOW, SINGLE_BLOCKING, chain_latency_bound, synthesize_priorities
+from nego.timing import (
+    BUSY_WINDOW,
+    SINGLE_BLOCKING,
+    PrioritySearch,
+    chain_latency_bound,
+    synthesize_priorities,
+)
 
-from oracles import reference_synthesize
+from oracles import _structures, reference_synthesize
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
@@ -69,7 +75,8 @@ def test_synthesis_output_respects_inputs(seed, constraint_seed):
                 tuple(rng.sample(threads, 2)) for _ in range(rng.randint(1, 2))
             )
             nogoods.append(PriorityNogood(frozenset(), pairs))
-    order = synthesize_priorities(threads, [graph], active_priority_constraints(precedences + nogoods, system.config))
+    folded = active_priority_constraints(precedences + nogoods, system.config)
+    order = synthesize_priorities(PrioritySearch(threads, [graph]), folded)
     if order is None:
         return
     assert sorted(order) == threads
@@ -85,7 +92,7 @@ def test_unconstrained_synthesis_always_succeeds(seed):
     system = random_chain_system(random.Random(seed))
     graph = build_task_graph(system.software, system.config, NORMAL)
     threads = sorted(system.config.ranks())
-    order = synthesize_priorities(threads, [graph], [])
+    order = synthesize_priorities(PrioritySearch(threads, [graph]), [])
     assert order is not None and sorted(order) == threads
 
 
@@ -105,4 +112,42 @@ def test_synthesis_finds_first_allowed_permutation(threads, nogood_pairs, preced
     constraints = [PriorityNogood(frozenset(), p) for p in nogood_pairs]
     constraints += [PriorityPrecedence(above, below) for above, below in precedence_pairs]
     folded = active_priority_constraints(constraints, Configuration(frozenset(), frozenset(), {}, ()))
-    assert synthesize_priorities(threads, [], folded) == reference_synthesize(threads, [], constraints)
+    order = synthesize_priorities(PrioritySearch(threads, []), folded)
+    assert order == reference_synthesize(threads, [], constraints)
+
+
+def _nogood_batch(rng, threads, order):
+    """Up to three nogoods: most hold on `order` when one is given, as
+    feedback on a rejected order does; the others are drawn at random
+    from POOL and may name absent threads."""
+    batch = []
+    for _ in range(rng.randint(0, 3)):
+        if order and len(order) >= 2 and rng.random() < 0.7:
+            pairs = {tuple(sorted(rng.sample(order, 2), key=order.index)) for _ in range(rng.randint(1, 3))}
+        else:
+            pairs = {(rng.choice(POOL), rng.choice(POOL)) for _ in range(rng.randint(1, 3))}
+        batch.append(PriorityNogood(frozenset(), frozenset(pairs)))
+    return batch
+
+
+@settings(max_examples=300)
+@given(seeds)
+def test_resumed_synthesis_equals_a_fresh_one_at_every_step(seed):
+    rng = random.Random(seed)
+    threads, graphs = rng.sample(POOL[:6], rng.randint(0, 6)), []
+    if rng.random() < 0.5:
+        # threads keyed by the requirements of a random software system
+        system = random_software_system(rng)
+        structure = next(_structures(system), None)
+        if structure is not None:
+            base, graphs = structure
+            threads = sorted((c, t.name) for c in base.selected for t in system.software.contracts[c].threads)
+    search = PrioritySearch(threads, graphs)
+    given_so_far: list[PriorityNogood] = []
+    order = None
+    for _ in range(rng.randint(1, 8)):
+        batch = _nogood_batch(rng, threads, order)
+        given_so_far += batch
+        order = synthesize_priorities(search, batch)
+        assert order == synthesize_priorities(PrioritySearch(threads, graphs), given_so_far)
+        assert order == reference_synthesize(threads, graphs, given_so_far)

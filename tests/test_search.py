@@ -103,6 +103,20 @@ def test_negotiation_output_is_pinned():
     assert digest == NEGOTIATION_DIGEST
 
 
+# `systems.negotiation_digest` over indep families that open many
+# structural partials and propose several priority orders at each.
+MULTI_PARTIAL_DIGEST = "b7de9a0a112a37fec26da81bdd35d08c202d2a54e358c2d2cdd5dbed3bb0906f"
+
+
+def test_multi_partial_search_output_is_pinned():
+    families = [
+        systems.indep(6, 3, 2, 14, 24, 2),
+        systems.indep(7, 2, 2, 14, 24, 2),
+        systems.indep(7, 3, 2, 14, 24, 2),
+    ]
+    assert systems.negotiation_digest(families) == MULTI_PARTIAL_DIGEST
+
+
 def test_every_rejection_excludes_its_candidate(monkeypatch):
     probe = StoreProbe(monkeypatch)
     _corpus_and_random_runs(range(100))
@@ -146,6 +160,29 @@ def test_task_graphs_built_once_per_structure_and_mode(monkeypatch):
         assert all(n == 1 for n in builds.values()), (request, model, seed)
         total += sum(builds.values())
     assert total > 100
+
+
+def test_timing_contexts_built_once_per_partial_and_mode(monkeypatch):
+    builds: Counter = Counter()
+    original = nego.space.TimingContext
+
+    def counting(graph, cfg, platform):
+        builds[(cfg.selected, cfg.connections, tuple(sorted(cfg.mapping.items())), graph.mode)] += 1
+        return original(graph, cfg, platform)
+
+    monkeypatch.setattr(nego.space, "TimingContext", counting)
+    for model in MODELS:
+        builds.clear()
+        answer, trace = negotiate(systems.indep(5, 2, 2, 14, 24, 2), [], model=model)
+        assert answer.ok and trace.candidates == 23
+        assert all(n == 1 for n in builds.values()), model
+        partials = {
+            (c.selected, c.connections, tuple(sorted(c.mapping.items())))
+            for kind, c in trace.events
+            if kind == "candidate"
+        }
+        assert {key[:3] for key in builds} == partials
+        assert len(builds) == 2 * len(partials) < 2 * trace.candidates
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from nego.model import Configuration, ModelError, pinned_components, parse_platf
 from nego.randsys import random_software_system
 from nego.space import ConstraintStore
 from nego.taskgraph import NORMAL, GraphError, build_task_graph
-from nego.timing import BUSY_WINDOW, SINGLE_BLOCKING, check_timing
+from nego.timing import BUSY_WINDOW, SINGLE_BLOCKING, TimingContext, check_timing
 
 from conftest import (
     ACCEPTED_ORDER,
@@ -54,7 +54,7 @@ def test_overload_forbid_skips_first_assignment(software_post, platform):
     store = post_store(software_post, platform)
     first = store.next_candidate()
     graph = build_task_graph(software_post, first, NORMAL)
-    report = check_timing(graph, first, platform, SINGLE_BLOCKING)
+    report = check_timing(TimingContext(graph, first, platform), first, SINGLE_BLOCKING)
     for c in report.constraints:
         store.add_constraint(c)
     second = store.next_candidate()
@@ -66,12 +66,12 @@ def test_priority_feedback_reaches_synthesis(software_post, platform):
     store = post_store(software_post, platform)
     cfg1 = store.next_candidate()
     for c in check_timing(
-        build_task_graph(software_post, cfg1, NORMAL), cfg1, platform, SINGLE_BLOCKING
+        TimingContext(build_task_graph(software_post, cfg1, NORMAL), cfg1, platform), cfg1, SINGLE_BLOCKING
     ).constraints:
         store.add_constraint(c)
     cfg2 = store.next_candidate()
     for c in check_timing(
-        build_task_graph(software_post, cfg2, NORMAL), cfg2, platform, SINGLE_BLOCKING
+        TimingContext(build_task_graph(software_post, cfg2, NORMAL), cfg2, platform), cfg2, SINGLE_BLOCKING
     ).constraints:
         store.add_constraint(c)
     cfg3 = store.next_candidate()
@@ -88,7 +88,7 @@ def test_busy_window_feedback_exhausts(software_post, platform):
             break
         seen += 1
         report = check_timing(
-            build_task_graph(software_post, cfg, NORMAL), cfg, platform, BUSY_WINDOW
+            TimingContext(build_task_graph(software_post, cfg, NORMAL), cfg, platform), cfg, BUSY_WINDOW
         )
         if report.ok:
             pytest.fail("busy-window run is expected to reject every candidate")

@@ -21,8 +21,8 @@ from nego.timing import (
     BUSY_WINDOW,
     MODELS,
     SINGLE_BLOCKING,
-    _InterferenceIndex,
-    _iteration_cap,
+    PrioritySearch,
+    TimingContext,
     chain_latency_bound,
     check_timing,
     synthesize_priorities,
@@ -31,7 +31,7 @@ from nego.timing import (
 
 import systems
 from conftest import ACCEPTED_ORDER, CONNS_LANE_ON_O2, LEX_ORDER, POST_MAPPING, POST_SELECTED
-from oracles import _structures, _task_types, chain_utilization
+from oracles import _completions, _structures, _task_types, chain_utilization, reference_synthesize
 
 LANE = ("L", "lane_assist")
 OMG = ("O2", "object_masking_get")
@@ -75,7 +75,7 @@ def test_post_update_utilization_lane_on_o2(software_post, cfg_lane_on_o2_lex, p
 
 def test_overload_verdict_and_forbid(software_post, cfg_lane_on_o1, platform):
     graph = build_task_graph(software_post, cfg_lane_on_o1, NORMAL)
-    report = check_timing(graph, cfg_lane_on_o1, platform, BUSY_WINDOW)
+    report = check_timing(TimingContext(graph, cfg_lane_on_o1, platform), cfg_lane_on_o1, BUSY_WINDOW)
     assert not report.ok
     assert report.verdicts == ()
     assert report.lines()[0] == "utilization CPU1: 21/20 OVERLOAD"
@@ -97,7 +97,7 @@ def test_overload_verdict_and_forbid(software_post, cfg_lane_on_o1, platform):
 def test_pre_update_passes_both_models(software_pre, current_config, platform):
     graph = build_task_graph(software_pre, current_config, NORMAL)
     for model in (BUSY_WINDOW, SINGLE_BLOCKING):
-        report = check_timing(graph, current_config, platform, model)
+        report = check_timing(TimingContext(graph, current_config, platform), current_config, model)
         assert report.ok
         assert bounds_by_target(report) == {
             "park_assist": (30, True),
@@ -107,7 +107,7 @@ def test_pre_update_passes_both_models(software_pre, current_config, platform):
 
 def test_pre_update_report_lines(software_pre, current_config, platform):
     graph = build_task_graph(software_pre, current_config, NORMAL)
-    report = check_timing(graph, current_config, platform, BUSY_WINDOW)
+    report = check_timing(TimingContext(graph, current_config, platform), current_config, BUSY_WINDOW)
     assert report.lines() == [
         "utilization CPU1: 3/20 OK",
         "timing 150 park_assist: bound=30 PASS model=busy-window",
@@ -117,7 +117,7 @@ def test_pre_update_report_lines(software_pre, current_config, platform):
 
 def test_init_mode_report(software_pre, current_config, platform):
     graph = build_task_graph(software_pre, current_config, INITIALIZATION)
-    report = check_timing(graph, current_config, platform, BUSY_WINDOW)
+    report = check_timing(TimingContext(graph, current_config, platform), current_config, BUSY_WINDOW)
     assert report.ok
     assert report.lines() == [
         "utilization CPU1: 0 OK",
@@ -127,7 +127,9 @@ def test_init_mode_report(software_pre, current_config, platform):
 
 def test_lex_candidate_single_blocking(software_post, cfg_lane_on_o2_lex, platform):
     graph = build_task_graph(software_post, cfg_lane_on_o2_lex, NORMAL)
-    report = check_timing(graph, cfg_lane_on_o2_lex, platform, SINGLE_BLOCKING)
+    report = check_timing(
+        TimingContext(graph, cfg_lane_on_o2_lex, platform), cfg_lane_on_o2_lex, SINGLE_BLOCKING
+    )
     assert report.lines() == [
         "utilization CPU1: 17/20 OK",
         "timing 75 lane_assist: bound=110 FAIL model=single-blocking",
@@ -138,7 +140,7 @@ def test_lex_candidate_single_blocking(software_post, cfg_lane_on_o2_lex, platfo
 
 def test_lex_candidate_busy_window(software_post, cfg_lane_on_o2_lex, platform):
     graph = build_task_graph(software_post, cfg_lane_on_o2_lex, NORMAL)
-    report = check_timing(graph, cfg_lane_on_o2_lex, platform, BUSY_WINDOW)
+    report = check_timing(TimingContext(graph, cfg_lane_on_o2_lex, platform), cfg_lane_on_o2_lex, BUSY_WINDOW)
     assert bounds_by_target(report) == {
         "lane_assist": (110, False),
         "park_assist": (170, False),
@@ -148,7 +150,7 @@ def test_lex_candidate_busy_window(software_post, cfg_lane_on_o2_lex, platform):
 
 def test_accepted_candidate_single_blocking(software_post, cfg_accepted, platform):
     graph = build_task_graph(software_post, cfg_accepted, NORMAL)
-    report = check_timing(graph, cfg_accepted, platform, SINGLE_BLOCKING)
+    report = check_timing(TimingContext(graph, cfg_accepted, platform), cfg_accepted, SINGLE_BLOCKING)
     assert report.ok
     assert bounds_by_target(report) == {
         "lane_assist": (50, True),
@@ -160,7 +162,7 @@ def test_accepted_candidate_single_blocking(software_post, cfg_accepted, platfor
 def test_accepted_candidate_fails_busy_window(software_post, cfg_accepted, platform):
     # the busy-window model charges the second lane activation to park
     graph = build_task_graph(software_post, cfg_accepted, NORMAL)
-    report = check_timing(graph, cfg_accepted, platform, BUSY_WINDOW)
+    report = check_timing(TimingContext(graph, cfg_accepted, platform), cfg_accepted, BUSY_WINDOW)
     assert not report.ok
     assert bounds_by_target(report) == {
         "lane_assist": (50, True),
@@ -172,7 +174,7 @@ def test_accepted_candidate_fails_busy_window(software_post, cfg_accepted, platf
 def test_pi3_busy_window(software_post, platform):
     cfg = Configuration(POST_SELECTED, CONNS_LANE_ON_O2, POST_MAPPING, PI3)
     graph = build_task_graph(software_post, cfg, NORMAL)
-    report = check_timing(graph, cfg, platform, BUSY_WINDOW)
+    report = check_timing(TimingContext(graph, cfg, platform), cfg, BUSY_WINDOW)
     assert bounds_by_target(report) == {
         "lane_assist": (60, True),
         "park_assist": (170, False),
@@ -206,14 +208,16 @@ def expected_lane_feedback():
 
 def test_lane_failure_feedback_single_blocking(software_post, cfg_lane_on_o2_lex, platform):
     graph = build_task_graph(software_post, cfg_lane_on_o2_lex, NORMAL)
-    report = check_timing(graph, cfg_lane_on_o2_lex, platform, SINGLE_BLOCKING)
+    report = check_timing(
+        TimingContext(graph, cfg_lane_on_o2_lex, platform), cfg_lane_on_o2_lex, SINGLE_BLOCKING
+    )
     assert set(report.constraints) == expected_lane_feedback()
     assert len(report.constraints) == 5
 
 
 def test_busy_window_adds_park_feedback(software_post, cfg_lane_on_o2_lex, platform):
     graph = build_task_graph(software_post, cfg_lane_on_o2_lex, NORMAL)
-    report = check_timing(graph, cfg_lane_on_o2_lex, platform, BUSY_WINDOW)
+    report = check_timing(TimingContext(graph, cfg_lane_on_o2_lex, platform), cfg_lane_on_o2_lex, BUSY_WINDOW)
     park_context = frozenset(
         {ConnLit(*edge) for edge in CONNS_LANE_ON_O2}
         | {MapLit(c, t, "CPU1") for c, t in POST_MAPPING if (c, t) != ("T", "tci")}
@@ -233,7 +237,7 @@ def test_structural_feedback_when_range_alone_exceeds_bound():
     cfg = Configuration(frozenset({"CX"}), frozenset(), {("CX", "x"): "R1"}, ((("CX", "tx")),))
     platform = parse_platform("resource R1 type CPU")
     graph = build_task_graph(software, cfg, NORMAL)
-    report = check_timing(graph, cfg, platform, SINGLE_BLOCKING)
+    report = check_timing(TimingContext(graph, cfg, platform), cfg, SINGLE_BLOCKING)
     assert report.constraints == (
         ForbidConjunction(frozenset({MapLit("CX", "x", "R1")})),
     )
@@ -303,7 +307,7 @@ def test_requirement_on_entry_thread_without_tasks_is_bounded_by_zero():
     chain = graph.chain(("A", "t"))
     (req,) = chain.requirements
     for model in MODELS:
-        assert check_timing(graph, cfg, platform, model).lines() == [
+        assert check_timing(TimingContext(graph, cfg, platform), cfg, model).lines() == [
             "utilization R1: 1/10 OK",
             f"timing 10 s.m(): bound=0 PASS model={model}",
         ]
@@ -318,33 +322,31 @@ def test_activation_count_is_exact_beyond_float_precision():
 
 
 # ---------------------------------------------------------------------------
-# the indexed demand of check_timing against the per-span pass
+# the grouped demand of check_timing against the per-span pass
 
 
 def _assert_paths_agree(software, cfg, platform):
-    """Every span of every chain, in both modes and under both models: the
-    index `check_timing` builds bounds it as `chain_latency_bound` does, and
-    `check_timing` reports those bounds.  Returns how many spans saw
-    interference."""
+    """Every chain, in both modes and under both models: `check_timing`
+    reports each requirement span (the whole chain when it states none) as
+    `chain_latency_bound` bounds it.  Returns how many of every chain's
+    spans, whole chain and requirements, saw interference."""
     ranks = cfg.ranks()
     interfered = 0
     for mode in MODES:
         graph = build_task_graph(software, cfg, mode)
-        index = _InterferenceIndex(graph, cfg, ranks)
-        cap = _iteration_cap(graph)
+        context = TimingContext(graph, cfg, platform)
         for model in MODELS:
             rows = []
             for chain in graph.chains:
                 spans = {(0, len(chain.nodes))} | {req.span for req in chain.requirements}
                 for span in sorted(spans):
                     bound = chain_latency_bound(chain, span, graph, cfg, ranks, model)
-                    assert index.bound(chain, span, model, cap) == bound, (mode, model, chain.root, span)
                     interfered += bound is None or bound > sum(n.wcet for n in chain.span_nodes(span))
                 if chain.nodes:
                     reported = [req.span for req in chain.requirements] or [(0, len(chain.nodes))]
                     rows += [chain_latency_bound(chain, span, graph, cfg, ranks, model) for span in reported]
-            report = check_timing(graph, cfg, platform, model)
-            assert [v.computed for v in report.verdicts] == rows
+            report = check_timing(context, cfg, model)
+            assert [v.computed for v in report.verdicts] == rows, (mode, model)
     return interfered
 
 
@@ -420,7 +422,7 @@ def _eta_calls(monkeypatch, n):
 
     with monkeypatch.context() as patch:
         patch.setattr(EventModel, "eta", counting)
-        check_timing(graph, answer.config, system.platform, BUSY_WINDOW)
+        check_timing(TimingContext(graph, answer.config, system.platform), answer.config, BUSY_WINDOW)
     return calls
 
 
@@ -448,21 +450,21 @@ def _post_graphs(software_post, cfg):
 
 def test_unconstrained_synthesis_is_deadline_monotonic(software_post, cfg_lane_on_o2_lex):
     graphs = _post_graphs(software_post, cfg_lane_on_o2_lex)
-    assert synthesize_priorities(LEX_ORDER, graphs, []) == ACCEPTED_ORDER
+    assert synthesize_priorities(PrioritySearch(LEX_ORDER, graphs), []) == ACCEPTED_ORDER
 
 
 def test_synthesis_with_lane_feedback_reaches_accepted_order(software_post, cfg_lane_on_o2_lex):
     graphs = _post_graphs(software_post, cfg_lane_on_o2_lex)
     nogoods = sorted(expected_lane_feedback(), key=str)
-    assert synthesize_priorities(LEX_ORDER, graphs, nogoods) == ACCEPTED_ORDER
+    assert synthesize_priorities(PrioritySearch(LEX_ORDER, graphs), nogoods) == ACCEPTED_ORDER
 
 
 def test_synthesis_with_busy_window_feedback_reaches_pi3(software_post, cfg_lane_on_o2_lex, platform):
     graph = build_task_graph(software_post, cfg_lane_on_o2_lex, NORMAL)
-    report = check_timing(graph, cfg_lane_on_o2_lex, platform, BUSY_WINDOW)
+    report = check_timing(TimingContext(graph, cfg_lane_on_o2_lex, platform), cfg_lane_on_o2_lex, BUSY_WINDOW)
     nogoods = [c for c in report.constraints if isinstance(c, PriorityNogood)]
     graphs = _post_graphs(software_post, cfg_lane_on_o2_lex)
-    assert synthesize_priorities(LEX_ORDER, graphs, nogoods) == PI3
+    assert synthesize_priorities(PrioritySearch(LEX_ORDER, graphs), nogoods) == PI3
 
 
 def test_accumulated_busy_window_feedback_unsatisfiable(software_post, cfg_lane_on_o2_lex, platform):
@@ -470,16 +472,16 @@ def test_accumulated_busy_window_feedback_unsatisfiable(software_post, cfg_lane_
     for order in (LEX_ORDER, PI3):
         cfg = Configuration(POST_SELECTED, CONNS_LANE_ON_O2, POST_MAPPING, order)
         graph = build_task_graph(software_post, cfg, NORMAL)
-        report = check_timing(graph, cfg, platform, BUSY_WINDOW)
+        report = check_timing(TimingContext(graph, cfg, platform), cfg, BUSY_WINDOW)
         nogoods.extend(c for c in report.constraints if isinstance(c, PriorityNogood))
     graphs = _post_graphs(software_post, cfg_lane_on_o2_lex)
-    assert synthesize_priorities(LEX_ORDER, graphs, nogoods) is None
+    assert synthesize_priorities(PrioritySearch(LEX_ORDER, graphs), nogoods) is None
 
 
 def test_synthesis_respects_precedence(software_post, cfg_lane_on_o2_lex):
     graphs = _post_graphs(software_post, cfg_lane_on_o2_lex)
     prec = active_priority_constraints([PriorityPrecedence(TCI, INIT)], cfg_lane_on_o2_lex)
-    order = synthesize_priorities(LEX_ORDER, graphs, prec)
+    order = synthesize_priorities(PrioritySearch(LEX_ORDER, graphs), prec)
     assert order is not None
     assert order.index(TCI) < order.index(INIT)
     # everything else keeps the seed arrangement
@@ -491,15 +493,86 @@ def test_synthesis_conflicting_precedences_unsat(software_post, cfg_lane_on_o2_l
     prec = active_priority_constraints(
         [PriorityPrecedence(TCI, INIT), PriorityPrecedence(INIT, TCI)], cfg_lane_on_o2_lex
     )
-    assert synthesize_priorities(LEX_ORDER, graphs, prec) is None
+    assert synthesize_priorities(PrioritySearch(LEX_ORDER, graphs), prec) is None
 
 
 def test_synthesis_over_many_threads_needs_no_recursion():
     threads = [(f"C{i:04d}", "main") for i in range(1500)]
-    assert synthesize_priorities(threads, [], []) == tuple(threads)
+    assert synthesize_priorities(PrioritySearch(threads, []), []) == tuple(threads)
     top = threads[0]
     push_down = [PriorityNogood(frozenset(), frozenset({(top, t)})) for t in threads[1:]]
-    assert synthesize_priorities(threads, [], push_down) == tuple(threads[1:]) + (top,)
+    assert synthesize_priorities(PrioritySearch(threads, []), push_down) == tuple(threads[1:]) + (top,)
+
+
+def test_resumed_synthesis_cuts_back_to_the_shallowest_completed_nogood(monkeypatch):
+    a, b, c, d = [(name, "main") for name in "ABCD"]
+    search = PrioritySearch([a, b, c, d], [])
+    assert search.reverse == [d, c, b, a]
+    assert synthesize_priorities(search, []) == (a, b, c, d)  # placed D, C, B, A bottom-up
+    tried = []
+    count = PrioritySearch.count
+
+    def counting(self, i, step):
+        if step > 0:
+            tried.append(self.reverse[i])  # a placement tried
+        count(self, i, step)
+
+    monkeypatch.setattr(PrioritySearch, "count", counting)
+    a_over_b = PriorityNogood(frozenset(), frozenset({(a, b)}))  # complete at depth 2, where B sits
+    b_over_c = PriorityNogood(frozenset(), frozenset({(b, c)}))  # complete at depth 1, where C sits
+    d_over_c = PriorityNogood(frozenset(), frozenset({(d, c)}))  # does not hold
+    assert search.learn([d_over_c]) is None
+    # cut back to depth 1, not 2: with C still at depth 1, every order
+    # breaks b_over_c; D stays at depth 0, and depth 1 goes on from B
+    assert synthesize_priorities(search, [a_over_b, b_over_c]) == (c, b, a, d)
+    assert tried == [b, a, c, b, c]
+    # nothing new completes: the same order again, nothing tried
+    del tried[:]
+    assert synthesize_priorities(search, [d_over_c, a_over_b]) == (c, b, a, d)
+    assert tried == []
+    # a nogood complete at depth 0 cuts the whole stack: C, B and A go to
+    # the bottom in turn
+    a_over_d = PriorityNogood(frozenset(), frozenset({(a, d)}))
+    assert synthesize_priorities(search, [a_over_d]) == (c, b, d, a)
+    assert tried[:3] == [c, b, a]
+    assert reference_synthesize([a, b, c, d], [], [a_over_b, b_over_c, d_over_c, a_over_d]) == (c, b, d, a)
+
+
+def _orders_per_partial():
+    """(software, platform, a configuration per priority order) of each
+    partial: random_chain_system seeds remapped over two resources, and
+    every mapping of every passing structure of random_software_system
+    seeds (at most 5 threads), whose requirements fail under some orders."""
+    platform = parse_platform("resource R1 type CPU\nresource R2 type CPU\n")
+    for seed in range(100):
+        system = random_chain_system(random.Random(seed))
+        rng = random.Random(seed)
+        mapping = {task: rng.choice(("R1", "R2")) for task in sorted(system.config.mapping)}
+        selected = system.config.selected
+        orders = itertools.permutations(system.config.priorities)
+        yield system.software, platform, [Configuration(selected, frozenset(), mapping, o) for o in orders]
+    for seed in range(60):
+        system = random_software_system(random.Random(seed))
+        for base, _ in _structures(system):
+            for _, cfgs in itertools.groupby(_completions(system, base), key=lambda cfg: cfg.mapping):
+                yield system.software, system.platform, list(cfgs)
+
+
+def test_shared_context_reports_every_order_as_a_fresh_one():
+    failing = 0
+    for software, platform, cfgs in _orders_per_partial():
+        for mode in MODES:
+            graph = build_task_graph(software, cfgs[0], mode)
+            shared = TimingContext(graph, cfgs[0], platform)
+            for cfg in cfgs:
+                for model in MODELS:
+                    report = check_timing(shared, cfg, model)
+                    fresh = check_timing(TimingContext(graph, cfg, platform), cfg, model)
+                    assert report.utilization == fresh.utilization
+                    assert report.lines() == fresh.lines()
+                    assert [str(c) for c in report.constraints] == [str(c) for c in fresh.constraints]
+                    failing += not report.ok
+    assert failing > 300
 
 
 def _assert_per_chain_sum(graph, cfg, platform) -> None:
