@@ -135,10 +135,13 @@ def _task_graphs(
 ) -> list[TaskGraph] | None:
     """Task graphs of the configuration in each mode, or None after printing
     the structural fault of the first mode that has one.  With `scheduled`,
-    every task of a graph must be mapped and every thread ranked; the first
-    that is not raises ModelError."""
+    every task of a graph must be mapped and every thread ranked once; the
+    first that is not raises ModelError."""
     resolve_names(config, software, platform)
     ranks = config.ranks()
+    if scheduled and len(ranks) < len(config.priorities):
+        twice = next(t for i, t in enumerate(config.priorities) if t in config.priorities[:i])
+        raise ModelError(f"thread {qual_str(twice)} is ranked more than once")
     graphs = []
     for mode in modes:
         try:

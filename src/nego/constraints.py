@@ -1,11 +1,10 @@
 """Constraints over the configuration space.
 
 Analysis engines reject candidates by emitting constraints; the store prunes
-every later candidate against them.  Three kinds exist: forbidden literal
-conjunctions (structural nogoods), unconditional priority precedences, and
-priority nogoods whose pair set must not hold in full while their structural
-context matches.  Priority search sees only nogoods: a precedence reaches it
-as the one-pair nogood that forbids its reverse.
+every later candidate against them.  Two kinds exist: forbidden literal
+conjunctions (structural nogoods), and priority nogoods whose pair set must
+not hold in full while their structural context matches.  A precedence is
+the nogood with no context and the one pair that reverses it.
 """
 
 from __future__ import annotations
@@ -80,22 +79,6 @@ class ForbidConjunction:
 
 
 @dataclass(frozen=True)
-class PriorityPrecedence:
-    """Thread `above` must outrank thread `below` whenever both are selected."""
-
-    above: QualId
-    below: QualId
-
-    def violated_by(self, ranks: Mapping[QualId, int]) -> bool:
-        if self.above not in ranks or self.below not in ranks:
-            return False
-        return ranks[self.above] > ranks[self.below]
-
-    def __str__(self) -> str:
-        return f"precedence{{{qual_str(self.above)} above {qual_str(self.below)}}}"
-
-
-@dataclass(frozen=True)
 class PriorityNogood:
     """Forbidden priority pattern, conditional on a structural context.
 
@@ -132,7 +115,13 @@ class PriorityNogood:
         return f"priority-nogood{{{pairs}}} given {{{ctx}}}"
 
 
-Constraint = ForbidConjunction | PriorityPrecedence | PriorityNogood
+def PriorityPrecedence(above: QualId, below: QualId) -> PriorityNogood:
+    """Thread `above` must outrank thread `below` whenever both are selected:
+    the nogood on "below outranks above", in every context."""
+    return PriorityNogood(frozenset(), frozenset({(below, above)}))
+
+
+Constraint = ForbidConjunction | PriorityNogood
 
 
 def configuration_ok(cfg: Configuration, constraints: Iterable[Constraint]) -> bool:
@@ -142,25 +131,9 @@ def configuration_ok(cfg: Configuration, constraints: Iterable[Constraint]) -> b
         if isinstance(c, ForbidConjunction):
             if c.blocks(cfg):
                 return False
-        elif isinstance(c, PriorityPrecedence):
-            if c.violated_by(ranks):
-                return False
-        else:
-            if c.violated_by(cfg, ranks):
-                return False
+        elif c.violated_by(cfg, ranks):
+            return False
     return True
-
-
-def active_priority_constraints(constraints: Iterable[Constraint], cfg: Configuration) -> list[PriorityNogood]:
-    """The priority constraints binding this structural candidate, as
-    nogoods: `PriorityPrecedence(a, b)` becomes the nogood on "b above a"."""
-    nogoods: list[PriorityNogood] = []
-    for c in constraints:
-        if isinstance(c, PriorityPrecedence):
-            nogoods.append(PriorityNogood(frozenset(), frozenset({(c.below, c.above)})))
-        elif isinstance(c, PriorityNogood) and c.applies(cfg):
-            nogoods.append(c)
-    return nogoods
 
 
 def sort_constraints(constraints: Iterable[Constraint]) -> list[Constraint]:

@@ -10,35 +10,37 @@ stopped.  Candidates come out in a fixed order:
 * task mappings: one level per task in name order, resources in platform
   order;
 * priority orders at each structural partial: the name-ordered baseline
-  if the priority constraints allow it, then each order
-  `synthesize_priorities` finds under the constraints learned so far.
-  Those constraints reach synthesis as nogoods, a precedence as the
-  one-pair nogood on its reverse.  One `PrioritySearch` per partial
-  computes the seed order once and keeps its placement stack: after each
-  learned priority constraint that binds the partial, synthesis counts the
-  new nogoods against the order it last returned and, if one holds in
+  if the priority nogoods that apply there allow it, then each order
+  `synthesize_priorities` finds under them.  One `PrioritySearch` per
+  partial computes the seed order once and keeps its placement stack:
+  after each learned nogood that applies at the partial, synthesis counts
+  the new nogoods against the order it last returned and, if one holds in
   full there, cuts back to the shallowest depth where one is complete and
   goes on in seed order, as the trail does for forbids.  The partial is
   left as soon as synthesis finds nothing new.  Synthesis is a complete
   backtracking search, and every rejection excludes its candidate, so no
   order that the constraints allow is skipped.
 
-A forbidden conjunction is checked at the level that decides its last
-literal: each literal keeps the conjunctions it occurs in, each conjunction
-counts its literals that hold on the trail, and a choice that completes a
-count is refused.  Connection-only conjunctions therefore prune connection
-levels before any mapping is tried, conjunctions with map literals prune
-at the task that decides the last of them, and `sel[c]=false` literals are
-decided when the connection assignment is complete.  The trail keeps one
+Every learned constraint is counted on the trail: each literal keeps the
+constraints it occurs in (a forbid's literals, a nogood's context), each
+constraint counts its literals that hold on the trail, and the count is
+kept as the trail moves.  A forbid is checked at the level that decides
+its last literal: a choice that completes its count is refused.
+Connection-only forbids therefore prune connection levels before any
+mapping is tried, forbids with map literals prune at the task that decides
+the last of them, and `sel[c]=false` literals are decided when the
+connection assignment is complete.  A nogood whose count is full applies
+at the current partial; it never refuses a choice.  The trail keeps one
 record per decided level of the literals its choice made hold: a
 connection and the sel[c]=true of the provider it selects, the watched
 sel[c]=false of a complete structure, a task's mapping.  Backtracking and
-cutting pop a level's record and release its literals.  Conjunctions
+cutting pop a level's record and release its literals.  Constraints
 learned since the last call are counted against that record when the
 search resumes, each literal at the level that holds it (sel[c]=true of a
 pinned c at -1); a literal the record lacks does not hold.  The search
-then backs out of the shallowest level a learned conjunction blocks: the
-deepest level among its literals.
+then backs out of the shallowest level a learned forbid blocks: the
+deepest level among its literals.  Otherwise the partial's orders go on
+under the learned nogoods whose count is full.
 
 The trail holds one selection, one assignment and one mapping, undone on
 backtrack: its state grows with the number of levels, not with their
@@ -66,7 +68,6 @@ from nego.constraints import (
     MapLit,
     PriorityNogood,
     SelLit,
-    active_priority_constraints,
 )
 from nego.deps import ConnectionSearch, connection_candidates
 from nego.dsl import SoftwareModel
@@ -113,13 +114,16 @@ class ConstraintStore:
         # mapping) they were built for
         self._timing: tuple[tuple, tuple[TimingContext, TimingContext]] | None = None
 
-        # forbidden conjunctions, by index: literal count, literals holding
-        # on the trail, and the conjunctions each literal occurs in
+        # learned constraints, by their index in _constraints: literal count
+        # (a nogood's context), literals holding on the trail, and the
+        # constraints each literal occurs in
         self._size: list[int] = []
         self._holding: list[int] = []
         self._watch: dict[tuple, list[int]] = {}  # keyed by _key(literal)
         self._unselected_watched: list[str] = []  # c of every watched sel[c]=false
         self._counted = 0  # constraints already indexed
+        self._nogoods: list[int] = []  # indices of the priority nogoods
+        self._applying: list[PriorityNogood] = []  # the last call's new nogoods with a full count
 
         # the trail: connection levels 0..C-1; once the assignment is
         # complete, level C fixes the structure and level C+1+i the
@@ -179,7 +183,7 @@ class ConstraintStore:
     def next_candidate(self) -> Configuration | None:
         """The next configuration compatible with every constraint, or None
         when the space is exhausted."""
-        cut = self._count_new_forbids()
+        cut = self._count_new()
         forward, self._fresh = self._fresh and not cut, False
         while (candidate := next(self._orders, None)) is None:
             if not self._advance(forward):
@@ -196,25 +200,19 @@ class ConstraintStore:
 
     def _candidates(self, partial: Configuration, threads: list[QualId]) -> Iterator[Configuration]:
         """The baseline order if allowed, then synthesized orders while they
-        are new; synthesis resumes only once a new binding constraint is in."""
-        seen = 0
-
-        def learn() -> list[PriorityNogood]:
-            nonlocal seen
-            fresh = active_priority_constraints(self._constraints[seen:], partial)
-            seen = len(self._constraints)
-            return fresh
+        are new; synthesis resumes only once a new nogood applies here."""
 
         def with_order(order: tuple[QualId, ...]) -> Configuration:
             return Configuration(partial.selected, partial.connections, partial.mapping, order)
 
-        nogoods = learn()
+        constraints, size, holding = self._constraints, self._size, self._holding
+        nogoods = [constraints[k] for k in self._nogoods if holding[k] == size[k]]
         tried: list[tuple[QualId, ...]] = []
         baseline = tuple(threads)
         if _allows(baseline, nogoods):
             tried.append(baseline)
             yield with_order(baseline)
-            nogoods += learn()
+            nogoods += self._applying
         try:
             search = PrioritySearch(threads, self.task_graphs(partial))
         except GraphError:
@@ -225,7 +223,7 @@ class ConstraintStore:
                 return
             tried.append(order)
             yield with_order(order)
-            nogoods = learn()
+            nogoods = self._applying
             if not nogoods:
                 return
 
@@ -263,12 +261,13 @@ class ConstraintStore:
     def _hold(self, keys: list[tuple]) -> bool:
         """Count the literals as holding and record them as the next level,
         unless that completes a forbid."""
+        holding, size, constraints = self._holding, self._size, self._constraints
         hits = [k for key in keys for k in self._watch.get(key, ())]
         for k in hits:
-            self._holding[k] += 1
-        if any(self._holding[k] == self._size[k] for k in hits):
+            holding[k] += 1
+        if any(holding[k] == size[k] and isinstance(constraints[k], ForbidConjunction) for k in hits):
             for k in hits:
-                self._holding[k] -= 1
+                holding[k] -= 1
             return False
         self._held.append(keys)
         return True
@@ -329,34 +328,49 @@ class ConstraintStore:
 
     # --- constraints learned since the last call
 
-    def _count_new_forbids(self) -> bool:
-        """Index the forbids learned since the last call and count their
-        literals on the trail.  If one of them blocks the trail, cut it back
-        to the shallowest level a blocking forbid completes and return
-        True."""
-        fresh = [c for c in self._constraints[self._counted :] if isinstance(c, ForbidConjunction)]
+    def _count_new(self) -> bool:
+        """Index the constraints learned since the last call and count their
+        literals on the trail; keep in `_applying` the new nogoods whose
+        count is full.  If a new forbid blocks the trail, cut it back to the
+        shallowest level a blocking forbid completes and return True."""
+        start = self._counted
+        fresh = self._constraints[start:]
         self._counted = len(self._constraints)
+        self._applying = []
         if not fresh:
             return False
-        for k, forbid in enumerate(fresh, len(self._size)):
-            self._size.append(len(forbid.literals))
-            for lit in forbid.literals:
+        indexed: list[tuple[Constraint, list[tuple]]] = []
+        for k, constraint in enumerate(fresh, start):
+            if isinstance(constraint, ForbidConjunction):
+                literals = constraint.literals
+            else:
+                literals = constraint.context
+                self._nogoods.append(k)
+            keys = []
+            for lit in literals:
                 key = _key(lit)
+                keys.append(key)
                 self._watch.setdefault(key, []).append(k)
                 if isinstance(lit, SelLit) and not lit.value and lit.component not in self._unselected_watched:
                     self._unselected_watched.append(lit.component)
                     if self._structure is not None and lit.component not in self._conn.selected_at:
                         # the complete structure decided it: it holds there
                         self._held[len(self._conn.levels)].append(key)
+            self._size.append(len(keys))
+            indexed.append((constraint, keys))
         trail = {("sel", c, True): -1 for c in self._pinned}
         trail.update({key: level for level, keys in enumerate(self._held) for key in keys})
         cut: int | None = None
-        for forbid in fresh:
-            depths = [trail.get(_key(lit)) for lit in forbid.literals]
+        for constraint, keys in indexed:
+            depths = [trail.get(key) for key in keys]
             self._holding.append(sum(d is not None for d in depths))
-            if None not in depths:
+            if None in depths:
+                continue
+            if isinstance(constraint, ForbidConjunction):
                 level = max(depths, default=-1)
                 cut = level if cut is None else min(cut, level)
+            else:
+                self._applying.append(constraint)
         if cut is None:
             return False
         self._cut_back(cut)

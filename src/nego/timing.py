@@ -47,7 +47,7 @@ from nego.constraints import (
     sort_constraints,
 )
 from nego.model import Configuration, PlatformModel, QualId, qual_str
-from nego.taskgraph import NORMAL, Chain, EventModel, TaskGraph, TaskNode, total_wcet
+from nego.taskgraph import Chain, EventModel, TaskGraph, TaskNode, total_wcet
 
 BUSY_WINDOW = "busy-window"
 SINGLE_BLOCKING = "single-blocking"
@@ -61,8 +61,6 @@ def utilization(graph: TaskGraph, cfg: Configuration, platform: PlatformModel) -
     demand: dict[tuple[str, int], int] = {}
     for chain in graph.chains:
         if chain.event is None:
-            if graph.mode == NORMAL:
-                raise ValueError(f"chain {qual_str(chain.root)} has no resolved period in normal mode")
             continue
         period = chain.event.period
         for node in chain.nodes:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from nego.constraints import ConnLit, ForbidConjunction, PriorityPrecedence, SelLit, configuration_ok
+from nego.constraints import ConnLit, ForbidConjunction, SelLit, configuration_ok
 from nego.controlflow import (
     CallSite,
     CfViolation,
@@ -135,17 +135,13 @@ def invalid_constraints(system: SystemModel, model: str, constraints):
 
 def reference_synthesize(threads, graphs, constraints):
     """The first permutation of the reverse seed order, read bottom-up, on
-    which no priority constraint is violated, or None.  A precedence is
-    checked with `violated_by`, a nogood with `pairs_hold`; contexts are not
-    looked at."""
+    which no priority nogood holds in full (`pairs_hold`), or None;
+    contexts are not looked at."""
     reverse = sorted(set(threads), key=_seed_key(graphs), reverse=True)
     for bottom_up in itertools.permutations(reverse):
         order = bottom_up[::-1]
         ranks = {t: i for i, t in enumerate(order)}
-        if not any(
-            c.violated_by(ranks) if isinstance(c, PriorityPrecedence) else c.pairs_hold(ranks)
-            for c in constraints
-        ):
+        if not any(c.pairs_hold(ranks) for c in constraints):
             return order
     return None
 

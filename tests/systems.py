@@ -1,5 +1,5 @@
-"""Scalable systems written as contract-language text, and a probe that
-watches a constraint store from outside while `negotiate` drives it.
+"""Scalable systems written as contract-language text, and probes that
+watch a constraint store from outside while `negotiate` drives it.
 
 * indep(n, m, k, B, P, w): n components, each one periodic thread (period
   P, jitter 0) of k tasks with WCET w and a latency bound B on the thread,
@@ -26,6 +26,8 @@ import hashlib
 import random
 from typing import Iterable
 
+import nego.space
+from nego.constraints import PriorityNogood
 from nego.dsl import load_software_model
 from nego.model import Configuration, SystemModel, parse_platform, render_configuration
 from nego.negotiation import negotiate
@@ -149,3 +151,48 @@ class StoreProbe:
 
     def stores(self) -> list[ConstraintStore]:
         return list({id(s): s for s, _, _ in self.calls}.values())
+
+
+class NogoodProbe:
+    """Wraps the store's search of one structural partial and the two
+    places its nogoods go, the baseline check and synthesis (install with
+    monkeypatch), and checks at each that the nogoods handed over at the
+    partial so far are the learned nogoods whose context holds there.
+    `PriorityNogood.applies` raises meanwhile: the store must answer from
+    its counts.  `checks` counts the checks by whether a nogood applied."""
+
+    def __init__(self, monkeypatch) -> None:
+        applies = PriorityNogood.applies
+        original_candidates = ConstraintStore._candidates
+        original_allows, original_synthesize = nego.space._allows, nego.space.synthesize_priorities
+        at: dict = {}  # the store, the partial it searches and the nogoods handed there so far
+        self.checks = {"applied": 0, "none": 0}
+
+        def handed(nogoods) -> None:
+            at["given"].update(nogoods)
+            partial = at["partial"]
+            expected = {
+                c for c in at["store"].constraints if isinstance(c, PriorityNogood) and applies(c, partial)
+            }
+            assert at["given"] == expected, partial
+            self.checks["applied" if expected else "none"] += 1
+
+        def candidates(store, partial, threads):
+            at.update(store=store, partial=partial, given=set())
+            return (yield from original_candidates(store, partial, threads))
+
+        def allows(order, nogoods):
+            handed(nogoods)
+            return original_allows(order, nogoods)
+
+        def synthesize(search, nogoods):
+            handed(nogoods)
+            return original_synthesize(search, nogoods)
+
+        def refuse(nogood, cfg):
+            raise AssertionError("PriorityNogood.applies called by the store")
+
+        monkeypatch.setattr(ConstraintStore, "_candidates", candidates)
+        monkeypatch.setattr(nego.space, "_allows", allows)
+        monkeypatch.setattr(nego.space, "synthesize_priorities", synthesize)
+        monkeypatch.setattr(PriorityNogood, "applies", refuse)

@@ -367,6 +367,16 @@ def test_unranked_thread_is_a_clean_error(tmp_path, capsys):
         assert capsys.readouterr().err == "error: thread T.trajectory_calculation_init has no priority\n"
 
 
+def test_thread_ranked_twice_is_a_clean_error(tmp_path, capsys):
+    config = tmp_path / "twice.config"
+    config.write_text((CORPUS / "current.config").read_text() + "6 O2.object_masking_get\n")
+    for command in ("bound", "simulate"):
+        assert cli.main([command, *BASE, "--config", str(config)]) == 2
+        assert capsys.readouterr() == ("", "error: thread O2.object_masking_get is ranked more than once\n")
+    assert cli.main(["validate", *BASE, "--config", str(config)]) == 1
+    assert "[priority_strict]" in capsys.readouterr().out
+
+
 def test_simulate_horizon_below_one_is_a_clean_error(capsys):
     for horizon, sweep in (("0", []), ("-5", []), ("0", ["--sweep"]), ("-5", ["--seed", "3"])):
         argv = ["simulate", *BASE, "--config", str(CORPUS / "current.config"), "--horizon", horizon, *sweep]

@@ -8,7 +8,6 @@ from nego.constraints import (
     PriorityNogood,
     PriorityPrecedence,
     SelLit,
-    active_priority_constraints,
     configuration_ok,
     sort_constraints,
 )
@@ -51,11 +50,13 @@ def test_empty_forbid_blocks_everything():
 
 def test_precedence():
     ok = PriorityPrecedence(("A", "th"), ("B", "th"))
-    assert not ok.violated_by(CFG.ranks())
+    assert not ok.violated_by(CFG)
     bad = PriorityPrecedence(("B", "th"), ("A", "th"))
-    assert bad.violated_by(CFG.ranks())
+    assert bad.violated_by(CFG)
     absent = PriorityPrecedence(("C", "th"), ("A", "th"))
-    assert not absent.violated_by(CFG.ranks())
+    assert not absent.violated_by(CFG)
+    itself = PriorityPrecedence(("A", "th"), ("A", "th"))
+    assert not itself.violated_by(CFG)
 
 
 def test_nogood_requires_context_and_all_pairs():
@@ -90,19 +91,20 @@ def test_configuration_ok():
     assert not configuration_ok(CFG, constraints)
 
 
-def test_active_priority_constraints():
+def test_precedence_is_the_context_free_nogood_on_its_reverse():
     precedence = PriorityPrecedence(("A", "th"), ("B", "th"))
+    assert precedence == PriorityNogood(frozenset(), frozenset({(("B", "th"), ("A", "th"))}))
+    assert precedence.applies(CFG)
+    assert precedence.applies(Configuration(frozenset(), frozenset(), {}, ()))
     applicable = PriorityNogood(frozenset({SelLit("A", True)}), frozenset({(("A", "th"), ("B", "th"))}))
     foreign = PriorityNogood(frozenset({SelLit("Z", True)}), frozenset({(("A", "th"), ("B", "th"))}))
-    forbid = ForbidConjunction(frozenset())
-    folded = PriorityNogood(frozenset(), frozenset({(("B", "th"), ("A", "th"))}))
-    assert active_priority_constraints([precedence, applicable, foreign, forbid], CFG) == [folded, applicable]
+    assert applicable.applies(CFG) and not foreign.applies(CFG)
 
 
 def test_sort_constraints_stable_by_text():
     a = ForbidConjunction(frozenset({SelLit("A", True)}))
-    b = PriorityPrecedence(("A", "th"), ("B", "th"))
-    assert sort_constraints([b, a]) == sort_constraints([a, b])
+    b = PriorityNogood(frozenset({SelLit("A", True)}), frozenset({(("B", "th"), ("A", "th"))}))
+    assert sort_constraints([b, a]) == sort_constraints([a, b]) == [a, b]
 
 
 threads = [("A", "th"), ("B", "th"), ("C", "th"), ("D", "th")]

@@ -3,8 +3,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nego.constraints import PriorityNogood, PriorityPrecedence, active_priority_constraints
-from nego.model import Configuration
+from nego.constraints import PriorityNogood, PriorityPrecedence
 from nego.randsys import random_chain_system, random_software_system
 from nego.sim import worst_observed
 from nego.taskgraph import NORMAL, build_task_graph
@@ -68,21 +67,20 @@ def test_synthesis_output_respects_inputs(seed, constraint_seed):
     nogoods = []
     if len(threads) >= 2:
         for _ in range(rng.randint(0, 2)):
-            above, below = rng.sample(threads, 2)
-            precedences.append(PriorityPrecedence(above, below))
+            precedences.append(tuple(rng.sample(threads, 2)))
         for _ in range(rng.randint(0, 2)):
             pairs = frozenset(
                 tuple(rng.sample(threads, 2)) for _ in range(rng.randint(1, 2))
             )
             nogoods.append(PriorityNogood(frozenset(), pairs))
-    folded = active_priority_constraints(precedences + nogoods, system.config)
-    order = synthesize_priorities(PrioritySearch(threads, [graph]), folded)
+    constraints = [PriorityPrecedence(above, below) for above, below in precedences] + nogoods
+    order = synthesize_priorities(PrioritySearch(threads, [graph]), constraints)
     if order is None:
         return
     assert sorted(order) == threads
     ranks = {t: i for i, t in enumerate(order)}
-    for prec in precedences:
-        assert ranks[prec.above] < ranks[prec.below]
+    for above, below in precedences:
+        assert ranks[above] < ranks[below]
     for ng in nogoods:
         assert not all(ranks[hi] < ranks[lo] for hi, lo in ng.pairs)
 
@@ -111,8 +109,7 @@ pairs = st.tuples(st.sampled_from(POOL), st.sampled_from(POOL))
 def test_synthesis_finds_first_allowed_permutation(threads, nogood_pairs, precedence_pairs):
     constraints = [PriorityNogood(frozenset(), p) for p in nogood_pairs]
     constraints += [PriorityPrecedence(above, below) for above, below in precedence_pairs]
-    folded = active_priority_constraints(constraints, Configuration(frozenset(), frozenset(), {}, ()))
-    order = synthesize_priorities(PrioritySearch(threads, []), folded)
+    order = synthesize_priorities(PrioritySearch(threads, []), constraints)
     assert order == reference_synthesize(threads, [], constraints)
 
 

@@ -24,7 +24,7 @@ from nego.taskgraph import build_task_graph
 from nego.timing import MODELS
 
 from conftest import CORPUS
-from systems import StoreProbe
+from systems import NogoodProbe, StoreProbe
 
 # SHA-256 of the full standard output of `nego negotiate --trace` and the
 # exit code, per corpus request and model.
@@ -108,13 +108,26 @@ def test_negotiation_output_is_pinned():
 MULTI_PARTIAL_DIGEST = "b7de9a0a112a37fec26da81bdd35d08c202d2a54e358c2d2cdd5dbed3bb0906f"
 
 
-def test_multi_partial_search_output_is_pinned():
-    families = [
+def _multi_partial_families():
+    return [
         systems.indep(6, 3, 2, 14, 24, 2),
         systems.indep(7, 2, 2, 14, 24, 2),
         systems.indep(7, 3, 2, 14, 24, 2),
     ]
-    assert systems.negotiation_digest(families) == MULTI_PARTIAL_DIGEST
+
+
+def test_multi_partial_search_output_is_pinned():
+    assert systems.negotiation_digest(_multi_partial_families()) == MULTI_PARTIAL_DIGEST
+
+
+def test_nogoods_handed_to_synthesis_are_those_that_apply(monkeypatch):
+    """Nothing on the verdict path checks a context literal by literal:
+    the store's counts hand synthesis the nogoods that apply."""
+    probe = NogoodProbe(monkeypatch)
+    for system in [*systems.random_systems(300), *_multi_partial_families()]:
+        for model in MODELS:
+            negotiate(system, [], model=model)
+    assert probe.checks["applied"] > 1000 and probe.checks["none"] > 100, probe.checks
 
 
 def test_every_rejection_excludes_its_candidate(monkeypatch):

@@ -30,6 +30,7 @@ from conftest import (
     POST_SELECTED,
 )
 from oracles import assignments
+from systems import NogoodProbe
 
 
 def post_store(software_post, platform):
@@ -123,8 +124,8 @@ def test_precedence_respected(software_post, platform):
 
 
 def test_self_precedence_constrains_nothing(software_post, platform):
-    """A thread never outranks itself, so `PriorityPrecedence.violated_by`
-    never reports a self-precedence, and synthesis ignores it too."""
+    """A thread never outranks itself, so the nogood a self-precedence
+    makes never holds, and synthesis ignores it too."""
     demote_first = PriorityNogood(frozenset(), frozenset({(LEX_ORDER[0], LEX_ORDER[1])}))
     plain = post_store(software_post, platform)
     plain.add_constraint(demote_first)
@@ -264,6 +265,33 @@ def test_forbids_learned_between_calls_cut_exactly():
         for partial in space:
             if not any(f.blocks(partial) for f in forbids):
                 assert _partial_key(partial) in proposed, seed
+
+
+def test_nogoods_learned_between_calls_apply_by_their_counts(monkeypatch):
+    # Nogoods over random contexts, drawn like the forbids above, are
+    # learned between calls, with a forbid now and then to move the trail:
+    # at every partial the store hands synthesis exactly the nogoods whose
+    # context holds there.
+    probe = NogoodProbe(monkeypatch)
+    for seed in range(200):
+        rng = random.Random(seed)
+        system = random_software_system(random.Random(seed))
+        software, platform = system.software, system.platform
+        space = list(_structural_space(software, platform))
+        store = ConstraintStore(software, platform, pinned_components(software))
+        while len(store.constraints) < 40 and (cfg := store.next_candidate()) is not None:
+            literals = _literals(cfg, software)
+            if rng.random() < 0.5:
+                literals += _literals(rng.choice(space), software)
+            order = cfg.priorities
+            if len(order) >= 2:
+                hi, lo = sorted(rng.sample(range(len(order)), 2))
+                context = frozenset(rng.sample(literals, rng.randint(0, min(3, len(literals)))))
+                store.add_constraint(PriorityNogood(context, frozenset({(order[hi], order[lo])})))
+            if rng.random() < 0.3:
+                k = rng.randint(1, min(3, len(literals)))
+                store.add_constraint(ForbidConjunction(frozenset(rng.sample(literals, k))))
+    assert probe.checks["applied"] > 500 and probe.checks["none"] > 150, probe.checks
 
 
 def _proposals(store, learn=()):

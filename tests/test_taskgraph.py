@@ -1,12 +1,16 @@
+import random
+
 import pytest
 
 import systems
 from nego.dsl import load_software_model
-from nego.model import Configuration, Rejected, SystemModel, parse_platform
+from nego.model import Configuration, Rejected, SystemModel, parse_platform, pinned_components
 from nego.negotiation import negotiate
+from nego.randsys import random_software_system
 from nego.taskgraph import (
     CycleError,
     EventModel,
+    GraphError,
     INITIALIZATION,
     NORMAL,
     StructuralError,
@@ -14,6 +18,8 @@ from nego.taskgraph import (
     render_graph,
     total_wcet,
 )
+
+from oracles import assignments
 
 
 def qs(chain):
@@ -187,6 +193,24 @@ def test_signal_forks_new_chain():
     assert qs(forked) == ["B.b"]
     assert forked.triggered_by == (("A", "t"), 1)
     assert forked.event == graph.chain(("A", "t")).event
+
+
+def test_every_normal_mode_chain_has_an_event_model():
+    # A normal root is time-activated and a fork takes its trigger's event
+    # model (`test_signal_forks_new_chain`; the random systems fork
+    # nothing), so `timing.utilization` finds a period on every normal chain.
+    chains = 0
+    for seed in range(300):
+        software = random_software_system(random.Random(seed)).software
+        for selected, conns in assignments(software, pinned_components(software)):
+            connections = frozenset((c, s, p) for (c, s), p in conns.items())
+            try:
+                graph = build_task_graph(software, Configuration(selected, connections, {}, ()), NORMAL)
+            except GraphError:
+                continue
+            assert all(chain.event is not None for chain in graph.chains), seed
+            chains += len(graph.chains)
+    assert chains > 250
 
 
 def test_entry_thread_signalled_by_two_chains_is_structural():

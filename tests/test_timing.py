@@ -10,7 +10,6 @@ from nego.constraints import (
     MapLit,
     PriorityNogood,
     PriorityPrecedence,
-    active_priority_constraints,
 )
 from nego.dsl import load_software_model
 from nego.model import Accepted, Configuration, parse_platform
@@ -480,8 +479,7 @@ def test_accumulated_busy_window_feedback_unsatisfiable(software_post, cfg_lane_
 
 def test_synthesis_respects_precedence(software_post, cfg_lane_on_o2_lex):
     graphs = _post_graphs(software_post, cfg_lane_on_o2_lex)
-    prec = active_priority_constraints([PriorityPrecedence(TCI, INIT)], cfg_lane_on_o2_lex)
-    order = synthesize_priorities(PrioritySearch(LEX_ORDER, graphs), prec)
+    order = synthesize_priorities(PrioritySearch(LEX_ORDER, graphs), [PriorityPrecedence(TCI, INIT)])
     assert order is not None
     assert order.index(TCI) < order.index(INIT)
     # everything else keeps the seed arrangement
@@ -490,9 +488,7 @@ def test_synthesis_respects_precedence(software_post, cfg_lane_on_o2_lex):
 
 def test_synthesis_conflicting_precedences_unsat(software_post, cfg_lane_on_o2_lex):
     graphs = _post_graphs(software_post, cfg_lane_on_o2_lex)
-    prec = active_priority_constraints(
-        [PriorityPrecedence(TCI, INIT), PriorityPrecedence(INIT, TCI)], cfg_lane_on_o2_lex
-    )
+    prec = [PriorityPrecedence(TCI, INIT), PriorityPrecedence(INIT, TCI)]
     assert synthesize_priorities(PrioritySearch(LEX_ORDER, graphs), prec) is None
 
 
