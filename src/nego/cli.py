@@ -187,6 +187,10 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    given = [flag for flag, on in (("--seed", args.seed is not None), ("--trace", args.trace)) if on]
+    if args.sweep and given:
+        print(f"error: --sweep cannot be combined with {' and '.join(given)}", file=sys.stderr)
+        return 2
     software = _load_software(args)
     config = _load_config(args)
     graphs = _task_graphs(software, config, (args.mode,))

@@ -1,10 +1,22 @@
 """Constraints over the configuration space.
 
 Analysis engines reject candidates by emitting constraints; the store prunes
-every later candidate against them.  Two kinds exist: forbidden literal
-conjunctions (structural nogoods), and priority nogoods whose pair set must
-not hold in full while their structural context matches.  A precedence is
-the nogood with no context and the one pair that reverses it.
+every later candidate against them.  Constraints are built from literals,
+each a tuple led by its kind:
+
+    ("sel", component, value)            component selected (True) or not
+    ("conn", client, service, provider)  the client's service routed there
+    ("map", component, task, resource)   the task mapped onto the resource
+
+The store's trail builds and hashes the same tuples for the choices it
+makes, so a learned literal is its own key there.  The leading kind keeps
+literals of different kinds apart whatever their fields.  `holds` and
+`literal_text` are the only readers.
+
+Two kinds of constraint exist: forbidden literal conjunctions (structural
+nogoods), and priority nogoods whose pair set must not hold in full while
+their structural context matches.  A precedence is the nogood with no
+context and the one pair that reverses it.
 """
 
 from __future__ import annotations
@@ -16,45 +28,37 @@ from typing import Iterable, Mapping
 from nego.model import Configuration, QualId, qual_str
 
 
-@dataclass(frozen=True)
-class SelLit:
-    component: str
-    value: bool
-
-    def holds(self, cfg: Configuration) -> bool:
-        return (self.component in cfg.selected) == self.value
-
-    def __str__(self) -> str:
-        return f"sel[{self.component}]={'true' if self.value else 'false'}"
+Literal = tuple  # ("sel", ...), ("conn", ...) or ("map", ...)
 
 
-@dataclass(frozen=True)
-class ConnLit:
-    client: str
-    service: str
-    provider: str
-
-    def holds(self, cfg: Configuration) -> bool:
-        return (self.client, self.service, self.provider) in cfg.connections
-
-    def __str__(self) -> str:
-        return f"conn[{self.client},{self.service}]={self.provider}"
+def SelLit(component: str, value: bool) -> Literal:
+    return ("sel", component, value)
 
 
-@dataclass(frozen=True)
-class MapLit:
-    component: str
-    task: str
-    resource: str
-
-    def holds(self, cfg: Configuration) -> bool:
-        return cfg.mapping.get((self.component, self.task)) == self.resource
-
-    def __str__(self) -> str:
-        return f"map[{self.component}.{self.task}]={self.resource}"
+def ConnLit(client: str, service: str, provider: str) -> Literal:
+    return ("conn", client, service, provider)
 
 
-Literal = SelLit | ConnLit | MapLit
+def MapLit(component: str, task: str, resource: str) -> Literal:
+    return ("map", component, task, resource)
+
+
+def holds(lit: Literal, cfg: Configuration) -> bool:
+    kind = lit[0]
+    if kind == "conn":
+        return lit[1:] in cfg.connections
+    if kind == "map":
+        return cfg.mapping.get(lit[1:3]) == lit[3]
+    return (lit[1] in cfg.selected) == lit[2]
+
+
+def literal_text(lit: Literal) -> str:
+    kind = lit[0]
+    if kind == "conn":
+        return f"conn[{lit[1]},{lit[2]}]={lit[3]}"
+    if kind == "map":
+        return f"map[{lit[1]}.{lit[2]}]={lit[3]}"
+    return f"sel[{lit[1]}]={'true' if lit[2] else 'false'}"
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,7 @@ class ForbidConjunction:
     literals: frozenset[Literal]
 
     def blocks(self, cfg: Configuration) -> bool:
-        return all(lit.holds(cfg) for lit in self.literals)
+        return all(holds(lit, cfg) for lit in self.literals)
 
     def __str__(self) -> str:
         return self._text
@@ -75,7 +79,7 @@ class ForbidConjunction:
     @cached_property
     def _text(self) -> str:
         # rendered once: constraints are sorted by their text, more than once
-        return "forbid{" + ", ".join(sorted(str(l) for l in self.literals)) + "}"
+        return "forbid{" + ", ".join(sorted(map(literal_text, self.literals))) + "}"
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,7 @@ class PriorityNogood:
     pairs: frozenset[tuple[QualId, QualId]]
 
     def applies(self, cfg: Configuration) -> bool:
-        return all(lit.holds(cfg) for lit in self.context)
+        return all(holds(lit, cfg) for lit in self.context)
 
     def violated_by(self, cfg: Configuration, ranks: Mapping[QualId, int] | None = None) -> bool:
         if not self.applies(cfg):
@@ -111,7 +115,7 @@ class PriorityNogood:
     @cached_property
     def _text(self) -> str:
         pairs = ", ".join(sorted(f"{qual_str(t)} above {qual_str(m)}" for t, m in self.pairs))
-        ctx = ", ".join(sorted(str(l) for l in self.context))
+        ctx = ", ".join(sorted(map(literal_text, self.context)))
         return f"priority-nogood{{{pairs}}} given {{{ctx}}}"
 
 

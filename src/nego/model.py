@@ -374,7 +374,10 @@ def parse_configuration(text: str) -> Configuration:
             parts = [p.strip() for p in line.split("->")]
             if len(parts) != 2:
                 raise ModelError(f"configuration line {lineno}: expected 'component.task -> resource'")
-            mapping[parse_qual(parts[0])] = parts[1]
+            task = parse_qual(parts[0])
+            if task in mapping:
+                raise ModelError(f"configuration line {lineno}: task {qual_str(task)} mapped twice")
+            mapping[task] = parts[1]
         elif section == "[priorities]":
             parts = line.split()
             if len(parts) != 2 or not parts[0].isdecimal():

@@ -132,13 +132,7 @@ class Evaluation:
         return "utilization overload" if failed is None else failed.line()
 
 
-def evaluate(
-    software: SoftwareModel,
-    platform: PlatformModel,
-    store: ConstraintStore,
-    cfg: Configuration,
-    model: str,
-) -> Evaluation:
+def evaluate(software: SoftwareModel, store: ConstraintStore, cfg: Configuration, model: str) -> Evaluation:
     """Run the viewpoint analyses on a well-formed configuration."""
     violations = check_control_flow(software, cfg)
     if violations:
@@ -204,7 +198,7 @@ def negotiate(
         if reason:
             trace.append(("revalidation", reason))
         else:
-            result = evaluate(software, platform, store, current, model)
+            result = evaluate(software, store, current, model)
             trace.append(("revalidation", result))
             if result.layer is None:
                 return (
@@ -224,7 +218,7 @@ def negotiate(
         count += 1
         trace.append(("candidate", candidate))
 
-        result = evaluate(software, platform, store, candidate, model)
+        result = evaluate(software, store, candidate, model)
         trace.append(("evaluation", result))
         if result.layer is None:
             trace.append(("accept", None))

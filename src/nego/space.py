@@ -21,7 +21,9 @@ stopped.  Candidates come out in a fixed order:
   backtracking search, and every rejection excludes its candidate, so no
   order that the constraints allow is skipped.
 
-Every learned constraint is counted on the trail: each literal keeps the
+Every learned constraint is counted on the trail.  Literals are the tuples
+of `constraints.py`, and the trail builds the same tuples for its choices,
+so a learned literal is looked up as it is: each literal keeps the
 constraints it occurs in (a forbid's literals, a nogood's context), each
 constraint counts its literals that hold on the trail, and the count is
 kept as the trail moves.  A forbid is checked at the level that decides
@@ -84,16 +86,6 @@ def _threads(software: SoftwareModel, selected: frozenset[str]) -> list[QualId]:
     )
 
 
-def _key(lit: Literal) -> tuple:
-    """The literal as a plain tuple, which the trail builds and hashes for
-    every choice it makes."""
-    if isinstance(lit, ConnLit):
-        return ("conn", lit.client, lit.service, lit.provider)
-    if isinstance(lit, MapLit):
-        return ("map", lit.component, lit.task, lit.resource)
-    return ("sel", lit.component, lit.value)
-
-
 def _allows(order: tuple[QualId, ...], nogoods: Sequence[PriorityNogood]) -> bool:
     ranks = {t: i for i, t in enumerate(order)}
     return not any(ng.pairs_hold(ranks) for ng in nogoods)
@@ -119,7 +111,7 @@ class ConstraintStore:
         # constraints each literal occurs in
         self._size: list[int] = []
         self._holding: list[int] = []
-        self._watch: dict[tuple, list[int]] = {}  # keyed by _key(literal)
+        self._watch: dict[Literal, list[int]] = {}
         self._unselected_watched: list[str] = []  # c of every watched sel[c]=false
         self._counted = 0  # constraints already indexed
         self._nogoods: list[int] = []  # indices of the priority nogoods
@@ -127,9 +119,9 @@ class ConstraintStore:
 
         # the trail: connection levels 0..C-1; once the assignment is
         # complete, level C fixes the structure and level C+1+i the
-        # resource of task i.  _held[level] lists the keys that level's
+        # resource of task i.  _held[level] lists the literals that level's
         # choice made hold.
-        self._held: list[list[tuple]] = []
+        self._held: list[list[Literal]] = []
         self._conn = ConnectionSearch(connection_candidates(software, self._pinned), software.interfaces)
         self._structure: Structure | None = None
         self._threads: list[QualId] = []
@@ -258,33 +250,33 @@ class ConstraintStore:
                     conn.retract()
                     forward = self._choose_connection()
 
-    def _hold(self, keys: list[tuple]) -> bool:
+    def _hold(self, literals: list[Literal]) -> bool:
         """Count the literals as holding and record them as the next level,
         unless that completes a forbid."""
         holding, size, constraints = self._holding, self._size, self._constraints
-        hits = [k for key in keys for k in self._watch.get(key, ())]
+        hits = [k for lit in literals for k in self._watch.get(lit, ())]
         for k in hits:
             holding[k] += 1
         if any(holding[k] == size[k] and isinstance(constraints[k], ForbidConjunction) for k in hits):
             for k in hits:
                 holding[k] -= 1
             return False
-        self._held.append(keys)
+        self._held.append(literals)
         return True
 
-    def _release(self, *keys: tuple) -> None:
-        for key in keys:
-            for k in self._watch.get(key, ()):
+    def _release(self, *literals: Literal) -> None:
+        for lit in literals:
+            for k in self._watch.get(lit, ()):
                 self._holding[k] -= 1
 
     def _choose_connection(self) -> bool:
         conn = self._conn
         while conn.choose_next():
             client, service, provider = conn.choice()
-            keys = [("conn", client, service, provider)]
+            literals = [ConnLit(client, service, provider)]
             if conn.selected_at[provider] == len(conn.levels) - 1:
-                keys.append(("sel", provider, True))
-            if self._hold(keys):
+                literals.append(SelLit(provider, True))
+            if self._hold(literals):
                 return True
             conn.retract()
         return False
@@ -301,7 +293,7 @@ class ConstraintStore:
             for step in thread.tasks()
         )
         pools = [self._resources.get(rtype, ()) for _, rtype in tasks]
-        unselected = [("sel", c, False) for c in self._unselected_watched if c not in selected]
+        unselected = [SelLit(c, False) for c in self._unselected_watched if c not in selected]
         if not all(pools) or not self._hold(unselected):
             return False
         self._structure = (selected, self._conn.connections())
@@ -320,7 +312,7 @@ class ConstraintStore:
         comp, task = self._tasks[i]
         pool = self._pools[i]
         for index in range(self._choice[i] + 1, len(pool)):
-            if self._hold([("map", comp, task, pool[index])]):
+            if self._hold([MapLit(comp, task, pool[index])]):
                 self._choice[i] = index
                 return True
         self._choice.pop()
@@ -339,30 +331,27 @@ class ConstraintStore:
         self._applying = []
         if not fresh:
             return False
-        indexed: list[tuple[Constraint, list[tuple]]] = []
+        indexed: list[tuple[Constraint, frozenset[Literal]]] = []
         for k, constraint in enumerate(fresh, start):
             if isinstance(constraint, ForbidConjunction):
                 literals = constraint.literals
             else:
                 literals = constraint.context
                 self._nogoods.append(k)
-            keys = []
             for lit in literals:
-                key = _key(lit)
-                keys.append(key)
-                self._watch.setdefault(key, []).append(k)
-                if isinstance(lit, SelLit) and not lit.value and lit.component not in self._unselected_watched:
-                    self._unselected_watched.append(lit.component)
-                    if self._structure is not None and lit.component not in self._conn.selected_at:
+                self._watch.setdefault(lit, []).append(k)
+                if lit[0] == "sel" and not lit[2] and lit[1] not in self._unselected_watched:
+                    self._unselected_watched.append(lit[1])
+                    if self._structure is not None and lit[1] not in self._conn.selected_at:
                         # the complete structure decided it: it holds there
-                        self._held[len(self._conn.levels)].append(key)
-            self._size.append(len(keys))
-            indexed.append((constraint, keys))
-        trail = {("sel", c, True): -1 for c in self._pinned}
-        trail.update({key: level for level, keys in enumerate(self._held) for key in keys})
+                        self._held[len(self._conn.levels)].append(lit)
+            self._size.append(len(literals))
+            indexed.append((constraint, literals))
+        trail = {SelLit(c, True): -1 for c in self._pinned}
+        trail.update({lit: level for level, held in enumerate(self._held) for lit in held})
         cut: int | None = None
-        for constraint, keys in indexed:
-            depths = [trail.get(key) for key in keys]
+        for constraint, literals in indexed:
+            depths = [trail.get(lit) for lit in literals]
             self._holding.append(sum(d is not None for d in depths))
             if None in depths:
                 continue

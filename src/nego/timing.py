@@ -18,11 +18,11 @@ preempt a span on a resource are those ranked above its lowest-priority
 thread, a prefix found by bisection, so a span's demand per event model is
 one prefix sum per resource, less its own chain's tasks.  The recurrence
 then evaluates `eta` once per event model, not once per interferer, and
-wide systems are analysed in near-linear time.  The feedback literals of a
-task or a chain are built when a failing span first needs them and kept
-for the orders that follow.  The public `chain_latency_bound` answers one
-span with one pass over the other chains and builds no context; both share
-the busy-window loop, so they agree.
+wide systems are analysed in near-linear time.  A failing span builds its
+feedback literals, the tuples of `constraints.py`, straight from its
+chains' connections and its tasks' mapping.  The public
+`chain_latency_bound` answers one span with one pass over the other chains
+and builds no context; both share the busy-window loop, so they agree.
 
 Priority synthesis resumes: a `PrioritySearch` keeps its placement stack
 and nogood counts between steps over one thread set, so a step given new
@@ -197,8 +197,7 @@ class TimingContext:
     of one mode, the partial's mapping and the platform: the utilization
     and overloaded resources, the iteration cap, one `_Span` per reported
     span, and per resource and event model the thread and WCET of each
-    task there.  `map_lit` and `conn_lits` build feedback literals on
-    first use and keep them."""
+    task there."""
 
     def __init__(self, graph: TaskGraph, cfg: Configuration, platform: PlatformModel) -> None:
         self.graph = graph
@@ -209,8 +208,6 @@ class TimingContext:
         self.spans: list[_Span] = []
         # per resource and event model, (thread, WCET) of each task there
         self.groups: dict[str, dict[EventModel | None, list[tuple[QualId, int]]]] = {}
-        self._maps: dict[QualId, MapLit] = {}
-        self._conns: dict[QualId, frozenset[ConnLit]] = {}
         if self.overloaded:
             return  # no latency is bounded
         mapping = cfg.mapping
@@ -243,18 +240,6 @@ class TimingContext:
                     )
                 own = sum(n.wcet for n in span)
                 self.spans.append(_Span(chain, bound, target, span, own, resources, span_threads, same))
-
-    def map_lit(self, node: TaskNode) -> MapLit:
-        lit = self._maps.get(node.task_id)
-        if lit is None:
-            lit = self._maps[node.task_id] = MapLit(node.component, node.task, self.mapping[node.task_id])
-        return lit
-
-    def conn_lits(self, chain: Chain) -> frozenset[ConnLit]:
-        lits = self._conns.get(chain.root)
-        if lits is None:
-            lits = self._conns[chain.root] = frozenset(ConnLit(*edge) for edge in chain.connections_used)
-        return lits
 
 
 def _span_bound(
@@ -337,8 +322,8 @@ def _overload_forbid(context: TimingContext, resource: str) -> ForbidConjunction
         on_resource = [n for n in chain.nodes if context.mapping[n.task_id] == resource]
         if not on_resource:
             continue
-        literals |= context.conn_lits(chain)
-        literals.update(context.map_lit(n) for n in on_resource)
+        literals.update(ConnLit(*edge) for edge in chain.connections_used)
+        literals.update(MapLit(n.component, n.task, resource) for n in on_resource)
     return ForbidConjunction(frozenset(literals))
 
 
@@ -348,15 +333,16 @@ def _latency_feedback(
     interferers: Sequence[tuple[Chain, list[TaskNode]]],
     ranks: Mapping[QualId, int],
 ) -> list[Constraint]:
-    range_maps = {context.map_lit(n) for n in span.nodes}
+    mapping = context.mapping
+    literals: set[Literal] = {ConnLit(*edge) for edge in span.chain.connections_used}
+    literals.update(MapLit(n.component, n.task, mapping[n.task_id]) for n in span.nodes)
     if span.own > span.bound or not interferers:
         # No demotion can help: the range alone exceeds the bound, or
         # nothing preempts it.
-        return [ForbidConjunction(frozenset(context.conn_lits(span.chain) | range_maps))]
-    literals: set[Literal] = set(context.conn_lits(span.chain)) | range_maps
+        return [ForbidConjunction(frozenset(literals))]
     for other, tasks in interferers:
-        literals |= context.conn_lits(other)
-        literals.update(context.map_lit(n) for n in tasks)
+        literals.update(ConnLit(*edge) for edge in other.connections_used)
+        literals.update(MapLit(n.component, n.task, mapping[n.task_id]) for n in tasks)
     nogood_context = frozenset(literals)
     floor_thread = max(span.threads, key=lambda t: ranks[t])
     interfering_threads = sorted({n.thread for _, tasks in interferers for n in tasks})

@@ -377,6 +377,25 @@ def test_thread_ranked_twice_is_a_clean_error(tmp_path, capsys):
     assert "[priority_strict]" in capsys.readouterr().out
 
 
+def test_task_mapped_twice_is_a_clean_error(tmp_path, capsys):
+    config = tmp_path / "twice.config"
+    text = (CORPUS / "current.config").read_text().replace("P.p1 -> CPU1\n", "P.p1 -> CPU1\nP.p1 -> CPU9\n")
+    config.write_text(text)
+    line = text.splitlines().index("P.p1 -> CPU9") + 1
+    assert cli.main(["validate", *BASE, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: configuration line {line}: task P.p1 mapped twice\n"
+
+
+@pytest.mark.parametrize(
+    "extra, flags",
+    [(["--seed", "3"], "--seed"), (["--trace"], "--trace"), (["--seed", "3", "--trace"], "--seed and --trace")],
+)
+def test_simulate_sweep_takes_no_seed_or_trace(capsys, extra, flags):
+    argv = ["simulate", *BASE, "--config", str(CORPUS / "current.config"), "--sweep", *extra]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: --sweep cannot be combined with {flags}\n")
+
+
 def test_simulate_horizon_below_one_is_a_clean_error(capsys):
     for horizon, sweep in (("0", []), ("-5", []), ("0", ["--sweep"]), ("-5", ["--seed", "3"])):
         argv = ["simulate", *BASE, "--config", str(CORPUS / "current.config"), "--horizon", horizon, *sweep]

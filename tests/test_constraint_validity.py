@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 import nego.timing
-from nego.constraints import ConnLit, MapLit, PriorityNogood
+from nego.constraints import MapLit, PriorityNogood
 from nego.dsl import load_software_model
 from nego.model import SystemModel, parse_platform
 from nego.negotiation import negotiate
@@ -76,7 +76,7 @@ def _without_interferer_maps(feedback):
 def _without_connections(overload_forbid):
     def mutant(context, resource):
         forbid = overload_forbid(context, resource)
-        return replace(forbid, literals=frozenset(l for l in forbid.literals if not isinstance(l, ConnLit)))
+        return replace(forbid, literals=frozenset(l for l in forbid.literals if l[0] != "conn"))
 
     return mutant
 

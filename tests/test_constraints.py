@@ -9,6 +9,8 @@ from nego.constraints import (
     PriorityPrecedence,
     SelLit,
     configuration_ok,
+    holds,
+    literal_text,
     sort_constraints,
 )
 from nego.model import Configuration
@@ -22,19 +24,31 @@ CFG = Configuration(
 
 
 def test_literal_holds():
-    assert SelLit("A", True).holds(CFG)
-    assert SelLit("C", False).holds(CFG)
-    assert not SelLit("A", False).holds(CFG)
-    assert ConnLit("A", "s", "B").holds(CFG)
-    assert not ConnLit("B", "s", "A").holds(CFG)
-    assert MapLit("A", "t1", "R1").holds(CFG)
-    assert not MapLit("A", "t1", "R2").holds(CFG)
+    assert holds(SelLit("A", True), CFG)
+    assert holds(SelLit("C", False), CFG)
+    assert not holds(SelLit("A", False), CFG)
+    assert holds(ConnLit("A", "s", "B"), CFG)
+    assert not holds(ConnLit("B", "s", "A"), CFG)
+    assert holds(MapLit("A", "t1", "R1"), CFG)
+    assert not holds(MapLit("A", "t1", "R2"), CFG)
 
 
 def test_literal_strings():
-    assert str(SelLit("A", False)) == "sel[A]=false"
-    assert str(ConnLit("A", "s", "B")) == "conn[A,s]=B"
-    assert str(MapLit("A", "t1", "R1")) == "map[A.t1]=R1"
+    assert literal_text(SelLit("A", False)) == "sel[A]=false"
+    assert literal_text(ConnLit("A", "s", "B")) == "conn[A,s]=B"
+    assert literal_text(MapLit("A", "t1", "R1")) == "map[A.t1]=R1"
+
+
+def test_literal_kinds_stay_distinct():
+    conn, mapped = ConnLit("A", "s", "B"), MapLit("A", "s", "B")
+    assert conn != mapped
+    assert len(frozenset({conn, mapped})) == 2
+    as_conn, as_map = ForbidConjunction(frozenset({conn})), ForbidConjunction(frozenset({mapped}))
+    assert as_conn != as_map
+    assert len({as_conn, as_map}) == 2
+    assert str(as_conn) == "forbid{conn[A,s]=B}" and str(as_map) == "forbid{map[A.s]=B}"
+    pairs = frozenset({(("A", "th"), ("B", "th"))})
+    assert PriorityNogood(frozenset({conn}), pairs) != PriorityNogood(frozenset({mapped}), pairs)
 
 
 def test_forbid_blocks_only_full_match():
