@@ -25,6 +25,7 @@ from nego.model import (
     parse_configuration,
     parse_platform,
     pinned_components,
+    provider_faults,
     qual_str,
     render_configuration,
     resolve_names,
@@ -134,10 +135,14 @@ def _task_graphs(
     software, config: Configuration, modes: tuple[str, ...], platform=None, scheduled: bool = True
 ) -> list[TaskGraph] | None:
     """Task graphs of the configuration in each mode, or None after printing
-    the structural fault of the first mode that has one.  With `scheduled`,
-    every task of a graph must be mapped and every thread ranked once; the
-    first that is not raises ModelError."""
+    the structural fault of the first mode that has one.  The first (client,
+    service) connected to more than one provider raises ModelError.  With
+    `scheduled`, every task of a graph must be mapped and every thread
+    ranked once; the first that is not raises ModelError too."""
     resolve_names(config, software, platform)
+    routed_twice = provider_faults(config, {(c1, s) for c1, s, _ in config.connections})
+    if routed_twice:
+        raise ModelError("%s: %s" % routed_twice[0])
     ranks = config.ranks()
     if scheduled and len(ranks) < len(config.priorities):
         twice = next(t for i, t in enumerate(config.priorities) if t in config.priorities[:i])

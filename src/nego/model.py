@@ -93,13 +93,11 @@ class Configuration:
 
     @cached_property
     def _providers(self) -> dict[tuple[str, str], str]:
-        # first connection per (client, service) in iteration order, as a
-        # scan would find it, so even an ill-formed configuration that
-        # routes a pair twice answers consistently
-        providers: dict[tuple[str, str], str] = {}
-        for c1, s, c2 in self.connections:
-            providers.setdefault((c1, s), c2)
-        return providers
+        # every caller passes at most one provider per (client, service):
+        # the search proposes one, and a loaded configuration is refused
+        # first if it routes a pair twice (by the revalidation's condition 2
+        # in negotiate, by cli._task_graphs in graph, bound and simulate)
+        return {(c1, s): c2 for c1, s, c2 in self.connections}
 
     def provider_of(self, client: str, service: str) -> str | None:
         return self._providers.get((client, service))
@@ -224,6 +222,17 @@ def resolve_names(
             raise ModelError(f"component {comp!r} has no thread {thread!r}")
 
 
+def provider_faults(cfg: Configuration, pairs) -> list[tuple[str, str]]:
+    """(subject, message) of each (client, service) of `pairs`, in sorted
+    order, that is not connected to exactly one provider: condition 2."""
+    counts = Counter((c1, s) for c1, s, _ in cfg.connections)
+    return [
+        (f"{c1} -> {s}", f"{counts[c1, s]} providers connected, need exactly 1")
+        for c1, s in sorted(pairs)
+        if counts[c1, s] != 1
+    ]
+
+
 def check_well_formed(
     cfg: Configuration, software: SoftwareModel, platform: PlatformModel
 ) -> list[Violation]:
@@ -249,11 +258,9 @@ def check_well_formed(
             bad("1", subject, f"{c2} does not provide {s}")
 
     # 2: exactly one provider per required service of every selected component.
-    providers = Counter((c1, s) for c1, s, _ in cfg.connections)
-    for c1 in sorted(cfg.selected):
-        for s in sorted(software.contracts[c1].requires):
-            if providers[c1, s] != 1:
-                bad("2", f"{c1} -> {s}", f"{providers[c1, s]} providers connected, need exactly 1")
+    required = {(c1, s) for c1 in cfg.selected for s in software.contracts[c1].requires}
+    for subject, message in provider_faults(cfg, required):
+        bad("2", subject, message)
 
     # 3: mapping covers exactly the tasks of selected components, type-compatibly.
     expected_tasks = {

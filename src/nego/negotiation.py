@@ -12,11 +12,12 @@ component.  Each rejection of a candidate feeds its constraints back into
 the store, so no failing region is visited twice.
 
 The device needs the verdict; the trace is an audit record read on
-request.  So `negotiate` records what happened as events that hold the
-objects it already has (the request, the `Configuration`, the `Evaluation`,
-the `Constraint`), and the trace text is rendered from them only when
-`NegotiationTrace.lines` is first read.  An `Evaluation` likewise renders
-its report lines and reason only when they are read.
+request.  So `negotiate` keeps one record of the objects it already has:
+the requests, the revalidation, each candidate with its `Evaluation` (which
+holds the constraints it fed back) and how the search ended.  The trace
+text is rendered from that record only when `NegotiationTrace.lines` is
+first read.  An `Evaluation` likewise renders its report lines and reason
+only when they are read.
 """
 
 from __future__ import annotations
@@ -51,47 +52,42 @@ from nego.timing import BUSY_WINDOW, MODELS, check_timing
 DEFAULT_BUDGET = 10000
 
 
-# One step of a negotiation, as (kind, value):
-#   ("request", UpdateRequest)           ("revalidation", str | Evaluation)
-#   ("candidate", Configuration)         ("evaluation", Evaluation)
-#   ("constraint", Constraint)           ("reject", layer)
-#   ("accept", None)   ("exhausted", None)   ("budget", budget)
-# Candidates are numbered in the order their events occur.
-Event = tuple[str, object]
-
-
 @dataclass(frozen=True)
 class NegotiationTrace:
-    events: tuple[Event, ...]
-    candidates: int
+    """What one negotiation did, in the order it did it: the requests, the
+    revalidation of the current configuration (why it could not be
+    evaluated, its `Evaluation`, or None without one), one (candidate, its
+    `Evaluation`) step per candidate, numbered from 1, and how a search that
+    accepted nothing ended: "exhausted", "budget", or None."""
+
+    requests: tuple[UpdateRequest, ...]
+    revalidation: str | Evaluation | None
+    steps: tuple[tuple[Configuration, Evaluation], ...]
+    end: str | None
+
+    @property
+    def candidates(self) -> int:
+        return len(self.steps)
 
     @cached_property
     def lines(self) -> tuple[str, ...]:
         """The trace text, one line per entry, rendered on first read."""
-        out: list[str] = []
-        count = 0
-        for kind, value in self.events:
-            if kind == "request":
-                out.append(f"request: {value.change} {value.contract.component}")
-            elif kind == "revalidation":
-                reason = value if isinstance(value, str) else value.reason
-                out.append(f"revalidation: {reason or 'ok'}")
-            elif kind == "candidate":
-                count += 1
-                out.append(f"candidate {count}")
-                _describe(value, out)
-            elif kind == "evaluation":
-                out.extend("  " + line for line in value.lines)
-            elif kind == "constraint":
-                out.append(f"  constraint: {value}")
-            elif kind == "reject":
-                out.append(f"  reject: {value}")
-            elif kind == "accept":
-                out.append(f"accept: candidate {count}")
-            elif kind == "exhausted":
-                out.append(f"exhausted: {count} candidates tried")
+        out = [f"request: {r.change} {r.contract.component}" for r in self.requests]
+        reval = self.revalidation
+        if reval is not None:
+            reason = reval if isinstance(reval, str) else reval.reason
+            out.append(f"revalidation: {reason or 'ok'}")
+        for number, (candidate, result) in enumerate(self.steps, 1):
+            out.append(f"candidate {number}")
+            _describe(candidate, out)
+            out.extend("  " + line for line in result.lines)
+            if result.layer is None:
+                out.append(f"accept: candidate {number}")
             else:
-                out.append(f"budget: {value} candidates tried")
+                out.extend(f"  constraint: {c}" for c in result.constraints)
+                out.append(f"  reject: {result.layer}")
+        if self.end is not None:
+            out.append(f"{self.end}: {self.candidates} candidates tried")
         return tuple(out)
 
     def text(self) -> str:
@@ -186,50 +182,33 @@ def negotiate(
 ) -> tuple[Answer, NegotiationTrace]:
     if model not in MODELS:
         raise ValueError(f"unknown interference model {model!r}")
-    trace: list[Event] = [("request", request) for request in requests]
     software = apply_updates(system.software, requests)
     pinned = pinned_components(software)
     platform = system.platform
     current = system.config
     store = ConstraintStore(software, platform, pinned)
+    revalidation: str | Evaluation | None = None
+    steps: list[tuple[Configuration, Evaluation]] = []
+
+    def trace(end: str | None = None) -> NegotiationTrace:
+        return NegotiationTrace(tuple(requests), revalidation, tuple(steps), end)
 
     if current is not None:
-        reason = _check_current(software, platform, current, pinned)
-        if reason:
-            trace.append(("revalidation", reason))
-        else:
-            result = evaluate(software, store, current, model)
-            trace.append(("revalidation", result))
-            if result.layer is None:
-                return (
-                    Accepted(current, result.lines, previous=current),
-                    NegotiationTrace(tuple(trace), 0),
-                )
+        revalidation = _check_current(software, platform, current, pinned) or evaluate(
+            software, store, current, model
+        )
+        if isinstance(revalidation, Evaluation) and revalidation.layer is None:
+            return Accepted(current, revalidation.lines, previous=current), trace()
 
-    count = 0
-    while count < budget:
+    while len(steps) < budget:
         candidate = store.next_candidate()
         if candidate is None:
-            trace.append(("exhausted", None))
-            return (
-                Rejected("exhausted", store.constraints),
-                NegotiationTrace(tuple(trace), count),
-            )
-        count += 1
-        trace.append(("candidate", candidate))
-
+            return Rejected("exhausted", store.constraints), trace("exhausted")
         result = evaluate(software, store, candidate, model)
-        trace.append(("evaluation", result))
+        steps.append((candidate, result))
         if result.layer is None:
-            trace.append(("accept", None))
-            return (
-                Accepted(candidate, result.lines, previous=current, constraints=store.constraints),
-                NegotiationTrace(tuple(trace), count),
-            )
+            return Accepted(candidate, result.lines, previous=current, constraints=store.constraints), trace()
         for c in result.constraints:
             store.add_constraint(c)
-            trace.append(("constraint", c))
-        trace.append(("reject", result.layer))
 
-    trace.append(("budget", budget))
-    return Rejected("budget", store.constraints), NegotiationTrace(tuple(trace), count)
+    return Rejected("budget", store.constraints), trace("budget")

@@ -314,11 +314,11 @@ class TimingReport:
 
 def _overload_forbid(context: TimingContext, resource: str) -> ForbidConjunction:
     """Pin the overload on the structure that caused it: the connections of
-    every contributing periodic chain plus the placement of its tasks."""
+    every chain with a task on the resource plus the placement of its tasks
+    there.  Only a normal-mode graph overloads, and its chains are all
+    periodic."""
     literals: set[Literal] = set()
     for chain in context.graph.chains:
-        if chain.event is None:
-            continue
         on_resource = [n for n in chain.nodes if context.mapping[n.task_id] == resource]
         if not on_resource:
             continue
@@ -366,6 +366,8 @@ def check_timing(context: TimingContext, cfg: Configuration, model: str) -> Timi
 
     `cfg` is a configuration of the context's partial: its priority order
     is what the call adds."""
+    if model not in MODELS:
+        raise ValueError(f"unknown interference model {model!r}")
     if context.overloaded:
         constraints = [_overload_forbid(context, r) for r in context.overloaded]
         return TimingReport(model, context.utilization, (), tuple(sort_constraints(constraints)))

@@ -377,6 +377,19 @@ def test_thread_ranked_twice_is_a_clean_error(tmp_path, capsys):
     assert "[priority_strict]" in capsys.readouterr().out
 
 
+def test_service_routed_to_two_providers_is_a_clean_error(tmp_path, capsys):
+    text = (CORPUS / "current.config").read_text()
+    text = text.replace("[connections]\n", "O1\n[connections]\nT -> object_recognition -> O1\n")
+    text = text.replace("[mapping]\n", "[mapping]\nO1.or1 -> CPU1\n") + "6 O1.object_recognition_get\n"
+    config = tmp_path / "routed_twice.config"
+    config.write_text(text)
+    for argv in (["graph"], ["bound"], ["simulate"], ["simulate", "--sweep"]):
+        assert cli.main([argv[0], *BASE, "--config", str(config), *argv[1:]]) == 2
+        assert capsys.readouterr() == ("", "error: T -> object_recognition: 2 providers connected, need exactly 1\n")
+    assert cli.main(["validate", *BASE, "--config", str(config)]) == 1
+    assert "[2] T -> object_recognition: 2 providers connected, need exactly 1" in capsys.readouterr().out
+
+
 def test_task_mapped_twice_is_a_clean_error(tmp_path, capsys):
     config = tmp_path / "twice.config"
     text = (CORPUS / "current.config").read_text().replace("P.p1 -> CPU1\n", "P.p1 -> CPU1\nP.p1 -> CPU9\n")

@@ -5,7 +5,7 @@ import pytest
 import systems
 from nego.dsl import load_software_model, parse_contract
 from nego.model import Accepted, Configuration, Rejected, SystemModel, UpdateRequest, parse_platform
-from nego.negotiation import negotiate
+from nego.negotiation import Evaluation, negotiate
 from nego.timing import BUSY_WINDOW, SINGLE_BLOCKING
 
 from conftest import ACCEPTED_ORDER, CONNS_LANE_ON_O2, POST_MAPPING, POST_SELECTED
@@ -34,6 +34,9 @@ def test_lane_assist_update_accepted_single_blocking(system_pre, update_requests
     )
     assert len(answer.constraints) == 6
     assert trace.candidates == 3
+    assert trace.revalidation == "pinned component L not selected"
+    assert [result.layer for _, result in trace.steps] == ["timing", "timing", None]
+    assert trace.end is None
     lines = trace.lines
     assert lines[0] == "request: add S"
     assert lines[1] == "request: add L"
@@ -51,6 +54,7 @@ def test_lane_assist_update_rejected_busy_window(system_pre, update_requests):
     assert isinstance(answer, Rejected) and not answer.ok
     assert answer.reason == "exhausted"
     assert trace.candidates == 3
+    assert len(trace.steps) == 3 and trace.end == "exhausted"
     assert trace.lines[-1] == "exhausted: 3 candidates tried"
     park_fail = "  timing 150 park_assist: bound=170 FAIL model=busy-window"
     assert list(trace.lines).count(park_fail) == 2
@@ -64,6 +68,7 @@ def test_empty_request_revalidates(system_pre, current_config):
     assert answer.config == current_config
     assert answer.previous == current_config
     assert trace.candidates == 0
+    assert trace.steps == ()
     assert trace.lines == ("revalidation: ok",)
     assert answer.report == (
         "utilization CPU1: 3/20 OK",
@@ -128,6 +133,7 @@ def test_budget_cuts_search(system_pre, update_requests):
     assert isinstance(answer, Rejected)
     assert answer.reason == "budget"
     assert trace.candidates == 1
+    assert trace.end == "budget" and len(trace.steps) == 1
     assert trace.lines[-1] == "budget: 1 candidates tried"
 
 
@@ -227,6 +233,7 @@ def test_revalidation_latency_failure(software_post, platform, cfg_accepted):
     system = SystemModel(software_post, platform, cfg_accepted)
     assert negotiate(system, [], model=SINGLE_BLOCKING)[1].lines == ("revalidation: ok",)
     _, trace = negotiate(system, [], model=BUSY_WINDOW)
+    assert isinstance(trace.revalidation, Evaluation) and trace.revalidation.layer == "timing"
     assert trace.lines[0] == "revalidation: timing 150 park_assist: bound=170 FAIL model=busy-window"
 
 

@@ -191,8 +191,7 @@ def test_timing_contexts_built_once_per_partial_and_mode(monkeypatch):
         assert all(n == 1 for n in builds.values()), model
         partials = {
             (c.selected, c.connections, tuple(sorted(c.mapping.items())))
-            for kind, c in trace.events
-            if kind == "candidate"
+            for c, _ in trace.steps
         }
         assert {key[:3] for key in builds} == partials
         assert len(builds) == 2 * len(partials) < 2 * trace.candidates

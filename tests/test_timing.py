@@ -289,6 +289,14 @@ def test_unknown_model_rejected(software_pre, current_config):
         chain_latency_bound(chain, (0, 1), graph, current_config, current_config.ranks(), "exact")
 
 
+def test_check_timing_rejects_unknown_model(software_pre, current_config, software_post, cfg_lane_on_o1, platform):
+    # the second context is overloaded, so no latency is bounded there
+    for software, cfg in ((software_pre, current_config), (software_post, cfg_lane_on_o1)):
+        context = TimingContext(build_task_graph(software, cfg, NORMAL), cfg, platform)
+        with pytest.raises(ValueError, match="unknown interference model 'single_blocking'"):
+            check_timing(context, cfg, "single_blocking")
+
+
 def test_requirement_on_entry_thread_without_tasks_is_bounded_by_zero():
     # the span of s.m() in A's chain holds no task: both the index and the
     # one-span bound give 0
