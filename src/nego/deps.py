@@ -23,10 +23,9 @@ class ConnectionCandidates:
     must: pairs with exactly one provider, as (client, service, provider).
     may: pairs with several providers, mapped to the sorted provider tuple.
     unsatisfiable: pairs with no provider at all.
-    requirements (per component, sorted) and providers (every provider of
-    each required service, sorted) describe the reachable sub-model, so
-    ConnectionSearch enumerates solutions without going back to the full
-    software model.
+    requirements: the services each component requires, sorted.  With must
+    and may, they let ConnectionSearch enumerate solutions without going
+    back to the full software model.
     """
 
     pinned: frozenset[str]
@@ -34,7 +33,6 @@ class ConnectionCandidates:
     may: Mapping[tuple[str, str], tuple[str, ...]]
     unsatisfiable: frozenset[tuple[str, str]]
     requirements: Mapping[str, tuple[str, ...]]
-    providers: Mapping[str, tuple[str, ...]]
 
 
 def connection_candidates(software: SoftwareModel, pinned: frozenset[str]) -> ConnectionCandidates:
@@ -63,13 +61,11 @@ def connection_candidates(software: SoftwareModel, pinned: frozenset[str]) -> Co
     may: dict[tuple[str, str], tuple[str, ...]] = {}
     unsat: set[tuple[str, str]] = set()
     requirements: dict[str, tuple[str, ...]] = {}
-    providers: dict[str, tuple[str, ...]] = {}
     for comp in sorted(reachable):
         services = tuple(sorted(software.contracts[comp].requires))
         requirements[comp] = services
         for service in services:
-            providers[service] = tuple(providers_of.get(service, ()))
-            options = tuple(p for p in providers[service] if p != comp)
+            options = tuple(p for p in providers_of.get(service, ()) if p != comp)
             if not options:
                 unsat.add((comp, service))
             elif len(options) == 1:
@@ -82,7 +78,6 @@ def connection_candidates(software: SoftwareModel, pinned: frozenset[str]) -> Co
         may=may,
         unsatisfiable=frozenset(unsat),
         requirements=requirements,
-        providers=providers,
     )
 
 
@@ -103,7 +98,8 @@ class ConnectionSearch:
         self, candidates: ConnectionCandidates, interfaces: Mapping[str, ServiceInterface]
     ) -> None:
         self._requirements = candidates.requirements
-        self._providers = candidates.providers
+        # (client, service) -> provider options; an unsatisfiable pair has none
+        self._options = {(c, s): (p,) for c, s, p in candidates.must} | dict(candidates.may)
         self._bounds = {service: iface.max_clients for service, iface in interfaces.items()}
         self._clients: dict[tuple[str, str], int] = {}  # (service, provider) -> clients
         self._pending = sorted((c, s) for c in candidates.pinned for s in self._requirements.get(c, ()))
@@ -118,8 +114,7 @@ class ConnectionSearch:
         if not self._pending:
             return False
         client, service = self._pending.pop(0)
-        options = tuple(p for p in self._providers.get(service, ()) if p != client)
-        self.levels.append([client, service, options, -1])
+        self.levels.append([client, service, self._options.get((client, service), ()), -1])
         return True
 
     def choose_next(self) -> bool:

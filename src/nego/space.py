@@ -33,16 +33,18 @@ mapping is tried, forbids with map literals prune at the task that decides
 the last of them, and `sel[c]=false` literals are decided when the
 connection assignment is complete.  A nogood whose count is full applies
 at the current partial; it never refuses a choice.  The trail keeps one
-record per decided level of the literals its choice made hold: a
-connection and the sel[c]=true of the provider it selects, the watched
-sel[c]=false of a complete structure, a task's mapping.  Backtracking and
-cutting pop a level's record and release its literals.  Constraints
-learned since the last call are counted against that record when the
-search resumes, each literal at the level that holds it (sel[c]=true of a
-pinned c at -1); a literal the record lacks does not hold.  The search
-then backs out of the shallowest level a learned forbid blocks: the
-deepest level among its literals.  Otherwise the partial's orders go on
-under the learned nogoods whose count is full.
+record per decided level of the literals its choice decides: a connection
+and the sel[c]=true of the provider it selects; at the level that
+completes the structure, sel[c]=false of every component of the software
+left unselected; a task's mapping.  Backtracking and cutting pop a level's
+record and release its literals.  Constraints learned since the last call
+are counted against that record when the search resumes, each literal at
+the level that holds it.  A literal no choice decides holds at -1 if it
+holds anyway (sel[c]=true of a pinned c, sel[c]=false of a component the
+software lacks) and does not hold otherwise.  The search then backs out
+of the shallowest level a learned forbid blocks: the deepest level among
+its literals.  Otherwise the partial's orders go on under the learned
+nogoods whose count is full.
 
 The trail holds one selection, one assignment and one mapping, undone on
 backtrack: its state grows with the number of levels, not with their
@@ -112,8 +114,6 @@ class ConstraintStore:
         self._size: list[int] = []
         self._holding: list[int] = []
         self._watch: dict[Literal, list[int]] = {}
-        self._unselected_watched: list[str] = []  # c of every watched sel[c]=false
-        self._counted = 0  # constraints already indexed
         self._nogoods: list[int] = []  # indices of the priority nogoods
         self._applying: list[PriorityNogood] = []  # the last call's new nogoods with a full count
 
@@ -282,9 +282,10 @@ class ConstraintStore:
         return False
 
     def _complete(self) -> bool:
-        """The connection assignment is complete: decide sel[c]=false and
-        open the mapping levels, unless a task with no resource of its type
-        or a forbid rules the assignment out."""
+        """The connection assignment is complete: decide sel[c]=false of
+        every component it leaves unselected and open the mapping levels,
+        unless a task with no resource of its type or a forbid rules the
+        assignment out."""
         selected = frozenset(self._conn.selected_at)
         tasks = sorted(
             ((comp, step.name), step.resource_type)
@@ -293,7 +294,7 @@ class ConstraintStore:
             for step in thread.tasks()
         )
         pools = [self._resources.get(rtype, ()) for _, rtype in tasks]
-        unselected = [SelLit(c, False) for c in self._unselected_watched if c not in selected]
+        unselected = [SelLit(c, False) for c in self._software.contracts if c not in selected]
         if not all(pools) or not self._hold(unselected):
             return False
         self._structure = (selected, self._conn.connections())
@@ -325,35 +326,28 @@ class ConstraintStore:
         literals on the trail; keep in `_applying` the new nogoods whose
         count is full.  If a new forbid blocks the trail, cut it back to the
         shallowest level a blocking forbid completes and return True."""
-        start = self._counted
-        fresh = self._constraints[start:]
-        self._counted = len(self._constraints)
+        start = len(self._size)
         self._applying = []
-        if not fresh:
+        if start == len(self._constraints):
             return False
-        indexed: list[tuple[Constraint, frozenset[Literal]]] = []
-        for k, constraint in enumerate(fresh, start):
+        trail = {lit: level for level, held in enumerate(self._held) for lit in held}
+        cut: int | None = None
+        for k, constraint in enumerate(self._constraints[start:], start):
             if isinstance(constraint, ForbidConjunction):
                 literals = constraint.literals
             else:
                 literals = constraint.context
                 self._nogoods.append(k)
+            depths = []
             for lit in literals:
                 self._watch.setdefault(lit, []).append(k)
-                if lit[0] == "sel" and not lit[2] and lit[1] not in self._unselected_watched:
-                    self._unselected_watched.append(lit[1])
-                    if self._structure is not None and lit[1] not in self._conn.selected_at:
-                        # the complete structure decided it: it holds there
-                        self._held[len(self._conn.levels)].append(lit)
+                if lit in trail:
+                    depths.append(trail[lit])
+                elif self._undecided_holds(lit):
+                    depths.append(-1)
             self._size.append(len(literals))
-            indexed.append((constraint, literals))
-        trail = {SelLit(c, True): -1 for c in self._pinned}
-        trail.update({lit: level for level, held in enumerate(self._held) for lit in held})
-        cut: int | None = None
-        for constraint, literals in indexed:
-            depths = [trail.get(lit) for lit in literals]
-            self._holding.append(sum(d is not None for d in depths))
-            if None in depths:
+            self._holding.append(len(depths))
+            if len(depths) < len(literals):
                 continue
             if isinstance(constraint, ForbidConjunction):
                 level = max(depths, default=-1)
@@ -364,6 +358,11 @@ class ConstraintStore:
             return False
         self._cut_back(cut)
         return True
+
+    def _undecided_holds(self, lit: Literal) -> bool:
+        """Whether lit holds though no choice decides it: sel[c]=true of a
+        pinned c, or sel[c]=false of a component the software lacks."""
+        return lit[0] == "sel" and (lit[1] in self._pinned if lit[2] else lit[1] not in self._software.contracts)
 
     def _cut_back(self, level: int) -> None:
         """Undo every level deeper than `level`, which stays the deepest."""

@@ -484,3 +484,59 @@ def test_simulate_over_its_caps_is_a_clean_error(tmp_path, capsys, periods, extr
     assert cli.main(argv) == 2
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr() == ("", message)
+
+
+def _shared_entry_system(tmp_path) -> list[str]:
+    """Options of a configuration where P0 and P1 both call A's single entry
+    thread, so A's task would sit in two chains."""
+    contracts = tmp_path / "contracts"
+    contracts.mkdir()
+    for client in ("P0", "P1"):
+        (contracts / f"{client}.contract").write_text(
+            f"component {client}\n  services\n    requires svc\n  threads\n"
+            f"    thread main on time (period=10 jitter=0)\n      task t onto CPU wcet=1 bcet=1\n"
+            f"      RPC svc.get()\n"
+        )
+    (contracts / "A.contract").write_text(
+        "component A\n  services\n    provides svc\n  threads\n"
+        "    thread serve on RPC svc.get()\n      task e onto CPU wcet=1 bcet=1\n"
+    )
+    (tmp_path / "services.repo").write_text("service svc\n  method get()\n")
+    (tmp_path / "platform.txt").write_text("resource R type CPU\n")
+    (tmp_path / "shared.config").write_text(
+        "[selected]\nA\nP0\nP1\n\n[connections]\nP0 -> svc -> A\nP1 -> svc -> A\n\n"
+        "[mapping]\nA.e -> R\nP0.t -> R\nP1.t -> R\n\n[priorities]\n0 A.serve\n1 P0.main\n2 P1.main\n"
+    )
+    return ["--contracts", str(contracts), "--services", str(tmp_path / "services.repo"),
+            "--platform", str(tmp_path / "platform.txt"), "--config", str(tmp_path / "shared.config")]
+
+
+def test_broken_structure_is_reported_with_its_mode(tmp_path, capsys):
+    options = _shared_entry_system(tmp_path)
+    fault = "task A.e appears in chain P0.main and chain P1.main in normal mode"
+    for command, label in (("graph", "structure"), ("simulate", "structure"), ("bound", "structure (normal)")):
+        assert cli.main([command, *options]) == 1
+        assert capsys.readouterr() == ("", f"{label}: {fault}\n")
+
+
+def test_deps_reports_an_unsatisfiable_requirement(tmp_path, capsys):
+    (tmp_path / "Z.contract").write_text(
+        "component Z services requires ghost threads thread t on time (period=10 jitter=0) RPC ghost.m()"
+    )
+    (tmp_path / "ghost.repo").write_text("service ghost method m()")
+    argv = ["deps", "--contracts", str(tmp_path), "--services", str(tmp_path / "ghost.repo")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("unsatisfiable Z ghost\nsolutions: 0\n", "")
+
+
+def test_bound_needs_a_platform(capsys):
+    argv = ["bound", "--contracts", str(CORPUS / "contracts"), "--services", str(CORPUS / "services.repo"), *_CONFIG]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", "error: --platform is required for this command\n")
+
+
+def test_simulate_warns_when_activations_run_past_the_horizon(capsys):
+    argv = ["simulate", *BASE, *_CONFIG, "--horizon", "5"]
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: some activations ran past the horizon\n"

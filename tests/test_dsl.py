@@ -194,6 +194,9 @@ REJECTS = [
      "line 1, column 28: timing target 'ghost' is not a thread of this component"),
     ("component X services requires s timings timing 5 s.m()", DslValidationError,
      "line 1, column 48: timing target s.m() is never called by this component"),
+    # a provider bounds its own service by naming the entry thread, not the method
+    ("component X services provides s threads thread t on RPC s.m() task a onto R wcet=1 bcet=1 timings timing 5 s.m()",
+     DslValidationError, "line 1, column 106: timing target s.m() is never called by this component"),
     ("component X control_flow not s.m() until s.k()", DslValidationError,
      "line 1, column 30: control-flow reference s.m() names a service this component neither requires nor provides"),
     ("component X threads thread t on initialization task a onto R wcet=1 bcet=1 thread t on initialization task b onto R wcet=1 bcet=1",

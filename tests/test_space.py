@@ -350,6 +350,28 @@ def test_learned_unselected_forbid_refuses_a_later_completion():
     assert len(_proposals(_providers_store(resources=("R1", "R2")), [alone])) == 1
 
 
+def test_forbid_of_a_component_the_software_lacks():
+    # no choice decides sel[ghost]: it is never selected, so sel[ghost]=false
+    # holds everywhere and sel[ghost]=true nowhere, whether the forbid is
+    # learned before the first candidate or after it
+    plain = _proposals(_providers_store())
+    via_b = [p for p in plain if p[0] == frozenset({("A", "s", "B")})]
+    ghost_false, ghost_true = SelLit("ghost", False), SelLit("ghost", True)
+    cases = [
+        ({ghost_false}, []),
+        ({ghost_true}, plain),
+        ({ghost_false, ConnLit("A", "s", "C")}, via_b),
+        ({ghost_true, ConnLit("A", "s", "B")}, plain),
+    ]
+    for literals, expected in cases:
+        forbid = ForbidConjunction(frozenset(literals))
+        before = _providers_store()
+        before.add_constraint(forbid)
+        assert _proposals(before) == expected
+        # learned after the first candidate, it cannot take that one back
+        assert _proposals(_providers_store(), [forbid]) == (expected or plain[:1])
+
+
 def test_learned_forbids_that_do_not_hold_cut_nothing():
     # sel[C]=true, sel[B]=false, and map literals of the other resource or
     # of a task off the structure do not hold at the first candidate:
