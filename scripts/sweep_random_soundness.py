@@ -1,9 +1,17 @@
 #!/usr/bin/env python3
-"""Check the busy-window bound against simulated worst cases on random systems."""
+"""Check the busy-window bound against simulated worst cases on random systems.
+
+Also prints one SHA-256 over every system's sorted (seed, root, span,
+observed) rows.  With `--expect HEX`, exit 1 unless the digest equals HEX:
+a change that keeps the simulator's output byte-identical keeps the digest.
+"""
 
 import argparse
+import hashlib
 import random
+import sys
 
+from nego.model import qual_str
 from nego.randsys import random_chain_system
 from nego.sim import worst_observed
 from nego.taskgraph import NORMAL, build_task_graph
@@ -11,29 +19,36 @@ from nego.timing import BUSY_WINDOW, SINGLE_BLOCKING, chain_latency_bound
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--systems", type=int, default=300)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--expect", help="the digest the run must give")
     args = parser.parse_args()
 
     spans = violations = 0
+    digest = hashlib.sha256()
     for index in range(args.systems):
-        system = random_chain_system(random.Random(args.seed + index))
+        seed = args.seed + index
+        system = random_chain_system(random.Random(seed))
         graph = build_task_graph(system.software, system.config, NORMAL)
         cfg = system.config
         ranks = cfg.ranks()
-        for (root, span), seen in worst_observed(graph, cfg).items():
+        for (root, span), seen in sorted(worst_observed(graph, cfg).items()):
+            digest.update(f"{seed} {qual_str(root)} {span[0]}:{span[1]} {seen}\n".encode())
             chain = graph.chain(root)
             busy = chain_latency_bound(chain, span, graph, cfg, ranks, BUSY_WINDOW)
             single = chain_latency_bound(chain, span, graph, cfg, ranks, SINGLE_BLOCKING)
             spans += 1
             if busy is not None and seen > busy:
                 violations += 1
-                print(f"UNSOUND seed={args.seed + index} {root} {span}: observed {seen} > bound {busy}")
+                print(f"UNSOUND seed={seed} {root} {span}: observed {seen} > bound {busy}")
             if busy is not None and single is not None and busy < single:
                 violations += 1
-                print(f"ORDER seed={args.seed + index} {root} {span}: busy {busy} < single {single}")
-    print(f"{args.systems} systems, {spans} spans, {violations} violations")
+                print(f"ORDER seed={seed} {root} {span}: busy {busy} < single {single}")
+    print(f"{args.systems} systems, {spans} spans, {violations} violations: {digest.hexdigest()}")
+    if args.expect is not None and digest.hexdigest() != args.expect:
+        print(f"expected {args.expect}", file=sys.stderr)
+        return 1
     return 1 if violations else 0
 
 

@@ -31,7 +31,6 @@ from nego.model import (
     resolve_names,
 )
 from nego.negotiation import negotiate
-from nego.sim import default_horizon, random_scenario, simulate, synchronous_scenario, worst_observed
 from nego.taskgraph import INITIALIZATION, NORMAL, GraphError, TaskGraph, build_task_graph, render_graph
 from nego.timing import BUSY_WINDOW, MODELS, TimingContext, check_timing
 
@@ -192,6 +191,9 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    # imported here, so that the other subcommands do not load the simulator
+    from nego.sim import default_horizon, random_scenario, simulate, synchronous_scenario, worst_observed
+
     given = [flag for flag, on in (("--seed", args.seed is not None), ("--trace", args.trace)) if on]
     if args.sweep and given:
         print(f"error: --sweep cannot be combined with {' and '.join(given)}", file=sys.stderr)

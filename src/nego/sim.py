@@ -5,6 +5,12 @@ scenario (per-chain offsets plus per-activation jitter draws) and records
 the observed latency of every requirement span.  `worst_observed` sweeps
 release offsets on a unit grid with two jitter patterns and keeps the
 per-span maxima; it is the ground truth the analytic bounds must dominate.
+
+A job moves through its chain one segment at a time: a run of consecutive
+nodes on one resource at one thread rank that no span starts or stops
+inside (`_Plan`).  Running a segment as one piece of work schedules exactly
+as stepping its nodes one by one would: between two of its nodes, the job
+would only leave its resource's heap and re-enter it with the same key.
 """
 
 from __future__ import annotations
@@ -107,38 +113,69 @@ class _Plan:
     """What the engine needs from a (graph, configuration), computed once.
 
     `chains` lists, for each chain with nodes, its index in `graph.chains`,
-    its event model and the (resource index, thread rank, wcet) of each
-    node; `spans` maps the same indices to the chain's spans as (key, start,
-    stop) in span order, and `roots` and `tasks` to the names trace lines
-    print.  Resources are indexed in name order.
+    its event model, its segments as (resource index, thread rank, wcet)
+    and its total wcet.  Resources are indexed in name order.
+
+    A segment is a run of consecutive nodes on one resource and one thread
+    rank that crosses no span boundary: a node joins the segment before it
+    unless a span starts or stops at it.  The merge is exact.  When a job
+    finishes one node of a segment, it would leave its resource's heap and
+    go straight back onto it with the same key; every other job that enters
+    the heap at that instant enters it either way, so the heap's top is the
+    same at every instant.  (The argument needs every wcet positive, which
+    the contract language enforces: a node of wcet 0 would complete only
+    when its job next tops the heap.)  The boundary rule keeps every
+    completion a span reads; the first node is a boundary of the whole
+    chain's span, so it starts the first segment.
+    With `trace`, every node is its own segment, so the trace lines name
+    nodes, and `roots` and `tasks` hold the names they print.
+
+    `keys` lists the span keys, each chain's spans in span order; `rows`
+    maps the chain index to its spans as (key index, start, stop), where
+    start and stop index a job's completions, whose entry 0 is the release.
     """
 
-    def __init__(self, graph: TaskGraph, cfg: Configuration) -> None:
-        ranks = cfg.ranks()
-        tasks = [node.task_id for chain in graph.chains for node in chain.nodes]
-        self.resources = sorted({cfg.mapping[task] for task in tasks})
+    def __init__(self, graph: TaskGraph, cfg: Configuration, trace: bool = False) -> None:
+        ranks, mapping = cfg.ranks(), cfg.mapping
+        self.resources = sorted({mapping[node.task_id] for chain in graph.chains for node in chain.nodes})
         index = {resource: i for i, resource in enumerate(self.resources)}
-        self.chains: list[tuple[int, EventModel | None, tuple[tuple[int, int, int], ...]]] = []
-        self.spans: dict[int, tuple[tuple[SpanKey, int, int], ...]] = {}
+        self.chains: list[tuple[int, EventModel | None, tuple[tuple[int, int, int], ...], int]] = []
+        self.rows: list[tuple[tuple[int, int, int], ...]] = [() for _ in graph.chains]
+        slots: dict[SpanKey, int] = {}
         self.roots: dict[int, str] = {}
         self.tasks: dict[int, tuple[str, ...]] = {}
         for ci, chain in enumerate(graph.chains):
             if not chain.nodes:
                 continue
-            nodes = tuple((index[cfg.mapping[n.task_id]], ranks[n.thread], n.wcet) for n in chain.nodes)
-            spans = {(0, len(chain.nodes))}
-            spans.update(req.span for req in chain.requirements)
-            self.chains.append((ci, chain.event, nodes))
-            self.spans[ci] = tuple(((chain.root, span), span[0], span[1]) for span in sorted(spans))
-            self.roots[ci] = qual_str(chain.root)
-            self.tasks[ci] = tuple(qual_str(n.task_id) for n in chain.nodes)
+            spans = sorted({(0, len(chain.nodes))} | {req.span for req in chain.requirements})
+            bounds = {i for span in spans for i in span}
+            segments: list[tuple[int, int, int]] = []
+            ends = []  # per node, the index of its segment's completion
+            for i, node in enumerate(chain.nodes):
+                resource, rank, wcet = index[mapping[node.task_id]], ranks[node.thread], node.wcet
+                if trace or i in bounds or segments[-1][:2] != (resource, rank):
+                    segments.append((resource, rank, wcet))
+                else:
+                    segments[-1] = (resource, rank, segments[-1][2] + wcet)
+                ends.append(len(segments))
+            self.chains.append((ci, chain.event, tuple(segments), sum(segment[2] for segment in segments)))
+            self.rows[ci] = tuple(
+                (slots.setdefault((chain.root, (start, stop)), len(slots)), ends[start - 1] if start else 0, ends[stop - 1])
+                for start, stop in spans
+            )
+            if trace:
+                self.roots[ci] = qual_str(chain.root)
+                self.tasks[ci] = tuple(qual_str(n.task_id) for n in chain.nodes)
+        self.keys = list(slots)
 
 
 # A job is one list, so that its key heads it and the heaps order it without
-# a wrapper: [rank of the current node's thread, release, chain index,
-# activation, remaining work, node index, nodes, completion times].  The
-# first four fields are unique per job, so comparison never goes past them.
-_RANK, _RELEASE, _CHAIN, _ACTIVATION, _REMAINING, _NODE, _NODES, _DONE = range(8)
+# a wrapper: [rank of the current segment's thread, release, chain index,
+# activation, remaining work, segments, completion times].  The completions
+# start with the release, so the job is in segment len(completions) - 1.
+# The first four fields are unique per job, so comparison never goes past
+# them.
+_RANK, _RELEASE, _CHAIN, _ACTIVATION, _REMAINING, _SEGMENTS, _DONE = range(7)
 
 
 def _run(
@@ -157,24 +194,32 @@ def _run(
     check the horizon with `_check_run` first.
     """
     jobs: list[list] = []
-    for ci, event, nodes in plan.chains:
+    work = 0
+    for ci, event, segments, total in plan.chains:
         offset = offsets[ci]
         chain_draws = draws[ci]
         if event is None:
             releases = [offset + (chain_draws[0] if chain_draws else 0)]
         else:
-            releases = []
-            k = 0
-            while offset + k * event.period < horizon:
-                draw = chain_draws[k] if k < len(chain_draws) else 0
-                if not 0 <= draw <= event.jitter:
+            releases = list(range(offset, horizon, event.period))
+            if chain_draws:
+                used = chain_draws[: len(releases)]
+                if used and (min(used) < 0 or max(used) > event.jitter):
+                    draw = next(d for d in used if not 0 <= d <= event.jitter)
                     raise ValueError(f"jitter draw {draw} outside [0, {event.jitter}]")
-                releases.append(offset + k * event.period + draw)
-                k += 1
-        _, rank, wcet = nodes[0]
+                for k, draw in enumerate(used):
+                    releases[k] += draw
+        _, rank, wcet = segments[0]
         for k, release in enumerate(releases):
-            jobs.append([rank, release, ci, k, wcet, 0, nodes, []])
+            jobs.append([rank, release, ci, k, wcet, segments, [release]])
+        work += len(releases) * total
+    if not jobs:
+        return jobs
     pending = sorted(jobs, key=itemgetter(_RELEASE))  # stable: ties keep (chain, activation)
+    # Whenever a job is unfinished, the top of its resource's heap runs, so
+    # every job completes by the last release plus all work: `never` is later
+    # than any event.
+    never = pending[-1][_RELEASE] + work + 1
 
     heaps: list[list[list]] = [[] for _ in plan.resources]
     if lines is not None:
@@ -185,80 +230,80 @@ def _run(
 
     count = len(pending)
     i = 0
-    t = pending[0][_RELEASE] if pending else 0
+    t = upcoming = pending[0][_RELEASE]  # the next release not yet pushed
     while True:
-        while i < count and pending[i][_RELEASE] <= t:
+        while upcoming <= t:
             job = pending[i]
-            heappush(heaps[job[_NODES][0][0]], job)
+            heappush(heaps[job[_SEGMENTS][0][0]], job)
             i += 1
+            upcoming = pending[i][_RELEASE] if i < count else never
         if lines is not None:
-            # a job leaves a heap only by finishing its node, which clears
-            # `running`, so a new top over a running job preempts it
+            # a job leaves a heap only by finishing its segment, here one
+            # node, which clears `running`, so a new top over a running job
+            # preempts it
             for r, heap in enumerate(heaps):
                 if heap and heap[0] is not running[r]:
                     prev, job = running[r], heap[0]
                     if prev is not None:
-                        lines.append(f"t={t} preempt {tasks[prev[_CHAIN]][prev[_NODE]]}#{prev[_ACTIVATION]}")
-                    lines.append(f"t={t} dispatch {tasks[job[_CHAIN]][job[_NODE]]}#{job[_ACTIVATION]}")
+                        node = len(prev[_DONE]) - 1
+                        lines.append(f"t={t} preempt {tasks[prev[_CHAIN]][node]}#{prev[_ACTIVATION]}")
+                    node = len(job[_DONE]) - 1
+                    lines.append(f"t={t} dispatch {tasks[job[_CHAIN]][node]}#{job[_ACTIVATION]}")
                     running[r] = job
 
-        nxt = pending[i][_RELEASE] if i < count else None
+        nxt = upcoming
         for heap in heaps:
             if heap:
                 end = t + heap[0][_REMAINING]
-                if nxt is None or end < nxt:
+                if end < nxt:
                     nxt = end
-        if nxt is None:
+        if nxt == never:
             break
 
         # Pop every finished top before any job moves on: a job whose next
-        # node is on a resource whose top finished at this instant must not
-        # be pushed there first.
+        # segment is on a resource whose top finished at this instant must
+        # not be pushed there first.
         delta = nxt - t
         finished = []
         for r, heap in enumerate(heaps):
             if heap:
                 job = heap[0]
-                job[_REMAINING] -= delta
-                if not job[_REMAINING]:
+                left = job[_REMAINING] - delta
+                if left:
+                    job[_REMAINING] = left
+                else:
                     heappop(heap)
                     finished.append(job)
                     if lines is not None:
-                        lines.append(f"t={nxt} complete {tasks[job[_CHAIN]][job[_NODE]]}#{job[_ACTIVATION]}")
+                        node = len(job[_DONE]) - 1
+                        lines.append(f"t={nxt} complete {tasks[job[_CHAIN]][node]}#{job[_ACTIVATION]}")
                         running[r] = None
         for job in finished:
-            job[_DONE].append(nxt)
-            node = job[_NODE] + 1
-            nodes = job[_NODES]
-            if node < len(nodes):
-                resource, job[_RANK], job[_REMAINING] = nodes[node]
-                job[_NODE] = node
+            done = job[_DONE]
+            done.append(nxt)
+            segments = job[_SEGMENTS]
+            if len(done) <= len(segments):
+                resource, job[_RANK], job[_REMAINING] = segments[len(done) - 1]
                 heappush(heaps[resource], job)
         t = nxt
     return jobs
-
-
-def _observations(plan: _Plan, jobs: list[list]):
-    """(span key, latency) of every span of every job, in job order."""
-    spans = plan.spans
-    for job in jobs:
-        release, done = job[_RELEASE], job[_DONE]
-        for key, start, stop in spans[job[_CHAIN]]:
-            yield key, done[stop - 1] - (release if start == 0 else done[start - 1])
 
 
 def simulate(
     graph: TaskGraph, cfg: Configuration, scenario: ReleaseScenario, trace: bool = False
 ) -> SimResult:
     _check_run(graph, scenario.horizon)
-    plan = _Plan(graph, cfg)
+    plan = _Plan(graph, cfg, trace)
     lines: list[str] | None = [] if trace else None
     jobs = _run(plan, scenario.offsets, scenario.draws, scenario.horizon, lines)
-    latencies: dict[SpanKey, list[int]] = {key: [] for keys in plan.spans.values() for key, _, _ in keys}
-    for key, value in _observations(plan, jobs):
-        latencies[key].append(value)
+    values: list[list[int]] = [[] for _ in plan.keys]
+    rows = plan.rows
+    for job in jobs:
+        done = job[_DONE]
+        for slot, start, stop in rows[job[_CHAIN]]:
+            values[slot].append(done[stop] - done[start])
     partial = any(job[_DONE][-1] > scenario.horizon for job in jobs)
-    return SimResult(latencies, partial, tuple(lines or ()))
+    return SimResult(dict(zip(plan.keys, values)), partial, tuple(lines or ()))
 
 
 def _hyperperiod(graph: TaskGraph) -> int:
@@ -303,10 +348,16 @@ def worst_observed(
             f"{total} in all, more than the cap of {MAX_SWEEP_JOBS}"
         )
     plan = _Plan(graph, cfg)
-    maxima: dict[SpanKey, int] = {}
+    rows = plan.rows
+    # the all-zero offset vector runs first and activates every chain with
+    # nodes at offset 0, before the horizon, so every span is observed
+    maxima = [-1] * len(plan.keys)
     for offsets in itertools.product(*axes):
         for pattern_draws in draws:
-            for key, value in _observations(plan, _run(plan, offsets, pattern_draws, horizon)):
-                if key not in maxima or value > maxima[key]:
-                    maxima[key] = value
-    return maxima
+            for job in _run(plan, offsets, pattern_draws, horizon):
+                done = job[_DONE]
+                for slot, start, stop in rows[job[_CHAIN]]:
+                    value = done[stop] - done[start]
+                    if value > maxima[slot]:
+                        maxima[slot] = value
+    return dict(zip(plan.keys, maxima))

@@ -6,7 +6,9 @@ every priority permutation.  No learned constraints, no pruning.
 `invalid_constraints` walks the same configurations and reports every one
 that a learned constraint excludes although it passes every analysis.
 `reference_simulate` and `reference_worst_observed` step the schedule one
-time unit at a time, as plainly as possible, for the event-driven simulator.
+time unit at a time, as plainly as possible, for the event-driven simulator;
+they release a SIGNAL-forked chain at its fork point, where the simulator
+still releases it on an offset of its own.
 `reference_synthesize` walks every priority permutation for the
 backtracking priority synthesis.  `chain_utilization` is one chain's
 demand, which `timing.utilization` must sum to over a graph.
@@ -240,15 +242,35 @@ def reference_simulate(graph, cfg, scenario):
 
     At each time unit every resource runs, for one unit, the released,
     unfinished job with the smallest (rank of its current node's thread,
-    release, chain index, activation) key.
+    release, chain index, activation) key.  A chain forked by a SIGNAL has
+    no releases of its own: its activation k is released when activation k
+    of its trigger completes the node before the fork position, or, at
+    position 0, when that activation is released.
     """
     ranks = {thread: rank for rank, thread in enumerate(cfg.priorities)}
-    jobs = []  # [chain, activation, release, node index, remaining, completions]
+    index = {chain.root: ci for ci, chain in enumerate(graph.chains)}
+    forks = {}  # trigger chain index -> [(forked chain index, fork position)]
     for ci, chain in enumerate(graph.chains):
-        if chain.nodes:
-            releases = _releases(chain, scenario.offsets[ci], scenario.draws[ci], scenario.horizon)
-            for k, release in enumerate(releases):
-                jobs.append([ci, k, release, 0, chain.nodes[0].wcet, []])
+        if chain.triggered_by is not None:
+            trigger, position = chain.triggered_by
+            forks.setdefault(index[trigger], []).append((ci, position))
+    jobs = []  # [chain, activation, release, node index, remaining, completions]
+
+    def reach(ci, k, position, t):
+        """Activation k of chain ci has completed `position` nodes at t."""
+        for forked, at in forks.get(ci, ()):
+            if at == position:
+                activate(forked, k, t)
+
+    def activate(ci, k, t):
+        nodes = graph.chains[ci].nodes
+        jobs.append([ci, k, t, 0, nodes[0].wcet if nodes else 0, []])
+        reach(ci, k, 0, t)
+
+    for ci, chain in enumerate(graph.chains):
+        if chain.triggered_by is None:
+            for k, t in enumerate(_releases(chain, scenario.offsets[ci], scenario.draws[ci], scenario.horizon)):
+                activate(ci, k, t)
     t = 0
     while any(job[3] < len(graph.chains[job[0]].nodes) for job in jobs):
         picks = {}
@@ -269,7 +291,9 @@ def reference_simulate(graph, cfg, scenario):
                 nodes = graph.chains[job[0]].nodes
                 if job[3] < len(nodes):
                     job[4] = nodes[job[3]].wcet
+                reach(job[0], job[1], job[3], t + 1)
         t += 1
+    jobs = sorted((job for job in jobs if graph.chains[job[0]].nodes), key=lambda job: job[:2])
     latencies = {}
     for chain in graph.chains:
         if chain.nodes:
@@ -287,11 +311,13 @@ def reference_simulate(graph, cfg, scenario):
 
 def reference_worst_observed(graph, cfg, horizon):
     """Grid walk for `sim.worst_observed` built on `reference_simulate`:
-    the first chain at offset zero, every other periodic chain at each
-    offset in [0, period), one-shot chains at zero; jitter maximal on the
-    first activation, then zero throughout."""
+    the first chain that no SIGNAL forks at offset zero, every other
+    periodic chain at each offset in [0, period), one-shot chains at zero;
+    jitter maximal on the first activation, then zero throughout.  A forked
+    chain is released by its trigger, so it has no offset axis."""
+    anchor = next((ci for ci, chain in enumerate(graph.chains) if chain.triggered_by is None), 0)
     axes = [
-        range(1) if ci == 0 or chain.event is None else range(chain.event.period)
+        range(1) if ci == anchor or chain.event is None or chain.triggered_by is not None else range(chain.event.period)
         for ci, chain in enumerate(graph.chains)
     ]
     max_first = tuple((c.event.jitter,) if c.event is not None else () for c in graph.chains)

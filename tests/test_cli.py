@@ -115,6 +115,20 @@ def test_installed_entry_point_reads_sys_argv():
     assert done.stdout.splitlines()[0] == "Yes"
 
 
+def test_only_simulate_loads_the_simulator():
+    env = dict(os.environ, PYTHONPATH=str(CORPUS.parent / "src"))
+    code = (
+        "import sys\nfrom nego import cli\n"
+        f"assert cli.main(['negotiate', *{[*BASE, *_CONFIG, *_REQUEST]!r}]) == 0\n"
+        "loaded = ['nego.sim' in sys.modules]\n"
+        f"assert cli.main(['simulate', *{[*BASE, *_CONFIG]!r}]) == 0\n"
+        "loaded.append('nego.sim' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.stdout.splitlines()[-1] == "[False, True]", done.stderr
+
+
 def test_out_that_cannot_be_made_prints_no_answer(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")

@@ -1,10 +1,15 @@
+import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import nego.sim
 from nego.dsl import load_software_model
-from nego.model import Configuration
+from nego.model import Configuration, qual_str
 from nego.randsys import random_chain_system
 from nego.sim import (
     ReleaseScenario,
@@ -19,6 +24,7 @@ from nego.taskgraph import (
     NORMAL,
     Chain,
     EventModel,
+    LatencyReq,
     TaskGraph,
     TaskNode,
     build_task_graph,
@@ -207,6 +213,150 @@ def test_simulate_matches_unit_step_reference():
             assert result.partial == expected_partial
             partial += expected_partial
     assert partial >= 20 and migrated >= 20
+
+
+def _assert_matches_reference(graph, cfg, rng):
+    """Untraced `simulate` equals the unit-step reference on synchronous
+    and random scenarios, and the traced run, where every node is its own
+    segment, observes the same latencies."""
+    full = default_horizon(graph)
+    scenarios = [synchronous_scenario(graph, full, pattern) for pattern in ("max-first", "zero")]
+    scenarios += [random_scenario(graph, rng, rng.randint(1, full)) for _ in range(4)]
+    for scenario in scenarios:
+        result = simulate(graph, cfg, scenario)
+        latencies, partial = reference_simulate(graph, cfg, scenario)
+        assert list(result.latencies.items()) == list(latencies.items())
+        assert result.partial == partial
+        traced = simulate(graph, cfg, scenario, trace=True)
+        assert traced.latencies == result.latencies and traced.partial == result.partial
+
+
+@pytest.mark.parametrize("mode", [NORMAL, INITIALIZATION])
+def test_rpc_chains_with_method_spans_match_reference(
+    mode, software_pre, software_post, current_config, cfg_accepted, cfg_lane_on_o2_lex
+):
+    # each RPC callee runs at its own thread's rank between its caller's
+    # tasks, and park_assist[2:3] times one callee inside the chain; under
+    # the lex order, lane_assist's callees rank below park_assist's tasks
+    spans = set()
+    configured = [(software_pre, current_config), (software_post, cfg_accepted), (software_post, cfg_lane_on_o2_lex)]
+    for software, cfg in configured:
+        graph = build_task_graph(software, cfg, mode)
+        spans |= {(chain.root, req.span) for chain in graph.chains for req in chain.requirements}
+        _assert_matches_reference(graph, cfg, random.Random(mode))
+    assert (mode == NORMAL) == (OR_SUB_SPAN in spans)
+
+
+def test_method_span_splits_same_thread_tasks():
+    # x1, x2 and x3 share thread X.main and R1; the span [0:1] ends between
+    # x1 and x2, so only x2 and x3 may run as one segment, and H preempts
+    def node(component, task, wcet, thread):
+        return TaskNode(component, task, wcet, 1, "CPU", (component, thread))
+
+    x = Chain(
+        ("X", "main"), NORMAL,
+        (node("X", "x1", 2, "main"), node("X", "x2", 3, "main"), node("X", "x3", 1, "main")),
+        EventModel(12, 2),
+        (LatencyReq(4, (0, 1), "X", "s.m()"), LatencyReq(9, (0, 3), "X", "main")),
+    )
+    h = Chain(("H", "main"), NORMAL, (node("H", "h", 3, "main"),), EventModel(6, 1))
+    graph = TaskGraph(NORMAL, (x, h))
+    cfg = Configuration(
+        frozenset({"X", "H"}), frozenset(),
+        {("X", "x1"): "R1", ("X", "x2"): "R1", ("X", "x3"): "R1", ("H", "h"): "R1"},
+        (("H", "main"), ("X", "main")),
+    )
+    assert [segments for _, _, segments, _ in nego.sim._Plan(graph, cfg).chains] == [
+        ((0, 1, 2), (0, 1, 4)),
+        ((0, 0, 3),),
+    ]
+    _assert_matches_reference(graph, cfg, random.Random(0))
+    for horizon in (5, 12, 24):
+        assert worst_observed(graph, cfg, horizon) == reference_worst_observed(graph, cfg, horizon)
+
+
+def test_reference_releases_a_fork_when_its_trigger_reaches_the_signal():
+    # H and A on R1, B and X on R2, ranked H, A, B, X; A signals B after its
+    # task, so B inherits A's period of 10
+    texts = [
+        "component H threads thread t on time (period=20 jitter=0) task h onto CPU wcet=5 bcet=1",
+        "component A services requires s threads thread t on time (period=10 jitter=0) "
+        "task a onto CPU wcet=2 bcet=1 SIGNAL s.m()",
+        "component B services provides s threads thread e on RPC s.m() task b onto CPU wcet=4 bcet=1",
+        "component X threads thread t on time (period=20 jitter=0) task x onto CPU wcet=3 bcet=1",
+    ]
+    software = load_software_model(texts, "service s method m ()")
+    cfg = Configuration(
+        frozenset({"H", "A", "B", "X"}), frozenset({("A", "s", "B")}),
+        {("H", "h"): "R1", ("A", "a"): "R1", ("B", "b"): "R2", ("X", "x"): "R2"},
+        (("H", "t"), ("A", "t"), ("B", "e"), ("X", "t")),
+    )
+    graph = build_task_graph(software, cfg, NORMAL)
+    assert [chain.root for chain in graph.chains] == [("A", "t"), ("B", "e"), ("H", "t"), ("X", "t")]
+    x_span, b_span = (("X", "t"), (0, 1)), (("B", "e"), (0, 1))
+    # H delays A#0 to 7 and A#1 ends at 12, so B#0 and B#1 are released at
+    # 7 and 12, only 5 apart; X, released at 7, completes at 18, and so on
+    # in the second hyperperiod.  B's own offset of 3 is not read.
+    scenario = ReleaseScenario((0, 3, 0, 7), ((), (), (), ()), 40)
+    latencies, partial = reference_simulate(graph, cfg, scenario)
+    assert latencies[x_span] == [11, 11]
+    assert latencies[b_span] == [4, 4, 4, 4]
+    assert not partial
+    assert reference_worst_observed(graph, cfg, default_horizon(graph))[x_span] == 11
+
+
+def test_reference_releases_a_fork_at_position_zero_with_its_trigger():
+    # A signals B before its task, and B signals C after its own
+    texts = [
+        "component A services requires s threads thread t on time (period=10 jitter=0) "
+        "SIGNAL s.m() task a onto CPU wcet=2 bcet=1",
+        "component B services provides s requires u threads thread e on RPC s.m() "
+        "task b onto CPU wcet=1 bcet=1 SIGNAL u.n()",
+        "component C services provides u threads thread e on RPC u.n() task c onto CPU wcet=1 bcet=1",
+    ]
+    software = load_software_model(texts, "service s method m () service u method n ()")
+    cfg = Configuration(
+        frozenset({"A", "B", "C"}), frozenset({("A", "s", "B"), ("B", "u", "C")}),
+        {("A", "a"): "R1", ("B", "b"): "R1", ("C", "c"): "R1"},
+        (("A", "t"), ("B", "e"), ("C", "e")),
+    )
+    graph = build_task_graph(software, cfg, NORMAL)
+    assert [chain.triggered_by for chain in graph.chains] == [None, (("A", "t"), 0), (("B", "e"), 1)]
+    # A#k and B#k are released at 3 + 10k; B waits for A's task and ends at
+    # 6 + 10k, when C#k is released
+    latencies, _ = reference_simulate(graph, cfg, ReleaseScenario((3, 7, 9), ((), (), ()), 20))
+    assert latencies == {
+        (("A", "t"), (0, 1)): [2, 2],
+        (("B", "e"), (0, 1)): [3, 3],
+        (("C", "e"), (0, 1)): [1, 1],
+    }
+
+
+def simulation_digest(seeds) -> str:
+    """SHA-256 over the `worst_observed` maxima of every `_redrawn_systems`
+    system and the trace of its synchronous run."""
+    digest = hashlib.sha256()
+    for graph, cfg, _ in _redrawn_systems(seeds):
+        for (root, span), seen in sorted(worst_observed(graph, cfg).items()):
+            digest.update(f"{qual_str(root)} {span[0]}:{span[1]} {seen}\n".encode())
+        scenario = synchronous_scenario(graph, default_horizon(graph))
+        for line in simulate(graph, cfg, scenario, trace=True).trace:
+            digest.update(f"{line}\n".encode())
+    return digest.hexdigest()
+
+
+# `simulation_digest(range(100))`: a change to the engine that keeps every
+# schedule keeps it.
+SIMULATION_DIGEST = "063893aeff03ef1eb04d7b498228f21fc2f30cb0e47090caebd33a5458a16266"
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_simulation_output_is_pinned(hash_seed):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
+    code = "import test_sim; print(test_sim.simulation_digest(range(100)))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.stdout.strip() == SIMULATION_DIGEST, done.stderr
 
 
 def test_worst_observed_matches_grid_walk():
