@@ -78,10 +78,14 @@ def mutate(text: str, corpus_pieces: list[str], rng: random.Random) -> str:
 
 
 def canonical(value: object) -> str:
-    """Every dataclass field of `value`, nested, with the members of a set and
-    the items of a mapping in sorted order."""
-    if dataclasses.is_dataclass(value):
-        fields = ", ".join(f"{f.name}={canonical(getattr(value, f.name))}" for f in dataclasses.fields(value))
+    """Every field of `value`, a dataclass or a NamedTuple, nested, with the
+    members of a set and the items of a mapping in sorted order.  Both kinds
+    of record render alike, as `Name(field=...)`."""
+    names = getattr(type(value), "_fields", None)  # a NamedTuple's
+    if names is None and dataclasses.is_dataclass(value):
+        names = [f.name for f in dataclasses.fields(value)]
+    if names is not None:
+        fields = ", ".join(f"{name}={canonical(getattr(value, name))}" for name in names)
         return f"{type(value).__name__}({fields})"
     if isinstance(value, (set, frozenset)):
         return "{" + ", ".join(sorted(canonical(item) for item in value)) + "}"

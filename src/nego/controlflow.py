@@ -16,7 +16,7 @@ indexed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from nego.constraints import ConnLit, ForbidConjunction, SelLit
 from nego.dsl import Initialization, MethodRef, SoftwareModel, Thread, TimeActivation
@@ -24,8 +24,7 @@ from nego.model import Configuration, QualId
 from nego.taskgraph import INITIALIZATION, NORMAL
 
 
-@dataclass(frozen=True)
-class CallSite:
+class CallSite(NamedTuple):
     """One routed call step of a selected thread that executes in some
     mode, with those modes and the provider the configuration routes the
     call to."""
@@ -72,8 +71,7 @@ def thread_modes(software: SoftwareModel, cfg: Configuration) -> dict[QualId, fr
     return {key: frozenset(value) for key, value in modes.items()}
 
 
-@dataclass(frozen=True)
-class CfViolation:
+class CfViolation(NamedTuple):
     provider: str
     forbidden: MethodRef
     prerequisite: MethodRef

@@ -9,15 +9,13 @@ pull in.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from nego.dsl import ServiceInterface, SoftwareModel
 from nego.model import ModelError
 
 
-@dataclass(frozen=True)
-class ConnectionCandidates:
+class ConnectionCandidates(NamedTuple):
     """Provider options per (client, service) pair over the reachable set.
 
     must: pairs with exactly one provider, as (client, service, provider).

@@ -14,7 +14,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 KEYWORDS = frozenset(
     [
@@ -89,22 +89,19 @@ class MethodRef:
         return f"{self.service}.{self.method}({self.args})"
 
 
-@dataclass(frozen=True)
-class RpcEntry:
+class RpcEntry(NamedTuple):
     ref: MethodRef
 
     def __str__(self) -> str:
         return f"RPC {self.ref}"
 
 
-@dataclass(frozen=True)
-class Initialization:
+class Initialization(NamedTuple):
     def __str__(self) -> str:
         return "initialization"
 
 
-@dataclass(frozen=True)
-class TimeActivation:
+class TimeActivation(NamedTuple):
     period: int
     jitter: int
 
@@ -124,8 +121,7 @@ class TaskStep:
     pos: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class CallStep:
+class CallStep(NamedTuple):
     kind: str  # "RPC" or "SIGNAL"
     ref: MethodRef
 
@@ -169,8 +165,7 @@ class NotUntilReq:
     pos: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class Contract:
+class Contract(NamedTuple):
     component: str
     requires: frozenset[str] = frozenset()
     provides: frozenset[str] = frozenset()
@@ -192,14 +187,12 @@ class Contract:
         return None
 
 
-@dataclass(frozen=True)
-class ServiceMethod:
+class ServiceMethod(NamedTuple):
     name: str
     args: str = ""
 
 
-@dataclass(frozen=True)
-class ServiceInterface:
+class ServiceInterface(NamedTuple):
     name: str
     methods: tuple[ServiceMethod, ...]
     max_clients: int | None = None  # None = unbounded
@@ -211,8 +204,7 @@ class ServiceInterface:
         return None
 
 
-@dataclass(frozen=True)
-class SoftwareModel:
+class SoftwareModel(NamedTuple):
     contracts: Mapping[str, Contract]
     interfaces: Mapping[str, ServiceInterface]
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from nego.dsl import MAX_DIGITS, Contract, DslError, SoftwareModel, TimeActivation, check_against_repository
 
@@ -37,22 +37,13 @@ class UpdateError(ModelError):
     pass
 
 
-@dataclass(frozen=True)
-class Resource:
+class Resource(NamedTuple):
     name: str
     rtype: str
 
 
-@dataclass(frozen=True)
-class PlatformModel:
+class PlatformModel(NamedTuple):
     resources: tuple[Resource, ...]
-
-    def __post_init__(self) -> None:
-        if not self.resources:
-            raise ModelError("platform declares no resources")
-        names = [r.name for r in self.resources]
-        if len(set(names)) != len(names):
-            raise ModelError("duplicate resource name in platform")
 
     def resource(self, name: str) -> Resource:
         for r in self.resources:
@@ -65,6 +56,8 @@ class PlatformModel:
 
 
 def parse_platform(text: str) -> PlatformModel:
+    """One `resource <name> type <rtype>` line per resource: at least one
+    resource, and no name twice."""
     resources = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -74,6 +67,10 @@ def parse_platform(text: str) -> PlatformModel:
         if len(parts) != 4 or parts[0] != "resource" or parts[2] != "type":
             raise ModelError(f"platform line {lineno}: expected 'resource <name> type <rtype>'")
         resources.append(Resource(parts[1], parts[3]))
+    if not resources:
+        raise ModelError("platform declares no resources")
+    if len({r.name for r in resources}) != len(resources):
+        raise ModelError("duplicate resource name in platform")
     return PlatformModel(tuple(resources))
 
 
@@ -103,15 +100,13 @@ class Configuration:
         return self._providers.get((client, service))
 
 
-@dataclass(frozen=True)
-class SystemModel:
+class SystemModel(NamedTuple):
     software: SoftwareModel
     platform: PlatformModel
     config: Configuration | None = None
 
 
-@dataclass(frozen=True)
-class UpdateRequest:
+class UpdateRequest(NamedTuple):
     change: str  # "add" | "remove" | "update"
     contract: Contract
 
@@ -182,8 +177,7 @@ def pinned_components(software: SoftwareModel) -> frozenset[str]:
 # Well-formedness
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     condition: str
     subject: str
     message: str
@@ -314,8 +308,7 @@ def check_well_formed(
 # Answers
 
 
-@dataclass(frozen=True)
-class Accepted:
+class Accepted(NamedTuple):
     config: Configuration
     report: tuple[str, ...]
     previous: Configuration | None = None
@@ -326,8 +319,7 @@ class Accepted:
         return True
 
 
-@dataclass(frozen=True)
-class Rejected:
+class Rejected(NamedTuple):
     reason: str
     constraints: tuple = ()
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from nego.constraints import ConnLit, Constraint, ForbidConjunction, sort_constraints
 from nego.controlflow import check_control_flow
@@ -94,8 +94,7 @@ class NegotiationTrace:
         return "\n".join(self.lines) + "\n"
 
 
-@dataclass(frozen=True)
-class Evaluation:
+class Evaluation(NamedTuple):
     """What the analyses said about one configuration.
 
     `layer` is the rejecting layer (`control_flow`, `structure` or

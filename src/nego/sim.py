@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import itemgetter
+from typing import NamedTuple
 
 from nego.model import Configuration, QualId, qual_str
 from nego.taskgraph import EventModel, TaskGraph
@@ -27,8 +27,7 @@ from nego.taskgraph import EventModel, TaskGraph
 SpanKey = tuple[QualId, tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class ReleaseScenario:
+class ReleaseScenario(NamedTuple):
     """Concrete releases: offsets and jitter draws are indexed like
     `graph.chains`; missing draws are zero."""
 
@@ -99,8 +98,7 @@ def random_scenario(graph: TaskGraph, rng, horizon: int) -> ReleaseScenario:
     return ReleaseScenario(tuple(offsets), tuple(draws), horizon)
 
 
-@dataclass
-class SimResult:
+class SimResult(NamedTuple):
     latencies: dict[SpanKey, list[int]]
     partial: bool
     trace: tuple[str, ...] = ()
@@ -122,9 +120,10 @@ class _Plan:
     finishes one node of a segment, it would leave its resource's heap and
     go straight back onto it with the same key; every other job that enters
     the heap at that instant enters it either way, so the heap's top is the
-    same at every instant.  (The argument needs every wcet positive, which
-    the contract language enforces: a node of wcet 0 would complete only
-    when its job next tops the heap.)  The boundary rule keeps every
+    same at every instant.  (The argument needs every wcet positive: a node
+    of wcet 0 would complete only when its job next tops the heap.  The
+    contract language refuses such a task, and so does the plan, naming it,
+    for a hand-built graph.)  The boundary rule keeps every
     completion a span reads; the first node is a boundary of the whole
     chain's span, so it starts the first segment.
     With `trace`, every node is its own segment, so the trace lines name
@@ -153,6 +152,8 @@ class _Plan:
             ends = []  # per node, the index of its segment's completion
             for i, node in enumerate(chain.nodes):
                 resource, rank, wcet = index[mapping[node.task_id]], ranks[node.thread], node.wcet
+                if wcet < 1:
+                    raise ValueError(f"task {qual_str(node.task_id)} has wcet {wcet}, below 1")
                 if trace or i in bounds or segments[-1][:2] != (resource, rank):
                     segments.append((resource, rank, wcet))
                 else:

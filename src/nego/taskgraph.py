@@ -10,8 +10,7 @@ targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from nego.dsl import Initialization, MethodRef, SoftwareModel, TaskStep, Thread, TimeActivation
 from nego.model import Configuration, QualId, qual_str
@@ -33,8 +32,7 @@ class StructuralError(GraphError):
     pass
 
 
-@dataclass(frozen=True)
-class EventModel:
+class EventModel(NamedTuple):
     """Periodic activation with bounded release jitter."""
 
     period: int
@@ -48,8 +46,7 @@ class EventModel:
         return -(-(window + self.jitter) // self.period)
 
 
-@dataclass(frozen=True)
-class TaskNode:
+class TaskNode(NamedTuple):
     component: str
     task: str
     wcet: int
@@ -65,8 +62,7 @@ class TaskNode:
         return f"{self.component}.{self.task}({self.wcet}/{self.bcet})"
 
 
-@dataclass(frozen=True)
-class LatencyReq:
+class LatencyReq(NamedTuple):
     bound: int
     span: tuple[int, int]  # node index range [start, stop)
     owner: str  # component that stated the requirement
@@ -76,8 +72,7 @@ class LatencyReq:
         return f"timing {self.bound} {self.target}"
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(NamedTuple):
     root: QualId
     mode: str
     nodes: tuple[TaskNode, ...]
@@ -90,8 +85,7 @@ class Chain:
         return self.nodes[span[0] : span[1]]
 
 
-@dataclass(frozen=True)
-class TaskGraph:
+class TaskGraph(NamedTuple):
     mode: str
     chains: tuple[Chain, ...]
 
@@ -111,16 +105,18 @@ def total_wcet(chain: Chain, span: tuple[int, int] | None = None) -> int:
     return sum(n.wcet for n in nodes)
 
 
-@dataclass
-class _Unfolding:
-    nodes: list[TaskNode] = field(default_factory=list)
+class _Unfolding(NamedTuple):
+    """What `_unfold_steps` appends to; each unfolding gets containers of
+    its own."""
+
+    nodes: list[TaskNode]
     # ((caller component, service, method), span) per inlined RPC call
-    call_spans: list[tuple[tuple[str, str, str], tuple[int, int]]] = field(default_factory=list)
+    call_spans: list[tuple[tuple[str, str, str], tuple[int, int]]]
     # (component, thread name, span) per inlined callee thread
-    thread_spans: list[tuple[QualId, tuple[int, int]]] = field(default_factory=list)
+    thread_spans: list[tuple[QualId, tuple[int, int]]]
     # (provider, entry thread, caller component, ref, node position) per SIGNAL
-    forks: list[tuple[str, Thread, str, MethodRef, int]] = field(default_factory=list)
-    connections: set[tuple[str, str, str]] = field(default_factory=set)
+    forks: list[tuple[str, Thread, str, MethodRef, int]]
+    connections: set[tuple[str, str, str]]
 
 
 def _provider_entry(software: SoftwareModel, provider: str, ref: MethodRef, chain: QualId) -> Thread:
@@ -273,8 +269,7 @@ def build_task_graph(software: SoftwareModel, cfg: Configuration, mode: str) -> 
         if root in seen_roots:
             raise StructuralError(f"thread {qual_str(root)} activated by more than one chain")
         seen_roots.add(root)
-        unfolding = _Unfolding()
-        unfolding.connections.update(seed_conns)
+        unfolding = _Unfolding([], [], [], [], set(seed_conns))
         _unfold_steps(software, cfg, comp, thread, unfolding, root)
         if event is not None and not unfolding.nodes:
             raise StructuralError(f"chain {qual_str(root)}: periodic chain unfolds to no tasks")

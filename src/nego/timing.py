@@ -32,7 +32,6 @@ nogoods goes on from the order the last step returned.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -276,8 +275,7 @@ def _span_bound(
 # Verdicts and feedback
 
 
-@dataclass(frozen=True)
-class TimingVerdict:
+class TimingVerdict(NamedTuple):
     target: str
     bound: int | None  # required bound; None when the chain states none
     computed: int | None  # None: unbounded
@@ -291,8 +289,7 @@ class TimingVerdict:
         return f"timing {bound} {self.target}: bound={computed} {verdict} model={self.model}"
 
 
-@dataclass(frozen=True)
-class TimingReport:
+class TimingReport(NamedTuple):
     model: str
     utilization: Mapping[str, Fraction]
     verdicts: tuple[TimingVerdict, ...]

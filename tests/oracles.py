@@ -245,8 +245,13 @@ def reference_simulate(graph, cfg, scenario):
     release, chain index, activation) key.  A chain forked by a SIGNAL has
     no releases of its own: its activation k is released when activation k
     of its trigger completes the node before the fork position, or, at
-    position 0, when that activation is released.
+    position 0, when that activation is released.  A task whose wcet is
+    below 1 is refused, as `sim` refuses it: its job would never finish.
     """
+    for chain in graph.chains:
+        for node in chain.nodes:
+            if node.wcet < 1:
+                raise ValueError(f"task {node.component}.{node.task} has wcet {node.wcet}, below 1")
     ranks = {thread: rank for rank, thread in enumerate(cfg.priorities)}
     index = {chain.root: ci for ci, chain in enumerate(graph.chains)}
     forks = {}  # trigger chain index -> [(forked chain index, fork position)]

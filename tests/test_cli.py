@@ -549,6 +549,22 @@ def test_bound_needs_a_platform(capsys):
     assert capsys.readouterr() == ("", "error: --platform is required for this command\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "platform declares no resources"),
+        ("resource CPU1 type CPU_type_1\nresource CPU1 type CPU_type_1\n", "duplicate resource name in platform"),
+    ],
+)
+def test_bound_refuses_a_platform_without_resources_or_with_a_name_twice(tmp_path, capsys, text, message):
+    platform = tmp_path / "platform.txt"
+    platform.write_text(text)
+    argv = ["bound", "--contracts", str(CORPUS / "contracts"), "--services", str(CORPUS / "services.repo"),
+            "--platform", str(platform), *_CONFIG]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_simulate_warns_when_activations_run_past_the_horizon(capsys):
     argv = ["simulate", *BASE, *_CONFIG, "--horizon", "5"]
     assert cli.main(argv) == 0

@@ -4,7 +4,8 @@ another module's private name.
 
 A stand-in for a linter's unused-import rule (F401) and dead-code check,
 which the package does not depend on.  An import kept on purpose carries
-``# noqa: F401``.
+``# noqa: F401``.  A last check keeps records `NamedTuple`s wherever a
+tuple can serve.
 """
 
 import ast
@@ -104,3 +105,35 @@ def test_no_private_name_crosses_modules(path):
         if alias.name.startswith("_")
     )
     assert crossing == []
+
+
+def _decorator_names(node: ast.ClassDef | ast.FunctionDef) -> set[str]:
+    """`dataclass` for both `@dataclass` and `@dataclass(frozen=True)`."""
+    called = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return {d.id for d in called if isinstance(d, ast.Name)}
+
+
+def _needs_a_dataclass(node: ast.ClassDef) -> bool:
+    """A record is a dataclass only where a NamedTuple cannot serve: it
+    caches a derived value (`cached_property` needs an instance dict), or
+    equality ignores one of its fields."""
+    for item in node.body:
+        if isinstance(item, ast.FunctionDef) and "cached_property" in _decorator_names(item):
+            return True
+        value = item.value if isinstance(item, ast.AnnAssign) else None
+        if isinstance(value, ast.Call) and isinstance(value.func, ast.Name) and value.func.id == "field":
+            if any(k.arg == "compare" and isinstance(k.value, ast.Constant) and k.value.value is False
+                   for k in value.keywords):
+                return True
+    return False
+
+
+def test_dataclass_only_where_a_named_tuple_cannot_serve():
+    # a NamedTuple is cheaper to create, build and hash than a frozen dataclass
+    misplaced = sorted(
+        f"{path.name}:{node.lineno}: {node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef) and "dataclass" in _decorator_names(node) and not _needs_a_dataclass(node)
+    )
+    assert misplaced == []

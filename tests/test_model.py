@@ -32,6 +32,19 @@ def test_platform_rejects_bad_line():
         parse_platform("cpu CPU1 kind fast")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "platform declares no resources"),
+        ("\n  \n", "platform declares no resources"),
+        ("resource R1 type CPU\nresource R2 type GPU\nresource R1 type GPU\n", "duplicate resource name in platform"),
+    ],
+)
+def test_platform_rejects_no_resources_and_duplicate_names(text, message):
+    with pytest.raises(ModelError, match=f"^{message}$"):
+        parse_platform(text)
+
+
 def test_platform_by_type(platform):
     assert platform.by_type("CPU_type_1") == (Resource("CPU1", "CPU_type_1"),)
     assert platform.by_type("GPU") == ()

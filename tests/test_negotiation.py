@@ -184,7 +184,7 @@ def test_revalidation_not_well_formed(system_pre, current_config):
         current_config,
         connections=current_config.connections - {("T", "object_recognition", "O2")},
     )
-    _, trace = negotiate(replace(system_pre, config=cfg), [], model=BUSY_WINDOW)
+    _, trace = negotiate(system_pre._replace(config=cfg), [], model=BUSY_WINDOW)
     assert trace.lines[0] == (
         "revalidation: not well-formed: [2] T -> object_recognition: 0 providers connected, need exactly 1"
     )
@@ -221,7 +221,7 @@ def test_revalidation_structure_error():
         _mapped_to(software, "R0"),
         _threads(software),
     )
-    answer, trace = negotiate(replace(system, config=cfg), [], model=BUSY_WINDOW)
+    answer, trace = negotiate(system._replace(config=cfg), [], model=BUSY_WINDOW)
     assert trace.lines[0] == (
         "revalidation: structure: task A.e appears in chain P000.main and chain P001.main in normal mode"
     )
@@ -243,6 +243,6 @@ def test_revalidation_utilization_overload():
     cfg = Configuration(
         frozenset(software.contracts), frozenset(), _mapped_to(software, "R0"), _threads(software)
     )
-    answer, trace = negotiate(replace(system, config=cfg), [], model=BUSY_WINDOW)
+    answer, trace = negotiate(system._replace(config=cfg), [], model=BUSY_WINDOW)
     assert trace.lines[0] == "revalidation: utilization overload"
     assert isinstance(answer, Rejected) and answer.reason == "exhausted"

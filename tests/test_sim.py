@@ -275,6 +275,32 @@ def test_method_span_splits_same_thread_tasks():
         assert worst_observed(graph, cfg, horizon) == reference_worst_observed(graph, cfg, horizon)
 
 
+def test_task_of_wcet_zero_is_refused():
+    # X = x1 (wcet 2), x2 (wcet 0) under H, released at 2 and ranked above
+    # X: merged into x1's segment, x2 would read 2 for X where stepping node
+    # by node reads 5, and the unit-step reference would never finish it
+    x = Chain(
+        ("X", "main"), NORMAL,
+        (TaskNode("X", "x1", 2, 1, "CPU", ("X", "main")), TaskNode("X", "x2", 0, 0, "CPU", ("X", "main"))),
+        EventModel(10, 0),
+    )
+    h = Chain(("H", "main"), NORMAL, (TaskNode("H", "h", 3, 1, "CPU", ("H", "main")),), EventModel(10, 0))
+    graph = TaskGraph(NORMAL, (h, x))
+    cfg = Configuration(
+        frozenset({"X", "H"}), frozenset(),
+        {("X", "x1"): "R1", ("X", "x2"): "R1", ("H", "h"): "R1"},
+        (("H", "main"), ("X", "main")),
+    )
+    scenario = ReleaseScenario((2, 0), ((), ()), 10)
+    message = "^task X.x2 has wcet 0, below 1$"
+    with pytest.raises(ValueError, match=message):
+        simulate(graph, cfg, scenario)
+    with pytest.raises(ValueError, match=message):
+        worst_observed(graph, cfg)
+    with pytest.raises(ValueError, match=message):
+        reference_simulate(graph, cfg, scenario)
+
+
 def test_reference_releases_a_fork_when_its_trigger_reaches_the_signal():
     # H and A on R1, B and X on R2, ranked H, A, B, X; A signals B after its
     # task, so B inherits A's period of 10
