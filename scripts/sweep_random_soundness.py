@@ -4,6 +4,9 @@
 Also prints one SHA-256 over every system's sorted (seed, root, span,
 observed) rows.  With `--expect HEX`, exit 1 unless the digest equals HEX:
 a change that keeps the simulator's output byte-identical keeps the digest.
+With `--resources N`, each system's task mapping is drawn again over
+resources R1..RN and its priority order shuffled, both from the system's
+seed, so more of the systems spread over several resources.
 """
 
 import argparse
@@ -11,7 +14,7 @@ import hashlib
 import random
 import sys
 
-from nego.model import qual_str
+from nego.model import Configuration, qual_str
 from nego.randsys import random_chain_system
 from nego.sim import worst_observed
 from nego.taskgraph import NORMAL, build_task_graph
@@ -23,15 +26,25 @@ def main() -> int:
     parser.add_argument("--systems", type=int, default=300)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--expect", help="the digest the run must give")
+    parser.add_argument("--resources", type=int, help="redraw each mapping over this many resources")
     args = parser.parse_args()
+    if args.resources is not None and args.resources < 1:
+        parser.error("--resources must be at least 1")
 
     spans = violations = 0
     digest = hashlib.sha256()
     for index in range(args.systems):
         seed = args.seed + index
         system = random_chain_system(random.Random(seed))
-        graph = build_task_graph(system.software, system.config, NORMAL)
         cfg = system.config
+        if args.resources is not None:
+            rng = random.Random(seed)
+            resources = [f"R{i + 1}" for i in range(args.resources)]
+            mapping = {task: rng.choice(resources) for task in sorted(cfg.mapping)}
+            order = list(cfg.priorities)
+            rng.shuffle(order)
+            cfg = Configuration(cfg.selected, cfg.connections, mapping, tuple(order))
+        graph = build_task_graph(system.software, cfg, NORMAL)
         ranks = cfg.ranks()
         for (root, span), seen in sorted(worst_observed(graph, cfg).items()):
             digest.update(f"{seed} {qual_str(root)} {span[0]}:{span[1]} {seen}\n".encode())

@@ -6,6 +6,13 @@ the observed latency of every requirement span.  `worst_observed` sweeps
 release offsets on a unit grid with two jitter patterns and keeps the
 per-span maxima; it is the ground truth the analytic bounds must dominate.
 
+It sweeps each group of chains that can affect one another on its own grid
+(`_Plan.groups`): chains that share a resource, or a forked chain and its
+trigger.  This is exact.  Each resource schedules from its own heap and a
+job only visits its own chain's resources, so a group's completion times
+depend only on its own releases; the maximum over the product of every
+chain's offsets is the maximum over each group's own offsets.
+
 A job moves through its chain one segment at a time: a run of consecutive
 nodes on one resource at one thread rank that no span starts or stops
 inside (`_Plan`).  Running a segment as one piece of work schedules exactly
@@ -132,6 +139,8 @@ class _Plan:
     `keys` lists the span keys, each chain's spans in span order; `rows`
     maps the chain index to its spans as (key index, start, stop), where
     start and stop index a job's completions, whose entry 0 is the release.
+    `groups` splits `chains` into the groups that can affect one another
+    (`_groups`).
     """
 
     def __init__(self, graph: TaskGraph, cfg: Configuration, trace: bool = False) -> None:
@@ -168,6 +177,39 @@ class _Plan:
                 self.roots[ci] = qual_str(chain.root)
                 self.tasks[ci] = tuple(qual_str(n.task_id) for n in chain.nodes)
         self.keys = list(slots)
+        # one resource or one chain is one group; the union-find would add
+        # about a fifth to the sweep of one chain over two resources
+        single = len(self.resources) == 1 or len(self.chains) == 1
+        self.groups = [self.chains] if single else _groups(graph, self.chains)
+
+
+def _groups(graph: TaskGraph, chains: list) -> list[list]:
+    """`chains`, entries of `_Plan.chains`, split into the groups that can
+    affect one another, each in chain order: two chains join when they
+    share a resource, and a chain forked by a SIGNAL joins its trigger's."""
+    link = list(range(len(graph.chains)))  # union-find over chain indices
+
+    def top(ci: int) -> int:
+        while link[ci] != ci:
+            ci = link[ci]
+        return ci
+
+    def join(a: int, b: int) -> None:
+        a, b = top(a), top(b)
+        link[max(a, b)] = min(a, b)
+
+    index_of = {chain.root: ci for ci, chain in enumerate(graph.chains)}
+    for ci, chain in enumerate(graph.chains):
+        if chain.triggered_by is not None:
+            join(ci, index_of[chain.triggered_by[0]])
+    first: dict[int, int] = {}  # resource index -> first chain on it
+    for ci, _, segments, _ in chains:
+        for resource, _, _ in segments:
+            join(ci, first.setdefault(resource, ci))
+    groups: dict[int, list] = {}
+    for entry in chains:
+        groups.setdefault(top(entry[0]), []).append(entry)
+    return list(groups.values())
 
 
 # A job is one list, so that its key heads it and the heaps order it without
@@ -184,19 +226,22 @@ def _run(
     offsets: tuple[int, ...],
     draws: tuple[tuple[int, ...], ...],
     horizon: int,
+    chains: list,
     lines: list[str] | None = None,
 ) -> list[list]:
-    """Schedule every job released before `horizon` to completion.
+    """Schedule every job of `chains`, entries of `plan.chains`, released
+    before `horizon` to completion.
 
     Each resource keeps a heap of its ready jobs; the top of each heap runs.
     Time jumps to the next release or the soonest completion of a top.
     Returns the jobs in (chain, activation) order; with `lines`, appends the
     release, dispatch, preempt and complete trace lines to it.  Callers
-    check the horizon with `_check_run` first.
+    check the horizon with `_check_run` first, and pass offsets and draws
+    that `_check_scenario` accepts.
     """
     jobs: list[list] = []
     work = 0
-    for ci, event, segments, total in plan.chains:
+    for ci, event, segments, total in chains:
         offset = offsets[ci]
         chain_draws = draws[ci]
         if event is None:
@@ -204,11 +249,7 @@ def _run(
         else:
             releases = list(range(offset, horizon, event.period))
             if chain_draws:
-                used = chain_draws[: len(releases)]
-                if used and (min(used) < 0 or max(used) > event.jitter):
-                    draw = next(d for d in used if not 0 <= d <= event.jitter)
-                    raise ValueError(f"jitter draw {draw} outside [0, {event.jitter}]")
-                for k, draw in enumerate(used):
+                for k, draw in enumerate(chain_draws[: len(releases)]):
                     releases[k] += draw
         _, rank, wcet = segments[0]
         for k, release in enumerate(releases):
@@ -290,13 +331,35 @@ def _run(
     return jobs
 
 
+def _check_scenario(graph: TaskGraph, scenario: ReleaseScenario) -> None:
+    """Refuse, naming the chain, a scenario without one offset and one draw
+    tuple per chain, a negative offset, or a draw outside [0, jitter] (below
+    0 for a one-shot chain, whose draw delays its one release)."""
+    chains = graph.chains
+    for kind, values in (("offset", scenario.offsets), ("draw tuple", scenario.draws)):
+        if len(values) < len(chains):
+            raise ValueError(f"the scenario has no {kind} for chain {qual_str(chains[len(values)].root)}")
+        if len(values) > len(chains):
+            raise ValueError(f"the scenario has {len(values)} {kind}s for {len(chains)} chains")
+    for chain, offset, draws in zip(chains, scenario.offsets, scenario.draws):
+        name = qual_str(chain.root)
+        if offset < 0:
+            raise ValueError(f"chain {name} has offset {offset}, below 0")
+        for draw in draws:
+            if draw < 0:
+                raise ValueError(f"chain {name} has jitter draw {draw}, below 0")
+            if chain.event is not None and draw > chain.event.jitter:
+                raise ValueError(f"chain {name} has jitter draw {draw}, above its jitter {chain.event.jitter}")
+
+
 def simulate(
     graph: TaskGraph, cfg: Configuration, scenario: ReleaseScenario, trace: bool = False
 ) -> SimResult:
     _check_run(graph, scenario.horizon)
+    _check_scenario(graph, scenario)
     plan = _Plan(graph, cfg, trace)
     lines: list[str] | None = [] if trace else None
-    jobs = _run(plan, scenario.offsets, scenario.draws, scenario.horizon, lines)
+    jobs = _run(plan, scenario.offsets, scenario.draws, scenario.horizon, plan.chains, lines)
     values: list[list[int]] = [[] for _ in plan.keys]
     rows = plan.rows
     for job in jobs:
@@ -325,40 +388,52 @@ def worst_observed(
 
     The first chain anchors the grid at offset zero; every other periodic
     chain sweeps each offset in [0, period).  One-shot chains stay at zero.
-    Patterns that draw alike, as both do when no chain has jitter, run once.
     A grid of more than MAX_GRID offset vectors, or runs releasing more
     than MAX_SWEEP_JOBS jobs in all, is refused.
+
+    Each of the plan's groups is swept on its own: over the grid restricted
+    to its chains (the others run no jobs), by each pattern that draws
+    differently for its chains, so a group without jitter runs once.  This
+    is exact.  A group's completion times depend only on its own releases,
+    so a span's latency at a full offset vector equals its latency at that
+    vector's restriction to its group, and the maximum over the full grid
+    is the maximum over the group's own grid.  The runs drop from the
+    product of the groups' grids to their sum; the caps still count the
+    full product.
     """
     if horizon is None:
         horizon = default_horizon(graph)
     jobs = _check_run(graph, horizon)
-    axes: list[range] = []
-    for ci, chain in enumerate(graph.chains):
-        if ci == 0 or chain.event is None:
-            axes.append(range(1))
-        else:
-            axes.append(range(chain.event.period))
-    grid = math.prod(map(len, axes))
+    grid = math.prod(chain.event.period for chain in graph.chains[1:] if chain.event is not None)
     if grid > MAX_GRID:
         raise ValueError(f"the offset sweep has {grid} grid points, more than the cap of {MAX_GRID}")
-    draws = list(dict.fromkeys(_pattern_draws(graph, pattern) for pattern in JITTER_PATTERNS))
-    total = grid * len(draws) * jobs
+    max_first, zero = (_pattern_draws(graph, pattern) for pattern in JITTER_PATTERNS)
+    runs = grid * (1 + (max_first != zero))  # patterns that draw alike run once
+    total = runs * jobs
     if total > MAX_SWEEP_JOBS:
         raise ValueError(
-            f"the offset sweep runs {grid * len(draws)} schedules of up to {jobs} jobs, "
+            f"the offset sweep runs {runs} schedules of up to {jobs} jobs, "
             f"{total} in all, more than the cap of {MAX_SWEEP_JOBS}"
         )
     plan = _Plan(graph, cfg)
     rows = plan.rows
-    # the all-zero offset vector runs first and activates every chain with
-    # nodes at offset 0, before the horizon, so every span is observed
+    # each group's all-zero offset vector runs first and activates each of
+    # its chains at offset 0, before the horizon, so every span is observed
     maxima = [-1] * len(plan.keys)
-    for offsets in itertools.product(*axes):
-        for pattern_draws in draws:
-            for job in _run(plan, offsets, pattern_draws, horizon):
-                done = job[_DONE]
-                for slot, start, stop in rows[job[_CHAIN]]:
-                    value = done[stop] - done[start]
-                    if value > maxima[slot]:
-                        maxima[slot] = value
+    for group in plan.groups:
+        axes = [range(1)] * len(graph.chains)
+        jitter = False  # without it, the patterns draw alike for the group
+        for ci, event, _, _ in group:
+            if event is not None:
+                jitter = jitter or event.jitter > 0
+                if ci:
+                    axes[ci] = range(event.period)
+        for offsets in itertools.product(*axes):
+            for pattern_draws in (max_first, zero) if jitter else (zero,):
+                for job in _run(plan, offsets, pattern_draws, horizon, group):
+                    done = job[_DONE]
+                    for slot, start, stop in rows[job[_CHAIN]]:
+                        value = done[stop] - done[start]
+                        if value > maxima[slot]:
+                            maxima[slot] = value
     return dict(zip(plan.keys, maxima))

@@ -247,11 +247,30 @@ def reference_simulate(graph, cfg, scenario):
     of its trigger completes the node before the fork position, or, at
     position 0, when that activation is released.  A task whose wcet is
     below 1 is refused, as `sim` refuses it: its job would never finish.
+    So is, naming its chain, a scenario without one offset and one draw
+    tuple per chain, a negative offset, or a draw outside [0, jitter]
+    (below 0 for a one-shot chain): time here starts at 0.
     """
     for chain in graph.chains:
         for node in chain.nodes:
             if node.wcet < 1:
                 raise ValueError(f"task {node.component}.{node.task} has wcet {node.wcet}, below 1")
+    chains = graph.chains
+    for kind, values in (("offset", scenario.offsets), ("draw tuple", scenario.draws)):
+        if len(values) < len(chains):
+            name = "{}.{}".format(*chains[len(values)].root)
+            raise ValueError(f"the scenario has no {kind} for chain {name}")
+        if len(values) > len(chains):
+            raise ValueError(f"the scenario has {len(values)} {kind}s for {len(chains)} chains")
+    for chain, offset, draws in zip(chains, scenario.offsets, scenario.draws):
+        name = "{}.{}".format(*chain.root)
+        if offset < 0:
+            raise ValueError(f"chain {name} has offset {offset}, below 0")
+        for draw in draws:
+            if draw < 0:
+                raise ValueError(f"chain {name} has jitter draw {draw}, below 0")
+            if chain.event is not None and draw > chain.event.jitter:
+                raise ValueError(f"chain {name} has jitter draw {draw}, above its jitter {chain.event.jitter}")
     ranks = {thread: rank for rank, thread in enumerate(cfg.priorities)}
     index = {chain.root: ci for ci, chain in enumerate(graph.chains)}
     forks = {}  # trigger chain index -> [(forked chain index, fork position)]

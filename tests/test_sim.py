@@ -107,10 +107,52 @@ def test_default_horizon_is_two_hyperperiods():
     assert default_horizon(graph) == 120
 
 
+def _one_chain(event, wcet, mode=NORMAL):
+    chain = Chain(("A", "i"), mode, (TaskNode("A", "a", wcet, 1, "CPU", ("A", "i")),), event)
+    cfg = Configuration(frozenset({"A"}), frozenset(), {("A", "a"): "R1"}, (("A", "i"),))
+    return TaskGraph(mode, (chain,)), cfg
+
+
+def _assert_both_refuse(graph, cfg, scenario, message):
+    with pytest.raises(ValueError, match=message):
+        simulate(graph, cfg, scenario)
+    with pytest.raises(ValueError, match=message):
+        reference_simulate(graph, cfg, scenario)
+
+
+def test_negative_draw_on_a_one_shot_chain_is_refused():
+    # released at -4, the engine would read 3 and the reference, which
+    # starts time at 0, 7
+    graph, cfg = _one_chain(None, 3, INITIALIZATION)
+    _assert_both_refuse(graph, cfg, ReleaseScenario((0,), ((-4,),), 10), "^chain A.i has jitter draw -4, below 0$")
+    delayed = ReleaseScenario((0,), ((4,),), 10)
+    assert simulate(graph, cfg, delayed).latencies == reference_simulate(graph, cfg, delayed)[0] == {
+        (("A", "i"), (0, 1)): [3]
+    }
+
+
+def test_negative_offset_is_refused():
+    # at offset -3 the engine would read [2, 2] and the reference [5, 2]
+    graph, cfg = _one_chain(EventModel(10, 0), 2)
+    _assert_both_refuse(graph, cfg, ReleaseScenario((-3,), ((),), 10), "^chain A.i has offset -3, below 0$")
+
+
 def test_jitter_draw_outside_range_rejected():
     graph, cfg = _two_periodic()
-    with pytest.raises(ValueError):
-        simulate(graph, cfg, ReleaseScenario((0, 0), ((), (3,)), 24))
+    for draws, message in ((3,), "3, above its jitter 0"), ((-1,), "-1, below 0"):
+        _assert_both_refuse(graph, cfg, ReleaseScenario((0, 0), ((), draws), 24), f"^chain CB.tb has jitter draw {message}$")
+
+
+def test_scenario_without_one_entry_per_chain_is_refused():
+    graph, cfg = _two_periodic()
+    cases = [
+        (ReleaseScenario((0,), ((), ()), 24), "^the scenario has no offset for chain CB.tb$"),
+        (ReleaseScenario((0, 0), ((),), 24), "^the scenario has no draw tuple for chain CB.tb$"),
+        (ReleaseScenario((0, 0, 0), ((), ()), 24), "^the scenario has 3 offsets for 2 chains$"),
+        (ReleaseScenario((0, 0), ((), (), ()), 24), "^the scenario has 3 draw tuples for 2 chains$"),
+    ]
+    for scenario, message in cases:
+        _assert_both_refuse(graph, cfg, scenario, message)
 
 
 def test_horizon_below_one_rejected():
@@ -301,9 +343,9 @@ def test_task_of_wcet_zero_is_refused():
         reference_simulate(graph, cfg, scenario)
 
 
-def test_reference_releases_a_fork_when_its_trigger_reaches_the_signal():
-    # H and A on R1, B and X on R2, ranked H, A, B, X; A signals B after its
-    # task, so B inherits A's period of 10
+def _fork_graph():
+    """H and A on R1, B and X on R2, ranked H, A, B, X; A signals B after
+    its task, so B inherits A's period of 10."""
     texts = [
         "component H threads thread t on time (period=20 jitter=0) task h onto CPU wcet=5 bcet=1",
         "component A services requires s threads thread t on time (period=10 jitter=0) "
@@ -317,7 +359,11 @@ def test_reference_releases_a_fork_when_its_trigger_reaches_the_signal():
         {("H", "h"): "R1", ("A", "a"): "R1", ("B", "b"): "R2", ("X", "x"): "R2"},
         (("H", "t"), ("A", "t"), ("B", "e"), ("X", "t")),
     )
-    graph = build_task_graph(software, cfg, NORMAL)
+    return build_task_graph(software, cfg, NORMAL), cfg
+
+
+def test_reference_releases_a_fork_when_its_trigger_reaches_the_signal():
+    graph, cfg = _fork_graph()
     assert [chain.root for chain in graph.chains] == [("A", "t"), ("B", "e"), ("H", "t"), ("X", "t")]
     x_span, b_span = (("X", "t"), (0, 1)), (("B", "e"), (0, 1))
     # H delays A#0 to 7 and A#1 ends at 12, so B#0 and B#1 are released at
@@ -393,6 +439,13 @@ def test_worst_observed_matches_grid_walk():
 
 def test_worst_observed_runs_each_offset_vector_once_without_jitter(monkeypatch):
     graph, cfg = _two_periodic()
+    runs = _counting_runs(monkeypatch)
+    worst_observed(graph, cfg)
+    assert runs == [(0, offset) for offset in range(5)]
+
+
+def _counting_runs(monkeypatch):
+    """Record the offset vector of every `sim._run` call."""
     runs = []
     run = nego.sim._run
 
@@ -401,8 +454,93 @@ def test_worst_observed_runs_each_offset_vector_once_without_jitter(monkeypatch)
         return run(plan, offsets, *rest)
 
     monkeypatch.setattr(nego.sim, "_run", counting)
+    return runs
+
+
+def _three_groups(merged=False):
+    """A and B (jitter 2) on R1, C and D without jitter on R2, the one-shot
+    E on R3, ranked B, A, D, C, E.  `merged` moves D's second task to R1
+    and gives E a second task there, so D and E each span two resources and
+    every chain shares one group."""
+
+    def chain(name, event, *wcets, span=None):
+        nodes = tuple(TaskNode(name, f"{name.lower()}{i}", wcet, 1, "CPU", (name, "t")) for i, wcet in enumerate(wcets))
+        requirements = (LatencyReq(100, span, name, "t"),) if span else ()
+        return Chain((name, "t"), NORMAL, nodes, event, requirements)
+
+    chains = (
+        chain("A", EventModel(12, 0), 3),
+        chain("B", EventModel(6, 2), 1, 1, span=(1, 2)),
+        chain("C", EventModel(4, 0), 1),
+        chain("D", EventModel(6, 0), 1, 2, span=(0, 1)),
+        chain("E", None, 2, 1),
+    )
+    mapping = {
+        ("A", "a0"): "R1", ("B", "b0"): "R1", ("B", "b1"): "R1",
+        ("C", "c0"): "R2", ("D", "d0"): "R2", ("D", "d1"): "R1" if merged else "R2",
+        ("E", "e0"): "R3", ("E", "e1"): "R1" if merged else "R3",
+    }
+    cfg = Configuration(frozenset("ABCDE"), frozenset(), mapping, tuple((name, "t") for name in "BADCE"))
+    return TaskGraph(NORMAL, chains), cfg
+
+
+def test_worst_observed_sweeps_each_group_on_its_own_grid(monkeypatch):
+    graph, cfg = _three_groups()
+    assert [[entry[0] for entry in group] for group in nego.sim._Plan(graph, cfg).groups] == [[0, 1], [2, 3], [4]]
+    full = default_horizon(graph)
+    assert full == 24
+    for horizon in (full, 5, 11, 17):
+        assert worst_observed(graph, cfg, horizon) == reference_worst_observed(graph, cfg, horizon)
+    runs = _counting_runs(monkeypatch)
     worst_observed(graph, cfg)
-    assert runs == [(0, offset) for offset in range(5)]
+    # {A, B}: B's 6 offsets under both patterns; {C, D}: 4 x 6 offsets, one
+    # pattern; {E}: one run.  The full product would be 6 x 4 x 6 x 2 = 288.
+    assert len(runs) == 6 * 2 + 4 * 6 + 1
+    assert runs[0] == runs[12] == runs[36] == (0, 0, 0, 0, 0)
+
+
+def test_a_chain_spanning_two_resources_merges_their_groups(monkeypatch):
+    graph, cfg = _three_groups(merged=True)
+    assert len(nego.sim._Plan(graph, cfg).groups) == 1
+    assert worst_observed(graph, cfg) == reference_worst_observed(graph, cfg, default_horizon(graph))
+    runs = _counting_runs(monkeypatch)
+    worst_observed(graph, cfg)
+    assert len(runs) == 6 * 4 * 6 * 2
+
+
+def test_a_forked_chain_joins_its_triggers_group(monkeypatch):
+    # the fork graph of the reference test above: H and A on R1, B and X on
+    # R2, so only A's signal to B joins the two resources' chains
+    graph, cfg = _fork_graph()
+    assert len(nego.sim._Plan(graph, cfg).groups) == 1
+    runs = _counting_runs(monkeypatch)
+    worst_observed(graph, cfg)
+    # A anchors; B (period 10), H and X (period 20) sweep, without jitter
+    assert len(runs) == 10 * 20 * 20
+
+
+def _three_resource_systems(seeds):
+    """`random_chain_system` seeds with the mapping drawn again over R1, R2
+    and R3 and the priority order shuffled, from the seed."""
+    for seed in seeds:
+        system = random_chain_system(random.Random(seed))
+        graph = build_task_graph(system.software, system.config, NORMAL)
+        rng = random.Random(seed)
+        mapping = {task: rng.choice(["R1", "R2", "R3"]) for task in sorted(system.config.mapping)}
+        order = list(system.config.priorities)
+        rng.shuffle(order)
+        yield graph, Configuration(system.config.selected, system.config.connections, mapping, tuple(order)), rng
+
+
+def test_worst_observed_matches_grid_walk_over_three_resources():
+    # more than half the systems have a single chain; 53 of these 300 split
+    # into two or more groups
+    split = 0
+    for graph, cfg, rng in _three_resource_systems(range(300)):
+        split += len(nego.sim._Plan(graph, cfg).groups) > 1
+        horizon = rng.randint(1, default_horizon(graph))
+        assert worst_observed(graph, cfg, horizon) == reference_worst_observed(graph, cfg, horizon)
+    assert split >= 40
 
 
 def test_two_resource_trace_migrates_onto_a_finishing_resource():
