@@ -6,6 +6,12 @@ it requires and provides, its threads (one activation clause plus a sequence
 of task and call steps), latency requirements, and not-until ordering
 requirements.  A separate repository file declares service interfaces
 (method signatures, optional client bounds).
+
+Each text is scanned once: one regular-expression split cuts it into
+tokens and the blanks between them, and the parser walks that list with an
+index, checking each token by its text.  Errors give the line and column of
+the token at fault: only a line feed starts a line, and a tab or a carriage
+return is one column.
 """
 
 from __future__ import annotations
@@ -13,8 +19,8 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from itertools import accumulate
+from typing import Iterable, Iterator, Mapping, NamedTuple, NoReturn
 
 KEYWORDS = frozenset(
     [
@@ -216,238 +222,214 @@ class SoftwareModel(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Lexer
+# Parser
 
 
-# One match per token, and an empty `eof` match at the end of the text; the
-# search skips the blanks between tokens.  A run of characters that start no
-# token is one `bad` token, so every parenthesis is a token of its own.  ASCII
-# classes only: any other character, blank or digit is unexpected.
-_TOKEN = re.compile(
-    r"(?P<int>[0-9]+)|(?P<id>[A-Za-z_][A-Za-z0-9_]*)|(?P<lparen>\()|(?P<rparen>\))|(?P<dot>\.)|(?P<eq>=)"
-    r"|(?P<bad>[^ \t\r\n0-9A-Za-z_().=]+)|(?P<eof>\Z)"
-)
-# A token is its match: `lastgroup` names its kind, `group()` is its text and
-# `start()` its offset in the text.
-_Token = re.Match
-_PUNCT = {"(": "lparen", ")": "rparen", ".": "dot", "=": "eq"}
+# One scan cuts a text into tokens and the blanks between them: the split
+# list alternates blanks (even indices, maybe empty) and tokens (odd ones).  A
+# run of characters that start no token is one bad token, so every
+# parenthesis is a token of its own.  ASCII classes only: any other
+# character, blank or digit is unexpected.
+_SCAN = re.compile(r"(?a)([A-Za-z_]\w*|[().=]|\d+|[^ \t\r\n\w().=]+)")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_DIGITS = frozenset("0123456789")
+_TOKEN_START = _NAME_START | _DIGITS | frozenset("().=")
 _NEWLINE = re.compile("\n")
 # The most digits an integer may have, here and in a configuration's ranks.
 # 640 is the lowest limit CPython lets anyone set on int() from text, so every
 # interpreter converts what passes.
 MAX_DIGITS = 640
-
-
-# ---------------------------------------------------------------------------
-# Parser
+_EMPTY_ARGS = "argument list must be empty here"
 
 
 class _Parser:
+    """A text scanned once.  `_parts` is its split list with "" appended:
+    token i, for an odd i, is `_parts[i]`, and "" is the end of input.  The
+    grammar walks the odd indices with a local cursor; a method that reads a
+    piece of grammar takes the index it starts at and returns, with what it
+    read, the index after it.  A keyword or a punctuation mark is checked by
+    comparing the token's text in place, a name or an integer by `_name` or
+    `_int`; a failed check raises through `_fail`."""
+
     def __init__(self, text: str):
         self._text = text
-        self._tokens = list(_TOKEN.finditer(text))
-        self._index = 0  # of the next token
+        self._parts = _SCAN.split(text)
+        self._parts.append("")
+        self._ends = list(accumulate(map(len, self._parts)))  # the offset after each part
+        self._line_starts = [0, *(m.end() for m in _NEWLINE.finditer(text))]
 
-    # --- token helpers
-
-    @cached_property
-    def _line_starts(self) -> list[int]:
-        return [0, *(m.end() for m in _NEWLINE.finditer(self._text))]
-
-    def _where(self, offset: int) -> tuple[int, int]:
-        """Line and column of the character at `offset`; only a line feed
-        starts a line."""
+    def _pos(self, i: int) -> tuple[int, int]:
+        """Line and column of token i; only a line feed starts a line."""
+        offset = self._ends[i - 1]
         line = bisect_right(self._line_starts, offset)
         return line, offset - self._line_starts[line - 1] + 1
 
-    def _pos(self, tok: _Token) -> tuple[int, int]:
-        return self._where(tok.start())
-
-    def _peek(self) -> _Token:
-        tok = self._tokens[self._index]
-        if tok.lastgroup == "bad":
-            raise DslSyntaxError(f"unexpected character {tok.group()[0]!r}", *self._pos(tok))
-        return tok
-
-    def _next(self) -> _Token:
-        tok = self._peek()
-        self._index += 1
-        return tok
-
-    def _raw_args(self) -> str:
-        """The opaque text between the '(' token just consumed and its
-        matching ')', which is consumed too; no token between is checked."""
-        tokens = self._tokens
-        depth = 0
-        for index in range(self._index, len(tokens)):
-            kind = tokens[index].lastgroup
-            if kind == "lparen":
-                depth += 1
-            elif kind == "rparen" and depth:
-                depth -= 1
-            elif kind == "rparen":
-                start = tokens[self._index - 1].start() + 1
-                self._index = index + 1
-                return self._text[start : tokens[index].start()].strip()
-        raise DslSyntaxError("unterminated argument list", *self._where(len(self._text)))
-
-    def _at_kw(self, *kws: str) -> bool:
-        return self._peek().group() in kws  # only a name reads as a keyword
-
-    def _take(self, kind: str, expected: str, text: str | None = None) -> _Token:
-        """Consume the next token, which must be of `kind` (and read `text`)."""
-        tok = self._next()
-        if tok.lastgroup != kind or (text is not None and tok.group() != text):
-            raise DslSyntaxError(f"expected {expected}, found {tok.group() or 'end of input'!r}", *self._pos(tok))
-        return tok
-
-    def _take_kw(self, kw: str) -> _Token:
-        return self._take("id", repr(kw), kw)
-
-    def _take_id(self, what: str) -> _Token:
-        tok = self._take("id", what)
-        if tok.group() in KEYWORDS:
-            raise DslSyntaxError(f"expected {what}, found keyword {tok.group()!r}", *self._pos(tok))
-        return tok
-
-    def _take_int(self, what: str) -> tuple[int, _Token]:
-        tok = self._take("int", what)
-        digits = tok.group()
-        if len(digits) > MAX_DIGITS:
-            raise DslValidationError(f"{what} has {len(digits)} digits, more than {MAX_DIGITS}", *self._pos(tok))
-        return int(digits), tok
-
-    def _take_punct(self, sym: str) -> _Token:
-        return self._take(_PUNCT[sym], repr(sym))
-
-    def _expect_eof(self) -> None:
-        tok = self._peek()
-        if tok.lastgroup != "eof":
-            raise DslSyntaxError(f"unexpected token {tok.group()!r}", *self._pos(tok))
-
-    # --- grammar
-
-    def _method_ref(self, empty_args: bool = False) -> MethodRef:
-        svc = self._take_id("service name")
-        self._take_punct(".")
-        meth = self._take_id("method name")
-        self._take_punct("(")
-        args = self._raw_args()
-        if empty_args and args:
-            raise DslSyntaxError("argument list must be empty here", *self._pos(svc))
-        return MethodRef(svc.group(), meth.group(), args, pos=self._pos(svc))
-
-    def _activation(self) -> Activation:
-        tok = self._next()
-        word = tok.group()  # only a name reads as a keyword
-        if word == "RPC":
-            return RpcEntry(self._method_ref())
-        if word == "initialization":
-            return Initialization()
-        if word == "time":
-            self._take_punct("(")
-            period, ptok = self._key_int("period")
-            jitter, jtok = self._key_int("jitter")
-            self._take_punct(")")
-            if period <= 0:
-                raise DslValidationError("period must be positive", *self._pos(ptok))
-            if jitter >= period:
-                raise DslValidationError("jitter must be smaller than the period", *self._pos(jtok))
-            return TimeActivation(period, jitter)
-        raise DslSyntaxError(
-            f"expected RPC, initialization, or time, found {word or 'end of input'!r}", *self._pos(tok)
-        )
-
-    def _key_int(self, key: str) -> tuple[int, _Token]:
-        self._take_kw(key)
-        self._take_punct("=")
-        return self._take_int(f"{key} value")
-
-    def _step(self) -> Step:
-        word = self._next().group()
-        if word == "task":
-            name = self._take_id("task name")
-            self._take_kw("onto")
-            rtype = self._take_id("resource type")
-            wcet, wtok = self._key_int("wcet")
-            bcet, btok = self._key_int("bcet")
-            if wcet <= 0:
-                raise DslValidationError("wcet must be positive", *self._pos(wtok))
-            if bcet <= 0:
-                raise DslValidationError("bcet must be positive", *self._pos(btok))
-            if bcet > wcet:
-                raise DslValidationError(f"bcet {bcet} exceeds wcet {wcet}", *self._pos(btok))
-            return TaskStep(name.group(), rtype.group(), wcet, bcet, pos=self._pos(name))
-        if word in ("RPC", "SIGNAL"):
-            return CallStep(word, self._method_ref())
-        raise AssertionError(word)
-
-    def _thread(self) -> Thread:
-        self._take_kw("thread")
-        name = self._take_id("thread name")
-        self._take_kw("on")
-        activation = self._activation()
-        steps = []
-        while self._at_kw("task", "RPC", "SIGNAL"):
-            steps.append(self._step())
-        return Thread(name.group(), activation, tuple(steps), pos=self._pos(name))
-
-    def _timing(self) -> TimingReq:
-        self._take_kw("timing")
-        bound, btok = self._take_int("latency bound")
-        if bound <= 0:
-            raise DslValidationError("latency bound must be positive", *self._pos(btok))
-        name = self._take_id("timing target")
-        if self._peek().lastgroup == "dot":
-            self._take_punct(".")
-            meth = self._take_id("method name")
-            self._take_punct("(")
-            args = self._raw_args()
-            if args:
-                raise DslSyntaxError("timing targets take no arguments", *self._pos(name))
-            target: str | MethodRef = MethodRef(name.group(), meth.group(), "", pos=self._pos(name))
+    def _fail(self, i: int, expected: str | None) -> NoReturn:
+        """Raise for token i, which is not `expected`, or not the end of
+        input if `expected` is None."""
+        tok = self._parts[i]
+        if tok and tok[0] not in _TOKEN_START:
+            message = f"unexpected character {tok[0]!r}"
+        elif expected is None:
+            message = f"unexpected token {tok!r}"
         else:
-            target = name.group()
-        return TimingReq(bound, target, pos=self._pos(btok))
+            message = f"expected {expected}, found {tok or 'end of input'!r}"
+        raise DslSyntaxError(message, *self._pos(i))
 
-    def _not_until(self) -> NotUntilReq:
-        tok = self._take_kw("not")
-        forbidden = self._method_ref(empty_args=True)
-        self._take_kw("until")
-        prerequisite = self._method_ref(empty_args=True)
-        return NotUntilReq(forbidden, prerequisite, pos=self._pos(tok))
+    def _name(self, i: int, what: str) -> str:
+        """The name at token i: an identifier that is not a keyword."""
+        name = self._parts[i]
+        if name in KEYWORDS:
+            raise DslSyntaxError(f"expected {what}, found keyword {name!r}", *self._pos(i))
+        if name[:1] not in _NAME_START:
+            self._fail(i, what)
+        return name
+
+    def _int(self, i: int, what: str) -> int:
+        """The integer at token i."""
+        digits = self._parts[i]
+        if digits[:1] not in _DIGITS:
+            self._fail(i, what)
+        if len(digits) > MAX_DIGITS:
+            raise DslValidationError(f"{what} has {len(digits)} digits, more than {MAX_DIGITS}", *self._pos(i))
+        return int(digits)
+
+    def _key_int(self, i: int, key: str) -> int:
+        """`key=<int>` at token i; the integer is token i + 4."""
+        if self._parts[i] != key:
+            self._fail(i, repr(key))
+        if self._parts[i + 2] != "=":
+            self._fail(i + 2, "'='")
+        return self._int(i + 4, f"{key} value")
+
+    def _args(self, i: int) -> tuple[str, int]:
+        """The opaque text between the '(' at token i and its matching ')',
+        stripped, and the index after that ')'; no token between is checked."""
+        parts = self._parts
+        close, depth = i, 1
+        try:
+            while depth:  # each pass moves to the next ')' and counts the '(' on the way
+                start, close = close + 1, parts.index(")", close + 1)
+                depth += parts[start:close].count("(") - 1
+        except ValueError:
+            raise DslSyntaxError("unterminated argument list", *self._pos(len(parts) - 1)) from None
+        return self._text[self._ends[i] : self._ends[close - 1]].strip(), close + 2
+
+    def _ref(self, i: int, args_refused: str | None = None) -> tuple[MethodRef, int]:
+        """`service.method(args)` at token i; a non-empty argument list is
+        refused with the message `args_refused`, if one is given."""
+        parts = self._parts
+        service = self._name(i, "service name")
+        if parts[i + 2] != ".":
+            self._fail(i + 2, "'.'")
+        method = self._name(i + 4, "method name")
+        if parts[i + 6] != "(":
+            self._fail(i + 6, "'('")
+        args, after = self._args(i + 6)
+        if args and args_refused:
+            raise DslSyntaxError(args_refused, *self._pos(i))
+        return MethodRef(service, method, args, pos=self._pos(i)), after
+
+    def _thread(self, i: int) -> tuple[Thread, int]:
+        """A thread at token i, which reads 'thread'."""
+        parts, fail, pos = self._parts, self._fail, self._pos
+        name = self._name(i + 2, "thread name")
+        if parts[i + 4] != "on":
+            fail(i + 4, "'on'")
+        word, j = parts[i + 6], i + 8
+        if word == "RPC":
+            ref, j = self._ref(j)
+            activation: Activation = RpcEntry(ref)
+        elif word == "initialization":
+            activation = Initialization()
+        elif word == "time":
+            if parts[j] != "(":
+                fail(j, "'('")
+            period = self._key_int(j + 2, "period")
+            jitter = self._key_int(j + 8, "jitter")
+            if parts[j + 14] != ")":
+                fail(j + 14, "')'")
+            if period <= 0:
+                raise DslValidationError("period must be positive", *pos(j + 6))
+            if jitter >= period:
+                raise DslValidationError("jitter must be smaller than the period", *pos(j + 12))
+            activation, j = TimeActivation(period, jitter), j + 16
+        else:
+            fail(i + 6, "RPC, initialization, or time")
+        steps: list[Step] = []
+        while True:
+            word = parts[j]
+            if word == "task":
+                task = self._name(j + 2, "task name")
+                if parts[j + 4] != "onto":
+                    fail(j + 4, "'onto'")
+                rtype = self._name(j + 6, "resource type")
+                wcet = self._key_int(j + 8, "wcet")
+                bcet = self._key_int(j + 14, "bcet")
+                if wcet <= 0:
+                    raise DslValidationError("wcet must be positive", *pos(j + 12))
+                if bcet <= 0:
+                    raise DslValidationError("bcet must be positive", *pos(j + 18))
+                if bcet > wcet:
+                    raise DslValidationError(f"bcet {bcet} exceeds wcet {wcet}", *pos(j + 18))
+                steps.append(TaskStep(task, rtype, wcet, bcet, pos=pos(j + 2)))
+                j += 20
+            elif word == "RPC" or word == "SIGNAL":
+                ref, j = self._ref(j + 2)
+                steps.append(CallStep(word, ref))
+            else:
+                return Thread(name, activation, tuple(steps), pos=pos(i + 2)), j
 
     def parse_contract(self) -> Contract:
-        self._take_kw("component")
-        name = self._take_id("component name")
-        requires: list[_Token] = []
-        provides: list[_Token] = []
-        if self._at_kw("services"):
-            self._next()
-            while self._at_kw("requires", "provides"):
-                which = self._next().group()
-                (requires if which == "requires" else provides).append(self._take_id("service name"))
+        parts, fail, pos = self._parts, self._fail, self._pos
+        if parts[1] != "component":
+            fail(1, "'component'")
+        component = self._name(3, "component name")
+        i = 5
+        declared: dict[str, list[int]] = {"requires": [], "provides": []}  # token indices
+        if parts[i] == "services":
+            i += 2
+            while parts[i] in declared:
+                self._name(i + 2, "service name")
+                declared[parts[i]].append(i + 2)
+                i += 4
         threads: list[Thread] = []
-        if self._at_kw("threads"):
-            self._next()
-            while self._at_kw("thread"):
-                threads.append(self._thread())
+        if parts[i] == "threads":
+            i += 2
+            while parts[i] == "thread":
+                thread, i = self._thread(i)
+                threads.append(thread)
         timings: list[TimingReq] = []
-        if self._at_kw("timings"):
-            self._next()
-            while self._at_kw("timing"):
-                timings.append(self._timing())
+        if parts[i] == "timings":
+            i += 2
+            while parts[i] == "timing":
+                bound = self._int(i + 2, "latency bound")
+                if bound <= 0:
+                    raise DslValidationError("latency bound must be positive", *pos(i + 2))
+                target: str | MethodRef = self._name(i + 4, "timing target")
+                if parts[i + 6] == ".":
+                    target, j = self._ref(i + 4, "timing targets take no arguments")
+                else:
+                    j = i + 6
+                timings.append(TimingReq(bound, target, pos=pos(i + 2)))
+                i = j
         control_flow: list[NotUntilReq] = []
-        if self._at_kw("control_flow"):
-            self._next()
-            while self._at_kw("not"):
-                control_flow.append(self._not_until())
-        self._expect_eof()
-        self._check_services(requires, provides)
+        if parts[i] == "control_flow":
+            i += 2
+            while parts[i] == "not":
+                forbidden, j = self._ref(i + 2, _EMPTY_ARGS)
+                if parts[j] != "until":
+                    fail(j, "'until'")
+                prerequisite, j = self._ref(j + 2, _EMPTY_ARGS)
+                control_flow.append(NotUntilReq(forbidden, prerequisite, pos=pos(i)))
+                i = j
+        if parts[i]:
+            fail(i, None)
+        self._check_services(declared)
         contract = Contract(
-            component=name.group(),
-            requires=frozenset(tok.group() for tok in requires),
-            provides=frozenset(tok.group() for tok in provides),
+            component=component,
+            requires=frozenset(parts[k] for k in declared["requires"]),
+            provides=frozenset(parts[k] for k in declared["provides"]),
             threads=tuple(threads),
             timings=tuple(timings),
             control_flow=tuple(control_flow),
@@ -455,43 +437,46 @@ class _Parser:
         _validate_contract(contract)
         return contract
 
-    def _check_services(self, requires: list[_Token], provides: list[_Token]) -> None:
+    def _check_services(self, declared: dict[str, list[int]]) -> None:
         """No service is declared twice on one side, or on both sides."""
-        for which, decls in (("requires", requires), ("provides", provides)):
+        parts = self._parts
+        for which, decls in declared.items():
             seen: set[str] = set()
-            for tok in decls:
-                if tok.group() in seen:
-                    raise DslValidationError(f"duplicate {which} declaration for {tok.group()!r}", *self._pos(tok))
-                seen.add(tok.group())
-        required = {tok.group() for tok in requires}
-        for tok in provides:
-            if tok.group() in required:
-                raise DslValidationError(f"service {tok.group()!r} both required and provided", *self._pos(tok))
+            for k in decls:
+                if parts[k] in seen:
+                    raise DslValidationError(f"duplicate {which} declaration for {parts[k]!r}", *self._pos(k))
+                seen.add(parts[k])
+        required = {parts[k] for k in declared["requires"]}
+        for k in declared["provides"]:
+            if parts[k] in required:
+                raise DslValidationError(f"service {parts[k]!r} both required and provided", *self._pos(k))
 
     def parse_repository(self) -> dict[str, ServiceInterface]:
+        parts, fail, pos, i = self._parts, self._fail, self._pos, 1
         interfaces: dict[str, ServiceInterface] = {}
-        while self._at_kw("service"):
-            self._next()
-            name = self._take_id("service name")
-            if name.group() in interfaces:
-                raise DslValidationError(f"duplicate service {name.group()!r}", *self._pos(name))
+        while parts[i] == "service":
+            name = self._name(i + 2, "service name")
+            if name in interfaces:
+                raise DslValidationError(f"duplicate service {name!r}", *pos(i + 2))
+            i += 4
             max_clients: int | None = None
-            if self._at_kw("max_clients"):
-                self._next()
-                max_clients, mtok = self._take_int("client bound")
+            if parts[i] == "max_clients":
+                max_clients = self._int(i + 2, "client bound")
                 if max_clients < 1:
-                    raise DslValidationError("max_clients must be at least 1", *self._pos(mtok))
+                    raise DslValidationError("max_clients must be at least 1", *pos(i + 2))
+                i += 4
             methods: list[ServiceMethod] = []
-            while self._at_kw("method"):
-                self._next()
-                mname = self._take_id("method name")
-                if any(m.name == mname.group() for m in methods):
-                    raise DslValidationError(f"duplicate method {mname.group()!r}", *self._pos(mname))
-                self._take_punct("(")
-                args = self._raw_args()
-                methods.append(ServiceMethod(mname.group(), args))
-            interfaces[name.group()] = ServiceInterface(name.group(), tuple(methods), max_clients)
-        self._expect_eof()
+            while parts[i] == "method":
+                method = self._name(i + 2, "method name")
+                if any(m.name == method for m in methods):
+                    raise DslValidationError(f"duplicate method {method!r}", *pos(i + 2))
+                if parts[i + 4] != "(":
+                    fail(i + 4, "'('")
+                args, i = self._args(i + 4)
+                methods.append(ServiceMethod(method, args))
+            interfaces[name] = ServiceInterface(name, tuple(methods), max_clients)
+        if parts[i]:
+            fail(i, None)
         return interfaces
 
 

@@ -57,7 +57,8 @@ class PlatformModel(NamedTuple):
 
 def parse_platform(text: str) -> PlatformModel:
     """One `resource <name> type <rtype>` line per resource: at least one
-    resource, and no name twice."""
+    resource, no name twice, and no name holding `->`, which separates the
+    fields of a configuration's mapping line."""
     resources = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -66,6 +67,8 @@ def parse_platform(text: str) -> PlatformModel:
         parts = line.split()
         if len(parts) != 4 or parts[0] != "resource" or parts[2] != "type":
             raise ModelError(f"platform line {lineno}: expected 'resource <name> type <rtype>'")
+        if "->" in parts[1]:
+            raise ModelError(f"platform line {lineno}: resource name {parts[1]!r} holds '->'")
         resources.append(Resource(parts[1], parts[3]))
     if not resources:
         raise ModelError("platform declares no resources")

@@ -67,7 +67,8 @@ def shared(n: int, m: int) -> SystemModel:
     return _system(texts, "service svc\n  method get ()\n", m)
 
 
-def deep(n: int) -> SystemModel:
+def deep_texts(n: int) -> tuple[list[str], str]:
+    """The contract texts and the service repository of deep(n)."""
     repository = "".join(f"service s{i:04d}\n  method get ()\n" for i in range(1, n))
     texts = [
         f"component C0000\n  services\n    requires s0001\n  threads\n"
@@ -82,16 +83,25 @@ def deep(n: int) -> SystemModel:
         if i + 1 < n:
             lines.append(f"      RPC s{i + 1:04d}.get()")
         texts.append("\n".join(lines) + "\n")
-    return _system(texts, repository, 1)
+    return texts, repository
 
 
-def revdl(n: int) -> SystemModel:
+def deep(n: int) -> SystemModel:
+    return _system(*deep_texts(n), 1)
+
+
+def revdl_texts(n: int) -> tuple[list[str], str]:
+    """The contract texts and the (empty) service repository of revdl(n)."""
     texts = [
         f"component C{i:04d}\n  threads\n    thread main on time (period={4 * n} jitter=0)\n"
         f"      task t onto CPU wcet=1 bcet=1\n  timings\n    timing {n - i} main\n"
         for i in range(n)
     ]
-    return _system(texts, "", 1)
+    return texts, ""
+
+
+def revdl(n: int) -> SystemModel:
+    return _system(*revdl_texts(n), 1)
 
 
 def ladder() -> list[SystemModel]:

@@ -565,6 +565,19 @@ def test_bound_refuses_a_platform_without_resources_or_with_a_name_twice(tmp_pat
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def test_negotiate_refuses_a_resource_name_a_configuration_cannot_hold(tmp_path, capsys):
+    # `--out` would write `O1.or1 -> CPU1->x`, which no configuration reader splits back
+    platform = tmp_path / "platform.txt"
+    platform.write_text("resource CPU1 type CPU_type_1\nresource CPU1->x type CPU_type_1\n")
+    out = tmp_path / "out"
+    argv = ["negotiate", "--contracts", str(CORPUS / "contracts"), "--services", str(CORPUS / "services.repo"),
+            "--platform", str(platform), *_CONFIG, "--request", str(CORPUS / "requests" / "add_lane_assist.req"),
+            "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", "error: platform line 2: resource name 'CPU1->x' holds '->'\n")
+    assert not out.exists()
+
+
 def test_simulate_warns_when_activations_run_past_the_horizon(capsys):
     argv = ["simulate", *BASE, *_CONFIG, "--horizon", "5"]
     assert cli.main(argv) == 0

@@ -45,6 +45,12 @@ def test_platform_rejects_no_resources_and_duplicate_names(text, message):
         parse_platform(text)
 
 
+def test_platform_rejects_arrow_in_resource_name():
+    # a configuration writes `component.task -> resource`, so it could not name this one
+    with pytest.raises(ModelError, match="^platform line 2: resource name 'CPU1->x' holds '->'$"):
+        parse_platform("resource CPU1 type CPU_type_1\nresource CPU1->x type CPU_type_1\n")
+
+
 def test_platform_by_type(platform):
     assert platform.by_type("CPU_type_1") == (Resource("CPU1", "CPU_type_1"),)
     assert platform.by_type("GPU") == ()
