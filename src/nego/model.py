@@ -382,7 +382,7 @@ def parse_configuration(text: str) -> Configuration:
             mapping[task] = parts[1]
         elif section == "[priorities]":
             parts = line.split()
-            if len(parts) != 2 or not parts[0].isdecimal():
+            if len(parts) != 2 or not (parts[0].isascii() and parts[0].isdecimal()):
                 raise ModelError(f"configuration line {lineno}: expected '<rank> component.thread'")
             if len(parts[0]) > MAX_DIGITS:
                 raise ModelError(f"configuration line {lineno}: rank has {len(parts[0])} digits, more than {MAX_DIGITS}")

@@ -4,14 +4,19 @@ Executes task chains with integer wcet durations under a concrete release
 scenario (per-chain offsets plus per-activation jitter draws) and records
 the observed latency of every requirement span.  `worst_observed` sweeps
 release offsets on a unit grid with two jitter patterns and keeps the
-per-span maxima; it is the ground truth the analytic bounds must dominate.
+per-span maxima, raising them as each job completes its last segment; it
+is the ground truth the analytic bounds must dominate.
 
 It sweeps each group of chains that can affect one another on its own grid
 (`_Plan.groups`): chains that share a resource, or a forked chain and its
 trigger.  This is exact.  Each resource schedules from its own heap and a
 job only visits its own chain's resources, so a group's completion times
 depend only on its own releases; the maximum over the product of every
-chain's offsets is the maximum over each group's own offsets.
+chain's offsets is the maximum over each group's own offsets.  A group of
+one periodic chain whose jitter is below its period and whose segments
+all run at one thread rank runs at offset 0 alone (`_sweeps_at_zero`):
+its jobs run in activation order, so none is delayed by a later one, and
+offset 0 releases every job any other offset releases.
 
 A job moves through its chain one segment at a time: a run of consecutive
 nodes on one resource at one thread rank that no span starts or stops
@@ -148,31 +153,34 @@ class _Plan:
         self.resources = sorted({mapping[node.task_id] for chain in graph.chains for node in chain.nodes})
         index = {resource: i for i, resource in enumerate(self.resources)}
         self.chains: list[tuple[int, EventModel | None, tuple[tuple[int, int, int], ...], int]] = []
-        self.rows: list[tuple[tuple[int, int, int], ...]] = [() for _ in graph.chains]
+        self.rows: list[tuple[tuple[int, int, int], ...]] = [()] * len(graph.chains)
         slots: dict[SpanKey, int] = {}
         self.roots: dict[int, str] = {}
         self.tasks: dict[int, tuple[str, ...]] = {}
         for ci, chain in enumerate(graph.chains):
             if not chain.nodes:
                 continue
-            spans = sorted({(0, len(chain.nodes))} | {req.span for req in chain.requirements})
+            spans = sorted({(0, len(chain.nodes)), *[req.span for req in chain.requirements]})
             bounds = {i for span in spans for i in span}
             segments: list[tuple[int, int, int]] = []
             ends = []  # per node, the index of its segment's completion
+            total = 0
             for i, node in enumerate(chain.nodes):
                 resource, rank, wcet = index[mapping[node.task_id]], ranks[node.thread], node.wcet
                 if wcet < 1:
                     raise ValueError(f"task {qual_str(node.task_id)} has wcet {wcet}, below 1")
-                if trace or i in bounds or segments[-1][:2] != (resource, rank):
+                if trace or i in bounds or segments[-1][0] != resource or segments[-1][1] != rank:
                     segments.append((resource, rank, wcet))
                 else:
                     segments[-1] = (resource, rank, segments[-1][2] + wcet)
+                total += wcet
                 ends.append(len(segments))
-            self.chains.append((ci, chain.event, tuple(segments), sum(segment[2] for segment in segments)))
-            self.rows[ci] = tuple(
-                (slots.setdefault((chain.root, (start, stop)), len(slots)), ends[start - 1] if start else 0, ends[stop - 1])
+            self.chains.append((ci, chain.event, tuple(segments), total))
+            root = chain.root
+            self.rows[ci] = tuple([
+                (slots.setdefault((root, (start, stop)), len(slots)), ends[start - 1] if start else 0, ends[stop - 1])
                 for start, stop in spans
-            )
+            ])
             if trace:
                 self.roots[ci] = qual_str(chain.root)
                 self.tasks[ci] = tuple(qual_str(n.task_id) for n in chain.nodes)
@@ -227,6 +235,7 @@ def _run(
     draws: tuple[tuple[int, ...], ...],
     horizon: int,
     chains: list,
+    maxima: list[int] | None = None,
     lines: list[str] | None = None,
 ) -> list[list]:
     """Schedule every job of `chains`, entries of `plan.chains`, released
@@ -234,10 +243,12 @@ def _run(
 
     Each resource keeps a heap of its ready jobs; the top of each heap runs.
     Time jumps to the next release or the soonest completion of a top.
-    Returns the jobs in (chain, activation) order; with `lines`, appends the
-    release, dispatch, preempt and complete trace lines to it.  Callers
-    check the horizon with `_check_run` first, and pass offsets and draws
-    that `_check_scenario` accepts.
+    Returns the jobs in (chain, activation) order; with `maxima`, indexed
+    like `plan.keys`, raises each span's entry to a job's latency there as
+    the job completes its last segment; with `lines`, appends the release,
+    dispatch, preempt and complete trace lines to it.  Callers check the
+    horizon with `_check_run` first, and pass offsets and draws that
+    `_check_scenario` accepts.
     """
     jobs: list[list] = []
     work = 0
@@ -264,6 +275,7 @@ def _run(
     never = pending[-1][_RELEASE] + work + 1
 
     heaps: list[list[list]] = [[] for _ in plan.resources]
+    rows = plan.rows
     if lines is not None:
         roots, tasks = plan.roots, plan.tasks
         for job in pending:
@@ -327,6 +339,11 @@ def _run(
             if len(done) <= len(segments):
                 resource, job[_RANK], job[_REMAINING] = segments[len(done) - 1]
                 heappush(heaps[resource], job)
+            elif maxima is not None:
+                for slot, start, stop in rows[job[_CHAIN]]:
+                    value = done[stop] - done[start]
+                    if value > maxima[slot]:
+                        maxima[slot] = value
         t = nxt
     return jobs
 
@@ -359,7 +376,7 @@ def simulate(
     _check_scenario(graph, scenario)
     plan = _Plan(graph, cfg, trace)
     lines: list[str] | None = [] if trace else None
-    jobs = _run(plan, scenario.offsets, scenario.draws, scenario.horizon, plan.chains, lines)
+    jobs = _run(plan, scenario.offsets, scenario.draws, scenario.horizon, plan.chains, None, lines)
     values: list[list[int]] = [[] for _ in plan.keys]
     rows = plan.rows
     for job in jobs:
@@ -381,6 +398,24 @@ def default_horizon(graph: TaskGraph) -> int:
     return 2 * _hyperperiod(graph)
 
 
+def _sweeps_at_zero(entry: tuple) -> bool:
+    """Whether the chain of `entry`, one of `_Plan.chains`, is periodic with
+    jitter below its period and runs every segment at one thread rank: then,
+    alone in its group, it is swept exactly by offset 0.
+
+    On every resource the heap orders such jobs by release, and release
+    order is activation order, so a later job never delays an earlier one,
+    and job k's completions depend only on jobs 0..k, which keep their
+    relative release times at every offset.  Offset 0 releases the most
+    jobs, ceil(horizon / period), so every job released at another offset
+    runs at offset 0 with the same latencies.  A second rank breaks the
+    argument: a later job's segment at a higher rank preempts an earlier
+    job's."""
+    _, event, segments, _ = entry
+    rank = segments[0][1]
+    return event is not None and event.jitter < event.period and all(segment[1] == rank for segment in segments)
+
+
 def worst_observed(
     graph: TaskGraph, cfg: Configuration, horizon: int | None = None
 ) -> dict[SpanKey, int]:
@@ -397,9 +432,12 @@ def worst_observed(
     is exact.  A group's completion times depend only on its own releases,
     so a span's latency at a full offset vector equals its latency at that
     vector's restriction to its group, and the maximum over the full grid
-    is the maximum over the group's own grid.  The runs drop from the
-    product of the groups' grids to their sum; the caps still count the
-    full product.
+    is the maximum over the group's own grid.  A group of one periodic
+    chain with jitter below its period and one thread rank on every segment
+    runs at offset 0 only, which is exact too (`_sweeps_at_zero`).  The
+    runs drop from the product of the groups' grids to their sum; the caps
+    still count the full product.  Each run raises the span maxima as its
+    jobs complete their last segments.
     """
     if horizon is None:
         horizon = default_horizon(graph)
@@ -407,7 +445,8 @@ def worst_observed(
     grid = math.prod(chain.event.period for chain in graph.chains[1:] if chain.event is not None)
     if grid > MAX_GRID:
         raise ValueError(f"the offset sweep has {grid} grid points, more than the cap of {MAX_GRID}")
-    max_first, zero = (_pattern_draws(graph, pattern) for pattern in JITTER_PATTERNS)
+    max_first = _pattern_draws(graph, "max-first")
+    zero = ((),) * len(graph.chains)  # the "zero" pattern's draws
     runs = grid * (1 + (max_first != zero))  # patterns that draw alike run once
     total = runs * jobs
     if total > MAX_SWEEP_JOBS:
@@ -416,7 +455,6 @@ def worst_observed(
             f"{total} in all, more than the cap of {MAX_SWEEP_JOBS}"
         )
     plan = _Plan(graph, cfg)
-    rows = plan.rows
     # each group's all-zero offset vector runs first and activates each of
     # its chains at offset 0, before the horizon, so every span is observed
     maxima = [-1] * len(plan.keys)
@@ -426,14 +464,9 @@ def worst_observed(
         for ci, event, _, _ in group:
             if event is not None:
                 jitter = jitter or event.jitter > 0
-                if ci:
+                if ci and not (len(group) == 1 and _sweeps_at_zero(group[0])):
                     axes[ci] = range(event.period)
         for offsets in itertools.product(*axes):
             for pattern_draws in (max_first, zero) if jitter else (zero,):
-                for job in _run(plan, offsets, pattern_draws, horizon, group):
-                    done = job[_DONE]
-                    for slot, start, stop in rows[job[_CHAIN]]:
-                        value = done[stop] - done[start]
-                        if value > maxima[slot]:
-                            maxima[slot] = value
+                _run(plan, offsets, pattern_draws, horizon, group, maxima)
     return dict(zip(plan.keys, maxima))

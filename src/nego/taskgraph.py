@@ -147,18 +147,10 @@ def _unfold_steps(
     on_path = {component}
     while frames:
         component, thread, steps, _, _ = frames[-1]
+        thread_id = (component, thread.name)
         for step in steps:
             if isinstance(step, TaskStep):
-                out.nodes.append(
-                    TaskNode(
-                        component=component,
-                        task=step.name,
-                        wcet=step.wcet,
-                        bcet=step.bcet,
-                        resource_type=step.resource_type,
-                        thread=(component, thread.name),
-                    )
-                )
+                out.nodes.append(TaskNode(component, step.name, step.wcet, step.bcet, step.resource_type, thread_id))
                 continue
             provider = cfg.provider_of(component, step.ref.service)
             if provider is None:
@@ -182,7 +174,7 @@ def _unfold_steps(
             if frames:
                 span = (start, len(out.nodes))
                 out.call_spans.append(((frames[-1][0], ref.service, ref.method), span))
-                out.thread_spans.append(((component, thread.name), span))
+                out.thread_spans.append((thread_id, span))
 
 
 # Per timing target: (bound, owning component, display text) of each
@@ -283,17 +275,7 @@ def build_task_graph(software: SoftwareModel, cfg: Configuration, mode: str) -> 
             seen_tasks[node.task_id] = root
         reqs = _attach_requirements(targets, root, unfolding, trigger)
         connections = frozenset(unfolding.connections)
-        chains.append(
-            Chain(
-                root=root,
-                mode=mode,
-                nodes=tuple(unfolding.nodes),
-                event=event,
-                requirements=reqs,
-                triggered_by=triggered_by,
-                connections_used=connections,
-            )
-        )
+        chains.append(Chain(root, mode, tuple(unfolding.nodes), event, reqs, triggered_by, connections))
         for provider, entry, caller, ref, position in unfolding.forks:
             trigger_edge = frozenset({(caller, ref.service, provider)})
             pending.append(

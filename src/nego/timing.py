@@ -46,7 +46,7 @@ from nego.constraints import (
     sort_constraints,
 )
 from nego.model import Configuration, PlatformModel, QualId, qual_str
-from nego.taskgraph import Chain, EventModel, TaskGraph, TaskNode, total_wcet
+from nego.taskgraph import Chain, EventModel, TaskGraph, TaskNode
 
 BUSY_WINDOW = "busy-window"
 SINGLE_BLOCKING = "single-blocking"
@@ -76,11 +76,19 @@ def utilization(graph: TaskGraph, cfg: Configuration, platform: PlatformModel) -
 
 
 def _iteration_cap(graph: TaskGraph) -> int:
-    total = sum(total_wcet(chain) for chain in graph.chains)
-    periods = [chain.event.period for chain in graph.chains if chain.event is not None]
-    if not periods:
+    """Ten times the graph's total WCET over its shortest period, at least
+    64; 64 for a graph without periodic chains.  One pass over the chains."""
+    total = 0
+    shortest = None
+    for chain in graph.chains:
+        for node in chain.nodes:
+            total += node.wcet
+        event = chain.event
+        if event is not None and (shortest is None or event.period < shortest):
+            shortest = event.period
+    if shortest is None:
         return 64
-    return max(64, 10 * total // min(periods))
+    return max(64, 10 * total // shortest)
 
 
 def _interferers(
@@ -112,9 +120,9 @@ def _interferers(
 def _fixed_window(base: int, interference: Iterable[tuple[EventModel | None, int]], cap: int) -> int | None:
     window = base
     for _ in range(cap):
-        nxt = base + sum(
-            (1 if event is None else event.eta(window)) * demand for event, demand in interference
-        )
+        nxt = base
+        for event, demand in interference:
+            nxt += demand if event is None else event.eta(window) * demand
         if nxt == window:
             return window
         window = nxt

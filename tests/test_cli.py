@@ -352,6 +352,16 @@ def test_rank_of_most_digits_is_read(tmp_path, capsys):
     assert capsys.readouterr().err == "error: priority ranks must be 0..n-1 without gaps\n"
 
 
+def test_non_ascii_rank_is_a_clean_error(tmp_path, capsys):
+    # Arabic-Indic digits in place of the ranks 0 and 1 would read as the
+    # same priority order
+    config = tmp_path / "arabic.config"
+    text = (CORPUS / "current.config").read_text()
+    config.write_text(text.replace("\n0 ", "\n\u0660 ", 1).replace("\n1 ", "\n\u0661 ", 1))
+    assert cli.main(["validate", *BASE, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: configuration line 20: expected '<rank> component.thread'\n"
+
+
 def test_unknown_service_has_no_position(tmp_path, capsys):
     (tmp_path / "X.contract").write_text("component X services requires nothing")
     (tmp_path / "empty.repo").write_text("")

@@ -78,10 +78,13 @@ def test_configuration_rejects_rank_gap():
         parse_configuration(text)
 
 
-def test_configuration_rejects_non_decimal_rank():
-    # a superscript two is a digit to str.isdigit, but int() refuses it
+@pytest.mark.parametrize("rank", ["\u00b2", "\u0660"])
+def test_configuration_rejects_non_decimal_rank(rank):
+    # a superscript two is a digit to str.isdigit, but int() refuses it; an
+    # Arabic-Indic zero is decimal to str.isdecimal and int(), but the
+    # contract language is ASCII-only
     with pytest.raises(ModelError, match="^configuration line 2: expected '<rank> component.thread'$"):
-        parse_configuration("[priorities]\n\u00b2 A.t\n")
+        parse_configuration(f"[priorities]\n{rank} A.t\n")
 
 
 def test_configuration_rejects_unknown_section():

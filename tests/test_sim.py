@@ -499,6 +499,47 @@ def test_worst_observed_sweeps_each_group_on_its_own_grid(monkeypatch):
     assert runs[0] == runs[12] == runs[36] == (0, 0, 0, 0, 0)
 
 
+def _with_lone_chain(jitter=3, second_thread="t"):
+    """`_three_groups()` and the chain F (period 4) alone on R4: two tasks,
+    the second run by `second_thread`, and a span over the second; F's
+    threads rank last."""
+    graph, cfg = _three_groups()
+    nodes = (TaskNode("F", "f0", 2, 1, "CPU", ("F", "t")), TaskNode("F", "f1", 2, 1, "CPU", ("F", second_thread)))
+    chain = Chain(("F", "t"), NORMAL, nodes, EventModel(4, jitter), (LatencyReq(100, (1, 2), "F", "t"),))
+    mapping = {**cfg.mapping, ("F", "f0"): "R4", ("F", "f1"): "R4"}
+    threads = tuple(sorted({("F", "t"), ("F", second_thread)}))
+    cfg = Configuration(cfg.selected | {"F"}, frozenset(), mapping, cfg.priorities + threads)
+    return TaskGraph(NORMAL, graph.chains + (chain,)), cfg
+
+
+@pytest.mark.parametrize("jitter", [3, 0])
+def test_a_lone_one_rank_chain_runs_at_offset_zero_only(monkeypatch, jitter):
+    graph, cfg = _with_lone_chain(jitter)
+    assert [[entry[0] for entry in group] for group in nego.sim._Plan(graph, cfg).groups] == [[0, 1], [2, 3], [4], [5]]
+    full = default_horizon(graph)
+    assert full == 24
+    for horizon in (full, 5, 11, 17):
+        assert worst_observed(graph, cfg, horizon) == reference_worst_observed(graph, cfg, horizon)
+    runs = _counting_runs(monkeypatch)
+    worst_observed(graph, cfg)
+    # F runs once per pattern that draws differently for it, at offset 0,
+    # not at each of its 4 offsets
+    patterns = 2 if jitter else 1
+    assert len(runs) == 6 * 2 + 4 * 6 + 1 + patterns
+    assert runs[37:] == [(0, 0, 0, 0, 0, 0)] * patterns
+
+
+def test_a_lone_chain_of_two_ranks_sweeps_its_period(monkeypatch):
+    # a later job's f0 outranks an earlier job's f1, so it can delay it
+    graph, cfg = _with_lone_chain(second_thread="u")
+    assert len(nego.sim._Plan(graph, cfg).groups) == 4
+    assert worst_observed(graph, cfg) == reference_worst_observed(graph, cfg, default_horizon(graph))
+    runs = _counting_runs(monkeypatch)
+    worst_observed(graph, cfg)
+    assert len(runs) == 6 * 2 + 4 * 6 + 1 + 4 * 2
+    assert runs[37:] == [(0, 0, 0, 0, 0, offset) for offset in range(4) for _ in range(2)]
+
+
 def test_a_chain_spanning_two_resources_merges_their_groups(monkeypatch):
     graph, cfg = _three_groups(merged=True)
     assert len(nego.sim._Plan(graph, cfg).groups) == 1
