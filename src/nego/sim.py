@@ -18,6 +18,14 @@ all run at one thread rank runs at offset 0 alone (`_sweeps_at_zero`):
 its jobs run in activation order, so none is delayed by a later one, and
 offset 0 releases every job any other offset releases.
 
+A sweep run may stop at its group's hyperperiod W, the lcm of the group's
+periods, when the group is idle there (`worst_observed`).  The engine is
+deterministic and keeps its schedule under a time shift, and the releases
+in each later window [kW, (k+1)W) are those of [0, W) shifted by kW, so a
+run idle at W repeats its first window up to a horizon that is a multiple
+of W: the idle instant behind the feasibility intervals of Leung and
+Merrill (IPL 1980).
+
 A job moves through its chain one segment at a time: a run of consecutive
 nodes on one resource at one thread rank that no span starts or stops
 inside (`_Plan`).  Running a segment as one piece of work schedules exactly
@@ -71,11 +79,15 @@ def synchronous_scenario(graph: TaskGraph, horizon: int, pattern: str = "max-fir
     return ReleaseScenario(tuple(0 for _ in graph.chains), _pattern_draws(graph, pattern), horizon)
 
 
-# Caps on the work one call may take on, far above every input the corpus,
-# the tests and the soundness sweeps simulate (at most 46 jobs in one run,
-# 200 grid points and 5440 jobs in one sweep): a run releasing more jobs, or
-# a sweep over more offset vectors or releasing more jobs in all its runs,
-# is refused before any job is built.
+# Caps on the work one call may take on, far above every input the corpus
+# and the soundness sweeps simulate (at most 46 jobs in one run, 100 grid
+# points and 5440 jobs in one sweep) and every input of the tests but those
+# of the caps (at most 52 jobs in one run, 4000 grid points and 48000 jobs
+# in one sweep): a run releasing more jobs, or a sweep over more offset
+# vectors or releasing more jobs in all its runs, is refused before any job
+# is built.  The caps count every job released before the horizon, though
+# a sweep run that stops at its group's hyperperiod builds fewer (at most
+# 4602 in one soundness sweep).
 MAX_JOBS = 100_000
 MAX_GRID = 10_000
 MAX_SWEEP_JOBS = 1_000_000
@@ -227,6 +239,7 @@ def _groups(graph: TaskGraph, chains: list) -> list[list]:
 # The first four fields are unique per job, so comparison never goes past
 # them.
 _RANK, _RELEASE, _CHAIN, _ACTIVATION, _REMAINING, _SEGMENTS, _DONE = range(7)
+_BY_RELEASE = itemgetter(_RELEASE)
 
 
 def _run(
@@ -237,18 +250,32 @@ def _run(
     chains: list,
     maxima: list[int] | None = None,
     lines: list[str] | None = None,
+    window: int = 0,
 ) -> list[list]:
     """Schedule every job of `chains`, entries of `plan.chains`, released
     before `horizon` to completion.
 
     Each resource keeps a heap of its ready jobs; the top of each heap runs.
     Time jumps to the next release or the soonest completion of a top.
-    Returns the jobs in (chain, activation) order; with `maxima`, indexed
-    like `plan.keys`, raises each span's entry to a job's latency there as
-    the job completes its last segment; with `lines`, appends the release,
-    dispatch, preempt and complete trace lines to it.  Callers check the
-    horizon with `_check_run` first, and pass offsets and draws that
-    `_check_scenario` accepts.
+    Returns the jobs it built, in (chain, activation) order unless it went
+    on past `window`; with `maxima`, indexed like `plan.keys`, raises each
+    span's entry to a job's latency there as the job completes its last
+    segment; with `lines`, appends the release, dispatch, preempt and
+    complete trace lines to it.  Callers check the horizon with
+    `_check_run` first, and pass offsets and draws that `_check_scenario`
+    accepts.
+
+    With `window`, W, which `worst_observed` alone passes, the run first
+    builds the jobs of the activations released before W.  When the time
+    reaches W, after the completions at W and before the releases at W, it
+    returns if every heap is empty; otherwise it builds the later jobs,
+    appends them to the returned ones and goes on as without W.  So it
+    returns only jobs released before W exactly when it stopped at W.  The
+    caller promises that every chain of `chains` is periodic with offset
+    below its period, that W is a multiple of every period and `horizon` a
+    multiple of W above W, and that only activations released before W
+    have draws, which keep them before W; `worst_observed` says why a stop
+    at W is exact.
     """
     jobs: list[list] = []
     work = 0
@@ -258,7 +285,7 @@ def _run(
         if event is None:
             releases = [offset + (chain_draws[0] if chain_draws else 0)]
         else:
-            releases = list(range(offset, horizon, event.period))
+            releases = list(range(offset, window or horizon, event.period))
             if chain_draws:
                 for k, draw in enumerate(chain_draws[: len(releases)]):
                     releases[k] += draw
@@ -268,11 +295,16 @@ def _run(
         work += len(releases) * total
     if not jobs:
         return jobs
-    pending = sorted(jobs, key=itemgetter(_RELEASE))  # stable: ties keep (chain, activation)
-    # Whenever a job is unfinished, the top of its resource's heap runs, so
-    # every job completes by the last release plus all work: `never` is later
-    # than any event.
-    never = pending[-1][_RELEASE] + work + 1
+    pending = sorted(jobs, key=_BY_RELEASE)  # stable: ties keep (chain, activation)
+    if window:
+        # the time stops at W once every earlier release is pushed, and the
+        # run cannot end before W is handled
+        edge, never = window, -1
+    else:
+        # Whenever a job is unfinished, the top of its resource's heap runs,
+        # so every job completes by the last release plus all work: `never`
+        # is later than any event.
+        edge = never = pending[-1][_RELEASE] + work + 1
 
     heaps: list[list[list]] = [[] for _ in plan.resources]
     rows = plan.rows
@@ -290,7 +322,7 @@ def _run(
             job = pending[i]
             heappush(heaps[job[_SEGMENTS][0][0]], job)
             i += 1
-            upcoming = pending[i][_RELEASE] if i < count else never
+            upcoming = pending[i][_RELEASE] if i < count else edge
         if lines is not None:
             # a job leaves a heap only by finishing its segment, here one
             # node, which clears `running`, so a new top over a running job
@@ -345,6 +377,23 @@ def _run(
                     if value > maxima[slot]:
                         maxima[slot] = value
         t = nxt
+        if t == window:  # only once: `window` is then 0, and t is above 0
+            if not any(heaps):
+                return jobs
+            later: list[list] = []
+            for ci, event, segments, total in chains:
+                first = window // event.period  # the activations before W
+                releases = range(offsets[ci] + first * event.period, horizon, event.period)
+                _, rank, wcet = segments[0]
+                for k, release in enumerate(releases, first):
+                    later.append([rank, release, ci, k, wcet, segments, [release]])
+                work += len(releases) * total
+            jobs += later
+            pending += sorted(later, key=_BY_RELEASE)  # every one at or after W
+            count = len(pending)
+            upcoming = pending[i][_RELEASE]
+            edge = never = pending[-1][_RELEASE] + work + 1
+            window = 0
     return jobs
 
 
@@ -438,6 +487,28 @@ def worst_observed(
     runs drop from the product of the groups' grids to their sum; the caps
     still count the full product.  Each run raises the span maxima as its
     jobs complete their last segments.
+
+    A run may stop at its group's hyperperiod W, the lcm of the group's
+    periods, when every chain of the group is periodic and the horizon is
+    a multiple of W above W; otherwise it runs to the horizon.  At each
+    offset vector the zero pattern runs first: it builds the jobs released
+    before W, and when the time reaches W, after the completions at W and
+    before the releases at W, it stops if the group is idle, or else builds
+    the later jobs and goes on.  The max-first run at the same offsets may
+    stop at W only if the zero run did and each drawn first release,
+    offset plus jitter, falls below W.  This is exact:
+    - the engine is deterministic and keeps its schedule under a time
+      shift: ties go by (rank, release, chain, activation), an order a
+      shift keeps;
+    - the releases in [kW, (k+1)W) are those of [0, W) shifted by kW, and
+      no window is cut short, so a zero run idle at W repeats its first
+      window in every later one;
+    - from W on, the max-first run releases exactly what the zero run
+      does, so, idle at W, it goes on as the zero run over the horizon
+      minus W, which is idle at W too and whose maxima are recorded.
+    Without the zero run's stop, the max-first run's tail would be a zero
+    run cut short, which on several resources the full run need not bound:
+    removing a job can make another finish later.
     """
     if horizon is None:
         horizon = default_horizon(graph)
@@ -459,14 +530,31 @@ def worst_observed(
     # its chains at offset 0, before the horizon, so every span is observed
     maxima = [-1] * len(plan.keys)
     for group in plan.groups:
+        window = 1  # W, the lcm of the group's periods; 0 with a one-shot chain
         axes = [range(1)] * len(graph.chains)
-        jitter = False  # without it, the patterns draw alike for the group
+        jittered = []  # (chain index, jitter); without any, the patterns draw alike
         for ci, event, _, _ in group:
-            if event is not None:
-                jitter = jitter or event.jitter > 0
+            if event is None:
+                window = 0
+            else:
+                if window:
+                    window = math.lcm(window, event.period)
+                if event.jitter:
+                    jittered.append((ci, event.jitter))
                 if ci and not (len(group) == 1 and _sweeps_at_zero(group[0])):
                     axes[ci] = range(event.period)
+        if window and (horizon % window or horizon == window):
+            window = 0  # the rule needs whole windows, and one to skip
         for offsets in itertools.product(*axes):
-            for pattern_draws in (max_first, zero) if jitter else (zero,):
-                _run(plan, offsets, pattern_draws, horizon, group, maxima)
+            jobs = _run(plan, offsets, zero, horizon, group, maxima, None, window)
+            if jittered:
+                # the max-first run may stop at W only where the zero run
+                # did, which then built no job released at or after W, and
+                # only if its drawn first releases fall below W
+                stops = (
+                    window
+                    and jobs[-1][_RELEASE] < window
+                    and all(offsets[ci] + jitter < window for ci, jitter in jittered)
+                )
+                _run(plan, offsets, max_first, horizon, group, maxima, None, window if stops else 0)
     return dict(zip(plan.keys, maxima))

@@ -444,17 +444,36 @@ def test_worst_observed_runs_each_offset_vector_once_without_jitter(monkeypatch)
     assert runs == [(0, offset) for offset in range(5)]
 
 
-def _counting_runs(monkeypatch):
-    """Record the offset vector of every `sim._run` call."""
+def _counting_runs(monkeypatch, built=None):
+    """Record the offset vector of every `sim._run` call and, in `built`,
+    the number of jobs each call builds."""
     runs = []
     run = nego.sim._run
 
-    def counting(plan, offsets, *rest):
+    def counting(plan, offsets, *rest, **options):
         runs.append(offsets)
-        return run(plan, offsets, *rest)
+        jobs = run(plan, offsets, *rest, **options)
+        if built is not None:
+            built.append(len(jobs))
+        return jobs
 
     monkeypatch.setattr(nego.sim, "_run", counting)
     return runs
+
+
+def _hand_chain(name, event, *wcets, span=None):
+    """The chain of thread (name, "t"): tasks n0, n1, ... of the given
+    wcets, with a requirement on `span` if given."""
+    nodes = tuple(TaskNode(name, f"{name.lower()}{i}", wcet, 1, "CPU", (name, "t")) for i, wcet in enumerate(wcets))
+    requirements = (LatencyReq(100, span, name, "t"),) if span else ()
+    return Chain((name, "t"), NORMAL, nodes, event, requirements)
+
+
+def _hand_system(chains, mapping, order):
+    """The graph of `chains` with each task on its resource in `mapping`,
+    and their threads ranked by the component names in `order`."""
+    cfg = Configuration(frozenset(order), frozenset(), mapping, tuple((name, "t") for name in order))
+    return TaskGraph(NORMAL, tuple(chains)), cfg
 
 
 def _three_groups(merged=False):
@@ -462,26 +481,19 @@ def _three_groups(merged=False):
     E on R3, ranked B, A, D, C, E.  `merged` moves D's second task to R1
     and gives E a second task there, so D and E each span two resources and
     every chain shares one group."""
-
-    def chain(name, event, *wcets, span=None):
-        nodes = tuple(TaskNode(name, f"{name.lower()}{i}", wcet, 1, "CPU", (name, "t")) for i, wcet in enumerate(wcets))
-        requirements = (LatencyReq(100, span, name, "t"),) if span else ()
-        return Chain((name, "t"), NORMAL, nodes, event, requirements)
-
     chains = (
-        chain("A", EventModel(12, 0), 3),
-        chain("B", EventModel(6, 2), 1, 1, span=(1, 2)),
-        chain("C", EventModel(4, 0), 1),
-        chain("D", EventModel(6, 0), 1, 2, span=(0, 1)),
-        chain("E", None, 2, 1),
+        _hand_chain("A", EventModel(12, 0), 3),
+        _hand_chain("B", EventModel(6, 2), 1, 1, span=(1, 2)),
+        _hand_chain("C", EventModel(4, 0), 1),
+        _hand_chain("D", EventModel(6, 0), 1, 2, span=(0, 1)),
+        _hand_chain("E", None, 2, 1),
     )
     mapping = {
         ("A", "a0"): "R1", ("B", "b0"): "R1", ("B", "b1"): "R1",
         ("C", "c0"): "R2", ("D", "d0"): "R2", ("D", "d1"): "R1" if merged else "R2",
         ("E", "e0"): "R3", ("E", "e1"): "R1" if merged else "R3",
     }
-    cfg = Configuration(frozenset("ABCDE"), frozenset(), mapping, tuple((name, "t") for name in "BADCE"))
-    return TaskGraph(NORMAL, chains), cfg
+    return _hand_system(chains, mapping, "BADCE")
 
 
 def test_worst_observed_sweeps_each_group_on_its_own_grid(monkeypatch):
@@ -491,12 +503,16 @@ def test_worst_observed_sweeps_each_group_on_its_own_grid(monkeypatch):
     assert full == 24
     for horizon in (full, 5, 11, 17):
         assert worst_observed(graph, cfg, horizon) == reference_worst_observed(graph, cfg, horizon)
-    runs = _counting_runs(monkeypatch)
+    built = []
+    runs = _counting_runs(monkeypatch, built)
     worst_observed(graph, cfg)
     # {A, B}: B's 6 offsets under both patterns; {C, D}: 4 x 6 offsets, one
     # pattern; {E}: one run.  The full product would be 6 x 4 x 6 x 2 = 288.
     assert len(runs) == 6 * 2 + 4 * 6 + 1
     assert runs[0] == runs[12] == runs[36] == (0, 0, 0, 0, 0)
+    # both periodic groups have the hyperperiod 12, half the horizon; a run
+    # idle there builds the jobs released before it only (313 in full)
+    assert sum(built) == 218
 
 
 def _with_lone_chain(jitter=3, second_thread="t"):
@@ -520,13 +536,19 @@ def test_a_lone_one_rank_chain_runs_at_offset_zero_only(monkeypatch, jitter):
     assert full == 24
     for horizon in (full, 5, 11, 17):
         assert worst_observed(graph, cfg, horizon) == reference_worst_observed(graph, cfg, horizon)
-    runs = _counting_runs(monkeypatch)
+    built = []
+    runs = _counting_runs(monkeypatch, built)
     worst_observed(graph, cfg)
     # F runs once per pattern that draws differently for it, at offset 0,
     # not at each of its 4 offsets
     patterns = 2 if jitter else 1
     assert len(runs) == 6 * 2 + 4 * 6 + 1 + patterns
     assert runs[37:] == [(0, 0, 0, 0, 0, 0)] * patterns
+    # F's zero-pattern job ends at 4, its hyperperiod, so its run builds 1
+    # job of 6; the max-first job, released at 3, runs past 4, so that run
+    # builds all 6 (the whole sweep built 325 jobs, or 319, in full)
+    assert built[37:] == [1, 6][:patterns]
+    assert sum(built) == (225 if jitter else 219)
 
 
 def test_a_lone_chain_of_two_ranks_sweeps_its_period(monkeypatch):
@@ -560,14 +582,108 @@ def test_a_forked_chain_joins_its_triggers_group(monkeypatch):
     assert len(runs) == 10 * 20 * 20
 
 
-def _three_resource_systems(seeds):
-    """`random_chain_system` seeds with the mapping drawn again over R1, R2
-    and R3 and the priority order shuffled, from the seed."""
+def _carry_over():
+    """C1 (period 20) on R2, under C2 (period 10) on R1, then R2."""
+    chains = (_hand_chain("C1", EventModel(20, 0), 1), _hand_chain("C2", EventModel(10, 0), 1, 2))
+    return _hand_system(chains, {("C1", "c10"): "R2", ("C2", "c20"): "R1", ("C2", "c21"): "R2"}, ["C2", "C1"])
+
+
+def _window_run(graph, cfg, offsets, pattern, window):
+    """One `sim._run` of the whole graph at `offsets` over the default
+    horizon with `window`: the jobs it built and the maxima it saw."""
+    plan = nego.sim._Plan(graph, cfg)
+    maxima = [-1] * len(plan.keys)
+    draws = nego.sim._pattern_draws(graph, pattern)
+    jobs = nego.sim._run(plan, offsets, draws, default_horizon(graph), plan.chains, maxima, window=window)
+    return jobs, dict(zip(plan.keys, maxima))
+
+
+def test_a_run_busy_at_its_hyperperiod_goes_on_to_the_horizon(monkeypatch):
+    graph, cfg = _carry_over()
+    c1 = (("C1", "t"), (0, 1))
+    assert worst_observed(graph, cfg) == reference_worst_observed(graph, cfg, 40)
+    assert worst_observed(graph, cfg)[c1] == 3
+    # C1's job at 20 waits for C2's job released at 19, on R2 from 20 to
+    # 22; no other offset of C2 delays C1 by 2
+    for offset in range(10):
+        seen = simulate(graph, cfg, ReleaseScenario((0, offset), ((), ()), 40)).latencies[c1]
+        assert seen == [1, 3 if offset == 9 else 2 if offset == 8 else 1]
+    # the run at offset 9 builds C2's jobs at 29 and 39 as well, and runs
+    # every job it builds to completion
+    jobs, maxima = _window_run(graph, cfg, (0, 9), "zero", 20)
+    activations = sorted((job[nego.sim._CHAIN], job[nego.sim._ACTIVATION]) for job in jobs)
+    assert activations == [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (1, 3)]
+    assert all(len(job[nego.sim._DONE]) == len(job[nego.sim._SEGMENTS]) + 1 for job in jobs)
+    assert maxima[c1] == 3
+    built = []
+    runs = _counting_runs(monkeypatch, built)
+    worst_observed(graph, cfg)
+    # C2's job released at 18 or 19 is still on R2 at 20; every other run
+    # is idle there and builds the 3 jobs released before it
+    assert runs == [(0, offset) for offset in range(10)]
+    assert built == [3] * 8 + [6, 6]
+
+
+def test_a_max_first_run_stops_only_where_the_zero_run_stops(monkeypatch):
+    # H (jitter 3) on R1 over M on R2 over L, on R1 then R2.  Released at 0,
+    # H delays L on R1 to 5, where M takes R2 until 9 and L ends at 12, past
+    # the hyperperiod 10.  Released at 3, H leaves L on R2 from 3, and L
+    # ends at 10.
+    chains = (
+        _hand_chain("H", EventModel(10, 3), 2),
+        _hand_chain("L", EventModel(10, 0), 3, 3),
+        _hand_chain("M", EventModel(10, 0), 4),
+    )
+    mapping = {("H", "h0"): "R1", ("L", "l0"): "R1", ("L", "l1"): "R2", ("M", "m0"): "R2"}
+    graph, cfg = _hand_system(chains, mapping, "HML")
+    assert len(nego.sim._Plan(graph, cfg).groups) == 1
+    assert worst_observed(graph, cfg) == reference_worst_observed(graph, cfg, 20)
+    assert len(_window_run(graph, cfg, (0, 0, 5), "zero", 10)[0]) == 6
+    assert len(_window_run(graph, cfg, (0, 0, 5), "max-first", 10)[0]) == 3
+    built = []
+    runs = _counting_runs(monkeypatch, built)
+    worst_observed(graph, cfg)
+    at = runs.index((0, 0, 5))
+    # the max-first run follows the zero run, which is busy at 10, so it
+    # builds the later jobs too, though it is idle there
+    assert runs[at : at + 2] == [(0, 0, 5)] * 2
+    assert built[at : at + 2] == [6, 6]
+
+
+def test_a_max_first_run_whose_jitter_releases_at_or_after_the_hyperperiod_does_not_stop(monkeypatch):
+    # A over B (jitter 3) on R1, both of period 4: every zero-pattern run
+    # is idle at 4, and B's max-first job at offset o is released at o + 3
+    chains = (_hand_chain("A", EventModel(4, 0), 1), _hand_chain("B", EventModel(4, 3), 1))
+    graph, cfg = _hand_system(chains, {("A", "a0"): "R1", ("B", "b0"): "R1"}, "AB")
+    for horizon in (8, 16, 7, 10):
+        assert worst_observed(graph, cfg, horizon) == reference_worst_observed(graph, cfg, horizon)
+    built = []
+    runs = _counting_runs(monkeypatch, built)
+    worst_observed(graph, cfg)
+    assert runs == [(0, offset) for offset in range(4) for _ in range(2)]
+    # pairs of (zero, max-first): only at offset 0 is B's first release,
+    # at 3, below 4
+    assert built == [2, 2, 2, 4, 2, 4, 2, 4]
+
+
+def test_a_group_with_a_one_shot_chain_runs_to_the_horizon(monkeypatch):
+    graph, cfg = _three_groups(merged=True)
+    built = []
+    _counting_runs(monkeypatch, built)
+    worst_observed(graph, cfg)
+    # A 2, B 4, C 6, D 4 and E 1 jobs over the horizon 24, in every run
+    assert built == [17] * (6 * 4 * 6 * 2)
+
+
+def _systems_over(seeds, resources=3):
+    """`random_chain_system` seeds with the mapping drawn again over R1 to
+    R`resources` and the priority order shuffled, from the seed."""
+    names = [f"R{i + 1}" for i in range(resources)]
     for seed in seeds:
         system = random_chain_system(random.Random(seed))
         graph = build_task_graph(system.software, system.config, NORMAL)
         rng = random.Random(seed)
-        mapping = {task: rng.choice(["R1", "R2", "R3"]) for task in sorted(system.config.mapping)}
+        mapping = {task: rng.choice(names) for task in sorted(system.config.mapping)}
         order = list(system.config.priorities)
         rng.shuffle(order)
         yield graph, Configuration(system.config.selected, system.config.connections, mapping, tuple(order)), rng
@@ -577,11 +693,37 @@ def test_worst_observed_matches_grid_walk_over_three_resources():
     # more than half the systems have a single chain; 53 of these 300 split
     # into two or more groups
     split = 0
-    for graph, cfg, rng in _three_resource_systems(range(300)):
+    for graph, cfg, rng in _systems_over(range(300)):
         split += len(nego.sim._Plan(graph, cfg).groups) > 1
         horizon = rng.randint(1, default_horizon(graph))
         assert worst_observed(graph, cfg, horizon) == reference_worst_observed(graph, cfg, horizon)
     assert split >= 40
+
+
+@pytest.mark.parametrize("resources", [1, 2, 3, 4])
+def test_runs_that_stop_at_an_idle_hyperperiod_match_the_grid_walk(monkeypatch, resources):
+    # Systems with jitter, at the default horizon and at twice it, where a
+    # run may stop at its group's hyperperiod, and one unit below the
+    # default, a multiple of no hyperperiod, where no run may stop.
+    stops = []
+    run = nego.sim._run
+
+    def recording(plan, offsets, draws, horizon, chains, maxima=None, lines=None, window=0):
+        jobs = run(plan, offsets, draws, horizon, chains, maxima, lines, window)
+        stops.append(bool(window) and jobs[-1][nego.sim._RELEASE] < window)
+        return jobs
+
+    monkeypatch.setattr(nego.sim, "_run", recording)
+    systems = 0
+    for graph, cfg, _ in _systems_over(range(80), resources):
+        if not any(chain.event.jitter for chain in graph.chains):
+            continue
+        systems += 1
+        full = default_horizon(graph)
+        for horizon in (full, 2 * full, full - 1):
+            assert worst_observed(graph, cfg, horizon) == reference_worst_observed(graph, cfg, horizon)
+    # 69 systems; over 900 runs stopped at each resource count
+    assert systems >= 60 and sum(stops) >= 800
 
 
 def test_two_resource_trace_migrates_onto_a_finishing_resource():
