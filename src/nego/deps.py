@@ -43,23 +43,15 @@ def connection_candidates(software: SoftwareModel, pinned: frozenset[str]) -> Co
         for service in software.contracts[comp].provides:
             providers_of.setdefault(service, []).append(comp)
 
-    reachable: set[str] = set()
-    agenda = sorted(pinned)
-    while agenda:
-        comp = agenda.pop()
-        if comp in reachable:
-            continue
-        reachable.add(comp)
-        for service in sorted(software.contracts[comp].requires):
-            for provider in providers_of.get(service, ()):
-                if provider != comp and provider not in reachable:
-                    agenda.append(provider)
-
     must: set[tuple[str, str, str]] = set()
     may: dict[tuple[str, str], tuple[str, ...]] = {}
     unsat: set[tuple[str, str]] = set()
-    requirements: dict[str, tuple[str, ...]] = {}
-    for comp in sorted(reachable):
+    requirements: dict[str, tuple[str, ...]] = {}  # the reachable components, each once
+    agenda = list(pinned)
+    while agenda:
+        comp = agenda.pop()
+        if comp in requirements:
+            continue
         services = tuple(sorted(software.contracts[comp].requires))
         requirements[comp] = services
         for service in services:
@@ -70,6 +62,7 @@ def connection_candidates(software: SoftwareModel, pinned: frozenset[str]) -> Co
                 must.add((comp, service, options[0]))
             else:
                 may[(comp, service)] = options
+            agenda += options
     return ConnectionCandidates(
         pinned=frozenset(pinned),
         must=frozenset(must),
@@ -105,6 +98,11 @@ class ConnectionSearch:
         self.levels: list[list] = []
         # component -> level whose choice selected it; pinned components at -1
         self.selected_at: dict[str, int] = dict.fromkeys(candidates.pinned, -1)
+
+    def forced(self) -> bool:
+        """Whether the smallest pending pair has at most one provider
+        option, so that deciding it chooses nothing."""
+        return bool(self._pending) and len(self._options.get(self._pending[0], ())) < 2
 
     def open(self) -> bool:
         """Open a level for the smallest pending pair, with no choice made

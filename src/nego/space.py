@@ -4,11 +4,11 @@ The store walks the space depth first on one trail that keeps its place
 between calls to `next_candidate`, so each call resumes where the last one
 stopped.  Candidates come out in a fixed order:
 
-* connection assignments: one level per (client, service) pair, the
-  smallest pending pair first, providers in name order, the selection
-  growing with each chosen provider (`deps.ConnectionSearch`);
-* task mappings: one level per task in name order, resources in platform
-  order;
+* connection assignments: the smallest pending (client, service) pair
+  first, providers in name order, skipping the client itself and any
+  provider already serving as many clients as its interface allows, the
+  selection growing with each chosen provider (`deps.ConnectionSearch`);
+* task mappings: tasks in name order, resources in platform order;
 * priority orders at each structural partial: the name-ordered baseline
   if the priority nogoods that apply there allow it, then each order
   `synthesize_priorities` finds under them.  One `PrioritySearch` per
@@ -26,28 +26,38 @@ of `constraints.py`, and the trail builds the same tuples for its choices,
 so a learned literal is looked up as it is: each literal keeps the
 constraints it occurs in (a forbid's literals, a nogood's context), each
 constraint counts its literals that hold on the trail, and the count is
-kept as the trail moves.  A forbid is checked at the level that decides
-its last literal: a choice that completes its count is refused.
-Connection-only forbids therefore prune connection levels before any
-mapping is tried, forbids with map literals prune at the task that decides
-the last of them, and `sel[c]=false` literals are decided when the
-connection assignment is complete.  A nogood whose count is full applies
-at the current partial; it never refuses a choice.  The trail keeps one
-record per decided level of the literals its choice decides: a connection
-and the sel[c]=true of the provider it selects; at the level that
-completes the structure, sel[c]=false of every component of the software
-left unselected; a task's mapping.  Backtracking and cutting pop a level's
-record and release its literals.  Constraints learned since the last call
-are counted against that record when the search resumes, each literal at
-the level that holds it.  A literal no choice decides holds at -1 if it
-holds anyway (sel[c]=true of a pinned c, sel[c]=false of a component the
-software lacks) and does not hold otherwise.  The search then backs out
-of the shallowest level a learned forbid blocks: the deepest level among
-its literals.  Otherwise the partial's orders go on under the learned
-nogoods whose count is full.
+kept as the trail moves.
+
+The trail opens a record only where the search has a choice, and a
+decision with no alternative joins the record of the choice before it, as
+an implied literal joins the current decision level of a SAT solver.  A
+connection record holds a provider's choice and the pairs decided after
+it while the smallest pending pair has at most one provider option: for
+each, the connection and the sel[c]=true of a provider it selects first.
+`deps.ConnectionSearch` keeps one level per pair, and the store counts how
+many levels each record holds.  The record
+that completes the structure holds sel[c]=false of every component of the
+software left unselected and the mapping of every task with one resource
+of its type.  Each task with several resources then has a record of its
+own.  A forbid is checked at the record that decides its last literal: a
+choice whose record completes its count is refused, and so is a choice
+after which a forced pair finds no provider or its one provider full.  Refusing a forced
+decision is refusing the choice before it, since it has no alternative.
+Connection-only forbids therefore prune connection choices before any
+mapping is tried, and forbids with map literals prune at the record that
+decides the last of them.  A nogood whose count is full applies at the
+current partial; it never refuses a choice.  Backtracking and cutting pop
+a record, release its literals and undo every connection level it holds.
+Constraints learned since the last call are counted against the records
+when the search resumes, each literal at the record that holds it.  A
+literal no choice decides holds at -1 if it holds anyway (sel[c]=true of
+a pinned c, sel[c]=false of a component the software lacks) and does not
+hold otherwise.  The search then backs out of the shallowest record a
+learned forbid blocks: the deepest record among its literals.  Otherwise
+the partial's orders go on under the learned nogoods whose count is full.
 
 The trail holds one selection, one assignment and one mapping, undone on
-backtrack: its state grows with the number of levels, not with their
+backtrack: its state grows with the number of records, not with their
 product, and deep systems need no recursion.  Nothing is proposed twice:
 the trail never returns to a partial it has left, and at one partial only
 new orders are proposed.
@@ -117,17 +127,22 @@ class ConstraintStore:
         self._nogoods: list[int] = []  # indices of the priority nogoods
         self._applying: list[PriorityNogood] = []  # the last call's new nogoods with a full count
 
-        # the trail: connection levels 0..C-1; once the assignment is
-        # complete, level C fixes the structure and level C+1+i the
-        # resource of task i.  _held[level] lists the literals that level's
-        # choice made hold.
+        # the trail: one record per choice, _held[record] listing the
+        # literals it made hold.  Connection records come first, record r
+        # holding _levels[r] connection levels: a choice and the pairs with
+        # one provider option decided after it.  Once the assignment is
+        # complete, one record fixes the structure and maps every task with
+        # one resource, then one record per task with several resources.
         self._held: list[list[Literal]] = []
+        self._levels: list[int] = []
         self._conn = ConnectionSearch(connection_candidates(software, self._pinned), software.interfaces)
         self._structure: Structure | None = None
         self._threads: list[QualId] = []
-        self._tasks: list[QualId] = []
+        self._tasks: list[QualId] = []  # every task of the structure, in name order
         self._pools: list[tuple[str, ...]] = []
-        self._choice: list[int] = []  # resource index per mapped task
+        self._choice: list[int] = []  # resource index per task
+        self._branching: list[int] = []  # the tasks with several resources, by position
+        self._mapped = 0  # how many of them have a record
         self._orders: Iterator[Configuration] = iter(())  # candidates at the current partial
         self._fresh = True
 
@@ -224,7 +239,7 @@ class ConstraintStore:
     def _advance(self, forward: bool) -> bool:
         """Move the trail to the next structural partial that no forbid
         blocks.  With forward False, first abandon the current choice of
-        the deepest level.  False when the space is exhausted."""
+        the deepest record.  False when the space is exhausted."""
         conn = self._conn
         while True:
             if forward:
@@ -233,8 +248,9 @@ class ConstraintStore:
                         forward = self._choose_connection()
                     else:
                         forward = self._complete()
-                elif len(self._choice) < len(self._tasks):
-                    self._choice.append(-1)
+                elif self._mapped < len(self._branching):
+                    self._choice[self._branching[self._mapped]] = -1
+                    self._mapped += 1
                     forward = self._choose_resource()
                 else:
                     return True
@@ -242,25 +258,25 @@ class ConstraintStore:
                 return False
             else:
                 self._release(*self._held.pop())
-                if self._choice:
+                if self._mapped:
                     forward = self._choose_resource()
                 elif self._structure is not None:
                     self._uncomplete()
                 else:
-                    conn.retract()
+                    self._retract(self._levels.pop())
                     forward = self._choose_connection()
 
     def _hold(self, literals: list[Literal]) -> bool:
-        """Count the literals as holding and record them as the next level,
+        """Count the literals as holding and record them as the next record,
         unless that completes a forbid."""
         holding, size, constraints = self._holding, self._size, self._constraints
         hits = [k for lit in literals for k in self._watch.get(lit, ())]
         for k in hits:
             holding[k] += 1
-        if any(holding[k] == size[k] and isinstance(constraints[k], ForbidConjunction) for k in hits):
-            for k in hits:
-                holding[k] -= 1
-            return False
+        for k in hits:
+            if holding[k] == size[k] and isinstance(constraints[k], ForbidConjunction):
+                self._release(*literals)
+                return False
         self._held.append(literals)
         return True
 
@@ -270,20 +286,49 @@ class ConstraintStore:
                 self._holding[k] -= 1
 
     def _choose_connection(self) -> bool:
+        """Choose the top connection level's next provider, then decide the
+        smallest pending pair while it has at most one provider option, all
+        in one record.  A forbid the record completes, or a forced pair
+        left without a provider, refuses the first choice.  False when the
+        level has no provider left: it is closed."""
         conn = self._conn
         while conn.choose_next():
-            client, service, provider = conn.choice()
-            literals = [ConnLit(client, service, provider)]
-            if conn.selected_at[provider] == len(conn.levels) - 1:
-                literals.append(SelLit(provider, True))
-            if self._hold(literals):
-                return True
-            conn.retract()
+            record = self._chosen()
+            levels = 1
+            while conn.forced():
+                conn.open()
+                if not conn.choose_next():
+                    break
+                record += self._chosen()
+                levels += 1
+            else:
+                if self._hold(record):
+                    self._levels.append(levels)
+                    return True
+            self._retract(levels)
         return False
+
+    def _chosen(self) -> list[Literal]:
+        """The literals of the top connection level's choice: the connection
+        and the sel[c]=true of the provider it selects."""
+        conn = self._conn
+        client, service, provider = conn.choice()
+        if conn.selected_at[provider] == len(conn.levels) - 1:
+            return [ConnLit(client, service, provider), SelLit(provider, True)]
+        return [ConnLit(client, service, provider)]
+
+    def _retract(self, levels: int) -> None:
+        """Undo the choices of the top `levels` connection levels and close
+        all but the lowest of them."""
+        for _ in range(levels - 1):
+            self._conn.retract()
+            self._conn.close()
+        self._conn.retract()
 
     def _complete(self) -> bool:
         """The connection assignment is complete: decide sel[c]=false of
-        every component it leaves unselected and open the mapping levels,
+        every component it leaves unselected, map every task with one
+        resource of its type and open a record per task with several,
         unless a task with no resource of its type or a forbid rules the
         assignment out."""
         selected = frozenset(self._conn.selected_at)
@@ -294,13 +339,23 @@ class ConstraintStore:
             for step in thread.tasks()
         )
         pools = [self._resources.get(rtype, ()) for _, rtype in tasks]
-        unselected = [SelLit(c, False) for c in self._software.contracts if c not in selected]
-        if not all(pools) or not self._hold(unselected):
+        if not all(pools):
+            return False
+        literals = [SelLit(c, False) for c in self._software.contracts if c not in selected]
+        branching = []
+        for i, pool in enumerate(pools):
+            if len(pool) > 1:
+                branching.append(i)
+            else:
+                literals.append(MapLit(*tasks[i][0], pool[0]))
+        if not self._hold(literals):
             return False
         self._structure = (selected, self._conn.connections())
         self._threads = _threads(self._software, selected)
         self._tasks = [task for task, _ in tasks]
         self._pools = pools
+        self._choice = [0] * len(pools)
+        self._branching = branching
         return True
 
     def _uncomplete(self) -> None:
@@ -309,14 +364,16 @@ class ConstraintStore:
         self._tasks, self._pools = [], []
 
     def _choose_resource(self) -> bool:
-        i = len(self._choice) - 1
+        """Choose the next resource of the deepest task with a record; when
+        none is left, drop its record and return False."""
+        i = self._branching[self._mapped - 1]
         comp, task = self._tasks[i]
         pool = self._pools[i]
         for index in range(self._choice[i] + 1, len(pool)):
             if self._hold([MapLit(comp, task, pool[index])]):
                 self._choice[i] = index
                 return True
-        self._choice.pop()
+        self._mapped -= 1
         return False
 
     # --- constraints learned since the last call
@@ -365,14 +422,14 @@ class ConstraintStore:
         return lit[0] == "sel" and (lit[1] in self._pinned if lit[2] else lit[1] not in self._software.contracts)
 
     def _cut_back(self, level: int) -> None:
-        """Undo every level deeper than `level`, which stays the deepest."""
+        """Undo every record deeper than `level`, which stays the deepest."""
         self._orders = iter(())
         while len(self._held) - 1 > level:
             self._release(*self._held.pop())
-            if self._choice:
-                self._choice.pop()
+            if self._mapped:
+                self._mapped -= 1
             elif self._structure is not None:
                 self._uncomplete()
             else:
-                self._conn.retract()
+                self._retract(self._levels.pop())
                 self._conn.close()

@@ -1,8 +1,11 @@
 """Brute-force references the real implementation is checked against.
 
-`feasible` answers the same question as negotiation by exhaustive search:
-every reachable connection assignment, every type-compatible mapping,
-every priority permutation.  No learned constraints, no pruning.
+`assignments` and `partials` list the structural space plainly, in the
+order the constraint store documents, which the store's proposals must
+follow.  `feasible` answers the same question as negotiation by
+exhaustive search: every reachable connection assignment, every
+type-compatible mapping, every priority permutation.  No learned
+constraints, no pruning.
 `invalid_constraints` walks the same configurations and reports every one
 that a learned constraint excludes although it passes every analysis.
 `reference_simulate` and `reference_worst_observed` step the schedule one
@@ -38,32 +41,30 @@ from nego.timing import TimingContext, _seed_key, check_timing
 
 
 def assignments(software, pinned):
-    """Every complete connection assignment over reachable selections."""
+    """Every complete connection assignment over reachable selections, in
+    the store's order: the smallest pending (client, service) pair first,
+    its providers in name order, skipping the client itself and any
+    provider already serving `max_clients` clients, the selection growing
+    with each chosen provider."""
 
-    def expand(selected, conns, pending):
-        pending = list(pending)
-        for client in sorted(selected):
-            for svc in sorted(software.contracts[client].requires):
-                if (client, svc) not in conns and (client, svc) not in pending:
-                    pending.append((client, svc))
+    def expand(selected, conns):
+        pending = [(c, s) for c in selected for s in software.contracts[c].requires if (c, s) not in conns]
         if not pending:
             yield selected, dict(conns)
             return
-        client, svc = pending[0]
-        rest = pending[1:]
-        iface = software.interfaces[svc]
+        client, svc = min(pending)
+        bound = software.interfaces[svc].max_clients
         for provider in sorted(software.providers(svc)):
             if provider == client:
                 continue
-            if iface.max_clients is not None:
-                users = sum(1 for (c, s), p in conns.items() if s == svc and p == provider)
-                if users >= iface.max_clients:
-                    continue
+            users = sum(1 for (_, s), p in conns.items() if s == svc and p == provider)
+            if bound is not None and users >= bound:
+                continue
             conns[(client, svc)] = provider
-            yield from expand(selected | {provider}, conns, rest)
+            yield from expand(selected | {provider}, conns)
             del conns[(client, svc)]
 
-    yield from expand(frozenset(pinned), {}, [])
+    yield from expand(frozenset(pinned), {})
 
 
 def count_assignments(software, pinned) -> int:
@@ -77,6 +78,20 @@ def _task_types(software, selected):
             for task in thread.tasks():
                 types[(comp, task.name)] = task.resource_type
     return types
+
+
+def partials(software, platform):
+    """Every structural partial (selection, connections, mapping, and no
+    priorities) in the store's order: each assignment in the order above,
+    with every type-compatible mapping, tasks in name order and resources
+    in platform order."""
+    for selected, conns in assignments(software, pinned_components(software)):
+        connections = frozenset((c, s, p) for (c, s), p in conns.items())
+        types = _task_types(software, selected)
+        tasks = sorted(types)
+        pools = [[r.name for r in platform.by_type(types[t])] for t in tasks]
+        for combo in itertools.product(*pools):
+            yield Configuration(selected, connections, dict(zip(tasks, combo)), ())
 
 
 def _structures(system: SystemModel):

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -15,7 +14,7 @@ from nego.constraints import (
 )
 from nego.deps import connection_candidates
 from nego.dsl import load_software_model
-from nego.model import Configuration, ModelError, pinned_components, parse_platform
+from nego.model import ModelError, SystemModel, pinned_components, parse_platform
 from nego.randsys import random_software_system
 from nego.space import ConstraintStore
 from nego.taskgraph import NORMAL, GraphError, build_task_graph
@@ -29,8 +28,8 @@ from conftest import (
     POST_MAPPING,
     POST_SELECTED,
 )
-from oracles import assignments
-from systems import NogoodProbe
+from oracles import partials
+from systems import NogoodProbe, deep, indep
 
 
 def post_store(software_post, platform):
@@ -206,22 +205,6 @@ def test_nogood_filtered_by_context(software_post, platform):
     assert cfg.priorities == LEX_ORDER
 
 
-def _structural_space(software, platform):
-    """Every (selected, connections, mapping) the store may propose, from
-    the brute-force oracle."""
-    for selected, conns in assignments(software, pinned_components(software)):
-        tasks = sorted(
-            ((comp, step.name), step.resource_type)
-            for comp in selected
-            for thread in software.contracts[comp].threads
-            for step in thread.tasks()
-        )
-        pools = [[r.name for r in platform.by_type(rtype)] for _, rtype in tasks]
-        for combo in itertools.product(*pools):
-            mapping = {task: res for (task, _), res in zip(tasks, combo)}
-            yield Configuration(selected, frozenset((c, s, p) for (c, s), p in conns.items()), mapping, ())
-
-
 def _partial_key(cfg):
     return cfg.selected, cfg.connections, tuple(sorted(cfg.mapping.items()))
 
@@ -235,36 +218,117 @@ def _literals(cfg, software):
     return literals
 
 
-def test_forbids_learned_between_calls_cut_exactly():
-    # Forbids over random literals are learned between calls: literals of
-    # the candidate (sel[c]=true and sel[c]=false included), mixed with
-    # literals of another point of the space, which need not hold on the
-    # trail.  Every proposal satisfies the constraints held at that call,
-    # and every partial the final forbids leave open was proposed.
-    for seed in range(200):
-        rng = random.Random(seed)
-        system = random_software_system(random.Random(seed))
-        software, platform = system.software, system.platform
-        space = list(_structural_space(software, platform))
-        store = ConstraintStore(software, platform, pinned_components(software))
-        proposed = set()
-        while True:
-            constraints = store.constraints
-            cfg = store.next_candidate()
+def _drawn_literals(rng, cfg, software, space):
+    """The literals of cfg (sel[c]=true and sel[c]=false included), and half
+    the time those of another point of the space, which need not hold on
+    the trail."""
+    literals = _literals(cfg, software)
+    if rng.random() < 0.5:
+        literals += _literals(rng.choice(space), software)
+    return literals
+
+
+def _walk_in_store_order(system, rng):
+    """Learn random forbids over drawn literals between calls, forced and
+    branching ones alike.  Each call proposes the partial it was at, while
+    the constraints held at that call allow it, or else the first partial
+    after it in the store's order that they leave open."""
+    software, platform = system.software, system.platform
+    space = list(partials(software, platform))
+    store = ConstraintStore(software, platform, pinned_components(software))
+    at = -1  # the position in space of the partial last proposed
+    while True:
+        constraints = store.constraints
+        cfg = store.next_candidate()
+        if cfg is None or at < 0 or _partial_key(cfg) != _partial_key(space[at]):
+            at = next((k for k in range(at + 1, len(space)) if configuration_ok(space[k], constraints)), len(space))
             if cfg is None:
-                break
-            assert configuration_ok(cfg, constraints), seed
-            proposed.add(_partial_key(cfg))
-            literals = _literals(cfg, software)
-            if rng.random() < 0.5:
-                literals += _literals(rng.choice(space), software)
-            if rng.random() < 0.7:
-                k = rng.randint(1, min(3, len(literals)))
-                store.add_constraint(ForbidConjunction(frozenset(rng.sample(literals, k))))
-        forbids = store.constraints
-        for partial in space:
-            if not any(f.blocks(partial) for f in forbids):
-                assert _partial_key(partial) in proposed, seed
+                assert at == len(space), space[at]
+                return
+            assert at < len(space) and _partial_key(space[at]) == _partial_key(cfg), cfg
+        assert configuration_ok(cfg, constraints), cfg
+        literals = _drawn_literals(rng, cfg, software, space)
+        if rng.random() < 0.7:
+            k = rng.randint(1, min(3, len(literals)))
+            store.add_constraint(ForbidConjunction(frozenset(rng.sample(literals, k))))
+
+
+def test_forbids_learned_between_calls_cut_exactly():
+    for seed in range(200):
+        _walk_in_store_order(random_software_system(random.Random(seed)), random.Random(seed))
+
+
+# A's choice for v and B's forced pair for u, decided after it, share a
+# record, which a cut back to A's choice for s undoes
+GPU_BETWEEN_CPUS = [
+    "component A services requires s requires v threads thread t on time (period=10 jitter=0) "
+    "task a1 onto CPU wcet=1 bcet=1 task a2 onto GPU wcet=1 bcet=1 task a3 onto CPU wcet=1 bcet=1",
+    "component B services provides s requires u threads thread e on RPC s.m() "
+    "task b1 onto GPU wcet=1 bcet=1 task b2 onto CPU wcet=1 bcet=1",
+    "component C services provides s threads thread e on RPC s.m() task c onto GPU wcet=1 bcet=1",
+    "component D services provides v threads thread e on RPC v.m() task d onto CPU wcet=1 bcet=1",
+    "component E services provides v threads thread e on RPC v.m() task e onto GPU wcet=1 bcet=1",
+    "component X services provides u threads thread e on RPC u.m() task x onto CPU wcet=1 bcet=1",
+]
+# B and X require s, whose one provider P takes one client: when A is
+# served t by X, X's forced pair finds P full, so that choice is refused
+# and only A -> t -> Y is left
+ONE_CLIENT_FOR_ONE_PROVIDER = [
+    "component A services requires t threads thread ta on time (period=10 jitter=0) "
+    "task a onto CPU wcet=1 bcet=1",
+    "component B services requires s threads thread tb on time (period=10 jitter=0) "
+    "task b onto CPU wcet=1 bcet=1",
+    "component P services provides s threads thread e on RPC s.m() task p onto CPU wcet=1 bcet=1",
+    "component X services provides t requires s threads thread e on RPC t.m() task x onto CPU wcet=1 bcet=1",
+    "component Y services provides t threads thread e on RPC t.m() task y onto CPU wcet=1 bcet=1",
+]
+
+
+@pytest.mark.parametrize(
+    "texts, repository, platform, structures, size",
+    [
+        (
+            GPU_BETWEEN_CPUS,
+            "service s method m () service u method m () service v method m ()",
+            "resource R1 type CPU\nresource G1 type GPU\nresource R2 type CPU\n",
+            [
+                {("A", "s", "B"), ("A", "v", "D"), ("B", "u", "X")},
+                {("A", "s", "B"), ("A", "v", "E"), ("B", "u", "X")},
+                {("A", "s", "C"), ("A", "v", "D")},
+                {("A", "s", "C"), ("A", "v", "E")},
+            ],
+            32 + 16 + 8 + 4,
+        ),
+        (
+            ONE_CLIENT_FOR_ONE_PROVIDER,
+            "service s max_clients 1 method m () service t method m ()",
+            "resource R1 type CPU\nresource R2 type CPU\n",
+            [{("A", "t", "Y"), ("B", "s", "P")}],
+            16,
+        ),
+    ],
+    ids=["gpu-between-cpus", "full-forced-provider"],
+)
+def test_forced_choices_keep_the_store_order(texts, repository, platform, structures, size):
+    # forced tasks sit between branching ones in name order, a forced
+    # connection follows a choice of provider, or a forced provider is full
+    system = SystemModel(load_software_model(texts, repository), parse_platform(platform))
+    space = list(partials(system.software, system.platform))
+    assert [set(c) for c in dict.fromkeys(p.connections for p in space)] == structures
+    assert len(space) == size
+    for seed in range(100):
+        _walk_in_store_order(system, random.Random(seed))
+
+
+@pytest.mark.parametrize("n", [10, 200])
+def test_forced_choices_open_no_record_of_their_own(n):
+    # every connection of deep(n) has one provider and its one CPU takes
+    # every task: one record for the connections and one for the structure
+    # and its mapping; indep(n, 1, ...) has no connection at all
+    for system, records in ((deep(n), 2), (indep(n, 1, 1, 8, 20, 2), 1)):
+        store = ConstraintStore(system.software, system.platform, pinned_components(system.software))
+        assert store.next_candidate() is not None
+        assert len(store._held) == records
 
 
 def test_nogoods_learned_between_calls_apply_by_their_counts(monkeypatch):
@@ -277,12 +341,10 @@ def test_nogoods_learned_between_calls_apply_by_their_counts(monkeypatch):
         rng = random.Random(seed)
         system = random_software_system(random.Random(seed))
         software, platform = system.software, system.platform
-        space = list(_structural_space(software, platform))
+        space = list(partials(software, platform))
         store = ConstraintStore(software, platform, pinned_components(software))
         while len(store.constraints) < 40 and (cfg := store.next_candidate()) is not None:
-            literals = _literals(cfg, software)
-            if rng.random() < 0.5:
-                literals += _literals(rng.choice(space), software)
+            literals = _drawn_literals(rng, cfg, software, space)
             order = cfg.priorities
             if len(order) >= 2:
                 hi, lo = sorted(rng.sample(range(len(order)), 2))
