@@ -99,11 +99,6 @@ class ConnectionSearch:
         # component -> level whose choice selected it; pinned components at -1
         self.selected_at: dict[str, int] = dict.fromkeys(candidates.pinned, -1)
 
-    def forced(self) -> bool:
-        """Whether the smallest pending pair has at most one provider
-        option, so that deciding it chooses nothing."""
-        return bool(self._pending) and len(self._options.get(self._pending[0], ())) < 2
-
     def open(self) -> bool:
         """Open a level for the smallest pending pair, with no choice made
         yet; False when nothing is pending: the assignment is complete."""
@@ -133,6 +128,18 @@ class ConnectionSearch:
             return True
         self.close()
         return False
+
+    def choose_forced(self) -> bool:
+        """Decide the smallest pending pair while it has at most one provider
+        option, so that deciding it chooses nothing: open a level for it and
+        choose that provider.  False when a pair has no admissible provider;
+        its level is then closed, and the levels decided before it stay open
+        for the caller to retract."""
+        while self._pending and len(self._options.get(self._pending[0], ())) < 2:
+            self.open()
+            if not self.choose_next():
+                return False
+        return True
 
     def choice(self) -> tuple[str, str, str]:
         """(client, service, provider) of the top level's current choice."""

@@ -92,15 +92,18 @@ class Configuration:
         return {t: i for i, t in enumerate(self.priorities)}
 
     @cached_property
-    def _providers(self) -> dict[tuple[str, str], str]:
+    def routes(self) -> dict[tuple[str, str], tuple[str, str, str]]:
+        """The connection, (client, service, provider), of each (client,
+        service) pair: the very tuple `connections` holds."""
         # every caller passes at most one provider per (client, service):
         # the search proposes one, and a loaded configuration is refused
         # first if it routes a pair twice (by the revalidation's condition 2
         # in negotiate, by cli._task_graphs in graph, bound and simulate)
-        return {(c1, s): c2 for c1, s, c2 in self.connections}
+        return {conn[:2]: conn for conn in self.connections}
 
     def provider_of(self, client: str, service: str) -> str | None:
-        return self._providers.get((client, service))
+        route = self.routes.get((client, service))
+        return None if route is None else route[2]
 
 
 class SystemModel(NamedTuple):

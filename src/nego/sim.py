@@ -80,14 +80,17 @@ def synchronous_scenario(graph: TaskGraph, horizon: int, pattern: str = "max-fir
 
 
 # Caps on the work one call may take on, far above every input the corpus
-# and the soundness sweeps simulate (at most 46 jobs in one run, 100 grid
+# and the soundness sweeps simulate (at most 46 jobs in one run, 101 grid
 # points and 5440 jobs in one sweep) and every input of the tests but those
 # of the caps (at most 52 jobs in one run, 4000 grid points and 48000 jobs
 # in one sweep): a run releasing more jobs, or a sweep over more offset
 # vectors or releasing more jobs in all its runs, is refused before any job
-# is built.  The caps count every job released before the horizon, though
-# a sweep run that stops at its group's hyperperiod builds fewer (at most
-# 4602 in one soundness sweep).
+# is built.  A sweep's counts add up over its groups, as its runs do: each
+# group's own offset vectors, one where the lone-chain rule holds, times
+# the patterns it runs, times the jobs its chains release in one run.  The
+# caps count every job released before the horizon, though a sweep run
+# that stops at its group's hyperperiod builds fewer (at most 4602 in one
+# soundness sweep).
 MAX_JOBS = 100_000
 MAX_GRID = 10_000
 MAX_SWEEP_JOBS = 1_000_000
@@ -162,7 +165,7 @@ class _Plan:
 
     def __init__(self, graph: TaskGraph, cfg: Configuration, trace: bool = False) -> None:
         ranks, mapping = cfg.ranks(), cfg.mapping
-        self.resources = sorted({mapping[node.task_id] for chain in graph.chains for node in chain.nodes})
+        self.resources = sorted({mapping[task] for chain in graph.chains for task in chain.task_ids})
         index = {resource: i for i, resource in enumerate(self.resources)}
         self.chains: list[tuple[int, EventModel | None, tuple[tuple[int, int, int], ...], int]] = []
         self.rows: list[tuple[tuple[int, int, int], ...]] = [()] * len(graph.chains)
@@ -195,7 +198,7 @@ class _Plan:
             ])
             if trace:
                 self.roots[ci] = qual_str(chain.root)
-                self.tasks[ci] = tuple(qual_str(n.task_id) for n in chain.nodes)
+                self.tasks[ci] = tuple(map(qual_str, chain.task_ids))
         self.keys = list(slots)
         # one resource or one chain is one group; the union-find would add
         # about a fifth to the sweep of one chain over two resources
@@ -439,7 +442,7 @@ def simulate(
 def _hyperperiod(graph: TaskGraph) -> int:
     periods = [chain.event.period for chain in graph.chains if chain.event is not None]
     if not periods:
-        return max((sum(n.wcet for n in c.nodes) for c in graph.chains), default=1)
+        return max((c.prefix[-1] for c in graph.chains), default=1)
     return math.lcm(*periods)
 
 
@@ -472,8 +475,9 @@ def worst_observed(
 
     The first chain anchors the grid at offset zero; every other periodic
     chain sweeps each offset in [0, period).  One-shot chains stay at zero.
-    A grid of more than MAX_GRID offset vectors, or runs releasing more
-    than MAX_SWEEP_JOBS jobs in all, is refused.
+    A sweep over more than MAX_GRID offset vectors, or whose runs release
+    more than MAX_SWEEP_JOBS jobs in all, is refused before any run: both
+    count what the sweep below visits, group by group.
 
     Each of the plan's groups is swept on its own: over the grid restricted
     to its chains (the others run no jobs), by each pattern that draws
@@ -484,9 +488,10 @@ def worst_observed(
     is the maximum over the group's own grid.  A group of one periodic
     chain with jitter below its period and one thread rank on every segment
     runs at offset 0 only, which is exact too (`_sweeps_at_zero`).  The
-    runs drop from the product of the groups' grids to their sum; the caps
-    still count the full product.  Each run raises the span maxima as its
-    jobs complete their last segments.
+    runs drop from the product of the groups' grids to their sum, and so
+    do the caps' counts: the offset vectors of each group's grid, and per
+    run the jobs its group's chains release before the horizon.  Each run
+    raises the span maxima as its jobs complete their last segments.
 
     A run may stop at its group's hyperperiod W, the lcm of the group's
     periods, when every chain of the group is periodic and the horizon is
@@ -512,31 +517,22 @@ def worst_observed(
     """
     if horizon is None:
         horizon = default_horizon(graph)
-    jobs = _check_run(graph, horizon)
-    grid = math.prod(chain.event.period for chain in graph.chains[1:] if chain.event is not None)
-    if grid > MAX_GRID:
-        raise ValueError(f"the offset sweep has {grid} grid points, more than the cap of {MAX_GRID}")
-    max_first = _pattern_draws(graph, "max-first")
-    zero = ((),) * len(graph.chains)  # the "zero" pattern's draws
-    runs = grid * (1 + (max_first != zero))  # patterns that draw alike run once
-    total = runs * jobs
-    if total > MAX_SWEEP_JOBS:
-        raise ValueError(
-            f"the offset sweep runs {runs} schedules of up to {jobs} jobs, "
-            f"{total} in all, more than the cap of {MAX_SWEEP_JOBS}"
-        )
+    _check_run(graph, horizon)
     plan = _Plan(graph, cfg)
-    # each group's all-zero offset vector runs first and activates each of
-    # its chains at offset 0, before the horizon, so every span is observed
-    maxima = [-1] * len(plan.keys)
+    # per group: (its chains, its offset axes, W, its jittered chains)
+    sweeps: list[tuple[list, list[range], int, list[tuple[int, int]]]] = []
+    grid = runs = total = most = 0  # offset vectors, runs, jobs in all, most jobs in one run
     for group in plan.groups:
         window = 1  # W, the lcm of the group's periods; 0 with a one-shot chain
         axes = [range(1)] * len(graph.chains)
         jittered = []  # (chain index, jitter); without any, the patterns draw alike
+        jobs = 0  # released by the group's chains in one run
         for ci, event, _, _ in group:
             if event is None:
                 window = 0
+                jobs += 1
             else:
+                jobs += -(-horizon // event.period)
                 if window:
                     window = math.lcm(window, event.period)
                 if event.jitter:
@@ -545,6 +541,26 @@ def worst_observed(
                     axes[ci] = range(event.period)
         if window and (horizon % window or horizon == window):
             window = 0  # the rule needs whole windows, and one to skip
+        points = math.prod(map(len, axes))
+        group_runs = points * (1 + bool(jittered))  # patterns that draw alike run once
+        grid += points
+        runs += group_runs
+        total += group_runs * jobs
+        most = max(most, jobs)
+        sweeps.append((group, axes, window, jittered))
+    if grid > MAX_GRID:
+        raise ValueError(f"the offset sweep has {grid} grid points, more than the cap of {MAX_GRID}")
+    if total > MAX_SWEEP_JOBS:
+        raise ValueError(
+            f"the offset sweep runs {runs} schedules of up to {most} jobs, "
+            f"{total} in all, more than the cap of {MAX_SWEEP_JOBS}"
+        )
+    max_first = _pattern_draws(graph, "max-first")
+    zero = ((),) * len(graph.chains)  # the "zero" pattern's draws
+    # each group's all-zero offset vector runs first and activates each of
+    # its chains at offset 0, before the horizon, so every span is observed
+    maxima = [-1] * len(plan.keys)
+    for group, axes, window, jittered in sweeps:
         for offsets in itertools.product(*axes):
             jobs = _run(plan, offsets, zero, horizon, group, maxima, None, window)
             if jittered:

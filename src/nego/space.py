@@ -34,15 +34,17 @@ an implied literal joins the current decision level of a SAT solver.  A
 connection record holds a provider's choice and the pairs decided after
 it while the smallest pending pair has at most one provider option: for
 each, the connection and the sel[c]=true of a provider it selects first.
-`deps.ConnectionSearch` keeps one level per pair, and the store counts how
-many levels each record holds.  The record
-that completes the structure holds sel[c]=false of every component of the
-software left unselected and the mapping of every task with one resource
-of its type.  Each task with several resources then has a record of its
-own.  A forbid is checked at the record that decides its last literal: a
-choice whose record completes its count is refused, and so is a choice
-after which a forced pair finds no provider or its one provider full.  Refusing a forced
-decision is refusing the choice before it, since it has no alternative.
+`deps.ConnectionSearch` keeps one level per pair and decides the run of
+forced pairs after a choice in one call; the store builds the record's
+literals once that run is decided, and counts how many levels each record
+holds.  The record that completes the structure holds sel[c]=false of
+every component of the software left unselected and the mapping of every
+task with one resource of its type.  Each task with several resources
+then has a record of its own.  A forbid is checked at the record that
+decides its last literal: a choice whose record completes its count is
+refused, and so is a choice after which a forced pair finds no provider
+or its one provider full.  Refusing a forced decision is refusing the
+choice before it, since it has no alternative.
 Connection-only forbids therefore prune connection choices before any
 mapping is tried, and forbids with map literals prune at the record that
 decides the last of them.  A nogood whose count is full applies at the
@@ -293,29 +295,26 @@ class ConstraintStore:
         level has no provider left: it is closed."""
         conn = self._conn
         while conn.choose_next():
-            record = self._chosen()
-            levels = 1
-            while conn.forced():
-                conn.open()
-                if not conn.choose_next():
-                    break
-                record += self._chosen()
-                levels += 1
-            else:
-                if self._hold(record):
-                    self._levels.append(levels)
-                    return True
-            self._retract(levels)
+            first = len(conn.levels) - 1
+            if conn.choose_forced() and self._hold(self._chosen(first)):
+                self._levels.append(len(conn.levels) - first)
+                return True
+            self._retract(len(conn.levels) - first)
         return False
 
-    def _chosen(self) -> list[Literal]:
-        """The literals of the top connection level's choice: the connection
-        and the sel[c]=true of the provider it selects."""
-        conn = self._conn
-        client, service, provider = conn.choice()
-        if conn.selected_at[provider] == len(conn.levels) - 1:
-            return [ConnLit(client, service, provider), SelLit(provider, True)]
-        return [ConnLit(client, service, provider)]
+    def _chosen(self, first: int) -> list[Literal]:
+        """The literals of the choices of the connection levels from `first`
+        up: per level, the connection and the sel[c]=true of a provider it
+        selects."""
+        levels, selected_at = self._conn.levels, self._conn.selected_at
+        literals: list[Literal] = []
+        for depth in range(first, len(levels)):
+            client, service, options, index = levels[depth]
+            provider = options[index]
+            literals.append(ConnLit(client, service, provider))
+            if selected_at[provider] == depth:
+                literals.append(SelLit(provider, True))
+        return literals
 
     def _retract(self, levels: int) -> None:
         """Undo the choices of the top `levels` connection levels and close

@@ -12,11 +12,16 @@ once per partial (the graph of one mode, the partial's mapping and the
 platform) and shared by every priority order tried there: it holds the
 utilization and the overload verdict, the iteration cap, each reported
 span's WCET, resources and threads, and per resource and event model the
-thread and WCET of each task there.  An order only applies its ranks: it
-sorts each group by rank into cumulative WCET, and the tasks that can
-preempt a span on a resource are those ranked above its lowest-priority
-thread, a prefix found by bisection, so a span's demand per event model is
-one prefix sum per resource, less its own chain's tasks.  The recurrence
+summed WCET of each thread's tasks there.  The context reads the chains'
+columns (`taskgraph.Chain`), not their nodes: utilization and the cap sum
+the WCET column and its prefix sum, a span's WCET is two prefix-sum
+lookups, and a chain with one thread on one resource adds one entry to
+its group and shares one thread tuple and one resource tuple among its
+spans.  An order only applies its ranks: it sorts each group by rank into
+cumulative WCET, and the tasks that can preempt a span on a resource are
+those ranked above its lowest-priority thread, a prefix found by
+bisection, so a span's demand per event model is one prefix sum per
+resource, less its own chain's tasks.  The recurrence
 then evaluates `eta` once per event model, not once per interferer, and
 wide systems are analysed in near-linear time.  A failing span builds its
 feedback literals, the tuples of `constraints.py`, straight from its
@@ -55,19 +60,21 @@ MODELS = (BUSY_WINDOW, SINGLE_BLOCKING)
 
 def utilization(graph: TaskGraph, cfg: Configuration, platform: PlatformModel) -> dict[str, Fraction]:
     """Total demand fraction per resource; one-shot chains contribute none.
-    Integer WCET is summed per (resource, period) first, so each period
-    costs one division."""
-    demand: dict[tuple[str, int], int] = {}
+    Integer WCET is summed per (period, resource) first, from the chains'
+    task id and WCET columns, so each pair costs one division."""
+    mapping = cfg.mapping
+    demand: dict[int, dict[str, int]] = {}  # period -> resource -> summed WCET
     for chain in graph.chains:
         if chain.event is None:
             continue
-        period = chain.event.period
-        for node in chain.nodes:
-            key = (cfg.mapping[node.task_id], period)
-            demand[key] = demand.get(key, 0) + node.wcet
+        per_resource = demand.setdefault(chain.event.period, {})
+        for task, wcet in zip(chain.task_ids, chain.wcets):
+            resource = mapping[task]
+            per_resource[resource] = per_resource.get(resource, 0) + wcet
     out: dict[str, Fraction] = {res.name: Fraction(0) for res in platform.resources}
-    for (resource, period), wcet in demand.items():
-        out[resource] += Fraction(wcet, period)
+    for period, per_resource in demand.items():
+        for resource, wcet in per_resource.items():
+            out[resource] += Fraction(wcet, period)
     return out
 
 
@@ -77,12 +84,12 @@ def utilization(graph: TaskGraph, cfg: Configuration, platform: PlatformModel) -
 
 def _iteration_cap(graph: TaskGraph) -> int:
     """Ten times the graph's total WCET over its shortest period, at least
-    64; 64 for a graph without periodic chains.  One pass over the chains."""
+    64; 64 for a graph without periodic chains.  One pass over the chains,
+    each chain's WCET the last entry of its prefix sum."""
     total = 0
     shortest = None
     for chain in graph.chains:
-        for node in chain.nodes:
-            total += node.wcet
+        total += chain.prefix[-1]
         event = chain.event
         if event is not None and (shortest is None or event.period < shortest):
             shortest = event.period
@@ -100,7 +107,9 @@ def _interferers(
 ) -> list[tuple[Chain, list[TaskNode]]]:
     """Per other chain, the tasks that can preempt the range: mapped onto one
     of the range's resources and owned by a thread that outranks the range's
-    lowest-priority thread."""
+    lowest-priority thread.  It keeps the nodes, which the feedback reads,
+    so it reads their fields rather than the columns: a zip of columns per
+    chain costs more than it saves on short chains."""
     resources = {mapping[n.task_id] for n in range_nodes}
     floor = max(ranks[n.thread] for n in range_nodes)
     out: list[tuple[Chain, list[TaskNode]]] = []
@@ -174,7 +183,7 @@ def chain_latency_bound(
     range_nodes = chain.span_nodes(span)
     if not range_nodes:
         return 0
-    own = sum(n.wcet for n in range_nodes)
+    own = chain.prefix[span[1]] - chain.prefix[span[0]]
     interferers = _interferers(chain, range_nodes, graph, cfg.mapping, ranks)
     if model == SINGLE_BLOCKING:
         return own + sum(n.wcet for _, tasks in interferers for n in tasks)
@@ -190,7 +199,7 @@ class _Span(NamedTuple):
     chain: Chain
     bound: int | None  # required bound; None when the chain states none
     target: str
-    nodes: tuple[TaskNode, ...]
+    span: tuple[int, int]  # node index range [start, stop) in the chain
     own: int  # summed WCET of the nodes
     resources: tuple[str, ...]  # where the nodes are mapped
     threads: tuple[QualId, ...]  # that own the nodes
@@ -198,13 +207,20 @@ class _Span(NamedTuple):
     # chain has one thread, whose tasks never outrank the span
     same_chain: tuple[tuple[QualId, int], ...]
 
+    @property
+    def nodes(self) -> tuple[TaskNode, ...]:
+        return self.chain.span_nodes(self.span)
+
 
 class TimingContext:
     """What every priority order of one partial shares, from the task graph
     of one mode, the partial's mapping and the platform: the utilization
     and overloaded resources, the iteration cap, one `_Span` per reported
-    span, and per resource and event model the thread and WCET of each
-    task there."""
+    span, and per resource and event model the summed WCET of each
+    thread's tasks there.  Built from the chains' columns: a span's WCET is
+    two prefix-sum lookups, and a chain with one thread on one resource
+    adds one entry and gives every span of it the same thread and resource
+    tuples."""
 
     def __init__(self, graph: TaskGraph, cfg: Configuration, platform: PlatformModel) -> None:
         self.graph = graph
@@ -213,39 +229,50 @@ class TimingContext:
         self.overloaded = sorted(r for r, frac in self.utilization.items() if frac > 1)
         self.cap = _iteration_cap(graph)
         self.spans: list[_Span] = []
-        # per resource and event model, (thread, WCET) of each task there
-        self.groups: dict[str, dict[EventModel | None, list[tuple[QualId, int]]]] = {}
+        # per resource and event model, the summed WCET of each thread there
+        self.groups: dict[str, dict[EventModel | None, dict[QualId, int]]] = {}
         if self.overloaded:
             return  # no latency is bounded
         mapping = cfg.mapping
+        alone: dict[str, tuple[str]] = {}  # resource -> the one tuple of it the spans share
         for chain in graph.chains:
-            nodes = chain.nodes
-            if not nodes:
+            task_ids, threads, wcets, prefix = chain.task_ids, chain.threads, chain.wcets, chain.prefix
+            if not task_ids:
                 continue
-            placed = [mapping[n.task_id] for n in nodes]
-            own_groups: dict[str, list[tuple[QualId, int]]] = {}  # this chain's, by resource
-            for n, resource in zip(nodes, placed):
-                group = own_groups.get(resource)
-                if group is None:
-                    per_event = self.groups.setdefault(resource, {})
-                    group = own_groups[resource] = per_event.setdefault(chain.event, [])
-                group.append((n.thread, n.wcet))
+            placed = list(map(mapping.__getitem__, task_ids))
+            chain_threads = tuple(set(threads))
+            one_thread = len(chain_threads) == 1
+            first = placed[0]
+            if one_thread and placed.count(first) == len(placed):
+                demand = self.groups.setdefault(first, {}).setdefault(chain.event, {})
+                demand[threads[0]] = demand.get(threads[0], 0) + prefix[-1]
+                chain_resources: tuple[str, ...] | None = alone.setdefault(first, (first,))
+            else:
+                own_groups: dict[str, dict[QualId, int]] = {}  # this chain's, by resource
+                for thread, wcet, resource in zip(threads, wcets, placed):
+                    demand = own_groups.get(resource)
+                    if demand is None:
+                        per_event = self.groups.setdefault(resource, {})
+                        demand = own_groups[resource] = per_event.setdefault(chain.event, {})
+                    demand[thread] = demand.get(thread, 0) + wcet
+                chain_resources = tuple(own_groups) if len(own_groups) == 1 else None
             if chain.requirements:
                 rows = [(req.bound, req.span, req.target) for req in chain.requirements]
             else:
-                rows = [(None, (0, len(nodes)), qual_str(chain.root))]
-            threads = tuple({n.thread for n in nodes})
-            for bound, (start, stop), target in rows:
-                span = nodes[start:stop]
-                resources = tuple(set(placed[start:stop]))
-                if len(threads) == 1:
-                    span_threads, same = threads, ()
+                rows = [(None, (0, len(task_ids)), qual_str(chain.root))]
+            for bound, span, target in rows:
+                start, stop = span
+                resources = chain_resources or tuple(set(placed[start:stop]))
+                if one_thread:
+                    span_threads, same = chain_threads, ()
                 else:
-                    span_threads = tuple({n.thread for n in span})
+                    span_threads = tuple(set(threads[start:stop]))
                     same = tuple(
-                        (n.thread, n.wcet) for n, resource in zip(nodes, placed) if resource in resources
+                        (thread, wcet)
+                        for thread, wcet, resource in zip(threads, wcets, placed)
+                        if resource in resources
                     )
-                own = sum(n.wcet for n in span)
+                own = prefix[stop] - prefix[start]
                 self.spans.append(_Span(chain, bound, target, span, own, resources, span_threads, same))
 
 
@@ -259,7 +286,7 @@ def _span_bound(
     """`chain_latency_bound` of the span under the ranks, from the ranked
     prefixes of its resources: per event model, the summed WCET of the
     other chains' tasks that can preempt it."""
-    if not span.nodes:
+    if span.span[0] == span.span[1]:
         return 0
     floor = max(map(ranks.__getitem__, span.threads))
     demand: dict[EventModel | None, int] = {}
@@ -323,12 +350,13 @@ def _overload_forbid(context: TimingContext, resource: str) -> ForbidConjunction
     there.  Only a normal-mode graph overloads, and its chains are all
     periodic."""
     literals: set[Literal] = set()
+    mapping = context.mapping
     for chain in context.graph.chains:
-        on_resource = [n for n in chain.nodes if context.mapping[n.task_id] == resource]
+        on_resource = [n for n in chain.nodes if mapping[n.task_id] == resource]
         if not on_resource:
             continue
         literals.update(ConnLit(*edge) for edge in chain.connections_used)
-        literals.update(MapLit(n.component, n.task, resource) for n in on_resource)
+        literals.update(MapLit(*n.task_id, resource) for n in on_resource)
     return ForbidConjunction(frozenset(literals))
 
 
@@ -340,14 +368,14 @@ def _latency_feedback(
 ) -> list[Constraint]:
     mapping = context.mapping
     literals: set[Literal] = {ConnLit(*edge) for edge in span.chain.connections_used}
-    literals.update(MapLit(n.component, n.task, mapping[n.task_id]) for n in span.nodes)
+    literals.update(MapLit(*n.task_id, mapping[n.task_id]) for n in span.nodes)
     if span.own > span.bound or not interferers:
         # No demotion can help: the range alone exceeds the bound, or
         # nothing preempts it.
         return [ForbidConjunction(frozenset(literals))]
     for other, tasks in interferers:
         literals.update(ConnLit(*edge) for edge in other.connections_used)
-        literals.update(MapLit(n.component, n.task, mapping[n.task_id]) for n in tasks)
+        literals.update(MapLit(*n.task_id, mapping[n.task_id]) for n in tasks)
     nogood_context = frozenset(literals)
     floor_thread = max(span.threads, key=lambda t: ranks[t])
     interfering_threads = sorted({n.thread for _, tasks in interferers for n in tasks})
@@ -381,8 +409,8 @@ def check_timing(context: TimingContext, cfg: Configuration, model: str) -> Timi
     prefixes = {}
     for resource, per_event in context.groups.items():
         prefixes[resource] = rows = []
-        for event, tasks in per_event.items():
-            ranked = sorted((ranks[thread], wcet) for thread, wcet in tasks)
+        for event, demand in per_event.items():
+            ranked = sorted(zip(map(ranks.__getitem__, demand), demand.values()))
             cumulative = list(accumulate((wcet for _, wcet in ranked), initial=0))
             rows.append((event, [rank for rank, _ in ranked], cumulative))
     verdicts: list[TimingVerdict] = []
@@ -412,10 +440,11 @@ def _seed_key(graphs: Sequence[TaskGraph]):
     for graph in graphs:
         for chain in graph.chains:
             for req in chain.requirements:
-                for node in chain.span_nodes(req.span):
-                    prior = tightest.get(node.thread)
+                start, stop = req.span
+                for thread in chain.threads[start:stop]:
+                    prior = tightest.get(thread)
                     if prior is None or req.bound < prior:
-                        tightest[node.thread] = req.bound
+                        tightest[thread] = req.bound
 
     def key(thread: QualId):
         bound = tightest.get(thread)

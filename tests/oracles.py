@@ -18,6 +18,10 @@ demand, which `timing.utilization` must sum to over a graph.
 `reference_check_control_flow` indexes every routed call site of every
 selected thread, whether or not a rule names its method, for the
 rules-first `check_control_flow`.
+`reference_requirements` unfolds each chain recursively, records the span
+of every inlined call and callee thread, and only then looks up the
+requirements on them, for `build_task_graph`, which keeps only the spans
+a requirement targets.
 """
 
 from __future__ import annotations
@@ -34,9 +38,10 @@ from nego.controlflow import (
     check_control_flow,
     thread_modes,
 )
+from nego.dsl import Initialization, TaskStep, TimeActivation
 from nego.model import Configuration, SystemModel, pinned_components
 from nego.sim import ReleaseScenario
-from nego.taskgraph import GraphError, INITIALIZATION, NORMAL, build_task_graph
+from nego.taskgraph import GraphError, INITIALIZATION, NORMAL, LatencyReq, build_task_graph
 from nego.timing import TimingContext, _seed_key, check_timing
 
 
@@ -172,6 +177,57 @@ def chain_utilization(chain, cfg) -> dict[str, Fraction]:
         resource = cfg.mapping[node.task_id]
         demand[resource] = demand.get(resource, 0) + node.wcet
     return {r: Fraction(w, chain.event.period) for r, w in demand.items()}
+
+
+def reference_requirements(software, cfg, mode):
+    """Each chain's requirements, by chain root, in the order of
+    `Chain.requirements`, for a configuration whose graph builds."""
+    wanted = {}  # ("thread", (component, thread)) or ("call", (caller, service, method)) -> rows
+    for comp in cfg.selected:
+        for timing in software.contracts[comp].timings:
+            if isinstance(timing.target, str):
+                key = ("thread", (comp, timing.target))
+            else:
+                key = ("call", (comp, timing.target.service, timing.target.method))
+            wanted.setdefault(key, []).append((timing.bound, comp, timing.target_str()))
+
+    def unfold(comp, thread, start, spans, forks):
+        """The position after the thread's nodes, which begin at `start`."""
+        position = start
+        for step in thread.steps:
+            if isinstance(step, TaskStep):
+                position += 1
+                continue
+            call = (comp, step.ref.service, step.ref.method)
+            provider = cfg.provider_of(comp, step.ref.service)
+            entry = software.contracts[provider].entry_thread(step.ref.service, step.ref.method)
+            if step.kind == "SIGNAL":
+                forks.append((provider, entry, call))
+                continue
+            stop = unfold(provider, entry, position, spans, forks)
+            spans += [(("thread", (provider, entry.name)), (position, stop)), (("call", call), (position, stop))]
+            position = stop
+        return position
+
+    activation = TimeActivation if mode == NORMAL else Initialization
+    pending = [
+        (comp, thread, None)
+        for comp in sorted(cfg.selected)
+        for thread in software.contracts[comp].threads
+        if isinstance(thread.activation, activation)
+    ]
+    out = {}
+    while pending:
+        comp, thread, trigger = pending.pop(0)
+        spans, forks = [], []
+        whole = (0, unfold(comp, thread, 0, spans, forks))
+        spans.append((("thread", (comp, thread.name)), whole))
+        if trigger is not None:
+            spans.append((("call", trigger), whole))
+        reqs = [LatencyReq(bound, span, owner, target) for key, span in spans for bound, owner, target in wanted.get(key, ())]
+        out[(comp, thread.name)] = tuple(sorted(reqs, key=lambda r: (r.span, r.bound, r.owner, r.target)))
+        pending += forks
+    return out
 
 
 def reference_check_control_flow(software, cfg):

@@ -16,6 +16,10 @@ watch a constraint store from outside while `negotiate` drives it.
   name-ordered priorities miss the bounds of the later half; the
   deadline-monotonic seed, which reverses them, meets every bound.
 
+* random_fork_system(rng): periodic roots whose calls fan out as a tree of
+  services, each called once, by RPC or by SIGNAL, with thread timings on
+  roots and entry threads and method timings on calls, all configured.
+
 `negotiation_digest` hashes what negotiation prints over many systems, so a
 change that must keep every output byte-identical can be checked at once.
 """
@@ -102,6 +106,51 @@ def revdl_texts(n: int) -> tuple[list[str], str]:
 
 def revdl(n: int) -> SystemModel:
     return _system(*revdl_texts(n), 1)
+
+
+def random_fork_system(rng: random.Random) -> SystemModel:
+    """Roots R0.. with a periodic thread `t`, and one provider P<i> per
+    service s<i> whose entry thread `e` serves s<i>.m().  Each service is
+    called by one step of a root or of a provider of an earlier service,
+    so the calls form a tree: an RPC inlines the callee, a SIGNAL forks a
+    chain.  Roots and entry threads hold random tasks around their calls,
+    and some threads and calls carry one or two timing requirements; an
+    entry thread an RPC calls may hold no task, so its spans are empty.
+    The configuration selects everything, on one CPU."""
+    roots = [f"R{i}" for i in range(rng.randint(1, 3))]
+    providers = [f"P{i}" for i in range(rng.randint(1, 6))]
+    calls: dict[str, list[tuple[str, str]]] = {name: [] for name in roots + providers}
+    least = dict.fromkeys(roots, 1)  # tasks a thread needs: a chain's root needs one
+    for i, provider in enumerate(providers):
+        caller = rng.choice(roots + providers[:i])
+        kind = rng.choice(["RPC", "RPC", "SIGNAL"])
+        calls[caller].append((kind, f"s{i}"))
+        least[provider] = int(kind == "SIGNAL")
+    texts, connections, mapping = [], set(), {}
+    for name in roots + providers:
+        head = [f"component {name}", "  services"]
+        if name in providers:
+            head.append(f"    provides s{providers.index(name)}")
+        head += [f"    requires {service}" for _, service in calls[name]]
+        if len(head) == 2:
+            head.pop()
+        if name in roots:
+            thread = f"    thread t on time (period={rng.choice([50, 100])} jitter={rng.randint(0, 2)})"
+        else:
+            thread = f"    thread e on RPC s{providers.index(name)}.m()"
+        steps = [f"      {kind} {service}.m()" for kind, service in calls[name]]
+        for k in range(rng.randint(least[name], 3)):
+            steps.insert(rng.randint(0, len(steps)), f"      task x{k} onto CPU wcet={rng.randint(1, 3)} bcet=1")
+            mapping[(name, f"x{k}")] = "R1"
+        timings = []
+        for target in ["t" if name in roots else "e"] + [f"{service}.m()" for _, service in calls[name]]:
+            timings += [f"    timing {rng.randint(5, 60)} {target}" for _ in range(rng.choice([0, 0, 1, 2]))]
+        texts.append("\n".join(head + ["  threads", thread] + steps + (["  timings"] + timings if timings else [])) + "\n")
+        connections |= {(name, service, f"P{service[1:]}") for _, service in calls[name]}
+    repository = "".join(f"service s{i}\n  method m ()\n" for i in range(len(providers)))
+    threads = tuple((name, "t") for name in roots) + tuple((name, "e") for name in providers)
+    cfg = Configuration(frozenset(roots + providers), frozenset(connections), mapping, threads)
+    return SystemModel(load_software_model(texts, repository), parse_platform("resource R1 type CPU\n"), cfg)
 
 
 def ladder() -> list[SystemModel]:

@@ -23,6 +23,7 @@ ROOT = Path(__file__).resolve().parent.parent
          "--expect", "4facd71cba90d3622d4f81948455ac6af6c681fb0d0fcf484cd8afd842ea0bac"],
         ["scripts/trace_digest.py", "--seeds", "20"],
         ["scripts/import_time.py", "--runs", "2"],
+        ["scripts/gc_share.py", "--workload", "search", "--seconds", "0.2"],
     ],
 )
 def test_script_exits_cleanly(args):

@@ -108,7 +108,7 @@ def test_default_horizon_is_two_hyperperiods():
 
 
 def _one_chain(event, wcet, mode=NORMAL):
-    chain = Chain(("A", "i"), mode, (TaskNode("A", "a", wcet, 1, "CPU", ("A", "i")),), event)
+    chain = Chain.of(("A", "i"), mode, (TaskNode(("A", "a"), wcet, 1, "CPU", ("A", "i")),), event)
     cfg = Configuration(frozenset({"A"}), frozenset(), {("A", "a"): "R1"}, (("A", "i"),))
     return TaskGraph(mode, (chain,)), cfg
 
@@ -217,8 +217,8 @@ def test_random_scenario_respects_span_work(software_post, cfg_accepted):
 def test_random_scenario_counts_releases_exactly():
     # (2**60 + 1) / 2**60 rounds down to 1.0 in floating point, which would
     # leave one activation inside the horizon without a jitter draw
-    node = TaskNode("C", "t", 1, 1, "CPU", ("C", "main"))
-    chain = Chain(("C", "main"), NORMAL, (node,), EventModel(2**60, 1))
+    node = TaskNode(("C", "t"), 1, 1, "CPU", ("C", "main"))
+    chain = Chain.of(("C", "main"), NORMAL, (node,), EventModel(2**60, 1))
     scenario = random_scenario(TaskGraph(NORMAL, (chain,)), random.Random(0), 2**60 + 1)
     assert len(scenario.draws[0]) == 3
 
@@ -293,15 +293,15 @@ def test_method_span_splits_same_thread_tasks():
     # x1, x2 and x3 share thread X.main and R1; the span [0:1] ends between
     # x1 and x2, so only x2 and x3 may run as one segment, and H preempts
     def node(component, task, wcet, thread):
-        return TaskNode(component, task, wcet, 1, "CPU", (component, thread))
+        return TaskNode((component, task), wcet, 1, "CPU", (component, thread))
 
-    x = Chain(
+    x = Chain.of(
         ("X", "main"), NORMAL,
         (node("X", "x1", 2, "main"), node("X", "x2", 3, "main"), node("X", "x3", 1, "main")),
         EventModel(12, 2),
         (LatencyReq(4, (0, 1), "X", "s.m()"), LatencyReq(9, (0, 3), "X", "main")),
     )
-    h = Chain(("H", "main"), NORMAL, (node("H", "h", 3, "main"),), EventModel(6, 1))
+    h = Chain.of(("H", "main"), NORMAL, (node("H", "h", 3, "main"),), EventModel(6, 1))
     graph = TaskGraph(NORMAL, (x, h))
     cfg = Configuration(
         frozenset({"X", "H"}), frozenset(),
@@ -321,12 +321,12 @@ def test_task_of_wcet_zero_is_refused():
     # X = x1 (wcet 2), x2 (wcet 0) under H, released at 2 and ranked above
     # X: merged into x1's segment, x2 would read 2 for X where stepping node
     # by node reads 5, and the unit-step reference would never finish it
-    x = Chain(
+    x = Chain.of(
         ("X", "main"), NORMAL,
-        (TaskNode("X", "x1", 2, 1, "CPU", ("X", "main")), TaskNode("X", "x2", 0, 0, "CPU", ("X", "main"))),
+        (TaskNode(("X", "x1"), 2, 1, "CPU", ("X", "main")), TaskNode(("X", "x2"), 0, 0, "CPU", ("X", "main"))),
         EventModel(10, 0),
     )
-    h = Chain(("H", "main"), NORMAL, (TaskNode("H", "h", 3, 1, "CPU", ("H", "main")),), EventModel(10, 0))
+    h = Chain.of(("H", "main"), NORMAL, (TaskNode(("H", "h"), 3, 1, "CPU", ("H", "main")),), EventModel(10, 0))
     graph = TaskGraph(NORMAL, (h, x))
     cfg = Configuration(
         frozenset({"X", "H"}), frozenset(),
@@ -464,9 +464,9 @@ def _counting_runs(monkeypatch, built=None):
 def _hand_chain(name, event, *wcets, span=None):
     """The chain of thread (name, "t"): tasks n0, n1, ... of the given
     wcets, with a requirement on `span` if given."""
-    nodes = tuple(TaskNode(name, f"{name.lower()}{i}", wcet, 1, "CPU", (name, "t")) for i, wcet in enumerate(wcets))
+    nodes = tuple(TaskNode((name, f"{name.lower()}{i}"), wcet, 1, "CPU", (name, "t")) for i, wcet in enumerate(wcets))
     requirements = (LatencyReq(100, span, name, "t"),) if span else ()
-    return Chain((name, "t"), NORMAL, nodes, event, requirements)
+    return Chain.of((name, "t"), NORMAL, nodes, event, requirements)
 
 
 def _hand_system(chains, mapping, order):
@@ -520,8 +520,8 @@ def _with_lone_chain(jitter=3, second_thread="t"):
     the second run by `second_thread`, and a span over the second; F's
     threads rank last."""
     graph, cfg = _three_groups()
-    nodes = (TaskNode("F", "f0", 2, 1, "CPU", ("F", "t")), TaskNode("F", "f1", 2, 1, "CPU", ("F", second_thread)))
-    chain = Chain(("F", "t"), NORMAL, nodes, EventModel(4, jitter), (LatencyReq(100, (1, 2), "F", "t"),))
+    nodes = (TaskNode(("F", "f0"), 2, 1, "CPU", ("F", "t")), TaskNode(("F", "f1"), 2, 1, "CPU", ("F", second_thread)))
+    chain = Chain.of(("F", "t"), NORMAL, nodes, EventModel(4, jitter), (LatencyReq(100, (1, 2), "F", "t"),))
     mapping = {**cfg.mapping, ("F", "f0"): "R4", ("F", "f1"): "R4"}
     threads = tuple(sorted({("F", "t"), ("F", second_thread)}))
     cfg = Configuration(cfg.selected | {"F"}, frozenset(), mapping, cfg.priorities + threads)
@@ -560,6 +560,43 @@ def test_a_lone_chain_of_two_ranks_sweeps_its_period(monkeypatch):
     worst_observed(graph, cfg)
     assert len(runs) == 6 * 2 + 4 * 6 + 1 + 4 * 2
     assert runs[37:] == [(0, 0, 0, 0, 0, offset) for offset in range(4) for _ in range(2)]
+
+
+def _coprime_lone_chains(second_rank):
+    """Chains A, B and C of periods 97, 101 and 103, alone on R1, R2 and R3:
+    one task of wcet 2 each, and with `second_rank` a second task of wcet 1
+    run by a second thread of the component, ranked after every first one."""
+    chains, mapping, order = [], {}, [(name, "t") for name in "ABC"]
+    for name, period, resource in zip("ABC", (97, 101, 103), ("R1", "R2", "R3")):
+        nodes = [TaskNode((name, "x"), 2, 1, "CPU", (name, "t"))]
+        if second_rank:
+            nodes.append(TaskNode((name, "y"), 1, 1, "CPU", (name, "u")))
+            order.append((name, "u"))
+        chains.append(Chain.of((name, "t"), NORMAL, nodes, EventModel(period, 0)))
+        mapping.update({node.task_id: resource for node in nodes})
+    cfg = Configuration(frozenset("ABC"), frozenset(), mapping, tuple(order))
+    return TaskGraph(NORMAL, tuple(chains)), cfg
+
+
+@pytest.mark.parametrize(
+    "second_rank, horizon, runs",
+    [
+        # every chain is alone with one rank: offset 0 each (lone-chain rule)
+        (False, None, 3),
+        # a second rank: B and C sweep their periods, 1 + 101 + 103 runs;
+        # the default horizon would release 101 * 19982 jobs in B's sweep
+        (True, 1000, 205),
+    ],
+)
+def test_the_sweep_caps_count_each_group_s_own_grid(monkeypatch, second_rank, horizon, runs):
+    # The product of the offset axes, 101 * 103 = 10403, is over MAX_GRID;
+    # the sweep visits each group's own grid, and so do the caps.
+    graph, cfg = _coprime_lone_chains(second_rank)
+    assert len(nego.sim._Plan(graph, cfg).groups) == 3
+    ran = _counting_runs(monkeypatch)
+    stop, latency = (2, 3) if second_rank else (1, 2)  # each chain alone: its own WCET
+    assert worst_observed(graph, cfg, horizon) == {((name, "t"), (0, stop)): latency for name in "ABC"}
+    assert len(ran) == runs
 
 
 def test_a_chain_spanning_two_resources_merges_their_groups(monkeypatch):

@@ -1,25 +1,31 @@
 import random
+from itertools import accumulate
 
 import pytest
 
 import systems
+from nego.cli import _parse_request_file
 from nego.dsl import load_software_model
-from nego.model import Configuration, Rejected, SystemModel, parse_platform, pinned_components
+from nego.model import Configuration, Rejected, SystemModel, apply_updates, parse_platform, pinned_components
 from nego.negotiation import negotiate
-from nego.randsys import random_software_system
+from nego.randsys import random_chain_system, random_software_system
 from nego.taskgraph import (
+    MODES,
+    Chain,
     CycleError,
     EventModel,
     GraphError,
     INITIALIZATION,
     NORMAL,
     StructuralError,
+    TaskNode,
     build_task_graph,
     render_graph,
     total_wcet,
 )
+from nego.timing import MODELS
 
-from oracles import assignments
+from oracles import assignments, reference_requirements
 
 
 def qs(chain):
@@ -233,3 +239,107 @@ def test_render_graph_mentions_chains(software_pre, current_config):
     text = render_graph(build_task_graph(software_pre, current_config, NORMAL))
     assert "chain P.park_assist" in text
     assert "O2.or2(10/1)" in text
+
+
+# ---------------------------------------------------------------------------
+# the chains' columns and the requirements the unfolding keeps
+
+
+def _corpus_configurations(corpus_dir, system_pre):
+    """(software, configuration) of every graph the corpus requests build:
+    the current configuration where it is revalidated, and every
+    candidate, under both models."""
+    out = [(system_pre.software, system_pre.config)]
+    for path in sorted((corpus_dir / "requests").glob("*.req")):
+        requests, _ = _parse_request_file(path)
+        software = apply_updates(system_pre.software, requests)
+        for model in MODELS:
+            _, trace = negotiate(system_pre, requests, model=model)
+            if not isinstance(trace.revalidation, str):  # it was evaluated
+                out.append((software, system_pre.config))
+            out += [(software, candidate) for candidate, _ in trace.steps]
+    return out
+
+
+def _random_candidates(seeds):
+    for seed in range(seeds):
+        system = random_software_system(random.Random(seed))
+        _, trace = negotiate(system, [])
+        yield from ((system.software, candidate) for candidate, _ in trace.steps)
+
+
+def _graphs(pairs):
+    """Both modes' graphs of each (software, configuration) whose graphs
+    build, with the software and configuration."""
+    for software, cfg in pairs:
+        for mode in MODES:
+            try:
+                yield software, cfg, mode, build_task_graph(software, cfg, mode)
+            except GraphError:
+                continue
+
+
+def _assert_columns(graph):
+    for chain in graph.chains:
+        nodes = chain.nodes
+        assert chain.task_ids == tuple(n.task_id for n in nodes), chain.root
+        assert chain.threads == tuple(n.thread for n in nodes), chain.root
+        assert chain.wcets == tuple(n.wcet for n in nodes), chain.root
+        assert chain.prefix == tuple(accumulate((n.wcet for n in nodes), initial=0)), chain.root
+
+
+def test_columns_agree_with_the_nodes_on_every_corpus_graph(corpus_dir, system_pre):
+    graphs = list(_graphs(_corpus_configurations(corpus_dir, system_pre)))
+    assert len(graphs) >= 20
+    for _, _, _, graph in graphs:
+        _assert_columns(graph)
+
+
+def test_columns_agree_with_the_nodes_on_random_candidates():
+    chains = 0
+    for _, _, _, graph in _graphs(_random_candidates(200)):
+        _assert_columns(graph)
+        chains += len(graph.chains)
+    assert chains > 200
+
+
+def test_columns_agree_with_the_nodes_on_random_chain_systems():
+    for seed in range(200):
+        system = random_chain_system(random.Random(seed))
+        for mode in MODES:
+            _assert_columns(build_task_graph(system.software, system.config, mode))
+
+
+def test_a_hand_built_chain_derives_its_columns_from_its_nodes():
+    nodes = [TaskNode(("A", "a"), 2, 1, "CPU", ("A", "t")), TaskNode(("B", "b"), 3, 1, "CPU", ("B", "e"))]
+    chain = Chain.of(("A", "t"), NORMAL, nodes, EventModel(10, 0))
+    assert chain.nodes == tuple(nodes)
+    assert chain.task_ids == (("A", "a"), ("B", "b"))
+    assert chain.threads == (("A", "t"), ("B", "e"))
+    assert chain.wcets == (2, 3)
+    assert chain.prefix == (0, 2, 5)
+    assert total_wcet(chain) == 5 and total_wcet(chain, (1, 2)) == 3
+    with pytest.raises(TypeError):
+        Chain(("A", "t"), NORMAL, tuple(nodes), EventModel(10, 0))  # no columns, no empty default
+
+
+def _assert_requirements(software, cfg, mode, graph):
+    expected = reference_requirements(software, cfg, mode)
+    assert {chain.root: chain.requirements for chain in graph.chains} == expected, (cfg, mode)
+    return sum(map(len, expected.values()))
+
+
+def test_kept_requirements_match_an_unfiltered_unfolding_on_fork_systems():
+    found = forked = 0
+    for seed in range(300):
+        system = systems.random_fork_system(random.Random(seed))
+        for mode in MODES:
+            graph = build_task_graph(system.software, system.config, mode)
+            found += _assert_requirements(system.software, system.config, mode, graph)
+            forked += sum(chain.triggered_by is not None for chain in graph.chains)
+    assert found > 1000 and forked > 100
+
+
+def test_kept_requirements_match_an_unfiltered_unfolding_on_corpus_and_random_graphs(corpus_dir, system_pre):
+    pairs = _corpus_configurations(corpus_dir, system_pre) + list(_random_candidates(200))
+    assert sum(_assert_requirements(*entry) for entry in _graphs(pairs)) > 100

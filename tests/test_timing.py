@@ -22,6 +22,7 @@ from nego.timing import (
     SINGLE_BLOCKING,
     PrioritySearch,
     TimingContext,
+    _busy_window,
     chain_latency_bound,
     check_timing,
     synthesize_priorities,
@@ -280,6 +281,17 @@ def test_unclosed_busy_window_is_unbounded():
     ranks = cfg.ranks()
     assert chain_latency_bound(chain_b, (0, 1), graph, cfg, ranks, SINGLE_BLOCKING) == 8
     assert chain_latency_bound(chain_b, (0, 1), graph, cfg, ranks, BUSY_WINDOW) is None
+
+
+def test_busy_window_iteration_cap_is_exact_at_its_boundary():
+    # WCET 6 every 10 under 8 every 20: the first window, 14, outgrows the
+    # period, and the second activation's window, 20, closes it.  Each fixed
+    # point takes two iterations, and the busy period two activations, so
+    # cap 1 gives up and cap 2 is the smallest that reaches the bound.
+    interference = [(EventModel(20, 0), 8)]
+    assert _busy_window(EventModel(10, 0), 6, interference, 1) is None
+    assert _busy_window(EventModel(10, 0), 6, interference, 2) == 14
+    assert _busy_window(EventModel(10, 0), 6, interference, 3) == 14
 
 
 def test_unknown_model_rejected(software_pre, current_config):
