@@ -26,6 +26,14 @@ run idle at W repeats its first window up to a horizon that is a multiple
 of W: the idle instant behind the feasibility intervals of Leung and
 Merrill (IPL 1980).
 
+Three more rules let a sweep simulate each schedule once, all exact
+(`worst_observed` proves them): a max-first run stops where it rejoins the
+zero run at its offsets, both idle after its drawn releases (rule 1); a
+lone chain whose jitter plus total wcet fits in its period runs no
+max-first pattern (rule 2); and in a group on one resource, one zero run
+idle at W stands for every offset vector a common shift takes it to
+(rule 3; offset equivalence, Goossens, Real-Time Systems 2003).
+
 A job moves through its chain one segment at a time: a run of consecutive
 nodes on one resource at one thread rank that no span starts or stops
 inside (`_Plan`).  Running a segment as one piece of work schedules exactly
@@ -37,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from heapq import heappop, heappush
 from operator import itemgetter
 from typing import NamedTuple
@@ -88,9 +97,10 @@ def synchronous_scenario(graph: TaskGraph, horizon: int, pattern: str = "max-fir
 # is built.  A sweep's counts add up over its groups, as its runs do: each
 # group's own offset vectors, one where the lone-chain rule holds, times
 # the patterns it runs, times the jobs its chains release in one run.  The
-# caps count every job released before the horizon, though a sweep run
-# that stops at its group's hyperperiod builds fewer (at most 4602 in one
-# soundness sweep).
+# caps count this static sweep, an upper bound on what the sweep does:
+# every job released before the horizon, though a run that stops at its
+# group's hyperperiod or rejoins its zero run builds fewer, and every run
+# of it, though rules 2 and 3 of `worst_observed` skip some.
 MAX_JOBS = 100_000
 MAX_GRID = 10_000
 MAX_SWEEP_JOBS = 1_000_000
@@ -254,6 +264,8 @@ def _run(
     maxima: list[int] | None = None,
     lines: list[str] | None = None,
     window: int = 0,
+    idle: list[int] | None = None,
+    rejoin: tuple[list[int], int, int, int] | None = None,
 ) -> list[list]:
     """Schedule every job of `chains`, entries of `plan.chains`, released
     before `horizon` to completion.
@@ -271,14 +283,22 @@ def _run(
     With `window`, W, which `worst_observed` alone passes, the run first
     builds the jobs of the activations released before W.  When the time
     reaches W, after the completions at W and before the releases at W, it
-    returns if every heap is empty; otherwise it builds the later jobs,
-    appends them to the returned ones and goes on as without W.  So it
-    returns only jobs released before W exactly when it stopped at W.  The
-    caller promises that every chain of `chains` is periodic with offset
-    below its period, that W is a multiple of every period and `horizon` a
-    multiple of W above W, and that only activations released before W
-    have draws, which keep them before W; `worst_observed` says why a stop
-    at W is exact.
+    returns if every heap is empty and it follows no other run; otherwise
+    it builds the later jobs, appends them to the returned ones and goes on
+    as without W.  The caller promises that every chain of `chains` is
+    periodic with offset below its period, that W is a multiple of every
+    period and `horizon` a multiple of W above W, and that only activations
+    released before W have draws, which keep them before W.
+
+    The run is idle from each instant at which a job leaves it and every
+    heap is empty up to its next release (W, while the later jobs are not
+    built).  With `idle`, it appends [0, first release] and each such
+    interval to it, as start and end; the last one ends at W exactly when
+    it stopped at W.  With `rejoin`, (idle, period, phase, after), the run
+    follows another, whose idle intervals are `idle` (`_rejoins`), and
+    returns at the first of its idle instants it checks at which the other
+    is idle too and which comes after `after`, the last release the two
+    runs do not share.  `worst_observed` says why both stops are exact.
     """
     jobs: list[list] = []
     work = 0
@@ -320,6 +340,8 @@ def _run(
     count = len(pending)
     i = 0
     t = upcoming = pending[0][_RELEASE]  # the next release not yet pushed
+    if idle is not None:
+        idle += (0, t)
     while True:
         while upcoming <= t:
             job = pending[i]
@@ -367,6 +389,7 @@ def _run(
                         node = len(job[_DONE]) - 1
                         lines.append(f"t={nxt} complete {tasks[job[_CHAIN]][node]}#{job[_ACTIVATION]}")
                         running[r] = None
+        gone = False  # whether a job left the system at this instant
         for job in finished:
             done = job[_DONE]
             done.append(nxt)
@@ -374,14 +397,21 @@ def _run(
             if len(done) <= len(segments):
                 resource, job[_RANK], job[_REMAINING] = segments[len(done) - 1]
                 heappush(heaps[resource], job)
-            elif maxima is not None:
-                for slot, start, stop in rows[job[_CHAIN]]:
-                    value = done[stop] - done[start]
-                    if value > maxima[slot]:
-                        maxima[slot] = value
+            else:
+                gone = True
+                if maxima is not None:
+                    for slot, start, stop in rows[job[_CHAIN]]:
+                        value = done[stop] - done[start]
+                        if value > maxima[slot]:
+                            maxima[slot] = value
         t = nxt
+        if gone and not any(heaps):  # idle from t up to the next release
+            if idle is not None:
+                idle += (t, upcoming)
+            elif rejoin is not None and _rejoins(rejoin, t, upcoming):
+                return jobs
         if t == window:  # only once: `window` is then 0, and t is above 0
-            if not any(heaps):
+            if rejoin is None and not any(heaps):
                 return jobs
             later: list[list] = []
             for ci, event, segments, total in chains:
@@ -398,6 +428,24 @@ def _run(
             edge = never = pending[-1][_RELEASE] + work + 1
             window = 0
     return jobs
+
+
+def _rejoins(rejoin: tuple[list[int], int, int, int], t: int, upcoming: int) -> bool:
+    """Whether a run idle from `t` up to `upcoming` meets, in that span, an
+    instant s past `after` at which the run it follows is idle too.
+
+    `rejoin` is (idle, period, phase, after): `idle` lists the followed
+    run's idle intervals as [start, end, start, end, ...], sorted; with a
+    period W, they are those of one window [0, W], and the run is idle at
+    s when (s - phase) mod W falls in one of them."""
+    idle, period, phase, after = rejoin
+    q = max(t, after + 1)
+    base = q - (q - phase) % period if period else 0
+    r = q - base
+    i = bisect_left(idle, r)
+    if i == len(idle):
+        return False
+    return base + (r if i & 1 else idle[i]) <= upcoming
 
 
 def _check_scenario(graph: TaskGraph, scenario: ReleaseScenario) -> None:
@@ -477,7 +525,7 @@ def worst_observed(
     chain sweeps each offset in [0, period).  One-shot chains stay at zero.
     A sweep over more than MAX_GRID offset vectors, or whose runs release
     more than MAX_SWEEP_JOBS jobs in all, is refused before any run: both
-    count what the sweep below visits, group by group.
+    count the sweep below group by group, before rules 1 to 3 cut it.
 
     Each of the plan's groups is swept on its own: over the grid restricted
     to its chains (the others run no jobs), by each pattern that draws
@@ -493,27 +541,68 @@ def worst_observed(
     run the jobs its group's chains release before the horizon.  Each run
     raises the span maxima as its jobs complete their last segments.
 
-    A run may stop at its group's hyperperiod W, the lcm of the group's
-    periods, when every chain of the group is periodic and the horizon is
-    a multiple of W above W; otherwise it runs to the horizon.  At each
-    offset vector the zero pattern runs first: it builds the jobs released
-    before W, and when the time reaches W, after the completions at W and
-    before the releases at W, it stops if the group is idle, or else builds
-    the later jobs and goes on.  The max-first run at the same offsets may
-    stop at W only if the zero run did and each drawn first release,
-    offset plus jitter, falls below W.  This is exact:
+    A zero-pattern run may stop at its group's hyperperiod W, the lcm of
+    the group's periods, when every chain of the group is periodic and the
+    horizon is a multiple of W above W; otherwise it runs to the horizon.
+    It builds the jobs released before W, and when the time reaches W,
+    after the completions at W and before the releases at W, it stops if
+    the group is idle, or else builds the later jobs and goes on.  This is
+    exact:
     - the engine is deterministic and keeps its schedule under a time
       shift: ties go by (rank, release, chain, activation), an order a
       shift keeps;
     - the releases in [kW, (k+1)W) are those of [0, W) shifted by kW, and
       no window is cut short, so a zero run idle at W repeats its first
-      window in every later one;
-    - from W on, the max-first run releases exactly what the zero run
-      does, so, idle at W, it goes on as the zero run over the horizon
-      minus W, which is idle at W too and whose maxima are recorded.
-    Without the zero run's stop, the max-first run's tail would be a zero
-    run cut short, which on several resources the full run need not bound:
+      window in every later one, and is idle at each instant of its first
+      window's idle intervals shifted by kW.
+
+    Rule 1: at each offset vector the zero run records its idle intervals,
+    and the max-first run at the same offsets stops at the first instant s
+    at which it finds both runs idle and every drawn first release before
+    s.  This is exact: both runs are empty at s, and from s on they
+    release the same jobs, with the same chains, activations and keys, so
+    the max-first run's tail is the zero run's tail, whose maxima are
+    recorded: the zero run ran to the horizon, or stopped idle at W and
+    repeats its first window.  It also stops where the zero run stopped
+    at W if the max-first run is idle there, since W is then in the zero
+    run's idle intervals.  The max-first run builds its jobs in the same
+    two batches when its drawn releases fall below W, and never stops at
+    W itself: the zero run's tail cut short, where it is busy at W, need
+    not be bounded by the full zero run on several resources, since
     removing a job can make another finish later.
+
+    Rule 2: a group of one periodic chain whose jitter plus total wcet is
+    at most its period runs no max-first pattern.  Under either pattern
+    its first job runs alone and ends by the second release, so both runs
+    are idle there with the same releases after it, and the first job's
+    latencies are its work under both: rule 1, decided before running.
+
+    Rule 3: a group holds when every chain is periodic and none is forked,
+    every segment is on one resource, each chain runs at one thread rank,
+    every span starts at the release, and the horizon H is a multiple of W
+    above W.  Let L be the lcm of the periods of the group's chains whose
+    offset is fixed (the first chain, if the group holds it).  A zero run
+    at o that stops idle at W stands for the zero run at every o' = o + d,
+    taken mod each chain's period, for d a multiple of L in (0, W); the
+    fixed offsets stay 0.  Proof:
+    - the run at o, repeated every W, is a schedule S of the bi-infinite
+      release set, idle at every kW, and S shifted by d schedules the
+      releases of o';
+    - on one resource, the run at o' starts with no carry-in, so its
+      backlog never exceeds that of shifted S, and it is idle wherever
+      shifted S is, at d too; from d up to H it releases what shifted S
+      does, so it runs shifted S's window [d, d + W) within H, with the
+      latencies of S's window, which are o's;
+    - every other job of o' is a job of shifted S with some jobs removed,
+      those released before 0 or at or after H; with one key per job, a
+      job's chain running at one rank, removing jobs never delays a
+      completion, so no span from the release gets longer.
+    So the maxima at o' are o's.  The max-first run at o' follows rule 1
+    against o's idle intervals shifted by d, where the zero run at o' is
+    idle too.  The proof uses every condition: one resource for the
+    backlog, one rank per chain and spans from the release so that fewer
+    jobs never lengthen a span, whole windows for S, and no fork, so that
+    releasing a fork at its trigger's fork point cannot break the rule.
     """
     if horizon is None:
         horizon = default_horizon(graph)
@@ -547,7 +636,15 @@ def worst_observed(
         runs += group_runs
         total += group_runs * jobs
         most = max(most, jobs)
-        sweeps.append((group, axes, window, jittered))
+        _, event, _, work = group[0]
+        if len(group) == 1 and jittered and event.jitter + work <= event.period:
+            jittered = []  # rule 2: job 0 ends alone before job 1 under both patterns
+        shift = 0  # rule 3: the least shift that keeps each fixed offset; 0 for none
+        if window:
+            shift = math.lcm(*[event.period for ci, event, _, _ in group if len(axes[ci]) == 1])
+            if shift == window or not _shifts_alike(graph, plan, group):
+                shift = 0  # a class of one vector, or the rule fails
+        sweeps.append((group, axes, window, jittered, shift))
     if grid > MAX_GRID:
         raise ValueError(f"the offset sweep has {grid} grid points, more than the cap of {MAX_GRID}")
     if total > MAX_SWEEP_JOBS:
@@ -560,17 +657,41 @@ def worst_observed(
     # each group's all-zero offset vector runs first and activates each of
     # its chains at offset 0, before the horizon, so every span is observed
     maxima = [-1] * len(plan.keys)
-    for group, axes, window, jittered in sweeps:
+    for group, axes, window, jittered, shift in sweeps:
+        covered: dict[tuple[int, ...], tuple[list[int], int]] = {}  # rule 3: offsets -> (idle, phase)
         for offsets in itertools.product(*axes):
-            jobs = _run(plan, offsets, zero, horizon, group, maxima, None, window)
+            seen = covered.get(offsets)
+            if seen is None:
+                idle: list[int] = []
+                _run(plan, offsets, zero, horizon, group, maxima, None, window, idle)
+                period = window if window and idle[-1] == window else 0  # W if it stopped there
+                phase = 0
+                if shift and period:
+                    shifted = list(offsets)
+                    for d in range(shift, window, shift):
+                        for ci, event, _, _ in group:
+                            shifted[ci] = (offsets[ci] + d) % event.period
+                        covered[tuple(shifted)] = (idle, d)
+            else:
+                (idle, phase), period = seen, window
             if jittered:
-                # the max-first run may stop at W only where the zero run
-                # did, which then built no job released at or after W, and
-                # only if its drawn first releases fall below W
-                stops = (
-                    window
-                    and jobs[-1][_RELEASE] < window
-                    and all(offsets[ci] + jitter < window for ci, jitter in jittered)
-                )
-                _run(plan, offsets, max_first, horizon, group, maxima, None, window if stops else 0)
+                after = max([offsets[ci] + jitter for ci, jitter in jittered])  # the last drawn release
+                rejoin = (idle, period, phase, after)
+                _run(plan, offsets, max_first, horizon, group, maxima, None, window if after < window else 0, None, rejoin)
     return dict(zip(plan.keys, maxima))
+
+
+def _shifts_alike(graph: TaskGraph, plan: _Plan, group: list) -> bool:
+    """Whether rule 3 holds for `group`, given whole windows: every chain
+    periodic and unforked, every segment on one resource, each chain at one
+    thread rank, every span starting at the release."""
+    resource = group[0][2][0][0]
+    for ci, event, segments, _ in group:
+        if event is None or graph.chains[ci].triggered_by is not None:
+            return False
+        rank = segments[0][1]
+        if any(r != resource or k != rank for r, k, _ in segments):
+            return False
+        if any(start for _, start, _ in plan.rows[ci]):
+            return False
+    return True

@@ -115,7 +115,7 @@ class ConstraintStore:
         self._pinned = frozenset(pinned)
         self._constraints: list[Constraint] = []  # in the order learned
         self._known: set[Constraint] = set()
-        self._graphs: dict[Structure, tuple[TaskGraph, TaskGraph] | GraphError] = {}
+        self._graphs: dict[Structure, tuple[TaskGraph, TaskGraph] | tuple[type[GraphError], tuple]] = {}
         # the timing contexts of both modes and the (selected, connections,
         # mapping) they were built for
         self._timing: tuple[tuple, tuple[TimingContext, TimingContext]] | None = None
@@ -160,7 +160,9 @@ class ConstraintStore:
     def task_graphs(self, cfg: Configuration) -> tuple[TaskGraph, TaskGraph]:
         """Normal and initialization task graphs of cfg's structure, built
         once while the search is at that structure; a GraphError is raised
-        again with the same message."""
+        again, as a fresh error of the same class and message: a kept error
+        would hold the traceback of each raise, whose frames hold the store,
+        so the store would be freed only by the cyclic collector."""
         key = (cfg.selected, cfg.connections)
         graphs = self._graphs.get(key)
         if graphs is None:
@@ -170,10 +172,10 @@ class ConstraintStore:
                     build_task_graph(self._software, cfg, INITIALIZATION),
                 )
             except GraphError as exc:
-                graphs = exc
+                graphs = (type(exc), exc.args)
             self._graphs[key] = graphs
-        if isinstance(graphs, GraphError):
-            raise graphs.with_traceback(None)
+        if isinstance(graphs[0], type):
+            raise graphs[0](*graphs[1])
         return graphs
 
     def timing_contexts(self, cfg: Configuration) -> tuple[TimingContext, TimingContext]:

@@ -40,7 +40,7 @@ from nego.controlflow import (
 )
 from nego.dsl import Initialization, TaskStep, TimeActivation
 from nego.model import Configuration, SystemModel, pinned_components
-from nego.sim import ReleaseScenario
+from nego.sim import JITTER_PATTERNS, ReleaseScenario, simulate, synchronous_scenario
 from nego.taskgraph import GraphError, INITIALIZATION, NORMAL, LatencyReq, build_task_graph
 from nego.timing import TimingContext, _seed_key, check_timing
 
@@ -421,6 +421,30 @@ def reference_worst_observed(graph, cfg, horizon):
     for offsets in itertools.product(*axes):
         for draws in (max_first, zero):
             latencies, _ = reference_simulate(graph, cfg, ReleaseScenario(offsets, draws, horizon))
+            for key, values in latencies.items():
+                if values:
+                    maxima[key] = max(maxima.get(key, values[0]), *values)
+    return maxima
+
+
+def engine_worst_observed(graph, cfg, horizon):
+    """Grid walk of `sim.worst_observed` built on `sim.simulate`: the first
+    chain at offset zero, every other periodic chain at each offset in
+    [0, period), one-shot chains at zero, both jitter patterns, every chain
+    in every run.  It takes none of the sweep's shortcuts (groups, the
+    lone-chain rule, stops, rejoins, shift classes).  Unlike
+    `reference_worst_observed`, it releases a chain forked by a SIGNAL on
+    its own offset axis, as the engine does, so it is the reference for
+    the sweep on fork systems."""
+    axes = [
+        range(1) if ci == 0 or chain.event is None else range(chain.event.period)
+        for ci, chain in enumerate(graph.chains)
+    ]
+    patterns = [synchronous_scenario(graph, horizon, pattern).draws for pattern in JITTER_PATTERNS]
+    maxima = {}
+    for offsets in itertools.product(*axes):
+        for draws in patterns:
+            latencies = simulate(graph, cfg, ReleaseScenario(offsets, draws, horizon)).latencies
             for key, values in latencies.items():
                 if values:
                     maxima[key] = max(maxima.get(key, values[0]), *values)

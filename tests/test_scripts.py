@@ -24,6 +24,7 @@ ROOT = Path(__file__).resolve().parent.parent
         ["scripts/trace_digest.py", "--seeds", "20"],
         ["scripts/import_time.py", "--runs", "2"],
         ["scripts/gc_share.py", "--workload", "search", "--seconds", "0.2"],
+        ["scripts/check_sweep_exact.py", "--systems", "20"],
     ],
 )
 def test_script_exits_cleanly(args):

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import math
 import os
 import random
 import subprocess
@@ -30,7 +32,8 @@ from nego.taskgraph import (
     build_task_graph,
     total_wcet,
 )
-from oracles import reference_simulate, reference_worst_observed
+from oracles import engine_worst_observed, reference_simulate, reference_worst_observed
+from systems import random_fork_system
 
 LANE_SPAN = (("L", "lane_assist"), (0, 7))
 PARK_SPAN = (("P", "park_assist"), (0, 5))
@@ -439,9 +442,49 @@ def test_worst_observed_matches_grid_walk():
 
 def test_worst_observed_runs_each_offset_vector_once_without_jitter(monkeypatch):
     graph, cfg = _two_periodic()
+    classes = _shift_classes(graph, cfg, [0, 1])
     runs = _counting_runs(monkeypatch)
     worst_observed(graph, cfg)
-    assert runs == [(0, offset) for offset in range(5)]
+    # CA (period 12) anchors, and a shift by 12 moves CB (period 5) by 2,
+    # which takes offset 0 to every other: the run at 0, idle at 60, stands
+    # for all five (rule 3)
+    assert runs == [vector for vector, _ in classes] == [(0, 0)]
+
+
+def _shift_classes(graph, cfg, group):
+    """(offset vector, idle at W) for each vector of the group of chains
+    `group` (indices into `graph.chains`) at which rule 3 runs the zero
+    pattern, in grid order, by brute force over the group's grid.  A vector
+    is skipped when an earlier vector that ran, and whose run is idle at
+    the group's hyperperiod W, reaches it by a common shift d, a multiple
+    of the first chain's period if the group holds it, taken mod each
+    period.  A run is idle at W when `simulate` over W leaves no job of the
+    group unfinished."""
+    alone = TaskGraph(NORMAL, tuple(graph.chains[ci] for ci in group))
+    periods = [chain.event.period for chain in alone.chains]
+    window = math.lcm(*periods)
+    step = periods[0] if group[0] == 0 else 1
+    axes = [range(1) if ci == 0 else range(period) for ci, period in zip(group, periods)]
+    ran, idle = [], []
+    for offsets in itertools.product(*axes):
+        if any(
+            all((u + d) % period == o for u, o, period in zip(other, offsets, periods))
+            for other in idle
+            for d in range(step, window, step)
+        ):
+            continue
+        scenario = ReleaseScenario(offsets, ((),) * len(group), window)
+        stops = not simulate(alone, cfg, scenario).partial
+        ran.append((offsets, stops))
+        if stops:
+            idle.append(offsets)
+    vectors = []
+    for offsets, stops in ran:
+        full = [0] * len(graph.chains)
+        for ci, offset in zip(group, offsets):
+            full[ci] = offset
+        vectors.append((tuple(full), stops))
+    return vectors
 
 
 def _counting_runs(monkeypatch, built=None):
@@ -503,16 +546,20 @@ def test_worst_observed_sweeps_each_group_on_its_own_grid(monkeypatch):
     assert full == 24
     for horizon in (full, 5, 11, 17):
         assert worst_observed(graph, cfg, horizon) == reference_worst_observed(graph, cfg, horizon)
+    classes = _shift_classes(graph, cfg, [2, 3])
     built = []
     runs = _counting_runs(monkeypatch, built)
     worst_observed(graph, cfg)
-    # {A, B}: B's 6 offsets under both patterns; {C, D}: 4 x 6 offsets, one
-    # pattern; {E}: one run.  The full product would be 6 x 4 x 6 x 2 = 288.
-    assert len(runs) == 6 * 2 + 4 * 6 + 1
-    assert runs[0] == runs[12] == runs[36] == (0, 0, 0, 0, 0)
-    # both periodic groups have the hyperperiod 12, half the horizon; a run
-    # idle there builds the jobs released before it only (313 in full)
-    assert sum(built) == 218
+    # {A, B}: B's 6 offsets under both patterns, since B's span [1:2] does
+    # not start at the release; {C, D}: one zero run per shift class of its
+    # 4 x 6 offsets (rule 3), one pattern; {E}: one run.  The full product
+    # would be 6 x 4 x 6 x 2 = 288.
+    assert len(runs) == 6 * 2 + len(classes) + 1
+    assert runs[12:-1] == [vector for vector, _ in classes]
+    assert runs[0] == runs[12] == runs[-1] == (0, 0, 0, 0, 0)
+    # {C, D} has the hyperperiod 12, half the horizon; a zero run idle there
+    # builds the 3 + 2 jobs released before it only, and 6 + 4 otherwise
+    assert built[12:] == [5 if stops else 10 for _, stops in classes] + [1]
 
 
 def _with_lone_chain(jitter=3, second_thread="t"):
@@ -538,17 +585,23 @@ def test_a_lone_one_rank_chain_runs_at_offset_zero_only(monkeypatch, jitter):
         assert worst_observed(graph, cfg, horizon) == reference_worst_observed(graph, cfg, horizon)
     built = []
     runs = _counting_runs(monkeypatch, built)
+    worst_observed(*_three_groups())
+    without = (list(runs), list(built))
+    runs.clear()
+    built.clear()
     worst_observed(graph, cfg)
     # F runs once per pattern that draws differently for it, at offset 0,
-    # not at each of its 4 offsets
+    # not at each of its 4 offsets; its jitter 3 and its work 4 exceed its
+    # period, so the max-first pattern runs (rule 2).  The other groups run
+    # as they do without F.
     patterns = 2 if jitter else 1
-    assert len(runs) == 6 * 2 + 4 * 6 + 1 + patterns
-    assert runs[37:] == [(0, 0, 0, 0, 0, 0)] * patterns
+    assert len(runs) == len(without[0]) + patterns
+    assert runs[-patterns:] == [(0, 0, 0, 0, 0, 0)] * patterns
+    assert [vector[:5] for vector in runs[:-patterns]] == without[0]
     # F's zero-pattern job ends at 4, its hyperperiod, so its run builds 1
-    # job of 6; the max-first job, released at 3, runs past 4, so that run
-    # builds all 6 (the whole sweep built 325 jobs, or 319, in full)
-    assert built[37:] == [1, 6][:patterns]
-    assert sum(built) == (225 if jitter else 219)
+    # job of 6; the max-first job, released at 3, runs past 4, and F is
+    # never idle again before the horizon, so that run builds all 6
+    assert built == without[1] + [1, 6][:patterns]
 
 
 def test_a_lone_chain_of_two_ranks_sweeps_its_period(monkeypatch):
@@ -556,10 +609,154 @@ def test_a_lone_chain_of_two_ranks_sweeps_its_period(monkeypatch):
     graph, cfg = _with_lone_chain(second_thread="u")
     assert len(nego.sim._Plan(graph, cfg).groups) == 4
     assert worst_observed(graph, cfg) == reference_worst_observed(graph, cfg, default_horizon(graph))
+    classes = _shift_classes(graph, cfg, [2, 3])
     runs = _counting_runs(monkeypatch)
     worst_observed(graph, cfg)
-    assert len(runs) == 6 * 2 + 4 * 6 + 1 + 4 * 2
-    assert runs[37:] == [(0, 0, 0, 0, 0, offset) for offset in range(4) for _ in range(2)]
+    assert len(runs) == 6 * 2 + len(classes) + 1 + 4 * 2
+    assert runs[-8:] == [(0, 0, 0, 0, 0, offset) for offset in range(4) for _ in range(2)]
+
+
+def test_a_shift_class_busy_at_the_hyperperiod_keeps_every_vector(monkeypatch):
+    # A (period 4, wcet 2) anchors over B (period 8, wcet 4) on R1, at
+    # utilization 1, so a run is idle at W = 8 only if R1 never idles
+    # before: not for B's offsets 3 to 7.  A shift by 4 pairs B's offsets
+    # {0, 4}, {1, 5}, {2, 6} and {3, 7}; the runs at 0, 1 and 2 stand for
+    # 4, 5 and 6, and both 3 and 7 run.
+    chains = (_hand_chain("A", EventModel(4, 0), 2), _hand_chain("B", EventModel(8, 0), 4))
+    graph, cfg = _hand_system(chains, {("A", "a0"): "R1", ("B", "b0"): "R1"}, "AB")
+    for horizon in (16, 32, 15, 8):
+        assert worst_observed(graph, cfg, horizon) == reference_worst_observed(graph, cfg, horizon)
+    classes = _shift_classes(graph, cfg, [0, 1])
+    assert classes == [((0, 0), True), ((0, 1), True), ((0, 2), True), ((0, 3), False), ((0, 7), False)]
+    runs = _counting_runs(monkeypatch)
+    worst_observed(graph, cfg)
+    assert runs == [vector for vector, _ in classes]
+
+
+def _rule_3_group(variant):
+    """A (period 4) anchors over B (period 6, jitter 1) on R1, whose two
+    tasks run on one thread and whose span is the whole chain: every
+    condition of rule 3 holds at the default horizon 24.  Each variant
+    breaks one: B's second task on R2, or run by a second thread of B
+    ranked last, or a span over B's second task alone."""
+    a = TaskNode(("A", "a0"), 1, 1, "CPU", ("A", "t"))
+    b0 = TaskNode(("B", "b0"), 1, 1, "CPU", ("B", "t"))
+    b1 = TaskNode(("B", "b1"), 2, 1, "CPU", ("B", "u" if variant == "two ranks" else "t"))
+    span = (1, 2) if variant == "inner span" else (0, 2)
+    chains = (
+        Chain.of(("A", "t"), NORMAL, (a,), EventModel(4, 0)),
+        Chain.of(("B", "t"), NORMAL, (b0, b1), EventModel(6, 1), (LatencyReq(100, span, "B", "t"),)),
+    )
+    mapping = {("A", "a0"): "R1", ("B", "b0"): "R1", ("B", "b1"): "R2" if variant == "two resources" else "R1"}
+    order = (("A", "t"), ("B", "t")) + ((("B", "u"),) if variant == "two ranks" else ())
+    return TaskGraph(NORMAL, chains), Configuration(frozenset("AB"), frozenset(), mapping, order)
+
+
+@pytest.mark.parametrize("variant, horizon", [
+    ("", 24), ("", 36), ("", 12), ("", 30), ("two resources", 24), ("two ranks", 24), ("inner span", 24),
+])
+def test_rule_3_needs_each_of_its_conditions(monkeypatch, variant, horizon):
+    # a shift by 4 moves B by 4 mod 6, which splits B's offsets into the
+    # classes {0, 4, 2} and {1, 5, 3}; rule 3 also needs a horizon that is
+    # a multiple of W = 12 above it, so not 12 or 30
+    graph, cfg = _rule_3_group(variant)
+    assert worst_observed(graph, cfg, horizon) == reference_worst_observed(graph, cfg, horizon)
+    holds = not variant and horizon in (24, 36)
+    zero = [vector for vector, _ in _shift_classes(graph, cfg, [0, 1])] if holds else [(0, b) for b in range(6)]
+    assert len(zero) == (2 if holds else 6)
+    runs = _counting_runs(monkeypatch)
+    worst_observed(graph, cfg, horizon)
+    # the zero run where it is needed, then the max-first run at every vector
+    assert runs == [(0, b) for b in range(6) for _ in range(1 + ((0, b) in zero))]
+
+
+def _fork_on_one_resource(fork):
+    """A (period 10) runs a and, with `fork`, signals B, whose entry thread
+    runs b; X (period 20) runs x; all on R1, ranked A, B, X.  Without
+    `fork`, B is a periodic chain of period 10 of its own."""
+    b_thread = "thread e on RPC s.m()" if fork else "thread e on time (period=10 jitter=0)"
+    texts = [
+        "component A services requires s threads thread t on time (period=10 jitter=0) "
+        "task a onto CPU wcet=2 bcet=1" + (" SIGNAL s.m()" if fork else ""),
+        f"component B services provides s threads {b_thread} task b onto CPU wcet=3 bcet=1",
+        "component X threads thread t on time (period=20 jitter=0) task x onto CPU wcet=4 bcet=1",
+    ]
+    software = load_software_model(texts, "service s method m ()")
+    cfg = Configuration(
+        frozenset("ABX"), frozenset({("A", "s", "B")}) if fork else frozenset(),
+        {("A", "a"): "R1", ("B", "b"): "R1", ("X", "x"): "R1"},
+        (("A", "t"), ("B", "e"), ("X", "t")),
+    )
+    return build_task_graph(software, cfg, NORMAL), cfg
+
+
+@pytest.mark.parametrize("fork", [False, True])
+def test_a_forked_chain_keeps_its_group_s_full_grid(monkeypatch, fork):
+    # A anchors; B (period 10) and X (period 20) sweep 200 vectors, and a
+    # shift by 10 pairs them.  Rule 3 leaves a fork group alone: the engine
+    # releases B on its own offset axis, as `engine_worst_observed` does.
+    graph, cfg = _fork_on_one_resource(fork)
+    assert [chain.triggered_by is not None for chain in graph.chains] == [False, fork, False]
+    full = default_horizon(graph)
+    assert worst_observed(graph, cfg) == engine_worst_observed(graph, cfg, full)
+    if not fork:
+        assert worst_observed(graph, cfg) == reference_worst_observed(graph, cfg, full)
+    zero = [(0, b, x) for b in range(10) for x in range(20)]
+    if not fork:
+        # 100 classes of two vectors; a class whose first run is busy at
+        # W = 20 runs its second vector too
+        zero = [vector for vector, _ in _shift_classes(graph, cfg, [0, 1, 2])]
+        assert 100 <= len(zero) < 200
+    runs = _counting_runs(monkeypatch)
+    worst_observed(graph, cfg)
+    assert runs == zero
+
+
+def _lone_chain_after(jitter, second_thread):
+    """G (period 4, wcet 1) on R1, then F (period 4, jitter `jitter`) alone
+    on R2: tasks f0 and f1 of wcet 1, the second run by `second_thread`,
+    ranked after F's thread t."""
+    g = _hand_chain("G", EventModel(4, 0), 1)
+    nodes = (TaskNode(("F", "f0"), 1, 1, "CPU", ("F", "t")), TaskNode(("F", "f1"), 1, 1, "CPU", ("F", second_thread)))
+    f = Chain.of(("F", "t"), NORMAL, nodes, EventModel(4, jitter), (LatencyReq(100, (1, 2), "F", "t"),))
+    mapping = {("G", "g0"): "R1", ("F", "f0"): "R2", ("F", "f1"): "R2"}
+    order = tuple(sorted({("G", "t"), ("F", "t"), ("F", second_thread)}, key=lambda thread: thread != ("G", "t")))
+    return TaskGraph(NORMAL, (g, f)), Configuration(frozenset("GF"), frozenset(), mapping, order)
+
+
+@pytest.mark.parametrize("jitter", [2, 3])
+@pytest.mark.parametrize("second_thread", ["t", "u"])
+def test_a_lone_chain_runs_max_first_only_if_its_jitter_and_work_exceed_its_period(monkeypatch, jitter, second_thread):
+    # F's work is 2: with jitter 2 its first job ends by 4 under either
+    # pattern, alone, and from 4 on the patterns release alike (rule 2);
+    # with jitter 3 it may end at 5, past F's second release
+    graph, cfg = _lone_chain_after(jitter, second_thread)
+    for horizon in (8, 16, 7, 3):
+        assert worst_observed(graph, cfg, horizon) == reference_worst_observed(graph, cfg, horizon)
+    runs = _counting_runs(monkeypatch)
+    worst_observed(graph, cfg)
+    # one rank: F at offset 0 only; two ranks: F sweeps its period
+    offsets = range(1) if second_thread == "t" else range(4)
+    patterns = 1 if jitter + 2 <= 4 else 2
+    assert runs == [(0, 0)] + [(0, offset) for offset in offsets for _ in range(patterns)]
+
+
+def test_the_sweep_matches_the_full_grid_on_fork_systems():
+    # `random_fork_system` seeds whose grid holds at most 100 offset
+    # vectors; the engine releases a forked chain on its own offset axis,
+    # so the reference is its own full grid walk
+    systems = forked = 0
+    for seed in range(80):
+        system = random_fork_system(random.Random(seed))
+        graph = build_task_graph(system.software, system.config, NORMAL)
+        if math.prod(chain.event.period for chain in graph.chains[1:]) > 100:
+            continue
+        systems += 1
+        forked += any(chain.triggered_by is not None for chain in graph.chains)
+        full = default_horizon(graph)
+        for horizon in (full, 2 * full, full - 1):
+            assert worst_observed(graph, system.config, horizon) == engine_worst_observed(graph, system.config, horizon)
+    assert systems >= 25 and forked >= 10
 
 
 def _coprime_lone_chains(second_rank):
@@ -703,6 +900,22 @@ def test_a_max_first_run_whose_jitter_releases_at_or_after_the_hyperperiod_does_
     assert built == [2, 2, 2, 4, 2, 4, 2, 4]
 
 
+def test_a_max_first_run_rejoins_only_after_its_drawn_releases():
+    # C0 (period 8, work 3) over C1 (period 4, jitter 3, work 2) on R1.  At
+    # C1's offset 3 both runs are idle at 6, where C1's max-first job is
+    # released: a stop there would miss that job, which waits for C1's next
+    # one and C0's second, and ends at 13, 6 after its release at 7.
+    chains = (
+        _hand_chain("C0", EventModel(8, 0), 2, 1),
+        _hand_chain("C1", EventModel(4, 3), 1, 1, span=(0, 2)),
+    )
+    mapping = {("C0", "c00"): "R1", ("C0", "c01"): "R1", ("C1", "c10"): "R1", ("C1", "c11"): "R1"}
+    graph, cfg = _hand_system(chains, mapping, ["C0", "C1"])
+    for horizon in (16, 32, 15):
+        assert worst_observed(graph, cfg, horizon) == reference_worst_observed(graph, cfg, horizon)
+    assert worst_observed(graph, cfg)[(("C1", "t"), (0, 2))] == 6
+
+
 def test_a_group_with_a_one_shot_chain_runs_to_the_horizon(monkeypatch):
     graph, cfg = _three_groups(merged=True)
     built = []
@@ -745,21 +958,21 @@ def test_runs_that_stop_at_an_idle_hyperperiod_match_the_grid_walk(monkeypatch, 
     stops = []
     run = nego.sim._run
 
-    def recording(plan, offsets, draws, horizon, chains, maxima=None, lines=None, window=0):
-        jobs = run(plan, offsets, draws, horizon, chains, maxima, lines, window)
+    def recording(plan, offsets, draws, horizon, chains, maxima=None, lines=None, window=0, idle=None, rejoin=None):
+        jobs = run(plan, offsets, draws, horizon, chains, maxima, lines, window, idle, rejoin)
         stops.append(bool(window) and jobs[-1][nego.sim._RELEASE] < window)
         return jobs
 
     monkeypatch.setattr(nego.sim, "_run", recording)
     systems = 0
-    for graph, cfg, _ in _systems_over(range(80), resources):
+    for graph, cfg, _ in _systems_over(range(100), resources):
         if not any(chain.event.jitter for chain in graph.chains):
             continue
         systems += 1
         full = default_horizon(graph)
         for horizon in (full, 2 * full, full - 1):
             assert worst_observed(graph, cfg, horizon) == reference_worst_observed(graph, cfg, horizon)
-    # 69 systems; over 900 runs stopped at each resource count
+    # 86 systems; over 1100 runs stopped at each resource count
     assert systems >= 60 and sum(stops) >= 800
 
 

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from nego.constraints import (
 )
 from nego.deps import connection_candidates
 from nego.dsl import load_software_model
+from nego.negotiation import negotiate
 from nego.model import ModelError, SystemModel, pinned_components, parse_platform
 from nego.randsys import random_software_system
 from nego.space import ConstraintStore
@@ -29,7 +31,7 @@ from conftest import (
     POST_SELECTED,
 )
 from oracles import partials
-from systems import NogoodProbe, deep, indep
+from systems import NogoodProbe, deep, indep, shared
 
 
 def post_store(software_post, platform):
@@ -475,3 +477,27 @@ def test_task_graphs_are_cached_with_their_error(monkeypatch):
         messages.append(str(info.value))
     assert messages[0] == messages[1] == "chain A.t: provider 'B' has no entry thread for s.m"
     assert builds == [NORMAL]
+
+
+def test_a_structural_rejection_leaves_no_reference_cycle():
+    # shared(4, 2) meets structures whose task graphs fail: a kept error
+    # would hold the traceback of each raise, whose frames hold the store,
+    # which holds the error, so the negotiation would be freed only by the
+    # cyclic collector
+    system = shared(4, 2)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        answer, trace = negotiate(system, [])
+        rejected = trace.lines.count("  reject: structure")
+        del answer, trace
+        gc.collect()
+        left = [type(obj).__name__ for obj in gc.garbage]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert rejected and left == []
