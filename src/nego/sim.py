@@ -26,13 +26,13 @@ run idle at W repeats its first window up to a horizon that is a multiple
 of W: the idle instant behind the feasibility intervals of Leung and
 Merrill (IPL 1980).
 
-Three more rules let a sweep simulate each schedule once, all exact
-(`worst_observed` proves them): a max-first run stops where it rejoins the
-zero run at its offsets, both idle after its drawn releases (rule 1); a
-lone chain whose jitter plus total wcet fits in its period runs no
-max-first pattern (rule 2); and in a group on one resource, one zero run
-idle at W stands for every offset vector a common shift takes it to
-(rule 3; offset equivalence, Goossens, Real-Time Systems 2003).
+Three more rules cut a sweep's runs, all exact (`worst_observed` proves
+them): a max-first run stops where it rejoins the zero run at its offsets,
+both idle after its drawn releases (rule 1); a lone chain whose jitter plus
+total wcet fits in its period runs no max-first pattern (rule 2); and on
+one resource, with one thread rank per chain, the zero run at the all-zero
+offsets stands for every zero run, since the synchronous release is the
+critical instant (rule 4; Liu and Layland, JACM 1973; Lehoczky, RTSS 1990).
 
 A job moves through its chain one segment at a time: a run of consecutive
 nodes on one resource at one thread rank that no span starts or stops
@@ -99,8 +99,8 @@ def synchronous_scenario(graph: TaskGraph, horizon: int, pattern: str = "max-fir
 # the patterns it runs, times the jobs its chains release in one run.  The
 # caps count this static sweep, an upper bound on what the sweep does:
 # every job released before the horizon, though a run that stops at its
-# group's hyperperiod or rejoins its zero run builds fewer, and every run
-# of it, though rules 2 and 3 of `worst_observed` skip some.
+# group's hyperperiod or at an idle instant builds fewer, and every run of
+# it, though rules 2 and 4 of `worst_observed` skip some.
 MAX_JOBS = 100_000
 MAX_GRID = 10_000
 MAX_SWEEP_JOBS = 1_000_000
@@ -265,7 +265,7 @@ def _run(
     lines: list[str] | None = None,
     window: int = 0,
     idle: list[int] | None = None,
-    rejoin: tuple[list[int], int, int, int] | None = None,
+    rejoin: tuple[list[int] | None, int, int] | None = None,
 ) -> list[list]:
     """Schedule every job of `chains`, entries of `plan.chains`, released
     before `horizon` to completion.
@@ -294,11 +294,11 @@ def _run(
     heap is empty up to its next release (W, while the later jobs are not
     built).  With `idle`, it appends [0, first release] and each such
     interval to it, as start and end; the last one ends at W exactly when
-    it stopped at W.  With `rejoin`, (idle, period, phase, after), the run
-    follows another, whose idle intervals are `idle` (`_rejoins`), and
-    returns at the first of its idle instants it checks at which the other
-    is idle too and which comes after `after`, the last release the two
-    runs do not share.  `worst_observed` says why both stops are exact.
+    it stopped at W.  With `rejoin`, (idle, period, after), the run returns
+    at the first of its idle instants it checks that comes after `after`,
+    its last drawn release, and at which the run it follows, whose idle
+    intervals are `idle`, is idle too (`_rejoins`); with `idle` None, it
+    follows no run.  `worst_observed` says why both stops are exact.
     """
     jobs: list[list] = []
     work = 0
@@ -430,17 +430,19 @@ def _run(
     return jobs
 
 
-def _rejoins(rejoin: tuple[list[int], int, int, int], t: int, upcoming: int) -> bool:
+def _rejoins(rejoin: tuple[list[int] | None, int, int], t: int, upcoming: int) -> bool:
     """Whether a run idle from `t` up to `upcoming` meets, in that span, an
     instant s past `after` at which the run it follows is idle too.
 
-    `rejoin` is (idle, period, phase, after): `idle` lists the followed
-    run's idle intervals as [start, end, start, end, ...], sorted; with a
-    period W, they are those of one window [0, W], and the run is idle at
-    s when (s - phase) mod W falls in one of them."""
-    idle, period, phase, after = rejoin
+    `rejoin` is (idle, period, after): `idle` lists the followed run's idle
+    intervals as [start, end, start, end, ...], sorted, or is None for no
+    followed run; with a period W, they are those of one window [0, W],
+    and the run is idle at s when s mod W falls in one of them."""
+    idle, period, after = rejoin
     q = max(t, after + 1)
-    base = q - (q - phase) % period if period else 0
+    if idle is None:
+        return q <= upcoming
+    base = q - q % period if period else 0
     r = q - base
     i = bisect_left(idle, r)
     if i == len(idle):
@@ -525,7 +527,7 @@ def worst_observed(
     chain sweeps each offset in [0, period).  One-shot chains stay at zero.
     A sweep over more than MAX_GRID offset vectors, or whose runs release
     more than MAX_SWEEP_JOBS jobs in all, is refused before any run: both
-    count the sweep below group by group, before rules 1 to 3 cut it.
+    count the sweep below group by group, before rules 1, 2 and 4 cut it.
 
     Each of the plan's groups is swept on its own: over the grid restricted
     to its chains (the others run no jobs), by each pattern that draws
@@ -577,39 +579,44 @@ def worst_observed(
     are idle there with the same releases after it, and the first job's
     latencies are its work under both: rule 1, decided before running.
 
-    Rule 3: a group holds when every chain is periodic and none is forked,
-    every segment is on one resource, each chain runs at one thread rank,
-    every span starts at the release, and the horizon H is a multiple of W
-    above W.  Let L be the lcm of the periods of the group's chains whose
-    offset is fixed (the first chain, if the group holds it).  A zero run
-    at o that stops idle at W stands for the zero run at every o' = o + d,
-    taken mod each chain's period, for d a multiple of L in (0, W); the
-    fixed offsets stay 0.  Proof:
-    - the run at o, repeated every W, is a schedule S of the bi-infinite
-      release set, idle at every kW, and S shifted by d schedules the
-      releases of o';
-    - on one resource, the run at o' starts with no carry-in, so its
-      backlog never exceeds that of shifted S, and it is idle wherever
-      shifted S is, at d too; from d up to H it releases what shifted S
-      does, so it runs shifted S's window [d, d + W) within H, with the
-      latencies of S's window, which are o's;
-    - every other job of o' is a job of shifted S with some jobs removed,
-      those released before 0 or at or after H; with one key per job, a
-      job's chain running at one rank, removing jobs never delays a
-      completion, so no span from the release gets longer.
-    So the maxima at o' are o's.  The max-first run at o' follows rule 1
-    against o's idle intervals shifted by d, where the zero run at o' is
-    idle too.  The proof uses every condition: one resource for the
-    backlog, one rank per chain and spans from the release so that fewer
-    jobs never lengthen a span, whole windows for S, and no fork, so that
-    releasing a fork at its trigger's fork point cannot break the rule.
+    Rule 4: a group is critical when every chain is periodic and none is
+    forked, every segment is on one resource, each chain runs at one
+    thread rank and every span starts at the release.  In a critical group
+    of more than one offset vector, the zero run at the all-zero vector,
+    which runs first, stands for every zero run, and each max-first run
+    stops at its first idle instant after its last drawn release.  This
+    holds at every horizon H: the synchronous release is the critical
+    instant (Liu and Layland, JACM 1973), busy periods longer than a
+    period included (Lehoczky, RTSS 1990).  Proof:
+    - each chain is one preemptive fixed-priority task of its own rank,
+      since distinct chains have distinct threads; a span [0, s) ends when
+      its job has received the first P_s units of its work;
+    - in the zero run at o, let job J of chain i, released at r, be the
+      k-th job of i released since t0 <= r, the last instant at which no
+      work of i or of a higher-ranked chain is pending: r - t0 >=
+      (k - 1) T_i, and J's prefix completes at the least f > t0 with
+      f - t0 = (k - 1) C_i + P_s + the sum of C_j n_j over higher-ranked
+      chains j, n_j counting j's releases below H in [t0, f);
+    - for every u, each chain releases at least as many jobs below H in
+      [0, u) at the all-zero vector as in [t0, t0 + u) at o, so there
+      chain i's job k, released at (k - 1) T_i < H, completes its prefix
+      no earlier than f - t0: its latency is at least f - r;
+    - at an idle instant s of the max-first run at o after every drawn
+      release, the rest of the run is the zero run at o less the jobs
+      released before s; on one resource with one rank per chain,
+      removing jobs never delays a completion, so no span from the
+      release grows there.
+    The proof uses every condition: one resource for the busy period, one
+    rank per chain so that a chain is one task, and spans from the release
+    so that removing jobs never lengthens one; no fork keeps the rule
+    clear of releasing a fork at its trigger's fork point.
     """
     if horizon is None:
         horizon = default_horizon(graph)
     _check_run(graph, horizon)
     plan = _Plan(graph, cfg)
-    # per group: (its chains, its offset axes, W, its jittered chains)
-    sweeps: list[tuple[list, list[range], int, list[tuple[int, int]]]] = []
+    # per group: (its chains, its offset axes, W, its jittered chains, rule 4)
+    sweeps: list[tuple[list, list[range], int, list[tuple[int, int]], bool]] = []
     grid = runs = total = most = 0  # offset vectors, runs, jobs in all, most jobs in one run
     for group in plan.groups:
         window = 1  # W, the lcm of the group's periods; 0 with a one-shot chain
@@ -639,12 +646,7 @@ def worst_observed(
         _, event, _, work = group[0]
         if len(group) == 1 and jittered and event.jitter + work <= event.period:
             jittered = []  # rule 2: job 0 ends alone before job 1 under both patterns
-        shift = 0  # rule 3: the least shift that keeps each fixed offset; 0 for none
-        if window:
-            shift = math.lcm(*[event.period for ci, event, _, _ in group if len(axes[ci]) == 1])
-            if shift == window or not _shifts_alike(graph, plan, group):
-                shift = 0  # a class of one vector, or the rule fails
-        sweeps.append((group, axes, window, jittered, shift))
+        sweeps.append((group, axes, window, jittered, points > 1 and _critical(graph, plan, group)))
     if grid > MAX_GRID:
         raise ValueError(f"the offset sweep has {grid} grid points, more than the cap of {MAX_GRID}")
     if total > MAX_SWEEP_JOBS:
@@ -657,34 +659,23 @@ def worst_observed(
     # each group's all-zero offset vector runs first and activates each of
     # its chains at offset 0, before the horizon, so every span is observed
     maxima = [-1] * len(plan.keys)
-    for group, axes, window, jittered, shift in sweeps:
-        covered: dict[tuple[int, ...], tuple[list[int], int]] = {}  # rule 3: offsets -> (idle, phase)
+    for group, axes, window, jittered, critical in sweeps:
         for offsets in itertools.product(*axes):
-            seen = covered.get(offsets)
-            if seen is None:
-                idle: list[int] = []
+            idle = None if critical else []  # the zero run's idle intervals, for rule 1
+            if idle is not None or not any(offsets):  # rule 4: the all-zero run stands for every zero run
                 _run(plan, offsets, zero, horizon, group, maxima, None, window, idle)
-                period = window if window and idle[-1] == window else 0  # W if it stopped there
-                phase = 0
-                if shift and period:
-                    shifted = list(offsets)
-                    for d in range(shift, window, shift):
-                        for ci, event, _, _ in group:
-                            shifted[ci] = (offsets[ci] + d) % event.period
-                        covered[tuple(shifted)] = (idle, d)
-            else:
-                (idle, phase), period = seen, window
             if jittered:
                 after = max([offsets[ci] + jitter for ci, jitter in jittered])  # the last drawn release
-                rejoin = (idle, period, phase, after)
+                period = window if idle and idle[-1] == window else 0  # W if it stopped there
+                rejoin = (idle, period, after)
                 _run(plan, offsets, max_first, horizon, group, maxima, None, window if after < window else 0, None, rejoin)
     return dict(zip(plan.keys, maxima))
 
 
-def _shifts_alike(graph: TaskGraph, plan: _Plan, group: list) -> bool:
-    """Whether rule 3 holds for `group`, given whole windows: every chain
-    periodic and unforked, every segment on one resource, each chain at one
-    thread rank, every span starting at the release."""
+def _critical(graph: TaskGraph, plan: _Plan, group: list) -> bool:
+    """Whether rule 4 holds for `group`: every chain periodic and unforked,
+    every segment on one resource, each chain at one thread rank, every
+    span starting at the release."""
     resource = group[0][2][0][0]
     for ci, event, segments, _ in group:
         if event is None or graph.chains[ci].triggered_by is not None:

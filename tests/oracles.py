@@ -432,7 +432,7 @@ def engine_worst_observed(graph, cfg, horizon):
     chain at offset zero, every other periodic chain at each offset in
     [0, period), one-shot chains at zero, both jitter patterns, every chain
     in every run.  It takes none of the sweep's shortcuts (groups, the
-    lone-chain rule, stops, rejoins, shift classes).  Unlike
+    lone-chain rule, stops, rejoins, the synchronous zero run).  Unlike
     `reference_worst_observed`, it releases a chain forked by a SIGNAL on
     its own offset axis, as the engine does, so it is the reference for
     the sweep on fork systems."""

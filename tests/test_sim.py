@@ -442,49 +442,28 @@ def test_worst_observed_matches_grid_walk():
 
 def test_worst_observed_runs_each_offset_vector_once_without_jitter(monkeypatch):
     graph, cfg = _two_periodic()
-    classes = _shift_classes(graph, cfg, [0, 1])
     runs = _counting_runs(monkeypatch)
     worst_observed(graph, cfg)
-    # CA (period 12) anchors, and a shift by 12 moves CB (period 5) by 2,
-    # which takes offset 0 to every other: the run at 0, idle at 60, stands
-    # for all five (rule 3)
-    assert runs == [vector for vector, _ in classes] == [(0, 0)]
+    # CA (period 12) anchors CB (period 5), both on R1 at one rank each and
+    # spanned from the release: the all-zero run stands for all five
+    # vectors (rule 4), and without jitter no max-first run follows
+    assert runs == _rule_4_runs([(0, offset) for offset in range(5)], jitter=False) == [(0, 0)]
 
 
-def _shift_classes(graph, cfg, group):
-    """(offset vector, idle at W) for each vector of the group of chains
-    `group` (indices into `graph.chains`) at which rule 3 runs the zero
-    pattern, in grid order, by brute force over the group's grid.  A vector
-    is skipped when an earlier vector that ran, and whose run is idle at
-    the group's hyperperiod W, reaches it by a common shift d, a multiple
-    of the first chain's period if the group holds it, taken mod each
-    period.  A run is idle at W when `simulate` over W leaves no job of the
-    group unfinished."""
+def _rule_4_runs(vectors, jitter=True):
+    """The offset vector of each run rule 4 makes over a critical group's
+    grid `vectors`, all-zero first: one zero run, then one max-first run at
+    every vector if a chain of the group has jitter."""
+    return vectors[:1] + (vectors if jitter else [])
+
+
+def _idle_at_window(graph, cfg, group):
+    """Whether the chains `group` (indices into `graph.chains`), released
+    together at 0 without jitter, are idle at their hyperperiod W: whether
+    `simulate` over W leaves none of their jobs unfinished."""
     alone = TaskGraph(NORMAL, tuple(graph.chains[ci] for ci in group))
-    periods = [chain.event.period for chain in alone.chains]
-    window = math.lcm(*periods)
-    step = periods[0] if group[0] == 0 else 1
-    axes = [range(1) if ci == 0 else range(period) for ci, period in zip(group, periods)]
-    ran, idle = [], []
-    for offsets in itertools.product(*axes):
-        if any(
-            all((u + d) % period == o for u, o, period in zip(other, offsets, periods))
-            for other in idle
-            for d in range(step, window, step)
-        ):
-            continue
-        scenario = ReleaseScenario(offsets, ((),) * len(group), window)
-        stops = not simulate(alone, cfg, scenario).partial
-        ran.append((offsets, stops))
-        if stops:
-            idle.append(offsets)
-    vectors = []
-    for offsets, stops in ran:
-        full = [0] * len(graph.chains)
-        for ci, offset in zip(group, offsets):
-            full[ci] = offset
-        vectors.append((tuple(full), stops))
-    return vectors
+    window = math.lcm(*[chain.event.period for chain in alone.chains])
+    return not simulate(alone, cfg, ReleaseScenario((0,) * len(group), ((),) * len(group), window)).partial
 
 
 def _counting_runs(monkeypatch, built=None):
@@ -546,20 +525,18 @@ def test_worst_observed_sweeps_each_group_on_its_own_grid(monkeypatch):
     assert full == 24
     for horizon in (full, 5, 11, 17):
         assert worst_observed(graph, cfg, horizon) == reference_worst_observed(graph, cfg, horizon)
-    classes = _shift_classes(graph, cfg, [2, 3])
     built = []
     runs = _counting_runs(monkeypatch, built)
     worst_observed(graph, cfg)
     # {A, B}: B's 6 offsets under both patterns, since B's span [1:2] does
-    # not start at the release; {C, D}: one zero run per shift class of its
-    # 4 x 6 offsets (rule 3), one pattern; {E}: one run.  The full product
-    # would be 6 x 4 x 6 x 2 = 288.
-    assert len(runs) == 6 * 2 + len(classes) + 1
-    assert runs[12:-1] == [vector for vector, _ in classes]
-    assert runs[0] == runs[12] == runs[-1] == (0, 0, 0, 0, 0)
+    # not start at the release; {C, D}, critical and without jitter: the
+    # all-zero run of its 4 x 6 offsets (rule 4); {E}: one run.  The full
+    # product would be 6 x 4 x 6 x 2 = 288.
+    critical = [(0, 0, c, d, 0) for c in range(4) for d in range(6)]
+    assert runs == [(0, b, 0, 0, 0) for b in range(6) for _ in range(2)] + _rule_4_runs(critical, jitter=False) + [(0,) * 5]
     # {C, D} has the hyperperiod 12, half the horizon; a zero run idle there
     # builds the 3 + 2 jobs released before it only, and 6 + 4 otherwise
-    assert built[12:] == [5 if stops else 10 for _, stops in classes] + [1]
+    assert built[12:] == [5 if _idle_at_window(graph, cfg, [2, 3]) else 10, 1]
 
 
 def _with_lone_chain(jitter=3, second_thread="t"):
@@ -609,36 +586,38 @@ def test_a_lone_chain_of_two_ranks_sweeps_its_period(monkeypatch):
     graph, cfg = _with_lone_chain(second_thread="u")
     assert len(nego.sim._Plan(graph, cfg).groups) == 4
     assert worst_observed(graph, cfg) == reference_worst_observed(graph, cfg, default_horizon(graph))
-    classes = _shift_classes(graph, cfg, [2, 3])
     runs = _counting_runs(monkeypatch)
     worst_observed(graph, cfg)
-    assert len(runs) == 6 * 2 + len(classes) + 1 + 4 * 2
+    # the other groups as in `test_worst_observed_sweeps_each_group_on_its_own_grid`
+    assert len(runs) == 6 * 2 + 1 + 1 + 4 * 2
     assert runs[-8:] == [(0, 0, 0, 0, 0, offset) for offset in range(4) for _ in range(2)]
 
 
-def test_a_shift_class_busy_at_the_hyperperiod_keeps_every_vector(monkeypatch):
+def test_a_critical_group_at_full_utilization_runs_once(monkeypatch):
     # A (period 4, wcet 2) anchors over B (period 8, wcet 4) on R1, at
-    # utilization 1, so a run is idle at W = 8 only if R1 never idles
-    # before: not for B's offsets 3 to 7.  A shift by 4 pairs B's offsets
-    # {0, 4}, {1, 5}, {2, 6} and {3, 7}; the runs at 0, 1 and 2 stand for
-    # 4, 5 and 6, and both 3 and 7 run.
+    # utilization 1, so a zero run at B's offsets 3 to 7 is busy at W = 8
+    # and the all-zero run is idle there; that run stands for all eight
+    # vectors (rule 4) at every horizon, whole windows or not
     chains = (_hand_chain("A", EventModel(4, 0), 2), _hand_chain("B", EventModel(8, 0), 4))
     graph, cfg = _hand_system(chains, {("A", "a0"): "R1", ("B", "b0"): "R1"}, "AB")
+    assert _idle_at_window(graph, cfg, [0, 1])
+    built = []
+    runs = _counting_runs(monkeypatch, built)
     for horizon in (16, 32, 15, 8):
         assert worst_observed(graph, cfg, horizon) == reference_worst_observed(graph, cfg, horizon)
-    classes = _shift_classes(graph, cfg, [0, 1])
-    assert classes == [((0, 0), True), ((0, 1), True), ((0, 2), True), ((0, 3), False), ((0, 7), False)]
-    runs = _counting_runs(monkeypatch)
-    worst_observed(graph, cfg)
-    assert runs == [vector for vector, _ in classes]
+    vectors = [(0, b) for b in range(8)]
+    assert runs == _rule_4_runs(vectors, jitter=False) * 4
+    # at 16 and 32 the run stops at W, after the 2 + 1 jobs released before
+    # it; at 15 and 8 no run may stop there
+    assert built == [3, 3, 6, 3]
 
 
-def _rule_3_group(variant):
+def _rule_4_group(variant):
     """A (period 4) anchors over B (period 6, jitter 1) on R1, whose two
     tasks run on one thread and whose span is the whole chain: every
-    condition of rule 3 holds at the default horizon 24.  Each variant
-    breaks one: B's second task on R2, or run by a second thread of B
-    ranked last, or a span over B's second task alone."""
+    condition of rule 4 holds.  Each variant breaks one: B's second task
+    on R2, or run by a second thread of B ranked last, or a span over B's
+    second task alone."""
     a = TaskNode(("A", "a0"), 1, 1, "CPU", ("A", "t"))
     b0 = TaskNode(("B", "b0"), 1, 1, "CPU", ("B", "t"))
     b1 = TaskNode(("B", "b1"), 2, 1, "CPU", ("B", "u" if variant == "two ranks" else "t"))
@@ -655,19 +634,93 @@ def _rule_3_group(variant):
 @pytest.mark.parametrize("variant, horizon", [
     ("", 24), ("", 36), ("", 12), ("", 30), ("two resources", 24), ("two ranks", 24), ("inner span", 24),
 ])
-def test_rule_3_needs_each_of_its_conditions(monkeypatch, variant, horizon):
-    # a shift by 4 moves B by 4 mod 6, which splits B's offsets into the
-    # classes {0, 4, 2} and {1, 5, 3}; rule 3 also needs a horizon that is
-    # a multiple of W = 12 above it, so not 12 or 30
-    graph, cfg = _rule_3_group(variant)
+def test_rule_4_needs_each_of_its_conditions(monkeypatch, variant, horizon):
+    # rule 4 holds at every horizon, whole windows of W = 12 or not
+    graph, cfg = _rule_4_group(variant)
     assert worst_observed(graph, cfg, horizon) == reference_worst_observed(graph, cfg, horizon)
-    holds = not variant and horizon in (24, 36)
-    zero = [vector for vector, _ in _shift_classes(graph, cfg, [0, 1])] if holds else [(0, b) for b in range(6)]
-    assert len(zero) == (2 if holds else 6)
+    vectors = [(0, b) for b in range(6)]
     runs = _counting_runs(monkeypatch)
     worst_observed(graph, cfg, horizon)
-    # the zero run where it is needed, then the max-first run at every vector
-    assert runs == [(0, b) for b in range(6) for _ in range(1 + ((0, b) in zero))]
+    if variant:
+        # rule 1: the zero run, then the max-first run, at every vector
+        assert runs == [vector for vector in vectors for _ in range(2)]
+    else:
+        assert runs == _rule_4_runs(vectors)
+
+
+# Three groups that break one condition of rule 4 each and that a sweep
+# applying the rule regardless gets wrong: (chains, mapping, rank order,
+# horizon, the span that sweep reads too short, its reading, the grid's).
+_RULE_4_COUNTEREXAMPLES = {
+    # Y's first task ends on R1 just as X is released on R2
+    "two resources": (
+        (_hand_chain("X", EventModel(10, 0), 3), _hand_chain("Y", EventModel(8, 1), 1, 1)),
+        {("X", "x0"): "R2", ("Y", "y0"): "R1", ("Y", "y1"): "R2"},
+        [("X", "t"), ("Y", "t")], 79, (("Y", "t"), (0, 2)), 4, 5,
+    ),
+    # each chain's second task runs on a second thread, ranked apart from
+    # its first: C0.s1 > C1.t > C1.s1 > C0.t
+    "two ranks": (
+        tuple(
+            Chain.of((name, "t"), NORMAL, (
+                TaskNode((name, "a"), 1, 1, "CPU", (name, "t")), TaskNode((name, "b"), 1, 1, "CPU", (name, "s1")),
+            ), EventModel(period, 0))
+            for name, period in (("C0", 3), ("C1", 4))
+        ),
+        {(name, task): "R1" for name in ("C0", "C1") for task in "ab"},
+        [("C0", "s1"), ("C1", "t"), ("C1", "s1"), ("C0", "t")], 24, (("C1", "t"), (0, 2)), 2, 3,
+    ),
+    # spans over each chain's second or third task, on an overloaded R1
+    "inner span": (
+        (
+            _hand_chain("C0", EventModel(8, 5), 2, 1, 2, span=(1, 2)),
+            _hand_chain("C1", EventModel(6, 0), 2, 1, 2, span=(2, 3)),
+            _hand_chain("C2", EventModel(6, 4), 2, 1, 1, span=(1, 2)),
+        ),
+        {(name, f"{name.lower()}{i}"): "R1" for name in ("C0", "C1", "C2") for i in range(3)},
+        [("C2", "t"), ("C1", "t"), ("C0", "t")], 48, (("C0", "t"), (1, 2)), 1, 73,
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_RULE_4_COUNTEREXAMPLES))
+def test_a_group_that_breaks_a_rule_4_condition_keeps_its_zero_runs(monkeypatch, variant):
+    chains, mapping, order, horizon, span, short, seen = _RULE_4_COUNTEREXAMPLES[variant]
+    graph = TaskGraph(NORMAL, chains)
+    cfg = Configuration(frozenset(root for root, _ in order), frozenset(), mapping, tuple(order))
+    assert len(nego.sim._Plan(graph, cfg).groups) == 1
+    full = reference_worst_observed(graph, cfg, horizon)
+    assert full[span] == seen
+    runs = _counting_runs(monkeypatch)
+    assert worst_observed(graph, cfg, horizon) == full
+    # rule 1's zero run at every vector, and a max-first run after it with jitter
+    vectors = list(itertools.product(*[range(1) if ci == 0 else range(c.event.period) for ci, c in enumerate(chains)]))
+    jitter = any(chain.event.jitter for chain in chains)
+    assert runs == [vector for vector in vectors for _ in range(1 + jitter)]
+    # the sweep that takes the group for critical reads the span too short
+    monkeypatch.setattr(nego.sim, "_critical", lambda graph, plan, group: True)
+    assert worst_observed(graph, cfg, horizon)[span] == short
+
+
+@pytest.mark.parametrize("wcets", [(2, 2, 1, 2), (1, 1, 1, 1)])
+def test_a_critical_group_matches_the_engine_grid_walk_off_its_windows(wcets):
+    # A over B (jitter 2, a span over its first task) over C (jitter 3) on
+    # R1: at wcets (2, 2, 1, 2), utilization 1/2 + 1/2 + 2/5 = 7/5, so R1
+    # falls ever further behind; at (1, 1, 1, 1), 11/20.  The horizons H - 1
+    # and H + 1 hold no whole windows.
+    a, b0, b1, c = wcets
+    chains = (
+        _hand_chain("A", EventModel(4, 0), a),
+        _hand_chain("B", EventModel(6, 2), b0, b1, span=(0, 1)),
+        _hand_chain("C", EventModel(5, 3), c),
+    )
+    mapping = {("A", "a0"): "R1", ("B", "b0"): "R1", ("B", "b1"): "R1", ("C", "c0"): "R1"}
+    graph, cfg = _hand_system(chains, mapping, "ABC")
+    plan = nego.sim._Plan(graph, cfg)
+    assert nego.sim._critical(graph, plan, plan.groups[0])
+    full = default_horizon(graph)
+    for horizon in (full, full - 1, full + 1):
+        assert worst_observed(graph, cfg, horizon) == engine_worst_observed(graph, cfg, horizon)
 
 
 def _fork_on_one_resource(fork):
@@ -692,24 +745,20 @@ def _fork_on_one_resource(fork):
 
 @pytest.mark.parametrize("fork", [False, True])
 def test_a_forked_chain_keeps_its_group_s_full_grid(monkeypatch, fork):
-    # A anchors; B (period 10) and X (period 20) sweep 200 vectors, and a
-    # shift by 10 pairs them.  Rule 3 leaves a fork group alone: the engine
-    # releases B on its own offset axis, as `engine_worst_observed` does.
+    # A anchors; B (period 10) and X (period 20) sweep 200 vectors.  Rule 4
+    # leaves a fork group alone: the engine releases B on its own offset
+    # axis, as `engine_worst_observed` does.
     graph, cfg = _fork_on_one_resource(fork)
     assert [chain.triggered_by is not None for chain in graph.chains] == [False, fork, False]
     full = default_horizon(graph)
     assert worst_observed(graph, cfg) == engine_worst_observed(graph, cfg, full)
     if not fork:
         assert worst_observed(graph, cfg) == reference_worst_observed(graph, cfg, full)
-    zero = [(0, b, x) for b in range(10) for x in range(20)]
-    if not fork:
-        # 100 classes of two vectors; a class whose first run is busy at
-        # W = 20 runs its second vector too
-        zero = [vector for vector, _ in _shift_classes(graph, cfg, [0, 1, 2])]
-        assert 100 <= len(zero) < 200
+    vectors = [(0, b, x) for b in range(10) for x in range(20)]
     runs = _counting_runs(monkeypatch)
     worst_observed(graph, cfg)
-    assert runs == zero
+    # without jitter, one zero run per vector, or the all-zero one alone
+    assert runs == (vectors if fork else _rule_4_runs(vectors, jitter=False))
 
 
 def _lone_chain_after(jitter, second_thread):
@@ -885,8 +934,8 @@ def test_a_max_first_run_stops_only_where_the_zero_run_stops(monkeypatch):
 
 
 def test_a_max_first_run_whose_jitter_releases_at_or_after_the_hyperperiod_does_not_stop(monkeypatch):
-    # A over B (jitter 3) on R1, both of period 4: every zero-pattern run
-    # is idle at 4, and B's max-first job at offset o is released at o + 3
+    # A over B (jitter 3) on R1, both of period 4: the all-zero run is idle
+    # at 4, and B's max-first job at offset o is released at o + 3
     chains = (_hand_chain("A", EventModel(4, 0), 1), _hand_chain("B", EventModel(4, 3), 1))
     graph, cfg = _hand_system(chains, {("A", "a0"): "R1", ("B", "b0"): "R1"}, "AB")
     for horizon in (8, 16, 7, 10):
@@ -894,10 +943,10 @@ def test_a_max_first_run_whose_jitter_releases_at_or_after_the_hyperperiod_does_
     built = []
     runs = _counting_runs(monkeypatch, built)
     worst_observed(graph, cfg)
-    assert runs == [(0, offset) for offset in range(4) for _ in range(2)]
-    # pairs of (zero, max-first): only at offset 0 is B's first release,
-    # at 3, below 4
-    assert built == [2, 2, 2, 4, 2, 4, 2, 4]
+    assert runs == _rule_4_runs([(0, offset) for offset in range(4)])
+    # the zero run, then the max-first runs: only at offset 0 is B's first
+    # release, at 3, below 4, so only there are the jobs from 4 on left out
+    assert built == [2, 2, 4, 4, 4]
 
 
 def test_a_max_first_run_rejoins_only_after_its_drawn_releases():
