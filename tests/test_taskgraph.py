@@ -1,9 +1,12 @@
+import hashlib
 import random
 from itertools import accumulate
 
 import pytest
 
 import systems
+from conftest import CORPUS
+from nego import cli
 from nego.cli import _parse_request_file
 from nego.dsl import load_software_model
 from nego.model import Configuration, Rejected, SystemModel, apply_updates, parse_platform, pinned_components
@@ -239,6 +242,61 @@ def test_render_graph_mentions_chains(software_pre, current_config):
     text = render_graph(build_task_graph(software_pre, current_config, NORMAL))
     assert "chain P.park_assist" in text
     assert "O2.or2(10/1)" in text
+
+
+GOLDEN_GRAPH = {
+    NORMAL: (
+        "chain P.park_assist mode=normal period=200 jitter=5:"
+        " P.p1(3/1) -> T.tc1(5/1) -> O2.or2(10/1) -> T.tc2(5/1) -> P.p2(7/1)\n"
+        "  timing 150 park_assist over [P.p1(3/1), T.tc1(5/1), O2.or2(10/1), T.tc2(5/1), P.p2(7/1)]\n"
+        "  timing 100 object_recognition.get() over [O2.or2(10/1)]\n"
+    ),
+    INITIALIZATION: "chain P.init mode=initialization period=- jitter=-: T.tci(10/5)\n",
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_corpus_graph_output_is_pinned(mode, capsys):
+    argv = [
+        "graph",
+        "--contracts", str(CORPUS / "contracts"),
+        "--services", str(CORPUS / "services.repo"),
+        "--platform", str(CORPUS / "platform.txt"),
+        "--config", str(CORPUS / "current.config"),
+        "--mode", mode,
+    ]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == GOLDEN_GRAPH[mode]
+
+
+def test_post_update_graph_rendering_is_pinned(software_post, cfg_accepted):
+    text = "".join(render_graph(build_task_graph(software_post, cfg_accepted, mode)) for mode in MODES)
+    assert text == (
+        "chain L.lane_assist mode=normal period=100 jitter=5: L.la1(3/1) -> O2.or2(10/1) -> L.la2(3/1)"
+        " -> O2.om(10/1) -> L.la3(10/5) -> S.s(10/1) -> L.la4(4/1)\n"
+        "  timing 75 lane_assist over [L.la1(3/1), O2.or2(10/1), L.la2(3/1), O2.om(10/1), L.la3(10/5),"
+        " S.s(10/1), L.la4(4/1)]\n"
+        "chain P.park_assist mode=normal period=200 jitter=5:"
+        " P.p1(3/1) -> T.tc1(5/1) -> O1.or1(50/1) -> T.tc2(5/1) -> P.p2(7/1)\n"
+        "  timing 150 park_assist over [P.p1(3/1), T.tc1(5/1), O1.or1(50/1), T.tc2(5/1), P.p2(7/1)]\n"
+        "  timing 100 object_recognition.get() over [O1.or1(50/1)]\n"
+        "chain P.init mode=initialization period=- jitter=-: T.tci(10/5)\n"
+    )
+
+
+# SHA-256 of `render_graph` in both modes over `systems.random_fork_system`
+# seeds 0..299: forked chains, inlined calls and the `over [...]` lines of
+# requirements on them, empty spans among them.
+FORK_RENDER_DIGEST = "ad88d2021de146e00bdc5ed6fb76db92c2c044c4f4600c9feae24ea67395a0f2"
+
+
+def test_fork_system_rendering_is_pinned():
+    digest = hashlib.sha256()
+    for seed in range(300):
+        system = systems.random_fork_system(random.Random(seed))
+        for mode in MODES:
+            digest.update(render_graph(build_task_graph(system.software, system.config, mode)).encode())
+    assert digest.hexdigest() == FORK_RENDER_DIGEST
 
 
 # ---------------------------------------------------------------------------
