@@ -25,7 +25,7 @@ from pathlib import Path
 from nego.model import Configuration
 from nego.randsys import random_chain_system
 from nego.sim import default_horizon, worst_observed
-from nego.taskgraph import NORMAL, Chain, EventModel, LatencyReq, TaskGraph, TaskNode, build_task_graph
+from nego.taskgraph import NORMAL, Chain, EventModel, LatencyReq, TaskGraph, build_task_graph
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from oracles import engine_worst_observed, reference_worst_observed  # noqa: E402
@@ -49,15 +49,15 @@ def dense_group(rng: random.Random) -> tuple[TaskGraph, Configuration]:
             name = f"C{c}"
             period = rng.randint(2, 10)
             jitter = rng.randint(1, period) if rng.random() < 0.5 else 0
-            nodes = [
-                TaskNode((name, f"n{i}"), rng.randint(1, max(1, period // 3)), 1, "CPU", (name, rng.choice("tu") if i else "t"))
-                for i in range(rng.randint(1, 3))
-            ]
-            start = rng.randrange(len(nodes))
-            span = (start, rng.randint(start + 1, len(nodes)))
-            chains.append(Chain.of((name, "t"), NORMAL, nodes, EventModel(period, jitter), (LatencyReq(1000, span, name, "t"),)))
-            mapping.update({node.task_id: "R1" for node in nodes})
-            threads += sorted({node.thread for node in nodes})
+            tasks = []  # (task id, thread, wcet, bcet), the wcet drawn before the thread
+            for i in range(rng.randint(1, 3)):
+                wcet = rng.randint(1, max(1, period // 3))
+                tasks.append(((name, f"n{i}"), (name, rng.choice("tu") if i else "t"), wcet, 1))
+            start = rng.randrange(len(tasks))
+            span = (start, rng.randint(start + 1, len(tasks)))
+            chains.append(Chain.of((name, "t"), NORMAL, tasks, EventModel(period, jitter), (LatencyReq(1000, span, name, "t"),)))
+            mapping.update({task: "R1" for task, _, _, _ in tasks})
+            threads += sorted({thread for _, thread, _, _ in tasks})
         graph = TaskGraph(NORMAL, tuple(chains))
         horizon = 2 * default_horizon(graph)
         grid = math.prod(chain.event.period for chain in chains[1:])

@@ -155,11 +155,12 @@ def _task_graphs(
             print(f"{label}: {exc}", file=sys.stderr)
             return None
         if scheduled:
-            for node in graph.tasks():
-                if node.task_id not in config.mapping:
-                    raise ModelError(f"task {qual_str(node.task_id)} is not mapped")
-                if node.thread not in ranks:
-                    raise ModelError(f"thread {qual_str(node.thread)} has no priority")
+            for chain in graph.chains:
+                for task, thread in zip(chain.task_ids, chain.threads):
+                    if task not in config.mapping:
+                        raise ModelError(f"task {qual_str(task)} is not mapped")
+                    if thread not in ranks:
+                        raise ModelError(f"thread {qual_str(thread)} has no priority")
         graphs.append(graph)
     return graphs
 

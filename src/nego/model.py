@@ -51,9 +51,6 @@ class PlatformModel(NamedTuple):
                 return r
         raise ModelError(f"unknown resource {name!r}")
 
-    def by_type(self, rtype: str) -> tuple[Resource, ...]:
-        return tuple(r for r in self.resources if r.rtype == rtype)
-
 
 def parse_platform(text: str) -> PlatformModel:
     """One `resource <name> type <rtype>` line per resource: at least one

@@ -35,9 +35,10 @@ offsets stands for every zero run, since the synchronous release is the
 critical instant (rule 4; Liu and Layland, JACM 1973; Lehoczky, RTSS 1990).
 
 A job moves through its chain one segment at a time: a run of consecutive
-nodes on one resource at one thread rank that no span starts or stops
-inside (`_Plan`).  Running a segment as one piece of work schedules exactly
-as stepping its nodes one by one would: between two of its nodes, the job
+tasks on one resource at one thread rank that no span starts or stops
+inside (`_Plan`, built from the chain's task id, thread and WCET
+columns).  Running a segment as one piece of work schedules exactly as
+stepping its tasks one by one would: between two of its tasks, the job
 would only leave its resource's heap and re-enter it with the same key.
 """
 
@@ -112,7 +113,7 @@ def _check_run(graph: TaskGraph, horizon: int) -> int:
     or more than MAX_JOBS jobs, is refused."""
     if horizon < 1:
         raise ValueError(f"horizon {horizon} is below 1")
-    jobs = sum(-(-horizon // c.event.period) if c.event is not None else 1 for c in graph.chains if c.nodes)
+    jobs = sum(-(-horizon // c.event.period) if c.event is not None else 1 for c in graph.chains if c.task_ids)
     if jobs > MAX_JOBS:
         raise ValueError(
             f"a run over horizon {horizon} releases up to {jobs} jobs, more than the cap of {MAX_JOBS}"
@@ -147,24 +148,24 @@ class SimResult(NamedTuple):
 class _Plan:
     """What the engine needs from a (graph, configuration), computed once.
 
-    `chains` lists, for each chain with nodes, its index in `graph.chains`,
+    `chains` lists, for each chain with tasks, its index in `graph.chains`,
     its event model, its segments as (resource index, thread rank, wcet)
     and its total wcet.  Resources are indexed in name order.
 
-    A segment is a run of consecutive nodes on one resource and one thread
-    rank that crosses no span boundary: a node joins the segment before it
+    A segment is a run of consecutive tasks on one resource and one thread
+    rank that crosses no span boundary: a task joins the segment before it
     unless a span starts or stops at it.  The merge is exact.  When a job
-    finishes one node of a segment, it would leave its resource's heap and
+    finishes one task of a segment, it would leave its resource's heap and
     go straight back onto it with the same key; every other job that enters
     the heap at that instant enters it either way, so the heap's top is the
-    same at every instant.  (The argument needs every wcet positive: a node
+    same at every instant.  (The argument needs every wcet positive: a task
     of wcet 0 would complete only when its job next tops the heap.  The
     contract language refuses such a task, and so does the plan, naming it,
     for a hand-built graph.)  The boundary rule keeps every
-    completion a span reads; the first node is a boundary of the whole
+    completion a span reads; the first task is a boundary of the whole
     chain's span, so it starts the first segment.
-    With `trace`, every node is its own segment, so the trace lines name
-    nodes, and `roots` and `tasks` hold the names they print.
+    With `trace`, every task is its own segment, so the trace lines name
+    tasks, and `roots` and `tasks` hold the names they print.
 
     `keys` lists the span keys, each chain's spans in span order; `rows`
     maps the chain index to its spans as (key index, start, stop), where
@@ -183,17 +184,18 @@ class _Plan:
         self.roots: dict[int, str] = {}
         self.tasks: dict[int, tuple[str, ...]] = {}
         for ci, chain in enumerate(graph.chains):
-            if not chain.nodes:
+            task_ids = chain.task_ids
+            if not task_ids:
                 continue
-            spans = sorted({(0, len(chain.nodes)), *[req.span for req in chain.requirements]})
+            spans = sorted({(0, len(task_ids)), *[req.span for req in chain.requirements]})
             bounds = {i for span in spans for i in span}
             segments: list[tuple[int, int, int]] = []
-            ends = []  # per node, the index of its segment's completion
+            ends = []  # per task, the index of its segment's completion
             total = 0
-            for i, node in enumerate(chain.nodes):
-                resource, rank, wcet = index[mapping[node.task_id]], ranks[node.thread], node.wcet
+            for i, (task, thread, wcet) in enumerate(zip(task_ids, chain.threads, chain.wcets)):
+                resource, rank = index[mapping[task]], ranks[thread]
                 if wcet < 1:
-                    raise ValueError(f"task {qual_str(node.task_id)} has wcet {wcet}, below 1")
+                    raise ValueError(f"task {qual_str(task)} has wcet {wcet}, below 1")
                 if trace or i in bounds or segments[-1][0] != resource or segments[-1][1] != rank:
                     segments.append((resource, rank, wcet))
                 else:
@@ -208,7 +210,7 @@ class _Plan:
             ])
             if trace:
                 self.roots[ci] = qual_str(chain.root)
-                self.tasks[ci] = tuple(map(qual_str, chain.task_ids))
+                self.tasks[ci] = tuple(map(qual_str, task_ids))
         self.keys = list(slots)
         # one resource or one chain is one group; the union-find would add
         # about a fifth to the sweep of one chain over two resources
@@ -350,16 +352,16 @@ def _run(
             upcoming = pending[i][_RELEASE] if i < count else edge
         if lines is not None:
             # a job leaves a heap only by finishing its segment, here one
-            # node, which clears `running`, so a new top over a running job
+            # task, which clears `running`, so a new top over a running job
             # preempts it
             for r, heap in enumerate(heaps):
                 if heap and heap[0] is not running[r]:
                     prev, job = running[r], heap[0]
                     if prev is not None:
-                        node = len(prev[_DONE]) - 1
-                        lines.append(f"t={t} preempt {tasks[prev[_CHAIN]][node]}#{prev[_ACTIVATION]}")
-                    node = len(job[_DONE]) - 1
-                    lines.append(f"t={t} dispatch {tasks[job[_CHAIN]][node]}#{job[_ACTIVATION]}")
+                        position = len(prev[_DONE]) - 1
+                        lines.append(f"t={t} preempt {tasks[prev[_CHAIN]][position]}#{prev[_ACTIVATION]}")
+                    position = len(job[_DONE]) - 1
+                    lines.append(f"t={t} dispatch {tasks[job[_CHAIN]][position]}#{job[_ACTIVATION]}")
                     running[r] = job
 
         nxt = upcoming
@@ -386,8 +388,8 @@ def _run(
                     heappop(heap)
                     finished.append(job)
                     if lines is not None:
-                        node = len(job[_DONE]) - 1
-                        lines.append(f"t={nxt} complete {tasks[job[_CHAIN]][node]}#{job[_ACTIVATION]}")
+                        position = len(job[_DONE]) - 1
+                        lines.append(f"t={nxt} complete {tasks[job[_CHAIN]][position]}#{job[_ACTIVATION]}")
                         running[r] = None
         gone = False  # whether a job left the system at this instant
         for job in finished:

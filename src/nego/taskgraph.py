@@ -3,25 +3,23 @@
 Each time-activated thread (normal mode) or initialization thread
 (initialization mode) roots one chain.  RPC steps splice the callee thread's
 steps in place; SIGNAL steps fork a new chain at the callee, inheriting the
-trigger's event model.  Latency requirements attach to the node ranges they
+trigger's event model.  Latency requirements attach to the task ranges they
 cover: whole chains for thread targets, inlined call ranges for method
 targets.  The unfolding keeps the range of an inlined call or callee thread
 only when a requirement targets it.
 
-A chain stores its task nodes and, beside them, four columns indexed by
-node position: the task ids, the owning threads, the WCETs and a WCET
-prefix sum.  The unfolding loop fills them as it appends each node, so the
-timing layer reads them instead of walking the nodes again: it sums
-utilization, the iteration cap and each span's WCET from them and groups a
-timing context's demand by them, a span's WCET being two prefix-sum
-lookups.  A loop that keeps nodes anyway, such as the search for
-interfering tasks or the simulator's segment plan, reads the node's own
-fields, which cost as much as a column entry.
+A chain holds its tasks as five columns indexed by position: the task
+ids, the owning threads, the WCETs, the BCETs and a WCET prefix sum.  The
+unfolding loop fills them as it appends each task, and every reader uses
+the same positions: the timing layer sums utilization, the iteration cap
+and each span's WCET from them and groups a timing context's demand by
+them, a span's WCET being two prefix-sum lookups; the simulator builds its
+segment plan from them; and `render_graph` prints each task from them.
 
-A chain built by hand gets its columns from `Chain.of`, which derives them
-from its nodes; a chain has no default for them, so none can be analysed
-as having no tasks.  A node's task id is the tuple its id column holds,
-and one build shares one event model per (period, jitter), one empty
+A chain built by hand gets its columns from `Chain.of`, which takes
+(task id, thread, wcet, bcet) rows and derives the prefix sum; a chain has
+no default for its columns, so none can be analysed as having no tasks.
+One build shares one event model per (period, jitter), one empty
 connection set and one whole-chain span per length among its chains:
 every container a graph keeps alive is one more the cyclic collector
 counts towards its next collection.
@@ -30,7 +28,7 @@ counts towards its next collection.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from nego.dsl import Initialization, MethodRef, SoftwareModel, TaskStep, Thread, TimeActivation
 from nego.model import Configuration, QualId, qual_str
@@ -66,28 +64,9 @@ class EventModel(NamedTuple):
         return -(-(window + self.jitter) // self.period)
 
 
-class TaskNode(NamedTuple):
-    task_id: QualId  # (component, task)
-    wcet: int
-    bcet: int
-    resource_type: str
-    thread: QualId
-
-    @property
-    def component(self) -> str:
-        return self.task_id[0]
-
-    @property
-    def task(self) -> str:
-        return self.task_id[1]
-
-    def __str__(self) -> str:
-        return f"{self.component}.{self.task}({self.wcet}/{self.bcet})"
-
-
 class LatencyReq(NamedTuple):
     bound: int
-    span: tuple[int, int]  # node index range [start, stop)
+    span: tuple[int, int]  # task position range [start, stop)
     owner: str  # component that stated the requirement
     target: str  # display text of the requirement target
 
@@ -96,19 +75,19 @@ class LatencyReq(NamedTuple):
 
 
 class Chain(NamedTuple):
-    """One chain of one mode.  `nodes` are its tasks in execution order, and
-    four columns index them by position: `task_ids`, `threads` and `wcets`
-    hold each node's (component, task), owning thread and WCET, and
-    `prefix[i]` the summed WCET of `nodes[:i]`, so `prefix` has one entry
-    more than `nodes`.  `build_task_graph` fills the columns as it unfolds
-    the chain; a chain built by hand gets them from `Chain.of`."""
+    """One chain of one mode.  Its tasks, in execution order, are five
+    columns indexed by position: `task_ids`, `threads`, `wcets` and `bcets`
+    hold each task's (component, task), owning thread, WCET and BCET, and
+    `prefix[i]` the summed WCET of the first i tasks, so `prefix` has one
+    entry more than the others.  `build_task_graph` fills the columns as it
+    unfolds the chain; a chain built by hand gets them from `Chain.of`."""
 
     root: QualId
     mode: str
-    nodes: tuple[TaskNode, ...]
     task_ids: tuple[QualId, ...]
     threads: tuple[QualId, ...]
     wcets: tuple[int, ...]
+    bcets: tuple[int, ...]
     prefix: tuple[int, ...]
     event: EventModel | None  # None: released once (initialization chains)
     requirements: tuple[LatencyReq, ...] = ()
@@ -120,51 +99,30 @@ class Chain(NamedTuple):
         cls,
         root: QualId,
         mode: str,
-        nodes: Sequence[TaskNode],
+        tasks: Iterable[tuple[QualId, QualId, int, int]],
         event: EventModel | None,
         requirements: tuple[LatencyReq, ...] = (),
         triggered_by: tuple[QualId, int] | None = None,
         connections_used: frozenset[tuple[str, str, str]] = frozenset(),
     ) -> Chain:
-        """The chain of these nodes, with its columns derived from them."""
-        wcets = tuple(n.wcet for n in nodes)
+        """The chain of these (task id, thread, wcet, bcet) rows, with its
+        WCET prefix sum derived from them."""
+        task_ids, threads, wcets, bcets = tuple(zip(*tasks)) or ((), (), (), ())
+        prefix = tuple(accumulate(wcets, initial=0))
         return cls(
-            root,
-            mode,
-            tuple(nodes),
-            tuple(n.task_id for n in nodes),
-            tuple(n.thread for n in nodes),
-            wcets,
-            tuple(accumulate(wcets, initial=0)),
-            event,
-            requirements,
-            triggered_by,
-            connections_used,
+            root, mode, task_ids, threads, wcets, bcets, prefix, event, requirements, triggered_by, connections_used
         )
-
-    def span_nodes(self, span: tuple[int, int]) -> tuple[TaskNode, ...]:
-        return self.nodes[span[0] : span[1]]
 
 
 class TaskGraph(NamedTuple):
     mode: str
     chains: tuple[Chain, ...]
 
-    def tasks(self) -> Iterator[TaskNode]:
-        for chain in self.chains:
-            yield from chain.nodes
-
     def chain(self, root: QualId) -> Chain:
         for c in self.chains:
             if c.root == root:
                 return c
         raise KeyError(qual_str(root))
-
-
-def total_wcet(chain: Chain, span: tuple[int, int] | None = None) -> int:
-    if span is None:
-        return chain.prefix[-1]
-    return chain.prefix[span[1]] - chain.prefix[span[0]]
 
 
 # Per timing target: (bound, owning component, display text) of each
@@ -192,15 +150,15 @@ def _timing_targets(software: SoftwareModel, cfg: Configuration) -> tuple[_Targe
 # requirement targets
 _Spans = list[tuple[tuple[int, int], list[tuple[int, str, str]]]]
 
-# One chain as `_unfold_steps` unfolds it: its nodes and their columns, as
-# `Chain` holds them (nodes, task ids, threads, WCETs, WCET prefix sum),
-# the requirements on its inlined threads and calls, its SIGNAL forks as
-# (provider, entry thread, caller component, ref, node position), and the
-# connections it routes through.
+# One chain as `_unfold_steps` unfolds it: its columns, as `Chain` holds
+# them (task ids, threads, WCETs, BCETs, WCET prefix sum), the requirements
+# on its inlined threads and calls, its SIGNAL forks as (provider, entry
+# thread, caller component, ref, task position), and the connections it
+# routes through.
 _Unfolding = tuple[
-    list[TaskNode],
     list[QualId],
     list[QualId],
+    list[int],
     list[int],
     list[int],
     _Spans,
@@ -219,16 +177,16 @@ def _unfold_steps(
     chain_root: QualId,
 ) -> _Unfolding:
     """Unfold the thread's steps, splicing each RPC callee's entry thread in
-    place, and fill the chain's columns as each node is appended.
+    place, and fill the chain's columns as each task is appended.
     Iterative, one frame per call level, so the depth of an RPC chain is
     bounded by memory rather than the interpreter stack."""
     out: _Unfolding = ([], [], [], [], [0], [], [], set(seed_conns))
-    nodes, task_ids, threads, wcets, prefix, spans, forks, connections = out
+    task_ids, threads, wcets, bcets, prefix, spans, forks, connections = out
     thread_targets, method_targets = targets
     routes, contracts = cfg.routes, software.contracts
     total = 0
     # Per thread on the call path: (component, thread id, its remaining
-    # steps, the RPC that entered it, the node position where that call began).
+    # steps, the RPC that entered it, the task position where that call began).
     frames: list[tuple[str, QualId, Iterator, MethodRef | None, int]] = [
         (component, chain_root, iter(thread.steps), None, 0)
     ]
@@ -237,11 +195,11 @@ def _unfold_steps(
         component, thread_id, steps, _, _ = frames[-1]
         for step in steps:
             if isinstance(step, TaskStep):
-                task_id, wcet = (component, step.name), step.wcet
-                nodes.append(TaskNode(task_id, wcet, step.bcet, step.resource_type, thread_id))
-                task_ids.append(task_id)
+                wcet = step.wcet
+                task_ids.append((component, step.name))
                 threads.append(thread_id)
                 wcets.append(wcet)
+                bcets.append(step.bcet)
                 total += wcet
                 prefix.append(total)
                 continue
@@ -260,13 +218,13 @@ def _unfold_steps(
                     f" for {ref.service}.{ref.method}"
                 )
             if step.kind == "SIGNAL":
-                forks.append((provider, entry, component, ref, len(nodes)))
+                forks.append((provider, entry, component, ref, len(task_ids)))
                 continue
             if provider in on_path:
                 cycle = " -> ".join([f[0] for f in frames] + [provider])
                 raise CycleError(f"chain {qual_str(chain_root)}: call cycle {cycle}")
             on_path.add(provider)
-            frames.append((provider, (provider, entry.name), iter(entry.steps), ref, len(nodes)))
+            frames.append((provider, (provider, entry.name), iter(entry.steps), ref, len(task_ids)))
             break
         else:
             _, _, _, ref, start = frames.pop()
@@ -274,11 +232,11 @@ def _unfold_steps(
             if frames:
                 rows = thread_targets.get(thread_id)
                 if rows:
-                    spans.append(((start, len(nodes)), rows))
+                    spans.append(((start, len(task_ids)), rows))
                 if method_targets:
                     rows = method_targets.get((frames[-1][0], ref.service, ref.method))
                     if rows:
-                        spans.append(((start, len(nodes)), rows))
+                        spans.append(((start, len(task_ids)), rows))
     return out
 
 
@@ -351,10 +309,10 @@ def build_task_graph(software: SoftwareModel, cfg: Configuration, mode: str) -> 
         if root in seen_roots:
             raise StructuralError(f"thread {qual_str(root)} activated by more than one chain")
         seen_roots.add(root)
-        nodes, task_ids, threads, wcets, prefix, spans, forks, connections = _unfold_steps(
+        task_ids, threads, wcets, bcets, prefix, spans, forks, connections = _unfold_steps(
             software, cfg, targets, comp, thread, seed_conns, root
         )
-        if event is not None and not nodes:
+        if event is not None and not task_ids:
             raise StructuralError(f"chain {qual_str(root)}: periodic chain unfolds to no tasks")
         for task in task_ids:
             prior = seen_tasks.get(task)
@@ -364,19 +322,19 @@ def build_task_graph(software: SoftwareModel, cfg: Configuration, mode: str) -> 
                     f" and chain {qual_str(root)} in {mode} mode"
                 )
             seen_tasks[task] = root
-        whole = wholes.get(len(nodes))
+        whole = wholes.get(len(task_ids))
         if whole is None:
-            whole = wholes[len(nodes)] = (0, len(nodes))
+            whole = wholes[len(task_ids)] = (0, len(task_ids))
         reqs = _attach_requirements(targets, root, whole, spans, trigger)
         used = frozenset(connections) if connections else _NO_CONNECTIONS
         chains.append(
             Chain(
                 root,
                 mode,
-                tuple(nodes),
                 tuple(task_ids),
                 tuple(threads),
                 tuple(wcets),
+                tuple(bcets),
                 tuple(prefix),
                 event,
                 reqs,
@@ -391,20 +349,21 @@ def build_task_graph(software: SoftwareModel, cfg: Configuration, mode: str) -> 
     return TaskGraph(mode, tuple(chains))
 
 
-def render_chain(chain: Chain) -> str:
-    if chain.event is None:
-        period, jitter = "-", "-"
-    else:
-        period, jitter = str(chain.event.period), str(chain.event.jitter)
-    body = " -> ".join(str(n) for n in chain.nodes) if chain.nodes else "(empty)"
-    return f"chain {qual_str(chain.root)} mode={chain.mode} period={period} jitter={jitter}: {body}"
-
-
 def render_graph(graph: TaskGraph) -> str:
+    """One line per chain, its tasks as `C.t(wcet/bcet)`, and one line per
+    requirement with the tasks its span covers."""
     out = []
     for chain in graph.chains:
-        out.append(render_chain(chain))
+        if chain.event is None:
+            period, jitter = "-", "-"
+        else:
+            period, jitter = str(chain.event.period), str(chain.event.jitter)
+        tasks = [
+            f"{qual_str(task)}({wcet}/{bcet})" for task, wcet, bcet in zip(chain.task_ids, chain.wcets, chain.bcets)
+        ]
+        body = " -> ".join(tasks) if tasks else "(empty)"
+        out.append(f"chain {qual_str(chain.root)} mode={chain.mode} period={period} jitter={jitter}: {body}")
         for req in chain.requirements:
-            covered = ", ".join(str(n) for n in chain.span_nodes(req.span))
-            out.append(f"  {req} over [{covered}]")
+            start, stop = req.span
+            out.append(f"  {req} over [{', '.join(tasks[start:stop])}]")
     return "\n".join(out) + "\n" if out else ""

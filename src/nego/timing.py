@@ -12,8 +12,8 @@ once per partial (the graph of one mode, the partial's mapping and the
 platform) and shared by every priority order tried there: it holds the
 utilization and the overload verdict, the iteration cap, each reported
 span's WCET, resources and threads, and per resource and event model the
-summed WCET of each thread's tasks there.  The context reads the chains'
-columns (`taskgraph.Chain`), not their nodes: utilization and the cap sum
+summed WCET of each thread's tasks there.  Every reader takes a chain's
+tasks from its columns (`taskgraph.Chain`): utilization and the cap sum
 the WCET column and its prefix sum, a span's WCET is two prefix-sum
 lookups, and a chain with one thread on one resource adds one entry to
 its group and shares one thread tuple and one resource tuple among its
@@ -51,7 +51,7 @@ from nego.constraints import (
     sort_constraints,
 )
 from nego.model import Configuration, PlatformModel, QualId, qual_str
-from nego.taskgraph import Chain, EventModel, TaskGraph, TaskNode
+from nego.taskgraph import Chain, EventModel, TaskGraph
 
 BUSY_WINDOW = "busy-window"
 SINGLE_BLOCKING = "single-blocking"
@@ -100,29 +100,29 @@ def _iteration_cap(graph: TaskGraph) -> int:
 
 def _interferers(
     chain: Chain,
-    range_nodes: Sequence[TaskNode],
+    span: tuple[int, int],
     graph: TaskGraph,
     mapping: Mapping[QualId, str],
     ranks: Mapping[QualId, int],
-) -> list[tuple[Chain, list[TaskNode]]]:
-    """Per other chain, the tasks that can preempt the range: mapped onto one
-    of the range's resources and owned by a thread that outranks the range's
-    lowest-priority thread.  It keeps the nodes, which the feedback reads,
-    so it reads their fields rather than the columns: a zip of columns per
-    chain costs more than it saves on short chains."""
-    resources = {mapping[n.task_id] for n in range_nodes}
-    floor = max(ranks[n.thread] for n in range_nodes)
-    out: list[tuple[Chain, list[TaskNode]]] = []
+) -> list[tuple[Chain, list[int]]]:
+    """Per other chain, the positions of its tasks that can preempt the
+    chain's span: mapped onto one of the span's resources and owned by a
+    thread that outranks the span's lowest-priority thread.  Positions, not
+    (task, thread, WCET) rows: on a graph of one-task chains, building a
+    row per interfering task costs about a quarter more."""
+    start, stop = span
+    resources = {mapping[task] for task in chain.task_ids[start:stop]}
+    floor = max(ranks[thread] for thread in chain.threads[start:stop])
+    out: list[tuple[Chain, list[int]]] = []
     for other in graph.chains:
         if other.root == chain.root:
             continue
-        tasks = [
-            n
-            for n in other.nodes
-            if mapping[n.task_id] in resources and ranks[n.thread] < floor
+        task_ids = other.task_ids
+        positions = [
+            i for i, thread in enumerate(other.threads) if mapping[task_ids[i]] in resources and ranks[thread] < floor
         ]
-        if tasks:
-            out.append((other, tasks))
+        if positions:
+            out.append((other, positions))
     return out
 
 
@@ -180,16 +180,14 @@ def chain_latency_bound(
     every span of a graph, reads grouped demand from a `TimingContext`."""
     if model not in MODELS:
         raise ValueError(f"unknown interference model {model!r}")
-    range_nodes = chain.span_nodes(span)
-    if not range_nodes:
+    start, stop = span
+    if start == stop:
         return 0
-    own = chain.prefix[span[1]] - chain.prefix[span[0]]
-    interferers = _interferers(chain, range_nodes, graph, cfg.mapping, ranks)
+    own = chain.prefix[stop] - chain.prefix[start]
+    interferers = _interferers(chain, span, graph, cfg.mapping, ranks)
     if model == SINGLE_BLOCKING:
-        return own + sum(n.wcet for _, tasks in interferers for n in tasks)
-    interference = [
-        (other.event, sum(n.wcet for n in tasks)) for other, tasks in interferers
-    ]
+        return own + sum(other.wcets[i] for other, positions in interferers for i in positions)
+    interference = [(other.event, sum(other.wcets[i] for i in positions)) for other, positions in interferers]
     return _busy_window(chain.event, own, interference, _iteration_cap(graph))
 
 
@@ -199,17 +197,13 @@ class _Span(NamedTuple):
     chain: Chain
     bound: int | None  # required bound; None when the chain states none
     target: str
-    span: tuple[int, int]  # node index range [start, stop) in the chain
-    own: int  # summed WCET of the nodes
-    resources: tuple[str, ...]  # where the nodes are mapped
-    threads: tuple[QualId, ...]  # that own the nodes
+    span: tuple[int, int]  # task position range [start, stop) in the chain
+    own: int  # summed WCET of the tasks
+    resources: tuple[str, ...]  # where the tasks are mapped
+    threads: tuple[QualId, ...]  # that own the tasks
     # (thread, WCET) of the chain's tasks on `resources`; empty when the
     # chain has one thread, whose tasks never outrank the span
     same_chain: tuple[tuple[QualId, int], ...]
-
-    @property
-    def nodes(self) -> tuple[TaskNode, ...]:
-        return self.chain.span_nodes(self.span)
 
 
 class TimingContext:
@@ -352,42 +346,42 @@ def _overload_forbid(context: TimingContext, resource: str) -> ForbidConjunction
     literals: set[Literal] = set()
     mapping = context.mapping
     for chain in context.graph.chains:
-        on_resource = [n for n in chain.nodes if mapping[n.task_id] == resource]
+        on_resource = [task for task in chain.task_ids if mapping[task] == resource]
         if not on_resource:
             continue
         literals.update(ConnLit(*edge) for edge in chain.connections_used)
-        literals.update(MapLit(*n.task_id, resource) for n in on_resource)
+        literals.update(MapLit(*task, resource) for task in on_resource)
     return ForbidConjunction(frozenset(literals))
 
 
 def _latency_feedback(
     context: TimingContext,
     span: _Span,
-    interferers: Sequence[tuple[Chain, list[TaskNode]]],
+    interferers: Sequence[tuple[Chain, list[int]]],
     ranks: Mapping[QualId, int],
 ) -> list[Constraint]:
     mapping = context.mapping
+    start, stop = span.span
     literals: set[Literal] = {ConnLit(*edge) for edge in span.chain.connections_used}
-    literals.update(MapLit(*n.task_id, mapping[n.task_id]) for n in span.nodes)
+    literals.update(MapLit(*task, mapping[task]) for task in span.chain.task_ids[start:stop])
     if span.own > span.bound or not interferers:
         # No demotion can help: the range alone exceeds the bound, or
         # nothing preempts it.
         return [ForbidConjunction(frozenset(literals))]
-    for other, tasks in interferers:
+    for other, positions in interferers:
         literals.update(ConnLit(*edge) for edge in other.connections_used)
-        literals.update(MapLit(*n.task_id, mapping[n.task_id]) for n in tasks)
+        for task in map(other.task_ids.__getitem__, positions):
+            literals.add(MapLit(*task, mapping[task]))
     nogood_context = frozenset(literals)
     floor_thread = max(span.threads, key=lambda t: ranks[t])
-    interfering_threads = sorted({n.thread for _, tasks in interferers for n in tasks})
+    interfering_threads = sorted({other.threads[i] for other, positions in interferers for i in positions})
     out: list[Constraint] = [
         PriorityNogood(nogood_context, frozenset((t, floor_thread) for t in interfering_threads))
     ]
     # A single interferer too big for the slack can never sit above any range
     # thread; emit one demotion nogood per (big task, range thread) pair.
     slack = span.bound - span.own
-    big = sorted(
-        {n.thread for _, tasks in interferers for n in tasks if n.wcet > slack}
-    )
+    big = sorted({other.threads[i] for other, positions in interferers for i in positions if other.wcets[i] > slack})
     for thread in big:
         for below in sorted(span.threads):
             out.append(PriorityNogood(nogood_context, frozenset({(thread, below)})))
@@ -423,7 +417,7 @@ def check_timing(context: TimingContext, cfg: Configuration, model: str) -> Timi
             passed = computed is not None and computed <= span.bound
         verdicts.append(TimingVerdict(span.target, span.bound, computed, passed, model))
         if not passed:
-            interferers = _interferers(span.chain, span.nodes, context.graph, context.mapping, ranks)
+            interferers = _interferers(span.chain, span.span, context.graph, context.mapping, ranks)
             for c in _latency_feedback(context, span, interferers, ranks):
                 constraints[c] = None
     return TimingReport(model, context.utilization, tuple(verdicts), tuple(sort_constraints(constraints)))

@@ -18,10 +18,11 @@ demand, which `timing.utilization` must sum to over a graph.
 `reference_check_control_flow` indexes every routed call site of every
 selected thread, whether or not a rule names its method, for the
 rules-first `check_control_flow`.
-`reference_requirements` unfolds each chain recursively, records the span
-of every inlined call and callee thread, and only then looks up the
-requirements on them, for `build_task_graph`, which keeps only the spans
-a requirement targets.
+`reference_chains` unfolds each chain recursively, records its tasks as
+(task id, thread, wcet, bcet) rows and the span of every inlined call and
+callee thread, and only then looks up the requirements on them, for
+`build_task_graph`, which fills a chain's columns in one loop and keeps
+only the spans a requirement targets.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def partials(software, platform):
         connections = frozenset((c, s, p) for (c, s), p in conns.items())
         types = _task_types(software, selected)
         tasks = sorted(types)
-        pools = [[r.name for r in platform.by_type(types[t])] for t in tasks]
+        pools = [[r.name for r in platform.resources if r.rtype == types[t]] for t in tasks]
         for combo in itertools.product(*pools):
             yield Configuration(selected, connections, dict(zip(tasks, combo)), ())
 
@@ -121,7 +122,7 @@ def _completions(system: SystemModel, base: Configuration):
     mapping, each priority permutation."""
     types = _task_types(system.software, base.selected)
     tasks = sorted(types)
-    options = [[r.name for r in system.platform.by_type(types[t])] for t in tasks]
+    options = [[r.name for r in system.platform.resources if r.rtype == types[t]] for t in tasks]
     threads = sorted((c, th.name) for c in base.selected for th in system.software.contracts[c].threads)
     for combo in itertools.product(*options):
         mapping = dict(zip(tasks, combo))
@@ -173,15 +174,17 @@ def chain_utilization(chain, cfg) -> dict[str, Fraction]:
     if chain.event is None:
         return {}
     demand: dict[str, int] = {}
-    for node in chain.nodes:
-        resource = cfg.mapping[node.task_id]
-        demand[resource] = demand.get(resource, 0) + node.wcet
+    for task, wcet in zip(chain.task_ids, chain.wcets):
+        resource = cfg.mapping[task]
+        demand[resource] = demand.get(resource, 0) + wcet
     return {r: Fraction(w, chain.event.period) for r, w in demand.items()}
 
 
-def reference_requirements(software, cfg, mode):
-    """Each chain's requirements, by chain root, in the order of
-    `Chain.requirements`, for a configuration whose graph builds."""
+def reference_chains(software, cfg, mode):
+    """Each chain's tasks, as (task id, thread, wcet, bcet) rows in
+    execution order, and its requirements, in the order of
+    `Chain.requirements`, by chain root, for a configuration whose graph
+    builds."""
     wanted = {}  # ("thread", (component, thread)) or ("call", (caller, service, method)) -> rows
     for comp in cfg.selected:
         for timing in software.contracts[comp].timings:
@@ -191,12 +194,12 @@ def reference_requirements(software, cfg, mode):
                 key = ("call", (comp, timing.target.service, timing.target.method))
             wanted.setdefault(key, []).append((timing.bound, comp, timing.target_str()))
 
-    def unfold(comp, thread, start, spans, forks):
-        """The position after the thread's nodes, which begin at `start`."""
-        position = start
+    def unfold(comp, thread, tasks, spans, forks):
+        """Append the thread's tasks to its chain's `tasks`, each RPC
+        callee's in place."""
         for step in thread.steps:
             if isinstance(step, TaskStep):
-                position += 1
+                tasks.append(((comp, step.name), (comp, thread.name), step.wcet, step.bcet))
                 continue
             call = (comp, step.ref.service, step.ref.method)
             provider = cfg.provider_of(comp, step.ref.service)
@@ -204,10 +207,10 @@ def reference_requirements(software, cfg, mode):
             if step.kind == "SIGNAL":
                 forks.append((provider, entry, call))
                 continue
-            stop = unfold(provider, entry, position, spans, forks)
-            spans += [(("thread", (provider, entry.name)), (position, stop)), (("call", call), (position, stop))]
-            position = stop
-        return position
+            start = len(tasks)
+            unfold(provider, entry, tasks, spans, forks)
+            span = (start, len(tasks))
+            spans += [(("thread", (provider, entry.name)), span), (("call", call), span)]
 
     activation = TimeActivation if mode == NORMAL else Initialization
     pending = [
@@ -219,13 +222,14 @@ def reference_requirements(software, cfg, mode):
     out = {}
     while pending:
         comp, thread, trigger = pending.pop(0)
-        spans, forks = [], []
-        whole = (0, unfold(comp, thread, 0, spans, forks))
+        tasks, spans, forks = [], [], []
+        unfold(comp, thread, tasks, spans, forks)
+        whole = (0, len(tasks))
         spans.append((("thread", (comp, thread.name)), whole))
         if trigger is not None:
             spans.append((("call", trigger), whole))
         reqs = [LatencyReq(bound, span, owner, target) for key, span in spans for bound, owner, target in wanted.get(key, ())]
-        out[(comp, thread.name)] = tuple(sorted(reqs, key=lambda r: (r.span, r.bound, r.owner, r.target)))
+        out[(comp, thread.name)] = tasks, tuple(sorted(reqs, key=lambda r: (r.span, r.bound, r.owner, r.target)))
         pending += forks
     return out
 
@@ -305,17 +309,17 @@ def _releases(chain, offset, draws, horizon):
 
 
 def _spans(chain):
-    return sorted({(0, len(chain.nodes))} | {req.span for req in chain.requirements})
+    return sorted({(0, len(chain.task_ids))} | {req.span for req in chain.requirements})
 
 
 def reference_simulate(graph, cfg, scenario):
     """Unit-step reference for `sim.simulate`: `(latencies, partial)`.
 
     At each time unit every resource runs, for one unit, the released,
-    unfinished job with the smallest (rank of its current node's thread,
+    unfinished job with the smallest (rank of its current task's thread,
     release, chain index, activation) key.  A chain forked by a SIGNAL has
     no releases of its own: its activation k is released when activation k
-    of its trigger completes the node before the fork position, or, at
+    of its trigger completes the task before the fork position, or, at
     position 0, when that activation is released.  A task whose wcet is
     below 1 is refused, as `sim` refuses it: its job would never finish.
     So is, naming its chain, a scenario without one offset and one draw
@@ -323,9 +327,9 @@ def reference_simulate(graph, cfg, scenario):
     (below 0 for a one-shot chain): time here starts at 0.
     """
     for chain in graph.chains:
-        for node in chain.nodes:
-            if node.wcet < 1:
-                raise ValueError(f"task {node.component}.{node.task} has wcet {node.wcet}, below 1")
+        for (component, task), wcet in zip(chain.task_ids, chain.wcets):
+            if wcet < 1:
+                raise ValueError(f"task {component}.{task} has wcet {wcet}, below 1")
     chains = graph.chains
     for kind, values in (("offset", scenario.offsets), ("draw tuple", scenario.draws)):
         if len(values) < len(chains):
@@ -349,17 +353,17 @@ def reference_simulate(graph, cfg, scenario):
         if chain.triggered_by is not None:
             trigger, position = chain.triggered_by
             forks.setdefault(index[trigger], []).append((ci, position))
-    jobs = []  # [chain, activation, release, node index, remaining, completions]
+    jobs = []  # [chain, activation, release, task position, remaining, completions]
 
     def reach(ci, k, position, t):
-        """Activation k of chain ci has completed `position` nodes at t."""
+        """Activation k of chain ci has completed `position` tasks at t."""
         for forked, at in forks.get(ci, ()):
             if at == position:
                 activate(forked, k, t)
 
     def activate(ci, k, t):
-        nodes = graph.chains[ci].nodes
-        jobs.append([ci, k, t, 0, nodes[0].wcet if nodes else 0, []])
+        wcets = graph.chains[ci].wcets
+        jobs.append([ci, k, t, 0, wcets[0] if wcets else 0, []])
         reach(ci, k, 0, t)
 
     for ci, chain in enumerate(graph.chains):
@@ -367,15 +371,15 @@ def reference_simulate(graph, cfg, scenario):
             for k, t in enumerate(_releases(chain, scenario.offsets[ci], scenario.draws[ci], scenario.horizon)):
                 activate(ci, k, t)
     t = 0
-    while any(job[3] < len(graph.chains[job[0]].nodes) for job in jobs):
+    while any(job[3] < len(graph.chains[job[0]].task_ids) for job in jobs):
         picks = {}
         for job in jobs:
             ci, k, release, idx = job[:4]
-            nodes = graph.chains[ci].nodes
-            if release > t or idx == len(nodes):
+            chain = graph.chains[ci]
+            if release > t or idx == len(chain.task_ids):
                 continue
-            resource = cfg.mapping[nodes[idx].task_id]
-            key = (ranks[nodes[idx].thread], release, ci, k)
+            resource = cfg.mapping[chain.task_ids[idx]]
+            key = (ranks[chain.threads[idx]], release, ci, k)
             if resource not in picks or key < picks[resource][0]:
                 picks[resource] = (key, job)
         for _, job in picks.values():
@@ -383,15 +387,15 @@ def reference_simulate(graph, cfg, scenario):
             if job[4] == 0:
                 job[5].append(t + 1)
                 job[3] += 1
-                nodes = graph.chains[job[0]].nodes
-                if job[3] < len(nodes):
-                    job[4] = nodes[job[3]].wcet
+                wcets = graph.chains[job[0]].wcets
+                if job[3] < len(wcets):
+                    job[4] = wcets[job[3]]
                 reach(job[0], job[1], job[3], t + 1)
         t += 1
-    jobs = sorted((job for job in jobs if graph.chains[job[0]].nodes), key=lambda job: job[:2])
+    jobs = sorted((job for job in jobs if graph.chains[job[0]].task_ids), key=lambda job: job[:2])
     latencies = {}
     for chain in graph.chains:
-        if chain.nodes:
+        if chain.task_ids:
             for span in _spans(chain):
                 latencies[(chain.root, span)] = []
     partial = False

@@ -87,7 +87,7 @@ def test_c4_single_blocking_negotiation_accepts(system_pre, update_requests, sof
         == "timing 100 object_recognition.get(): bound=100 PASS model=single-blocking"
     )
     lane = build_task_graph(software_post, answer.config, NORMAL).chain(("L", "lane_assist"))
-    lane_threads = {node.thread for node in lane.nodes}
+    lane_threads = set(lane.threads)
     demoted_below = {
         next(iter(ng.pairs))[1]
         for ng in answer.constraints
@@ -229,6 +229,6 @@ def test_c9_om_task_never_activated_before_update(
     software_pre, software_post, current_config, cfg_accepted
 ):
     pre = build_task_graph(software_pre, current_config, NORMAL)
-    assert all(node.task_id != ("O2", "om") for node in pre.tasks())
+    assert all(("O2", "om") not in chain.task_ids for chain in pre.chains)
     post = build_task_graph(software_post, cfg_accepted, NORMAL)
-    assert sum(node.task_id == ("O2", "om") for node in post.tasks()) == 1
+    assert sum(task == ("O2", "om") for chain in post.chains for task in chain.task_ids) == 1

@@ -61,10 +61,13 @@ def test_learned_constraints_are_valid(model):
 
 def _without_interferer_maps(feedback):
     def mutant(context, span, interferers, ranks):
-        def map_lit(n):
-            return MapLit(n.component, n.task, context.mapping[n.task_id])
+        def map_lit(task):
+            return MapLit(*task, context.mapping[task])
 
-        maps = {map_lit(n) for _, tasks in interferers for n in tasks} - {map_lit(n) for n in span.nodes}
+        start, stop = span.span
+        own = span.chain.task_ids[start:stop]
+        interfering = {other.task_ids[i] for other, positions in interferers for i in positions}
+        maps = set(map(map_lit, interfering)) - set(map(map_lit, own))
         return [
             replace(c, context=c.context - maps) if isinstance(c, PriorityNogood) else c
             for c in feedback(context, span, interferers, ranks)

@@ -51,11 +51,6 @@ def test_platform_rejects_arrow_in_resource_name():
         parse_platform("resource CPU1 type CPU_type_1\nresource CPU1->x type CPU_type_1\n")
 
 
-def test_platform_by_type(platform):
-    assert platform.by_type("CPU_type_1") == (Resource("CPU1", "CPU_type_1"),)
-    assert platform.by_type("GPU") == ()
-
-
 def test_configuration_round_trip(current_config):
     assert parse_configuration(render_configuration(current_config)) == current_config
 

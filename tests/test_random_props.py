@@ -25,7 +25,7 @@ def _bounds(system, model):
     ranks = system.config.ranks()
     out = {}
     for chain in graph.chains:
-        spans = {(0, len(chain.nodes))}
+        spans = {(0, len(chain.task_ids))}
         spans.update(req.span for req in chain.requirements)
         for span in sorted(spans):
             out[(chain.root, span)] = chain_latency_bound(

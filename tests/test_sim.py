@@ -28,9 +28,7 @@ from nego.taskgraph import (
     EventModel,
     LatencyReq,
     TaskGraph,
-    TaskNode,
     build_task_graph,
-    total_wcet,
 )
 from oracles import engine_worst_observed, reference_simulate, reference_worst_observed
 from systems import random_fork_system
@@ -111,7 +109,7 @@ def test_default_horizon_is_two_hyperperiods():
 
 
 def _one_chain(event, wcet, mode=NORMAL):
-    chain = Chain.of(("A", "i"), mode, (TaskNode(("A", "a"), wcet, 1, "CPU", ("A", "i")),), event)
+    chain = Chain.of(("A", "i"), mode, ((("A", "a"), ("A", "i"), wcet, 1),), event)
     cfg = Configuration(frozenset({"A"}), frozenset(), {("A", "a"): "R1"}, (("A", "i"),))
     return TaskGraph(mode, (chain,)), cfg
 
@@ -214,14 +212,13 @@ def test_random_scenario_respects_span_work(software_post, cfg_accepted):
     for (root, span), values in result.latencies.items():
         chain = graph.chain(root)
         for value in values:
-            assert value >= total_wcet(chain, span)
+            assert value >= chain.prefix[span[1]] - chain.prefix[span[0]]
 
 
 def test_random_scenario_counts_releases_exactly():
     # (2**60 + 1) / 2**60 rounds down to 1.0 in floating point, which would
     # leave one activation inside the horizon without a jitter draw
-    node = TaskNode(("C", "t"), 1, 1, "CPU", ("C", "main"))
-    chain = Chain.of(("C", "main"), NORMAL, (node,), EventModel(2**60, 1))
+    chain = Chain.of(("C", "main"), NORMAL, ((("C", "t"), ("C", "main"), 1, 1),), EventModel(2**60, 1))
     scenario = random_scenario(TaskGraph(NORMAL, (chain,)), random.Random(0), 2**60 + 1)
     assert len(scenario.draws[0]) == 3
 
@@ -262,7 +259,7 @@ def test_simulate_matches_unit_step_reference():
 
 def _assert_matches_reference(graph, cfg, rng):
     """Untraced `simulate` equals the unit-step reference on synchronous
-    and random scenarios, and the traced run, where every node is its own
+    and random scenarios, and the traced run, where every task is its own
     segment, observes the same latencies."""
     full = default_horizon(graph)
     scenarios = [synchronous_scenario(graph, full, pattern) for pattern in ("max-first", "zero")]
@@ -295,16 +292,16 @@ def test_rpc_chains_with_method_spans_match_reference(
 def test_method_span_splits_same_thread_tasks():
     # x1, x2 and x3 share thread X.main and R1; the span [0:1] ends between
     # x1 and x2, so only x2 and x3 may run as one segment, and H preempts
-    def node(component, task, wcet, thread):
-        return TaskNode((component, task), wcet, 1, "CPU", (component, thread))
+    def task(component, name, wcet, thread):
+        return ((component, name), (component, thread), wcet, 1)
 
     x = Chain.of(
         ("X", "main"), NORMAL,
-        (node("X", "x1", 2, "main"), node("X", "x2", 3, "main"), node("X", "x3", 1, "main")),
+        (task("X", "x1", 2, "main"), task("X", "x2", 3, "main"), task("X", "x3", 1, "main")),
         EventModel(12, 2),
         (LatencyReq(4, (0, 1), "X", "s.m()"), LatencyReq(9, (0, 3), "X", "main")),
     )
-    h = Chain.of(("H", "main"), NORMAL, (node("H", "h", 3, "main"),), EventModel(6, 1))
+    h = Chain.of(("H", "main"), NORMAL, (task("H", "h", 3, "main"),), EventModel(6, 1))
     graph = TaskGraph(NORMAL, (x, h))
     cfg = Configuration(
         frozenset({"X", "H"}), frozenset(),
@@ -322,14 +319,14 @@ def test_method_span_splits_same_thread_tasks():
 
 def test_task_of_wcet_zero_is_refused():
     # X = x1 (wcet 2), x2 (wcet 0) under H, released at 2 and ranked above
-    # X: merged into x1's segment, x2 would read 2 for X where stepping node
-    # by node reads 5, and the unit-step reference would never finish it
+    # X: merged into x1's segment, x2 would read 2 for X where stepping task
+    # by task reads 5, and the unit-step reference would never finish it
     x = Chain.of(
         ("X", "main"), NORMAL,
-        (TaskNode(("X", "x1"), 2, 1, "CPU", ("X", "main")), TaskNode(("X", "x2"), 0, 0, "CPU", ("X", "main"))),
+        ((("X", "x1"), ("X", "main"), 2, 1), (("X", "x2"), ("X", "main"), 0, 0)),
         EventModel(10, 0),
     )
-    h = Chain.of(("H", "main"), NORMAL, (TaskNode(("H", "h"), 3, 1, "CPU", ("H", "main")),), EventModel(10, 0))
+    h = Chain.of(("H", "main"), NORMAL, ((("H", "h"), ("H", "main"), 3, 1),), EventModel(10, 0))
     graph = TaskGraph(NORMAL, (h, x))
     cfg = Configuration(
         frozenset({"X", "H"}), frozenset(),
@@ -486,9 +483,9 @@ def _counting_runs(monkeypatch, built=None):
 def _hand_chain(name, event, *wcets, span=None):
     """The chain of thread (name, "t"): tasks n0, n1, ... of the given
     wcets, with a requirement on `span` if given."""
-    nodes = tuple(TaskNode((name, f"{name.lower()}{i}"), wcet, 1, "CPU", (name, "t")) for i, wcet in enumerate(wcets))
+    tasks = tuple(((name, f"{name.lower()}{i}"), (name, "t"), wcet, 1) for i, wcet in enumerate(wcets))
     requirements = (LatencyReq(100, span, name, "t"),) if span else ()
-    return Chain.of((name, "t"), NORMAL, nodes, event, requirements)
+    return Chain.of((name, "t"), NORMAL, tasks, event, requirements)
 
 
 def _hand_system(chains, mapping, order):
@@ -544,8 +541,8 @@ def _with_lone_chain(jitter=3, second_thread="t"):
     the second run by `second_thread`, and a span over the second; F's
     threads rank last."""
     graph, cfg = _three_groups()
-    nodes = (TaskNode(("F", "f0"), 2, 1, "CPU", ("F", "t")), TaskNode(("F", "f1"), 2, 1, "CPU", ("F", second_thread)))
-    chain = Chain.of(("F", "t"), NORMAL, nodes, EventModel(4, jitter), (LatencyReq(100, (1, 2), "F", "t"),))
+    tasks = ((("F", "f0"), ("F", "t"), 2, 1), (("F", "f1"), ("F", second_thread), 2, 1))
+    chain = Chain.of(("F", "t"), NORMAL, tasks, EventModel(4, jitter), (LatencyReq(100, (1, 2), "F", "t"),))
     mapping = {**cfg.mapping, ("F", "f0"): "R4", ("F", "f1"): "R4"}
     threads = tuple(sorted({("F", "t"), ("F", second_thread)}))
     cfg = Configuration(cfg.selected | {"F"}, frozenset(), mapping, cfg.priorities + threads)
@@ -618,9 +615,9 @@ def _rule_4_group(variant):
     condition of rule 4 holds.  Each variant breaks one: B's second task
     on R2, or run by a second thread of B ranked last, or a span over B's
     second task alone."""
-    a = TaskNode(("A", "a0"), 1, 1, "CPU", ("A", "t"))
-    b0 = TaskNode(("B", "b0"), 1, 1, "CPU", ("B", "t"))
-    b1 = TaskNode(("B", "b1"), 2, 1, "CPU", ("B", "u" if variant == "two ranks" else "t"))
+    a = (("A", "a0"), ("A", "t"), 1, 1)
+    b0 = (("B", "b0"), ("B", "t"), 1, 1)
+    b1 = (("B", "b1"), ("B", "u" if variant == "two ranks" else "t"), 2, 1)
     span = (1, 2) if variant == "inner span" else (0, 2)
     chains = (
         Chain.of(("A", "t"), NORMAL, (a,), EventModel(4, 0)),
@@ -663,7 +660,7 @@ _RULE_4_COUNTEREXAMPLES = {
     "two ranks": (
         tuple(
             Chain.of((name, "t"), NORMAL, (
-                TaskNode((name, "a"), 1, 1, "CPU", (name, "t")), TaskNode((name, "b"), 1, 1, "CPU", (name, "s1")),
+                ((name, "a"), (name, "t"), 1, 1), ((name, "b"), (name, "s1"), 1, 1),
             ), EventModel(period, 0))
             for name, period in (("C0", 3), ("C1", 4))
         ),
@@ -766,8 +763,8 @@ def _lone_chain_after(jitter, second_thread):
     on R2: tasks f0 and f1 of wcet 1, the second run by `second_thread`,
     ranked after F's thread t."""
     g = _hand_chain("G", EventModel(4, 0), 1)
-    nodes = (TaskNode(("F", "f0"), 1, 1, "CPU", ("F", "t")), TaskNode(("F", "f1"), 1, 1, "CPU", ("F", second_thread)))
-    f = Chain.of(("F", "t"), NORMAL, nodes, EventModel(4, jitter), (LatencyReq(100, (1, 2), "F", "t"),))
+    tasks = ((("F", "f0"), ("F", "t"), 1, 1), (("F", "f1"), ("F", second_thread), 1, 1))
+    f = Chain.of(("F", "t"), NORMAL, tasks, EventModel(4, jitter), (LatencyReq(100, (1, 2), "F", "t"),))
     mapping = {("G", "g0"): "R1", ("F", "f0"): "R2", ("F", "f1"): "R2"}
     order = tuple(sorted({("G", "t"), ("F", "t"), ("F", second_thread)}, key=lambda thread: thread != ("G", "t")))
     return TaskGraph(NORMAL, (g, f)), Configuration(frozenset("GF"), frozenset(), mapping, order)
@@ -814,12 +811,12 @@ def _coprime_lone_chains(second_rank):
     run by a second thread of the component, ranked after every first one."""
     chains, mapping, order = [], {}, [(name, "t") for name in "ABC"]
     for name, period, resource in zip("ABC", (97, 101, 103), ("R1", "R2", "R3")):
-        nodes = [TaskNode((name, "x"), 2, 1, "CPU", (name, "t"))]
+        tasks = [((name, "x"), (name, "t"), 2, 1)]
         if second_rank:
-            nodes.append(TaskNode((name, "y"), 1, 1, "CPU", (name, "u")))
+            tasks.append(((name, "y"), (name, "u"), 1, 1))
             order.append((name, "u"))
-        chains.append(Chain.of((name, "t"), NORMAL, nodes, EventModel(period, 0)))
-        mapping.update({node.task_id: resource for node in nodes})
+        chains.append(Chain.of((name, "t"), NORMAL, tasks, EventModel(period, 0)))
+        mapping.update({task: resource for task, _, _, _ in tasks})
     cfg = Configuration(frozenset("ABC"), frozenset(), mapping, tuple(order))
     return TaskGraph(NORMAL, tuple(chains)), cfg
 

@@ -21,18 +21,16 @@ from nego.taskgraph import (
     INITIALIZATION,
     NORMAL,
     StructuralError,
-    TaskNode,
     build_task_graph,
     render_graph,
-    total_wcet,
 )
 from nego.timing import MODELS
 
-from oracles import assignments, reference_requirements
+from oracles import assignments, reference_chains
 
 
 def qs(chain):
-    return [f"{c}.{t}" for c, t in (n.task_id for n in chain.nodes)]
+    return [f"{c}.{t}" for c, t in chain.task_ids]
 
 
 def test_eta():
@@ -54,7 +52,7 @@ def test_pre_update_park_chain(software_pre, current_config):
     assert chain.root == ("P", "park_assist")
     assert qs(chain) == ["P.p1", "T.tc1", "O2.or2", "T.tc2", "P.p2"]
     assert chain.event.period == 200 and chain.event.jitter == 5
-    assert total_wcet(chain) == 30
+    assert chain.prefix[-1] == 30
     spans = {(r.bound, r.span, r.target) for r in chain.requirements}
     assert spans == {(150, (0, 5), "park_assist"), (100, (2, 3), "object_recognition.get()")}
     assert chain.connections_used == {
@@ -75,9 +73,9 @@ def test_pre_update_init_chain(software_pre, current_config):
 
 def test_om_task_only_after_update(software_pre, software_post, current_config, cfg_accepted):
     pre = build_task_graph(software_pre, current_config, NORMAL)
-    assert all(node.task_id != ("O2", "om") for node in pre.tasks())
+    assert all(("O2", "om") not in chain.task_ids for chain in pre.chains)
     post = build_task_graph(software_post, cfg_accepted, NORMAL)
-    hits = [node for node in post.tasks() if node.task_id == ("O2", "om")]
+    hits = [task for chain in post.chains for task in chain.task_ids if task == ("O2", "om")]
     assert len(hits) == 1
 
 
@@ -165,7 +163,7 @@ def test_deep_rpc_chain_unfolds_without_recursion():
     )
     graph = build_task_graph(software, cfg, NORMAL)
     (chain,) = graph.chains
-    assert [n.component for n in chain.nodes] == names
+    assert [component for component, _ in chain.task_ids] == names
     assert len(chain.connections_used) == 1499
 
 
@@ -300,7 +298,8 @@ def test_fork_system_rendering_is_pinned():
 
 
 # ---------------------------------------------------------------------------
-# the chains' columns and the requirements the unfolding keeps
+# the chains' columns and the requirements the unfolding keeps, against a
+# recursive unfolding
 
 
 def _corpus_configurations(corpus_dir, system_pre):
@@ -337,67 +336,63 @@ def _graphs(pairs):
                 continue
 
 
-def _assert_columns(graph):
-    for chain in graph.chains:
-        nodes = chain.nodes
-        assert chain.task_ids == tuple(n.task_id for n in nodes), chain.root
-        assert chain.threads == tuple(n.thread for n in nodes), chain.root
-        assert chain.wcets == tuple(n.wcet for n in nodes), chain.root
-        assert chain.prefix == tuple(accumulate((n.wcet for n in nodes), initial=0)), chain.root
-
-
-def test_columns_agree_with_the_nodes_on_every_corpus_graph(corpus_dir, system_pre):
-    graphs = list(_graphs(_corpus_configurations(corpus_dir, system_pre)))
-    assert len(graphs) >= 20
-    for _, _, _, graph in graphs:
-        _assert_columns(graph)
-
-
-def test_columns_agree_with_the_nodes_on_random_candidates():
-    chains = 0
-    for _, _, _, graph in _graphs(_random_candidates(200)):
-        _assert_columns(graph)
-        chains += len(graph.chains)
-    assert chains > 200
-
-
-def test_columns_agree_with_the_nodes_on_random_chain_systems():
-    for seed in range(200):
-        system = random_chain_system(random.Random(seed))
-        for mode in MODES:
-            _assert_columns(build_task_graph(system.software, system.config, mode))
-
-
-def test_a_hand_built_chain_derives_its_columns_from_its_nodes():
-    nodes = [TaskNode(("A", "a"), 2, 1, "CPU", ("A", "t")), TaskNode(("B", "b"), 3, 1, "CPU", ("B", "e"))]
-    chain = Chain.of(("A", "t"), NORMAL, nodes, EventModel(10, 0))
-    assert chain.nodes == tuple(nodes)
+def test_a_hand_built_chain_takes_its_columns_from_rows():
+    rows = [(("A", "a"), ("A", "t"), 2, 1), (("B", "b"), ("B", "e"), 3, 2)]
+    chain = Chain.of(("A", "t"), NORMAL, rows, EventModel(10, 0))
     assert chain.task_ids == (("A", "a"), ("B", "b"))
     assert chain.threads == (("A", "t"), ("B", "e"))
     assert chain.wcets == (2, 3)
+    assert chain.bcets == (1, 2)
     assert chain.prefix == (0, 2, 5)
-    assert total_wcet(chain) == 5 and total_wcet(chain, (1, 2)) == 3
+    empty = Chain.of(("A", "i"), INITIALIZATION, [], None)
+    assert (empty.task_ids, empty.threads, empty.wcets, empty.bcets, empty.prefix) == ((), (), (), (), (0,))
     with pytest.raises(TypeError):
-        Chain(("A", "t"), NORMAL, tuple(nodes), EventModel(10, 0))  # no columns, no empty default
+        Chain(("A", "t"), NORMAL, EventModel(10, 0))  # no columns, no empty default
 
 
-def _assert_requirements(software, cfg, mode, graph):
-    expected = reference_requirements(software, cfg, mode)
-    assert {chain.root: chain.requirements for chain in graph.chains} == expected, (cfg, mode)
-    return sum(map(len, expected.values()))
+def _assert_unfolding(software, cfg, mode, graph):
+    """Each chain's columns hold the tasks of `reference_chains`, its prefix
+    sum their summed WCETs, and it keeps the requirements the reference
+    finds on every unfolded span; the number of those requirements."""
+    expected = reference_chains(software, cfg, mode)
+    assert {chain.root for chain in graph.chains} == set(expected), (cfg, mode)
+    for chain in graph.chains:
+        tasks, requirements = expected[chain.root]
+        columns = tuple(zip(*tasks)) or ((), (), (), ())
+        assert (chain.task_ids, chain.threads, chain.wcets, chain.bcets) == columns, (cfg, mode, chain.root)
+        assert chain.prefix == tuple(accumulate(columns[2], initial=0)), (cfg, mode, chain.root)
+        assert chain.requirements == requirements, (cfg, mode, chain.root)
+    return sum(len(requirements) for _, requirements in expected.values())
 
 
-def test_kept_requirements_match_an_unfiltered_unfolding_on_fork_systems():
+def test_chains_match_a_recursive_unfolding_on_fork_systems():
     found = forked = 0
     for seed in range(300):
         system = systems.random_fork_system(random.Random(seed))
         for mode in MODES:
             graph = build_task_graph(system.software, system.config, mode)
-            found += _assert_requirements(system.software, system.config, mode, graph)
+            found += _assert_unfolding(system.software, system.config, mode, graph)
             forked += sum(chain.triggered_by is not None for chain in graph.chains)
     assert found > 1000 and forked > 100
 
 
-def test_kept_requirements_match_an_unfiltered_unfolding_on_corpus_and_random_graphs(corpus_dir, system_pre):
-    pairs = _corpus_configurations(corpus_dir, system_pre) + list(_random_candidates(200))
-    assert sum(_assert_requirements(*entry) for entry in _graphs(pairs)) > 100
+def test_chains_match_a_recursive_unfolding_on_corpus_and_random_graphs(corpus_dir, system_pre):
+    pairs = _corpus_configurations(corpus_dir, system_pre)
+    assert len(list(_graphs(pairs))) >= 20
+    pairs += list(_random_candidates(200))
+    chains = found = 0
+    for entry in _graphs(pairs):
+        found += _assert_unfolding(*entry)
+        chains += len(entry[3].chains)
+    assert found > 100 and chains > 200
+
+
+def test_chains_match_a_recursive_unfolding_on_random_chain_systems():
+    bcets = set()
+    for seed in range(200):
+        system = random_chain_system(random.Random(seed))
+        for mode in MODES:
+            graph = build_task_graph(system.software, system.config, mode)
+            _assert_unfolding(system.software, system.config, mode, graph)
+            bcets |= {bcet for chain in graph.chains for bcet in chain.bcets}
+    assert {1, 2, 3} <= bcets

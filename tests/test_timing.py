@@ -357,12 +357,12 @@ def _assert_paths_agree(software, cfg, platform):
         for model in MODELS:
             rows = []
             for chain in graph.chains:
-                spans = {(0, len(chain.nodes))} | {req.span for req in chain.requirements}
+                spans = {(0, len(chain.task_ids))} | {req.span for req in chain.requirements}
                 for span in sorted(spans):
                     bound = chain_latency_bound(chain, span, graph, cfg, ranks, model)
-                    interfered += bound is None or bound > sum(n.wcet for n in chain.span_nodes(span))
-                if chain.nodes:
-                    reported = [req.span for req in chain.requirements] or [(0, len(chain.nodes))]
+                    interfered += bound is None or bound > sum(chain.wcets[span[0] : span[1]])
+                if chain.task_ids:
+                    reported = [req.span for req in chain.requirements] or [(0, len(chain.task_ids))]
                     rows += [chain_latency_bound(chain, span, graph, cfg, ranks, model) for span in reported]
             report = check_timing(context, cfg, model)
             assert [v.computed for v in report.verdicts] == rows, (mode, model)
@@ -618,7 +618,7 @@ def test_utilization_is_the_per_chain_sum_on_software_systems():
         for base, graphs in _structures(system):
             types = _task_types(system.software, base.selected)
             tasks = sorted(types)
-            options = [[r.name for r in system.platform.by_type(types[t])] for t in tasks]
+            options = [[r.name for r in system.platform.resources if r.rtype == types[t]] for t in tasks]
             for combo in itertools.product(*options):
                 cfg = Configuration(base.selected, base.connections, dict(zip(tasks, combo)), ())
                 for graph in graphs:
