@@ -320,7 +320,11 @@ _COMMANDS = {
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every subcommand, or of `command` alone.  Both print the
     same usage and the same errors for a command line that names `command`."""
-    parser = argparse.ArgumentParser(prog="nego", description="contract negotiation for software updates")
+    # no parser takes a prefix of an option for the option: `bound --mode`
+    # would otherwise be read as `--model`
+    parser = argparse.ArgumentParser(
+        prog="nego", description="contract negotiation for software updates", allow_abbrev=False
+    )
     # Usage lines list every command: the full parser derives the list from its
     # subparsers, the lean one is given it.  Only the lean parser sets it, as
     # argparse names a missing command by its metavar, and a command line
@@ -330,7 +334,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for name, spec in _COMMANDS.items():
         if command not in (None, name):
             continue
-        sub = subs.add_parser(name, help=spec.help)
+        sub = subs.add_parser(name, help=spec.help, allow_abbrev=False)
         sub.add_argument("--contracts", required=True, help="directory of *.contract files")
         sub.add_argument("--services", required=True, help="service repository file")
         sub.add_argument("--platform", help="platform description file")

@@ -18,13 +18,14 @@ all run at one thread rank runs at offset 0 alone (`_sweeps_at_zero`):
 its jobs run in activation order, so none is delayed by a later one, and
 offset 0 releases every job any other offset releases.
 
-A sweep run may stop at its group's hyperperiod W, the lcm of the group's
-periods, when the group is idle there (`worst_observed`).  The engine is
-deterministic and keeps its schedule under a time shift, and the releases
-in each later window [kW, (k+1)W) are those of [0, W) shifted by kW, so a
-run idle at W repeats its first window up to a horizon that is a multiple
-of W: the idle instant behind the feasibility intervals of Leung and
-Merrill (IPL 1980).
+A zero-jitter sweep run may stop at its group's hyperperiod W, the lcm of
+the group's periods, when the group is idle there (`worst_observed`).  The
+engine is deterministic and keeps its schedule under a time shift, and the
+releases in each later window [kW, (k+1)W) are those of [0, W) shifted by
+kW, so a run idle at W repeats its first window up to a horizon that is a
+multiple of W: the idle instant behind the feasibility intervals of Leung
+and Merrill (IPL 1980).  Every stop of a run is one rule, checked at its
+idle instants (`_rejoins`).
 
 Three more rules cut a sweep's runs, all exact (`worst_observed` proves
 them): a max-first run stops where it rejoins the zero run at its offsets,
@@ -47,7 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -100,14 +101,14 @@ def synchronous_scenario(graph: TaskGraph, horizon: int, pattern: str = "max-fir
 # the patterns it runs, times the jobs its chains release in one run.  The
 # caps count this static sweep, an upper bound on what the sweep does:
 # every job released before the horizon, though a run that stops at its
-# group's hyperperiod or at an idle instant builds fewer, and every run of
-# it, though rules 2 and 4 of `worst_observed` skip some.
+# group's hyperperiod or at an idle instant releases, and so builds, fewer,
+# and every run of it, though rules 2 and 4 of `worst_observed` skip some.
 MAX_JOBS = 100_000
 MAX_GRID = 10_000
 MAX_SWEEP_JOBS = 1_000_000
 
 
-def _check_run(graph: TaskGraph, horizon: int) -> int:
+def _check_run(graph: TaskGraph, horizon: int) -> None:
     """The most jobs a run over `horizon` releases: a periodic chain at
     most ceil(horizon / period), a one-shot chain one.  A horizon below 1,
     or more than MAX_JOBS jobs, is refused."""
@@ -118,7 +119,6 @@ def _check_run(graph: TaskGraph, horizon: int) -> int:
         raise ValueError(
             f"a run over horizon {horizon} releases up to {jobs} jobs, more than the cap of {MAX_JOBS}"
         )
-    return jobs
 
 
 def random_scenario(graph: TaskGraph, rng, horizon: int) -> ReleaseScenario:
@@ -254,7 +254,6 @@ def _groups(graph: TaskGraph, chains: list) -> list[list]:
 # The first four fields are unique per job, so comparison never goes past
 # them.
 _RANK, _RELEASE, _CHAIN, _ACTIVATION, _REMAINING, _SEGMENTS, _DONE = range(7)
-_BY_RELEASE = itemgetter(_RELEASE)
 
 
 def _run(
@@ -265,91 +264,77 @@ def _run(
     chains: list,
     maxima: list[int] | None = None,
     lines: list[str] | None = None,
-    window: int = 0,
     idle: list[int] | None = None,
-    rejoin: tuple[list[int] | None, int, int] | None = None,
+    until: tuple[list[int] | None, int, int] | None = None,
 ) -> list[list]:
     """Schedule every job of `chains`, entries of `plan.chains`, released
-    before `horizon` to completion.
+    before `horizon` to completion, or until the stop `until`.
 
-    Each resource keeps a heap of its ready jobs; the top of each heap runs.
-    Time jumps to the next release or the soonest completion of a top.
-    Returns the jobs it built, in (chain, activation) order unless it went
-    on past `window`; with `maxima`, indexed like `plan.keys`, raises each
-    span's entry to a job's latency there as the job completes its last
-    segment; with `lines`, appends the release, dispatch, preempt and
-    complete trace lines to it.  Callers check the horizon with
-    `_check_run` first, and pass offsets and draws that `_check_scenario`
-    accepts.
-
-    With `window`, W, which `worst_observed` alone passes, the run first
-    builds the jobs of the activations released before W.  When the time
-    reaches W, after the completions at W and before the releases at W, it
-    returns if every heap is empty and it follows no other run; otherwise
-    it builds the later jobs, appends them to the returned ones and goes on
-    as without W.  The caller promises that every chain of `chains` is
-    periodic with offset below its period, that W is a multiple of every
-    period and `horizon` a multiple of W above W, and that only activations
-    released before W have draws, which keep them before W.
+    One heap, the job source, holds every drawn activation and each
+    periodic chain's next undrawn one, keyed (release, chain, activation);
+    releasing an undrawn activation puts the chain's next one in it, so a
+    run builds exactly the jobs it releases.  Each resource keeps a heap of
+    its ready jobs; the top of each heap runs.  Time jumps to the next
+    release or the soonest completion of a top.  Returns the jobs it
+    released, in release order, ties by (chain, activation); with `maxima`,
+    indexed like `plan.keys`, raises each span's entry to a job's latency
+    there as the job completes its last segment; with `lines`, appends the
+    dispatch, preempt and complete trace lines to it.  Callers check the
+    horizon with `_check_run` first, and pass offsets and draws that
+    `_check_scenario` accepts.
 
     The run is idle from each instant at which a job leaves it and every
-    heap is empty up to its next release (W, while the later jobs are not
-    built).  With `idle`, it appends [0, first release] and each such
-    interval to it, as start and end; the last one ends at W exactly when
-    it stopped at W.  With `rejoin`, (idle, period, after), the run returns
-    at the first of its idle instants it checks that comes after `after`,
-    its last drawn release, and at which the run it follows, whose idle
-    intervals are `idle`, is idle too (`_rejoins`); with `idle` None, it
-    follows no run.  `worst_observed` says why both stops are exact.
+    heap is empty up to its next release (infinity once none is left).
+    With `idle`, it appends [0, first release] and each such interval to
+    it, as start and end.  With `until`, (idle, period, after), the run
+    returns at the first of its idle instants that comes after `after` and
+    at which the run it follows, whose idle intervals are `idle`, is idle
+    too (`_rejoins`); with `idle` None, it follows no run.  Every job it
+    returns has completed.  `worst_observed` says why each stop it passes
+    is exact.
     """
     jobs: list[list] = []
-    work = 0
-    for ci, event, segments, total in chains:
-        offset = offsets[ci]
-        chain_draws = draws[ci]
+    # (release, chain index, activation, segments, the period of an undrawn
+    # activation or 0)
+    source = []
+    for ci, event, segments, _ in chains:
+        offset, chain_draws = offsets[ci], draws[ci]
         if event is None:
-            releases = [offset + (chain_draws[0] if chain_draws else 0)]
-        else:
-            releases = list(range(offset, window or horizon, event.period))
-            if chain_draws:
-                for k, draw in enumerate(chain_draws[: len(releases)]):
-                    releases[k] += draw
-        _, rank, wcet = segments[0]
-        for k, release in enumerate(releases):
-            jobs.append([rank, release, ci, k, wcet, segments, [release]])
-        work += len(releases) * total
-    if not jobs:
+            source.append((offset + (chain_draws[0] if chain_draws else 0), ci, 0, segments, 0))
+            continue
+        period = event.period
+        count = len(range(offset, horizon, period))  # activations before the horizon
+        for k, draw in enumerate(chain_draws[:count]):
+            source.append((offset + k * period + draw, ci, k, segments, 0))
+        k = len(chain_draws)
+        if k < count:
+            source.append((offset + k * period, ci, k, segments, period))
+    if not source:
         return jobs
-    pending = sorted(jobs, key=_BY_RELEASE)  # stable: ties keep (chain, activation)
-    if window:
-        # the time stops at W once every earlier release is pushed, and the
-        # run cannot end before W is handled
-        edge, never = window, -1
-    else:
-        # Whenever a job is unfinished, the top of its resource's heap runs,
-        # so every job completes by the last release plus all work: `never`
-        # is later than any event.
-        edge = never = pending[-1][_RELEASE] + work + 1
+    source.append((math.inf,))  # the end: later than any release
+    heapify(source)
 
     heaps: list[list[list]] = [[] for _ in plan.resources]
     rows = plan.rows
     if lines is not None:
-        roots, tasks = plan.roots, plan.tasks
-        for job in pending:
-            lines.append(f"t={job[_RELEASE]} release {roots[job[_CHAIN]]}#{job[_ACTIVATION]}")
+        tasks = plan.tasks
         running: list[list | None] = [None] * len(heaps)
 
-    count = len(pending)
-    i = 0
-    t = upcoming = pending[0][_RELEASE]  # the next release not yet pushed
+    t = upcoming = source[0][0]  # the next release not yet pushed
     if idle is not None:
         idle += (0, t)
     while True:
         while upcoming <= t:
-            job = pending[i]
-            heappush(heaps[job[_SEGMENTS][0][0]], job)
-            i += 1
-            upcoming = pending[i][_RELEASE] if i < count else edge
+            release, ci, k, segments, period = source[0]
+            if period and release + period < horizon:  # an undrawn activation: its chain's next one
+                heapreplace(source, (release + period, ci, k + 1, segments, period))
+            else:
+                heappop(source)
+            resource, rank, wcet = segments[0]
+            job = [rank, release, ci, k, wcet, segments, [release]]
+            jobs.append(job)
+            heappush(heaps[resource], job)
+            upcoming = source[0][0]
         if lines is not None:
             # a job leaves a heap only by finishing its segment, here one
             # task, which clears `running`, so a new top over a running job
@@ -370,8 +355,8 @@ def _run(
                 end = t + heap[0][_REMAINING]
                 if end < nxt:
                     nxt = end
-        if nxt == never:
-            break
+        if nxt == math.inf:
+            return jobs
 
         # Pop every finished top before any job moves on: a job whose next
         # segment is on a resource whose top finished at this instant must
@@ -410,26 +395,9 @@ def _run(
         if gone and not any(heaps):  # idle from t up to the next release
             if idle is not None:
                 idle += (t, upcoming)
-            elif rejoin is not None and _rejoins(rejoin, t, upcoming):
+            # no instant of the span comes after `after` unless `upcoming` does
+            if until is not None and until[2] < upcoming and _rejoins(until, t, upcoming):
                 return jobs
-        if t == window:  # only once: `window` is then 0, and t is above 0
-            if rejoin is None and not any(heaps):
-                return jobs
-            later: list[list] = []
-            for ci, event, segments, total in chains:
-                first = window // event.period  # the activations before W
-                releases = range(offsets[ci] + first * event.period, horizon, event.period)
-                _, rank, wcet = segments[0]
-                for k, release in enumerate(releases, first):
-                    later.append([rank, release, ci, k, wcet, segments, [release]])
-                work += len(releases) * total
-            jobs += later
-            pending += sorted(later, key=_BY_RELEASE)  # every one at or after W
-            count = len(pending)
-            upcoming = pending[i][_RELEASE]
-            edge = never = pending[-1][_RELEASE] + work + 1
-            window = 0
-    return jobs
 
 
 def _rejoins(rejoin: tuple[list[int] | None, int, int], t: int, upcoming: int) -> bool:
@@ -439,7 +407,8 @@ def _rejoins(rejoin: tuple[list[int] | None, int, int], t: int, upcoming: int) -
     `rejoin` is (idle, period, after): `idle` lists the followed run's idle
     intervals as [start, end, start, end, ...], sorted, or is None for no
     followed run; with a period W, they are those of one window [0, W],
-    and the run is idle at s when s mod W falls in one of them."""
+    and the run is idle at s when s mod W falls in one of them.  The stop
+    at an idle W is ([W, W], 0, W - 1): a followed run idle at W alone."""
     idle, period, after = rejoin
     q = max(t, after + 1)
     if idle is None:
@@ -481,6 +450,10 @@ def simulate(
     plan = _Plan(graph, cfg, trace)
     lines: list[str] | None = [] if trace else None
     jobs = _run(plan, scenario.offsets, scenario.draws, scenario.horizon, plan.chains, None, lines)
+    if lines is not None:  # every release line first, in release order
+        roots = plan.roots
+        lines[:0] = [f"t={job[_RELEASE]} release {roots[job[_CHAIN]]}#{job[_ACTIVATION]}" for job in jobs]
+    jobs.sort(key=itemgetter(_CHAIN, _ACTIVATION))  # latencies in activation order
     values: list[list[int]] = [[] for _ in plan.keys]
     rows = plan.rows
     for job in jobs:
@@ -548,10 +521,11 @@ def worst_observed(
     A zero-pattern run may stop at its group's hyperperiod W, the lcm of
     the group's periods, when every chain of the group is periodic and the
     horizon is a multiple of W above W; otherwise it runs to the horizon.
-    It builds the jobs released before W, and when the time reaches W,
-    after the completions at W and before the releases at W, it stops if
-    the group is idle, or else builds the later jobs and goes on.  This is
-    exact:
+    It stops at the idle instant from which the group is idle up to W or
+    past it, so after the completions at W and before the releases at W,
+    having released only the jobs before W: its stop is the one instant W,
+    ([W, W], 0, W - 1) in `_rejoins`' terms, and the idle intervals it
+    records then end with the one holding W.  This is exact:
     - the engine is deterministic and keeps its schedule under a time
       shift: ties go by (rank, release, chain, activation), an order a
       shift keeps;
@@ -569,11 +543,10 @@ def worst_observed(
     recorded: the zero run ran to the horizon, or stopped idle at W and
     repeats its first window.  It also stops where the zero run stopped
     at W if the max-first run is idle there, since W is then in the zero
-    run's idle intervals.  The max-first run builds its jobs in the same
-    two batches when its drawn releases fall below W, and never stops at
-    W itself: the zero run's tail cut short, where it is busy at W, need
-    not be bounded by the full zero run on several resources, since
-    removing a job can make another finish later.
+    run's idle intervals.  A max-first run has no stop at W of its own:
+    the zero run's tail cut short, where it is busy at W, need not be
+    bounded by the full zero run on several resources, since removing a
+    job can make another finish later.
 
     Rule 2: a group of one periodic chain whose jitter plus total wcet is
     at most its period runs no max-first pattern.  Under either pattern
@@ -662,15 +635,15 @@ def worst_observed(
     # its chains at offset 0, before the horizon, so every span is observed
     maxima = [-1] * len(plan.keys)
     for group, axes, window, jittered, critical in sweeps:
+        at_window = ([window, window], 0, window - 1) if window else None  # the W stop: idle at W
         for offsets in itertools.product(*axes):
             idle = None if critical else []  # the zero run's idle intervals, for rule 1
             if idle is not None or not any(offsets):  # rule 4: the all-zero run stands for every zero run
-                _run(plan, offsets, zero, horizon, group, maxima, None, window, idle)
+                _run(plan, offsets, zero, horizon, group, maxima, None, idle, at_window)
             if jittered:
                 after = max([offsets[ci] + jitter for ci, jitter in jittered])  # the last drawn release
-                period = window if idle and idle[-1] == window else 0  # W if it stopped there
-                rejoin = (idle, period, after)
-                _run(plan, offsets, max_first, horizon, group, maxima, None, window if after < window else 0, None, rejoin)
+                period = window if idle and idle[-2] <= window <= idle[-1] else 0  # W if it stopped there
+                _run(plan, offsets, max_first, horizon, group, maxima, None, None, (idle, period, after))
     return dict(zip(plan.keys, maxima))
 
 

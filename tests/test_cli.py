@@ -71,6 +71,8 @@ _CONFIG = ["--config", str(CORPUS / "current.config")]
         ["graph", *BASE, *_CONFIG, "--mode", "degraded"],
         ["bound", *BASE, *_CONFIG, "--model", "exact"],
         ["simulate", *BASE, *_CONFIG, "--horizon", "soon"],
+        ["bound", *BASE, *_CONFIG, "--mode", "single-blocking"],
+        ["negotiate", *BASE, *_CONFIG, "--req", _REQUEST[1]],
     ],
     ids=lambda argv: " ".join(arg if not arg.startswith("/") else Path(arg).name for arg in argv) or "no argument",
 )
@@ -81,6 +83,23 @@ def test_lean_parser_prints_what_the_full_parser_prints(argv, capsys):
     full = _parse_outcome(cli.build_parser().parse_args, argv, capsys)
     assert lean == full
     assert lean[0] in (0, 2)
+
+
+@pytest.mark.parametrize(
+    "argv, full",
+    [
+        # `bound` has no `--mode`; a prefix match would read it as `--model`
+        (["bound", *BASE, *_CONFIG, "--mode", "single-blocking"], ["--model", "single-blocking"]),
+        (["negotiate", *BASE, *_CONFIG, "--req", _REQUEST[1]], _REQUEST),
+    ],
+    ids=["bound --mode", "negotiate --req"],
+)
+def test_an_abbreviated_option_is_refused(argv, full, capsys):
+    code, out, err = _parse_outcome(cli.main, argv, capsys)
+    assert (code, out) == (2, "")
+    assert "error: unrecognized arguments" in err or "required: --request" in err
+    assert cli.main(argv[:-2] + full) == 0
+    assert capsys.readouterr().out
 
 
 def _parsers_built(monkeypatch, call) -> int:

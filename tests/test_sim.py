@@ -465,7 +465,7 @@ def _idle_at_window(graph, cfg, group):
 
 def _counting_runs(monkeypatch, built=None):
     """Record the offset vector of every `sim._run` call and, in `built`,
-    the number of jobs each call builds."""
+    the number of jobs each call builds: those it releases."""
     runs = []
     run = nego.sim._run
 
@@ -532,7 +532,7 @@ def test_worst_observed_sweeps_each_group_on_its_own_grid(monkeypatch):
     critical = [(0, 0, c, d, 0) for c in range(4) for d in range(6)]
     assert runs == [(0, b, 0, 0, 0) for b in range(6) for _ in range(2)] + _rule_4_runs(critical, jitter=False) + [(0,) * 5]
     # {C, D} has the hyperperiod 12, half the horizon; a zero run idle there
-    # builds the 3 + 2 jobs released before it only, and 6 + 4 otherwise
+    # releases the 3 + 2 jobs released before it only, and 6 + 4 otherwise
     assert built[12:] == [5 if _idle_at_window(graph, cfg, [2, 3]) else 10, 1]
 
 
@@ -572,9 +572,9 @@ def test_a_lone_one_rank_chain_runs_at_offset_zero_only(monkeypatch, jitter):
     assert len(runs) == len(without[0]) + patterns
     assert runs[-patterns:] == [(0, 0, 0, 0, 0, 0)] * patterns
     assert [vector[:5] for vector in runs[:-patterns]] == without[0]
-    # F's zero-pattern job ends at 4, its hyperperiod, so its run builds 1
-    # job of 6; the max-first job, released at 3, runs past 4, and F is
-    # never idle again before the horizon, so that run builds all 6
+    # F's zero-pattern job ends at 4, its hyperperiod, so its run releases
+    # 1 job of 6; the max-first job, released at 3, runs past 4, and F is
+    # never idle again before the horizon, so that run releases all 6
     assert built == without[1] + [1, 6][:patterns]
 
 
@@ -870,11 +870,13 @@ def _carry_over():
 
 def _window_run(graph, cfg, offsets, pattern, window):
     """One `sim._run` of the whole graph at `offsets` over the default
-    horizon with `window`: the jobs it built and the maxima it saw."""
+    horizon with the stop at an idle `window`, as `worst_observed` gives a
+    zero run: the jobs it released and the maxima it saw."""
     plan = nego.sim._Plan(graph, cfg)
     maxima = [-1] * len(plan.keys)
     draws = nego.sim._pattern_draws(graph, pattern)
-    jobs = nego.sim._run(plan, offsets, draws, default_horizon(graph), plan.chains, maxima, window=window)
+    until = ([window, window], 0, window - 1)
+    jobs = nego.sim._run(plan, offsets, draws, default_horizon(graph), plan.chains, maxima, None, None, until)
     return jobs, dict(zip(plan.keys, maxima))
 
 
@@ -888,8 +890,8 @@ def test_a_run_busy_at_its_hyperperiod_goes_on_to_the_horizon(monkeypatch):
     for offset in range(10):
         seen = simulate(graph, cfg, ReleaseScenario((0, offset), ((), ()), 40)).latencies[c1]
         assert seen == [1, 3 if offset == 9 else 2 if offset == 8 else 1]
-    # the run at offset 9 builds C2's jobs at 29 and 39 as well, and runs
-    # every job it builds to completion
+    # the run at offset 9 releases C2's jobs at 29 and 39 as well, and runs
+    # every job it releases to completion
     jobs, maxima = _window_run(graph, cfg, (0, 9), "zero", 20)
     activations = sorted((job[nego.sim._CHAIN], job[nego.sim._ACTIVATION]) for job in jobs)
     assert activations == [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (1, 3)]
@@ -899,7 +901,7 @@ def test_a_run_busy_at_its_hyperperiod_goes_on_to_the_horizon(monkeypatch):
     runs = _counting_runs(monkeypatch, built)
     worst_observed(graph, cfg)
     # C2's job released at 18 or 19 is still on R2 at 20; every other run
-    # is idle there and builds the 3 jobs released before it
+    # is idle there and releases only the 3 jobs released before it
     assert runs == [(0, offset) for offset in range(10)]
     assert built == [3] * 8 + [6, 6]
 
@@ -919,13 +921,15 @@ def test_a_max_first_run_stops_only_where_the_zero_run_stops(monkeypatch):
     assert len(nego.sim._Plan(graph, cfg).groups) == 1
     assert worst_observed(graph, cfg) == reference_worst_observed(graph, cfg, 20)
     assert len(_window_run(graph, cfg, (0, 0, 5), "zero", 10)[0]) == 6
+    # the max-first run is idle at 10: the W stop would end it there
     assert len(_window_run(graph, cfg, (0, 0, 5), "max-first", 10)[0]) == 3
     built = []
     runs = _counting_runs(monkeypatch, built)
     worst_observed(graph, cfg)
     at = runs.index((0, 0, 5))
-    # the max-first run follows the zero run, which is busy at 10, so it
-    # builds the later jobs too, though it is idle there
+    # but a max-first run gets no W stop: it follows the zero run, which is
+    # busy at 10 and never idle again while the max-first run is, so it
+    # releases the later jobs too
     assert runs[at : at + 2] == [(0, 0, 5)] * 2
     assert built[at : at + 2] == [6, 6]
 
@@ -941,9 +945,14 @@ def test_a_max_first_run_whose_jitter_releases_at_or_after_the_hyperperiod_does_
     runs = _counting_runs(monkeypatch, built)
     worst_observed(graph, cfg)
     assert runs == _rule_4_runs([(0, offset) for offset in range(4)])
-    # the zero run, then the max-first runs: only at offset 0 is B's first
-    # release, at 3, below 4, so only there are the jobs from 4 on left out
-    assert built == [2, 2, 4, 4, 4]
+    # the zero run stops idle at W = 4 after A's and B's jobs at 0.  A
+    # max-first run never stops at W: it stops at its first idle instant
+    # after B's drawn release at o + 3 (rule 4).  At offset 0 that is 4,
+    # after 2 jobs; at offset 1, B's jobs run from 4 to 7 and no idle
+    # instant comes before the horizon, so it releases all 4; at offsets 2
+    # and 3, B's first job ends at 6 and 7, just as B's second is released,
+    # so it stops there after 3
+    assert built == [2, 2, 4, 3, 3]
 
 
 def test_a_max_first_run_rejoins_only_after_its_drawn_releases():
@@ -967,8 +976,11 @@ def test_a_group_with_a_one_shot_chain_runs_to_the_horizon(monkeypatch):
     built = []
     _counting_runs(monkeypatch, built)
     worst_observed(graph, cfg)
-    # A 2, B 4, C 6, D 4 and E 1 jobs over the horizon 24, in every run
-    assert built == [17] * (6 * 4 * 6 * 2)
+    # every zero run releases A's 2, B's 4, C's 6, D's 4 and E's 1 jobs over
+    # the horizon 24; each max-first run rejoins its zero run before 12, so
+    # it releases at most the 1 + 2 + 3 + 2 + 1 jobs released before 12
+    assert built[0::2] == [17] * (6 * 4 * 6)
+    assert max(built[1::2]) == 9
 
 
 def _systems_over(seeds, resources=3):
@@ -996,17 +1008,26 @@ def test_worst_observed_matches_grid_walk_over_three_resources():
     assert split >= 40
 
 
+# zero runs of `test_runs_that_stop_at_an_idle_hyperperiod_match_the_grid_walk`
+# that stop idle at W, per resource count
+_ZERO_RUNS_STOPPED_AT_W = {1: 172, 2: 658, 3: 746, 4: 638}
+
+
 @pytest.mark.parametrize("resources", [1, 2, 3, 4])
 def test_runs_that_stop_at_an_idle_hyperperiod_match_the_grid_walk(monkeypatch, resources):
     # Systems with jitter, at the default horizon and at twice it, where a
-    # run may stop at its group's hyperperiod, and one unit below the
-    # default, a multiple of no hyperperiod, where no run may stop.
+    # zero run may stop at its group's hyperperiod, and one unit below the
+    # default, a multiple of no hyperperiod, where none may.  A run stops
+    # early when it releases fewer jobs than its chains' activations before
+    # the horizon; a zero run only stops at W.
     stops = []
     run = nego.sim._run
 
-    def recording(plan, offsets, draws, horizon, chains, maxima=None, lines=None, window=0, idle=None, rejoin=None):
-        jobs = run(plan, offsets, draws, horizon, chains, maxima, lines, window, idle, rejoin)
-        stops.append(bool(window) and jobs[-1][nego.sim._RELEASE] < window)
+    def recording(plan, offsets, draws, horizon, chains, *rest):
+        jobs = run(plan, offsets, draws, horizon, chains, *rest)
+        static = sum(len(range(offsets[ci], horizon, event.period)) if event else 1 for ci, event, _, _ in chains)
+        zero = not any(draws[ci] for ci, _, _, _ in chains)
+        stops.append((zero, len(jobs) < static))
         return jobs
 
     monkeypatch.setattr(nego.sim, "_run", recording)
@@ -1018,8 +1039,64 @@ def test_runs_that_stop_at_an_idle_hyperperiod_match_the_grid_walk(monkeypatch, 
         full = default_horizon(graph)
         for horizon in (full, 2 * full, full - 1):
             assert worst_observed(graph, cfg, horizon) == reference_worst_observed(graph, cfg, horizon)
-    # 86 systems; over 1100 runs stopped at each resource count
-    assert systems >= 60 and sum(stops) >= 800
+    # 86 systems; over 1500 runs stopped early at each resource count
+    assert systems >= 60 and sum(stopped for _, stopped in stops) >= 800
+    assert sum(stopped for zero, stopped in stops if zero) == _ZERO_RUNS_STOPPED_AT_W[resources]
+
+
+def _completing_runs(monkeypatch):
+    """Record, for every `sim._run` call, whether every job it returns has
+    completed all its segments."""
+    complete = []
+    run = nego.sim._run
+
+    def checking(*args):
+        jobs = run(*args)
+        complete.append(all(len(job[nego.sim._DONE]) == len(job[nego.sim._SEGMENTS]) + 1 for job in jobs))
+        return jobs
+
+    monkeypatch.setattr(nego.sim, "_run", checking)
+    return complete
+
+
+@pytest.mark.parametrize("resources", [1, 2, 3, 4])
+def test_every_job_a_sweep_run_returns_has_completed(monkeypatch, resources):
+    # a run builds only the jobs it releases, and stops only where it is
+    # idle, so no run hands back a job it has not run to its end
+    complete = _completing_runs(monkeypatch)
+    for graph, cfg, _ in _systems_over(range(100), resources):
+        full = default_horizon(graph)
+        for horizon in (full, 2 * full, full - 1):
+            worst_observed(graph, cfg, horizon)
+    assert len(complete) >= 1500 and all(complete)
+
+
+def test_every_job_a_sweep_run_of_a_hand_built_group_returns_has_completed(monkeypatch):
+    systems = [
+        _three_groups(), _three_groups(merged=True), _with_lone_chain(), _with_lone_chain(second_thread="u"),
+        _carry_over(), _fork_graph(), _fork_on_one_resource(True), _lone_chain_after(3, "u"),
+        *[_rule_4_group(variant) for variant in ("", "two resources", "two ranks", "inner span")],
+    ]
+    for chains, mapping, order, horizon, *_ in _RULE_4_COUNTEREXAMPLES.values():
+        cfg = Configuration(frozenset(root for root, _ in order), frozenset(), mapping, tuple(order))
+        systems.append((TaskGraph(NORMAL, chains), cfg))
+    complete = _completing_runs(monkeypatch)
+    for graph, cfg in systems:
+        full = default_horizon(graph)
+        for horizon in (full, full - 1):
+            worst_observed(graph, cfg, horizon)
+    assert len(complete) >= 1000 and all(complete)
+
+
+def test_latencies_stay_in_activation_order_when_draws_swap_releases():
+    # A (period 4, jitter 6, wcet 2): the draws 5 and 0 release job 0 at 5,
+    # after job 1 at 4, so job 0 waits until 6 and ends at 8
+    graph, cfg = _hand_system([_hand_chain("A", EventModel(4, 6), 2)], {("A", "a0"): "R1"}, "A")
+    scenario = ReleaseScenario((0,), ((5, 0),), 12)
+    result = simulate(graph, cfg, scenario, trace=True)
+    assert result.latencies == {(("A", "t"), (0, 1)): [3, 2, 2]}
+    assert list(result.latencies.items()) == list(reference_simulate(graph, cfg, scenario)[0].items())
+    assert result.trace[:3] == ("t=4 release A.t#1", "t=5 release A.t#0", "t=8 release A.t#2")
 
 
 def test_two_resource_trace_migrates_onto_a_finishing_resource():
