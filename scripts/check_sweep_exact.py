@@ -4,14 +4,14 @@
 For each of `--systems` seeds of `random_chain_system`, the task mapping is
 drawn again over resources R1..RN for N = 1 to 4 and the priority order
 shuffled, both from the seed; each system is swept at its default horizon
-H, at 2H and at H - 1 and compared with the unit-step grid walk of the test
-suite (`reference_worst_observed`).  Then each `random_fork_system` seed
+H, at 2H, at H - 1 and at H + J_max, J_max its largest jitter, and compared
+with the unit-step grid walk of the test suite (`reference_worst_observed`).  Then each `random_fork_system` seed
 below `--systems` / 10 whose grid holds at most 100 offset vectors is
 swept at H, 2H and H - 1 and compared with the engine's own full grid walk
 (`engine_worst_observed`), since the engine releases a forked chain on its
 own offset axis.  Last, 3 x `--systems` dense groups on one resource,
-built by hand (`dense_group`), are swept at H, 2H, H - 1 and H + 1 and
-compared with `engine_worst_observed`: their chains run tasks on a second
+built by hand (`dense_group`), are swept at H, 2H, H - 1, H + 1, H + 2 and
+H + J_max and compared with `engine_worst_observed`: their chains run tasks on a second
 thread and have spans from inner completions, which `random_chain_system`
 never draws.  Prints the counts and exits 1 on any mismatch.
 """
@@ -67,9 +67,16 @@ def dense_group(rng: random.Random) -> tuple[TaskGraph, Configuration]:
             return graph, Configuration(names, frozenset(), mapping, tuple(threads))
 
 
-def _horizons(graph):
+def _horizons(graph, *more):
+    """The default horizon H, 2H and H - 1, then H plus each of `more`,
+    each horizon once."""
     full = default_horizon(graph)
-    return (full, 2 * full, full - 1)
+    return tuple(dict.fromkeys((full, 2 * full, full - 1, *[full + extra for extra in more])))
+
+
+def _jitter(graph) -> int:
+    """J_max, the largest jitter of the graph's chains."""
+    return max((chain.event.jitter for chain in graph.chains if chain.event is not None), default=0)
 
 
 def main() -> int:
@@ -88,7 +95,7 @@ def main() -> int:
             order = list(system.config.priorities)
             rng.shuffle(order)
             cfg = Configuration(system.config.selected, system.config.connections, mapping, tuple(order))
-            for horizon in _horizons(graph):
+            for horizon in _horizons(graph, _jitter(graph)):
                 sweeps += 1
                 if worst_observed(graph, cfg, horizon) != reference_worst_observed(graph, cfg, horizon):
                     mismatches += 1
@@ -110,8 +117,7 @@ def main() -> int:
     for index in range(3 * args.systems):
         graph, cfg = dense_group(rng)
         overloaded += sum(sum(chain.wcets) / chain.event.period for chain in graph.chains) > 1
-        full = default_horizon(graph)
-        for horizon in (full, 2 * full, full - 1, full + 1):
+        for horizon in _horizons(graph, 1, 2, _jitter(graph)):
             dense += 1
             if worst_observed(graph, cfg, horizon) != engine_worst_observed(graph, cfg, horizon):
                 mismatches += 1

@@ -20,6 +20,7 @@ from nego.model import (
     Configuration,
     ModelError,
     SystemModel,
+    UpdateError,
     UpdateRequest,
     check_well_formed,
     parse_configuration,
@@ -43,7 +44,7 @@ def _read(path: Path) -> str:
         raise ModelError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def _in_file(path: Path, exc: DslError) -> DslError:
+def _in_file(path: Path, exc: DslError | ModelError) -> DslError | ModelError:
     """The error with the path of the file at fault before its message."""
     return type(exc)(f"{path}: {exc}")
 
@@ -245,6 +246,8 @@ def _cmd_negotiate(args) -> int:
         answer, trace = negotiate(system, requests, model=args.model)
     except DslError as exc:  # a request contract that fails the repository check
         raise _in_file(sources[exc.source], exc) from None
+    except UpdateError as exc:  # a request that does not fit the installed components
+        raise _in_file(Path(args.request), exc) from None
 
     if answer.ok:
         answer_line = "Yes"

@@ -7,33 +7,28 @@ release offsets on a unit grid with two jitter patterns and keeps the
 per-span maxima, raising them as each job completes its last segment; it
 is the ground truth the analytic bounds must dominate.
 
-It sweeps each group of chains that can affect one another on its own grid
-(`_Plan.groups`): chains that share a resource, or a forked chain and its
-trigger.  This is exact.  Each resource schedules from its own heap and a
-job only visits its own chain's resources, so a group's completion times
-depend only on its own releases; the maximum over the product of every
-chain's offsets is the maximum over each group's own offsets.  A group of
-one periodic chain whose jitter is below its period and whose segments
-all run at one thread rank runs at offset 0 alone (`_sweeps_at_zero`):
-its jobs run in activation order, so none is delayed by a later one, and
-offset 0 releases every job any other offset releases.
-
-A zero-jitter sweep run may stop at its group's hyperperiod W, the lcm of
-the group's periods, when the group is idle there (`worst_observed`).  The
-engine is deterministic and keeps its schedule under a time shift, and the
-releases in each later window [kW, (k+1)W) are those of [0, W) shifted by
-kW, so a run idle at W repeats its first window up to a horizon that is a
-multiple of W: the idle instant behind the feasibility intervals of Leung
-and Merrill (IPL 1980).  Every stop of a run is one rule, checked at its
-idle instants (`_rejoins`).
-
-Three more rules cut a sweep's runs, all exact (`worst_observed` proves
-them): a max-first run stops where it rejoins the zero run at its offsets,
-both idle after its drawn releases (rule 1); a lone chain whose jitter plus
-total wcet fits in its period runs no max-first pattern (rule 2); and on
-one resource, with one thread rank per chain, the zero run at the all-zero
-offsets stands for every zero run, since the synchronous release is the
-critical instant (rule 4; Liu and Layland, JACM 1973; Lehoczky, RTSS 1990).
+Each rule that cuts the sweep is exact, and `worst_observed` proves it:
+- groups: each group of chains that can affect one another (`_Plan.groups`),
+  chains that share a resource or a forked chain and its trigger, is swept
+  on its own grid;
+- the lone-chain rule: a group of one periodic chain whose jitter is below
+  its period and whose segments all run at one thread rank runs at offset
+  0 alone (`_sweeps_at_zero`);
+- rule 1: a max-first run stops where it rejoins the zero run at its
+  offsets, inside an idle interval the zero run recorded and after the
+  max-first run's drawn releases;
+- rule 2: a lone chain whose jitter plus total wcet fits in its period
+  runs no max-first pattern;
+- rule 4: in a critical group (one resource, one thread rank per chain,
+  periodic and unforked chains, spans from the release), the zero run at
+  the all-zero offsets stands for every zero run and stops at its first
+  idle instant, and a max-first run stops at its first idle instant after
+  its drawn releases (Liu and Layland, JACM 1973; Lehoczky, RTSS 1990);
+- the W stop: in any other group of periodic chains, at a horizon that is
+  a multiple of the group's hyperperiod W above W, a zero run idle at W
+  stops there (Leung and Merrill, IPL 1980).
+Every stop of a run is one pair, (idle, after), checked at the run's idle
+instants (`_rejoins`).
 
 A job moves through its chain one segment at a time: a run of consecutive
 tasks on one resource at one thread rank that no span starts or stops
@@ -265,7 +260,7 @@ def _run(
     maxima: list[int] | None = None,
     lines: list[str] | None = None,
     idle: list[int] | None = None,
-    until: tuple[list[int] | None, int, int] | None = None,
+    until: tuple[list[int] | None, int] | None = None,
 ) -> list[list]:
     """Schedule every job of `chains`, entries of `plan.chains`, released
     before `horizon` to completion, or until the stop `until`.
@@ -286,12 +281,13 @@ def _run(
     The run is idle from each instant at which a job leaves it and every
     heap is empty up to its next release (infinity once none is left).
     With `idle`, it appends [0, first release] and each such interval to
-    it, as start and end.  With `until`, (idle, period, after), the run
-    returns at the first of its idle instants that comes after `after` and
-    at which the run it follows, whose idle intervals are `idle`, is idle
-    too (`_rejoins`); with `idle` None, it follows no run.  Every job it
-    returns has completed.  `worst_observed` says why each stop it passes
-    is exact.
+    it, as start and end.  With `until`, (idle, after), the run returns at
+    the first of its idle instants that comes after `after` and at which
+    the run it follows, whose idle intervals are `idle`, is idle too
+    (`_rejoins`); with `idle` None, it follows no run.  Once it is past the
+    last of those intervals the stop is spent, and the run drops it.
+    Every job it returns has completed.  `worst_observed` says why each
+    stop it passes is exact.
     """
     jobs: list[list] = []
     # (release, chain index, activation, segments, the period of an undrawn
@@ -396,29 +392,31 @@ def _run(
             if idle is not None:
                 idle += (t, upcoming)
             # no instant of the span comes after `after` unless `upcoming` does
-            if until is not None and until[2] < upcoming and _rejoins(until, t, upcoming):
-                return jobs
+            if until is not None and until[1] < upcoming:
+                rejoined = _rejoins(until, t, upcoming)
+                if rejoined:
+                    return jobs
+                if rejoined is None:  # the followed run is never idle again
+                    until = None
 
 
-def _rejoins(rejoin: tuple[list[int] | None, int, int], t: int, upcoming: int) -> bool:
+def _rejoins(until: tuple[list[int] | None, int], t: int, upcoming: int) -> bool | None:
     """Whether a run idle from `t` up to `upcoming` meets, in that span, an
-    instant s past `after` at which the run it follows is idle too.
+    instant s past `after` at which the run it follows is idle too; None
+    when no such instant is left from `t` on, so that the stop is spent.
 
-    `rejoin` is (idle, period, after): `idle` lists the followed run's idle
+    `until` is (idle, after): `idle` lists the followed run's idle
     intervals as [start, end, start, end, ...], sorted, or is None for no
-    followed run; with a period W, they are those of one window [0, W],
-    and the run is idle at s when s mod W falls in one of them.  The stop
-    at an idle W is ([W, W], 0, W - 1): a followed run idle at W alone."""
-    idle, period, after = rejoin
+    followed run.  The stop at an idle W is ([W, W], W - 1): a followed
+    run idle at W alone."""
+    idle, after = until
     q = max(t, after + 1)
     if idle is None:
         return q <= upcoming
-    base = q - q % period if period else 0
-    r = q - base
-    i = bisect_left(idle, r)
+    i = bisect_left(idle, q)
     if i == len(idle):
-        return False
-    return base + (r if i & 1 else idle[i]) <= upcoming
+        return None
+    return (q if i & 1 else idle[i]) <= upcoming
 
 
 def _check_scenario(graph: TaskGraph, scenario: ReleaseScenario) -> None:
@@ -464,15 +462,13 @@ def simulate(
     return SimResult(dict(zip(plan.keys, values)), partial, tuple(lines or ()))
 
 
-def _hyperperiod(graph: TaskGraph) -> int:
+def default_horizon(graph: TaskGraph) -> int:
+    """Twice the lcm of the periods; without a period, twice the longest
+    chain's total wcet, and at least 2 when every chain is empty."""
     periods = [chain.event.period for chain in graph.chains if chain.event is not None]
     if not periods:
-        return max((c.prefix[-1] for c in graph.chains), default=1)
-    return math.lcm(*periods)
-
-
-def default_horizon(graph: TaskGraph) -> int:
-    return 2 * _hyperperiod(graph)
+        return 2 * max([1, *(c.prefix[-1] for c in graph.chains)])
+    return 2 * math.lcm(*periods)
 
 
 def _sweeps_at_zero(entry: tuple) -> bool:
@@ -518,35 +514,36 @@ def worst_observed(
     run the jobs its group's chains release before the horizon.  Each run
     raises the span maxima as its jobs complete their last segments.
 
-    A zero-pattern run may stop at its group's hyperperiod W, the lcm of
-    the group's periods, when every chain of the group is periodic and the
-    horizon is a multiple of W above W; otherwise it runs to the horizon.
-    It stops at the idle instant from which the group is idle up to W or
-    past it, so after the completions at W and before the releases at W,
-    having released only the jobs before W: its stop is the one instant W,
-    ([W, W], 0, W - 1) in `_rejoins`' terms, and the idle intervals it
-    records then end with the one holding W.  This is exact:
+    A zero-pattern run of a group that is not critical (rule 4) may stop
+    at its group's hyperperiod W, the lcm of the group's periods, when
+    every chain of the group is periodic and the horizon is a multiple of
+    W above W; otherwise it runs to the horizon.  It stops at the idle
+    instant from which the group is idle up to W or past it, so after the
+    completions at W and before the releases at W, having released only
+    the jobs before W: its stop is the one instant W, ([W, W], W - 1) in
+    `_rejoins`' terms, and the idle intervals it records then end with the
+    one holding W.  This is exact:
     - the engine is deterministic and keeps its schedule under a time
       shift: ties go by (rank, release, chain, activation), an order a
       shift keeps;
     - the releases in [kW, (k+1)W) are those of [0, W) shifted by kW, and
       no window is cut short, so a zero run idle at W repeats its first
-      window in every later one, and is idle at each instant of its first
-      window's idle intervals shifted by kW.
+      window in every later one.
 
-    Rule 1: at each offset vector the zero run records its idle intervals,
-    and the max-first run at the same offsets stops at the first instant s
-    at which it finds both runs idle and every drawn first release before
-    s.  This is exact: both runs are empty at s, and from s on they
-    release the same jobs, with the same chains, activations and keys, so
-    the max-first run's tail is the zero run's tail, whose maxima are
-    recorded: the zero run ran to the horizon, or stopped idle at W and
-    repeats its first window.  It also stops where the zero run stopped
-    at W if the max-first run is idle there, since W is then in the zero
-    run's idle intervals.  A max-first run has no stop at W of its own:
-    the zero run's tail cut short, where it is busy at W, need not be
-    bounded by the full zero run on several resources, since removing a
-    job can make another finish later.
+    Rule 1: at each offset vector of a group with jitter that is not
+    critical, the zero run records its idle intervals, and the max-first
+    run at the same offsets stops at the first instant s inside one of
+    them at which it is idle too, with every drawn first release before
+    s; once past the last of them, it runs to the horizon.  This is exact:
+    both runs are empty at s, and from s on they release the same jobs,
+    with the same chains, activations and keys, so the max-first run's
+    tail is the zero run's tail, whose maxima are recorded: the zero run
+    ran to the horizon, or stopped idle at W, where its last recorded
+    interval holds W, and repeats its first window from there.  A
+    max-first run has no stop at W of its own: the zero run's tail cut
+    short, where it is busy at W, need not be bounded by the full zero run
+    on several resources, since removing a job can make another finish
+    later.
 
     Rule 2: a group of one periodic chain whose jitter plus total wcet is
     at most its period runs no max-first pattern.  Under either pattern
@@ -557,12 +554,13 @@ def worst_observed(
     Rule 4: a group is critical when every chain is periodic and none is
     forked, every segment is on one resource, each chain runs at one
     thread rank and every span starts at the release.  In a critical group
-    of more than one offset vector, the zero run at the all-zero vector,
-    which runs first, stands for every zero run, and each max-first run
-    stops at its first idle instant after its last drawn release.  This
-    holds at every horizon H: the synchronous release is the critical
-    instant (Liu and Layland, JACM 1973), busy periods longer than a
-    period included (Lehoczky, RTSS 1990).  Proof:
+    the zero run at the all-zero vector, which runs first, stands for
+    every zero run and stops at its first idle instant, the stop (None, 0);
+    each max-first run stops at its first idle instant after its last
+    drawn release, (None, after).  This holds at every horizon H, and W
+    plays no part: the synchronous release is the critical instant (Liu
+    and Layland, JACM 1973), and its busy period holds every maximum, busy
+    periods longer than a period included (Lehoczky, RTSS 1990).  Proof:
     - each chain is one preemptive fixed-priority task of its own rank,
       since distinct chains have distinct threads; a span [0, s) ends when
       its job has received the first P_s units of its work;
@@ -576,6 +574,10 @@ def worst_observed(
       [0, u) at the all-zero vector as in [t0, t0 + u) at o, so there
       chain i's job k, released at (k - 1) T_i < H, completes its prefix
       no earlier than f - t0: its latency is at least f - r;
+    - by the same count the all-zero run is busy at level i on
+      [0, f - t0), which covers [0, (k - 1) T_i], so its job k of i is
+      released before its first idle instant and completes before it: the
+      run stopped there has seen that latency;
     - at an idle instant s of the max-first run at o after every drawn
       release, the rest of the run is the zero run at o less the jobs
       released before s; on one resource with one rank per chain,
@@ -604,8 +606,7 @@ def worst_observed(
                 jobs += 1
             else:
                 jobs += -(-horizon // event.period)
-                if window:
-                    window = math.lcm(window, event.period)
+                window = math.lcm(window, event.period)  # 0 stays 0
                 if event.jitter:
                     jittered.append((ci, event.jitter))
                 if ci and not (len(group) == 1 and _sweeps_at_zero(group[0])):
@@ -621,7 +622,7 @@ def worst_observed(
         _, event, _, work = group[0]
         if len(group) == 1 and jittered and event.jitter + work <= event.period:
             jittered = []  # rule 2: job 0 ends alone before job 1 under both patterns
-        sweeps.append((group, axes, window, jittered, points > 1 and _critical(graph, plan, group)))
+        sweeps.append((group, axes, window, jittered, _critical(graph, plan, group)))
     if grid > MAX_GRID:
         raise ValueError(f"the offset sweep has {grid} grid points, more than the cap of {MAX_GRID}")
     if total > MAX_SWEEP_JOBS:
@@ -635,15 +636,15 @@ def worst_observed(
     # its chains at offset 0, before the horizon, so every span is observed
     maxima = [-1] * len(plan.keys)
     for group, axes, window, jittered, critical in sweeps:
-        at_window = ([window, window], 0, window - 1) if window else None  # the W stop: idle at W
+        # the zero run's stop: its first idle instant (rule 4), or idle at W
+        stop = (None, 0) if critical else ([window, window], window - 1) if window else None
         for offsets in itertools.product(*axes):
-            idle = None if critical else []  # the zero run's idle intervals, for rule 1
-            if idle is not None or not any(offsets):  # rule 4: the all-zero run stands for every zero run
-                _run(plan, offsets, zero, horizon, group, maxima, None, idle, at_window)
+            idle = [] if jittered and not critical else None  # the zero run's idle intervals, for rule 1
+            if not critical or not any(offsets):  # rule 4: the all-zero run stands for every zero run
+                _run(plan, offsets, zero, horizon, group, maxima, None, idle, stop)
             if jittered:
                 after = max([offsets[ci] + jitter for ci, jitter in jittered])  # the last drawn release
-                period = window if idle and idle[-2] <= window <= idle[-1] else 0  # W if it stopped there
-                _run(plan, offsets, max_first, horizon, group, maxima, None, None, (idle, period, after))
+                _run(plan, offsets, max_first, horizon, group, maxima, None, None, (idle, after))
     return dict(zip(plan.keys, maxima))
 
 

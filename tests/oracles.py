@@ -11,7 +11,9 @@ that a learned constraint excludes although it passes every analysis.
 `reference_simulate` and `reference_worst_observed` step the schedule one
 time unit at a time, as plainly as possible, for the event-driven simulator;
 they release a SIGNAL-forked chain at its fork point, where the simulator
-still releases it on an offset of its own.
+still releases it on an offset of its own.  `exhaustive_worst_observed`
+runs every offset and every jitter draw of every activation of a tiny
+system, the ground truth the sweep's two jitter patterns are judged by.
 `reference_synthesize` walks every priority permutation for the
 backtracking priority synthesis.  `chain_utilization` is one chain's
 demand, which `timing.utilization` must sum to over a graph.
@@ -28,6 +30,7 @@ only the spans a requirement targets.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from nego.constraints import ConnLit, ForbidConjunction, SelLit, configuration_ok
@@ -436,7 +439,8 @@ def engine_worst_observed(graph, cfg, horizon):
     chain at offset zero, every other periodic chain at each offset in
     [0, period), one-shot chains at zero, both jitter patterns, every chain
     in every run.  It takes none of the sweep's shortcuts (groups, the
-    lone-chain rule, stops, rejoins, the synchronous zero run).  Unlike
+    lone-chain rule, the W stop, rejoins, the synchronous zero run and its
+    stop at its first idle instant in a critical group).  Unlike
     `reference_worst_observed`, it releases a chain forked by a SIGNAL on
     its own offset axis, as the engine does, so it is the reference for
     the sweep on fork systems."""
@@ -452,4 +456,40 @@ def engine_worst_observed(graph, cfg, horizon):
             for key, values in latencies.items():
                 if values:
                     maxima[key] = max(maxima.get(key, values[0]), *values)
+    return maxima
+
+
+def exhaustive_worst_observed(graph, cfg, horizon, cap):
+    """Maximum latency per span over every release the model allows, for
+    `sim.worst_observed` on tiny systems: the first chain at offset zero,
+    every other periodic chain at each offset in [0, period), one-shot
+    chains at zero, and every draw in [0, jitter] of every activation
+    released before the horizon, each scenario run by `sim.simulate`.  A
+    system with more than `cap` scenarios is refused with ValueError
+    before any run."""
+    chains = graph.chains
+    axes = [range(1) if ci == 0 or c.event is None else range(c.event.period) for ci, c in enumerate(chains)]
+    jitters = [range(1 if c.event is None else c.event.jitter + 1) for c in chains]
+
+    def activations(chain, offset):  # those with a draw of their own: none for a one-shot chain
+        return 0 if chain.event is None else len(range(offset, horizon, chain.event.period))
+
+    runs = math.prod(
+        sum(len(jitter) ** activations(chain, offset) for offset in axis)
+        for chain, axis, jitter in zip(chains, axes, jitters)
+    )
+    if runs > cap:
+        raise ValueError(f"{runs} release scenarios, more than the cap of {cap}")
+    releases = [
+        [(offset, draws) for offset in axis for draws in itertools.product(jitter, repeat=activations(chain, offset))]
+        for chain, axis, jitter in zip(chains, axes, jitters)
+    ]
+    maxima = {}
+    for scenario in itertools.product(*releases):
+        offsets = tuple(offset for offset, _ in scenario)
+        draws = tuple(draws for _, draws in scenario)
+        latencies = simulate(graph, cfg, ReleaseScenario(offsets, draws, horizon)).latencies
+        for key, values in latencies.items():
+            if values:
+                maxima[key] = max(maxima.get(key, values[0]), *values)
     return maxima

@@ -218,6 +218,25 @@ def test_bad_request_line(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {req}: bad request line {line!r}\n"
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("remove Nope", "component 'Nope' not present"),
+        ("update Nope.contract", "component 'Nope' not present"),
+        ("add P.contract", "component 'P' already present"),
+    ],
+    ids=["remove", "update", "add"],
+)
+def test_a_request_that_does_not_apply_names_its_file(tmp_path, capsys, line, message):
+    (tmp_path / "Nope.contract").write_text("component Nope\n")
+    (tmp_path / "P.contract").write_text((CORPUS / "contracts" / "P.contract").read_text())
+    req = tmp_path / "bad.req"
+    req.write_text(line + "\n")
+    argv = ["negotiate", *BASE, "--config", str(CORPUS / "current.config"), "--request", str(req)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {req}: {message}\n")
+
+
 def _mismatched_request(tmp_path, edit) -> Path:
     """The corpus lane-assist request, with `edit` applied to S's contract."""
     updates = tmp_path / "updates"
@@ -467,6 +486,21 @@ def test_simulate_warns_when_nothing_completes(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "warning: no activation completed within the horizon\n"
+
+
+@pytest.mark.parametrize("sweep", [[], ["--sweep"]])
+def test_simulate_without_work_takes_a_default_horizon_of_at_least_one(tmp_path, capsys, sweep):
+    # B's one chain is an initialization thread without steps: no chain has
+    # work, yet the horizon no --horizon gave is not refused
+    contracts = tmp_path / "contracts"
+    contracts.mkdir()
+    (contracts / "B.contract").write_text("component B\n  threads\n    thread boot on initialization\n")
+    (tmp_path / "empty.repo").write_text("")
+    (tmp_path / "b.config").write_text("[selected]\nB\n\n[connections]\n\n[mapping]\n\n[priorities]\n0 B.boot\n")
+    argv = ["simulate", "--contracts", str(contracts), "--services", str(tmp_path / "empty.repo"),
+            "--config", str(tmp_path / "b.config"), "--mode", "initialization", *sweep]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == ("", "warning: no activation completed within the horizon\n")
 
 
 def test_simulate_initialization_releases_each_chain_once(capsys):

@@ -30,7 +30,8 @@ from nego.taskgraph import (
     TaskGraph,
     build_task_graph,
 )
-from oracles import engine_worst_observed, reference_simulate, reference_worst_observed
+from nego.timing import BUSY_WINDOW, chain_latency_bound
+from oracles import engine_worst_observed, exhaustive_worst_observed, reference_simulate, reference_worst_observed
 from systems import random_fork_system
 
 LANE_SPAN = (("L", "lane_assist"), (0, 7))
@@ -531,9 +532,10 @@ def test_worst_observed_sweeps_each_group_on_its_own_grid(monkeypatch):
     # product would be 6 x 4 x 6 x 2 = 288.
     critical = [(0, 0, c, d, 0) for c in range(4) for d in range(6)]
     assert runs == [(0, b, 0, 0, 0) for b in range(6) for _ in range(2)] + _rule_4_runs(critical, jitter=False) + [(0,) * 5]
-    # {C, D} has the hyperperiod 12, half the horizon; a zero run idle there
-    # releases the 3 + 2 jobs released before it only, and 6 + 4 otherwise
-    assert built[12:] == [5 if _idle_at_window(graph, cfg, [2, 3]) else 10, 1]
+    # {C, D} is critical, so its zero run stops at its first idle instant
+    # (rule 4): D's job, ranked first, runs from 0 to 3 and C's from 3 to 4,
+    # where the run is idle after the jobs of C and D released at 0
+    assert built[12:] == [2, 1]
 
 
 def _with_lone_chain(jitter=3, second_thread="t"):
@@ -593,8 +595,9 @@ def test_a_lone_chain_of_two_ranks_sweeps_its_period(monkeypatch):
 def test_a_critical_group_at_full_utilization_runs_once(monkeypatch):
     # A (period 4, wcet 2) anchors over B (period 8, wcet 4) on R1, at
     # utilization 1, so a zero run at B's offsets 3 to 7 is busy at W = 8
-    # and the all-zero run is idle there; that run stands for all eight
-    # vectors (rule 4) at every horizon, whole windows or not
+    # and the all-zero run is idle there, for the first time; that run
+    # stands for all eight vectors (rule 4) at every horizon, whole windows
+    # or not
     chains = (_hand_chain("A", EventModel(4, 0), 2), _hand_chain("B", EventModel(8, 0), 4))
     graph, cfg = _hand_system(chains, {("A", "a0"): "R1", ("B", "b0"): "R1"}, "AB")
     assert _idle_at_window(graph, cfg, [0, 1])
@@ -604,9 +607,52 @@ def test_a_critical_group_at_full_utilization_runs_once(monkeypatch):
         assert worst_observed(graph, cfg, horizon) == reference_worst_observed(graph, cfg, horizon)
     vectors = [(0, b) for b in range(8)]
     assert runs == _rule_4_runs(vectors, jitter=False) * 4
-    # at 16 and 32 the run stops at W, after the 2 + 1 jobs released before
-    # it; at 15 and 8 no run may stop there
-    assert built == [3, 3, 6, 3]
+    # at every horizon the run stops at its first idle instant, 8, after the
+    # 2 + 1 jobs released before it, where the W stop held at 16 and 32 only
+    assert built == [3, 3, 3, 3]
+
+
+def test_a_critical_group_s_zero_run_stops_at_its_first_idle_instant(monkeypatch):
+    # A (period 4, wcet 1) over B (period 6, jitter 2, wcet 1) on R1: the
+    # synchronous busy period ends at 2, long before W = 12, and holds every
+    # zero run's maxima, whole windows or not
+    chains = (_hand_chain("A", EventModel(4, 0), 1), _hand_chain("B", EventModel(6, 2), 1))
+    graph, cfg = _hand_system(chains, {("A", "a0"): "R1", ("B", "b0"): "R1"}, "AB")
+    full = default_horizon(graph)
+    for horizon in (full, full - 1, full + 1, full + 2):  # H + 2 is H + J_max
+        assert worst_observed(graph, cfg, horizon) == reference_worst_observed(graph, cfg, horizon)
+    built = []
+    runs = _counting_runs(monkeypatch, built)
+    worst_observed(graph, cfg)
+    assert runs == _rule_4_runs([(0, b) for b in range(6)])
+    # the jobs of A and B released at 0, not the 3 + 2 released before W
+    assert built[0] == 2
+
+
+def test_the_sweep_lies_between_every_release_and_the_busy_window_bound():
+    # One-resource systems with jitter: every group is critical, so each
+    # zero run the sweep makes stops at its first idle instant.  Per span,
+    # the sweep sees at most what every offset and every jitter draw of
+    # every activation before the horizon shows, and that stays within the
+    # busy-window bound.
+    fit = 0
+    for graph, cfg, _ in _systems_over(range(60), resources=1):
+        if not any(chain.event.jitter for chain in graph.chains):
+            continue
+        plan = nego.sim._Plan(graph, cfg)
+        assert all(nego.sim._critical(graph, plan, group) for group in plan.groups)
+        horizon = default_horizon(graph)
+        try:
+            every = exhaustive_worst_observed(graph, cfg, horizon, cap=5000)
+        except ValueError:
+            continue
+        fit += 1
+        ranks = cfg.ranks()
+        for (root, span), seen in worst_observed(graph, cfg, horizon).items():
+            bound = chain_latency_bound(graph.chain(root), span, graph, cfg, ranks, BUSY_WINDOW)
+            assert seen <= every[(root, span)] and (bound is None or every[(root, span)] <= bound)
+    # 39 of the 51 systems with jitter fit the cap
+    assert fit >= 35
 
 
 def _rule_4_group(variant):
@@ -875,7 +921,7 @@ def _window_run(graph, cfg, offsets, pattern, window):
     plan = nego.sim._Plan(graph, cfg)
     maxima = [-1] * len(plan.keys)
     draws = nego.sim._pattern_draws(graph, pattern)
-    until = ([window, window], 0, window - 1)
+    until = ([window, window], window - 1)
     jobs = nego.sim._run(plan, offsets, draws, default_horizon(graph), plan.chains, maxima, None, None, until)
     return jobs, dict(zip(plan.keys, maxima))
 
@@ -1009,25 +1055,32 @@ def test_worst_observed_matches_grid_walk_over_three_resources():
 
 
 # zero runs of `test_runs_that_stop_at_an_idle_hyperperiod_match_the_grid_walk`
-# that stop idle at W, per resource count
-_ZERO_RUNS_STOPPED_AT_W = {1: 172, 2: 658, 3: 746, 4: 638}
+# that stop idle at W, and zero runs of critical groups that stop at their
+# first idle instant, per resource count; on one resource every group of
+# these systems is critical, so none has the W stop
+_ZERO_RUNS_STOPPED_AT_W = {1: 0, 2: 542, 3: 644, 4: 528}
+_ZERO_RUNS_STOPPED_AT_FIRST_IDLE = {1: 258, 2: 174, 3: 153, 4: 165}
 
 
 @pytest.mark.parametrize("resources", [1, 2, 3, 4])
 def test_runs_that_stop_at_an_idle_hyperperiod_match_the_grid_walk(monkeypatch, resources):
     # Systems with jitter, at the default horizon and at twice it, where a
-    # zero run may stop at its group's hyperperiod, and one unit below the
-    # default, a multiple of no hyperperiod, where none may.  A run stops
-    # early when it releases fewer jobs than its chains' activations before
-    # the horizon; a zero run only stops at W.
-    stops = []
+    # zero run of a group that is not critical may stop at its group's
+    # hyperperiod, and one unit below the default, a multiple of no
+    # hyperperiod, where none may; a critical group's zero run stops at its
+    # first idle instant at every horizon.  A run stops early when it
+    # releases fewer jobs than its chains' activations before the horizon.
+    stops = []  # per run: its stop, whether at H - 1, whether it stopped early
     run = nego.sim._run
 
-    def recording(plan, offsets, draws, horizon, chains, *rest):
-        jobs = run(plan, offsets, draws, horizon, chains, *rest)
+    def recording(plan, offsets, draws, horizon, chains, maxima, lines, idle, until):
+        jobs = run(plan, offsets, draws, horizon, chains, maxima, lines, idle, until)
         static = sum(len(range(offsets[ci], horizon, event.period)) if event else 1 for ci, event, _, _ in chains)
-        zero = not any(draws[ci] for ci, _, _, _ in chains)
-        stops.append((zero, len(jobs) < static))
+        if any(draws[ci] for ci, _, _, _ in chains):
+            stop = "max-first"
+        else:
+            stop = "none" if until is None else "first idle" if until[0] is None else "W"
+        stops.append((stop, horizon == full - 1, len(jobs) < static))
         return jobs
 
     monkeypatch.setattr(nego.sim, "_run", recording)
@@ -1040,8 +1093,11 @@ def test_runs_that_stop_at_an_idle_hyperperiod_match_the_grid_walk(monkeypatch, 
         for horizon in (full, 2 * full, full - 1):
             assert worst_observed(graph, cfg, horizon) == reference_worst_observed(graph, cfg, horizon)
     # 86 systems; over 1500 runs stopped early at each resource count
-    assert systems >= 60 and sum(stopped for _, stopped in stops) >= 800
-    assert sum(stopped for zero, stopped in stops if zero) == _ZERO_RUNS_STOPPED_AT_W[resources]
+    assert systems >= 60 and sum(stopped for _, _, stopped in stops) >= 800
+    assert not any(stop == "W" for stop, below, _ in stops if below)
+    assert not any(stopped for stop, _, stopped in stops if stop == "none")
+    assert sum(stopped for stop, _, stopped in stops if stop == "W") == _ZERO_RUNS_STOPPED_AT_W[resources]
+    assert sum(stopped for stop, _, stopped in stops if stop == "first idle") == _ZERO_RUNS_STOPPED_AT_FIRST_IDLE[resources]
 
 
 def _completing_runs(monkeypatch):
