@@ -4,16 +4,18 @@
 For each of `--systems` seeds of `random_chain_system`, the task mapping is
 drawn again over resources R1..RN for N = 1 to 4 and the priority order
 shuffled, both from the seed; each system is swept at its default horizon
-H, at 2H, at H - 1 and at H + J_max, J_max its largest jitter, and compared
-with the unit-step grid walk of the test suite (`reference_worst_observed`).  Then each `random_fork_system` seed
-below `--systems` / 10 whose grid holds at most 100 offset vectors is
-swept at H, 2H and H - 1 and compared with the engine's own full grid walk
+H, at 2H, at H - 1 and at H + J_max, J_max its largest jitter, and
+compared with the unit-step grid walk of the test suite
+(`reference_worst_observed`).  Then each `random_fork_system` seed below
+`--systems` / 10 whose grid holds at most 100 offset vectors is swept at
+H, 2H and H - 1 and compared with the engine's own full grid walk
 (`engine_worst_observed`), since the engine releases a forked chain on its
 own offset axis.  Last, 3 x `--systems` dense groups on one resource,
-built by hand (`dense_group`), are swept at H, 2H, H - 1, H + 1, H + 2 and
-H + J_max and compared with `engine_worst_observed`: their chains run tasks on a second
-thread and have spans from inner completions, which `random_chain_system`
-never draws.  Prints the counts and exits 1 on any mismatch.
+built by hand (`dense_group`), are swept at H, 2H, H - 1, H + 1, H + 2
+and H + J_max and compared with `engine_worst_observed`: their chains run
+tasks on a second thread and have spans from inner completions, which
+`random_chain_system` never draws.  Prints the counts and exits 1 on any
+mismatch.
 """
 
 import argparse
