@@ -86,12 +86,13 @@ def synchronous_scenario(graph: TaskGraph, horizon: int, pattern: str = "max-fir
 
 
 # Caps on the work one call may take on, far above every input the corpus
-# and the soundness sweeps simulate (at most 46 jobs in one run, 101 grid
-# points and 5440 jobs in one sweep) and every input of the tests but those
-# of the caps (at most 52 jobs in one run, 4000 grid points and 48000 jobs
-# in one sweep): a run releasing more jobs, or a sweep over more offset
-# vectors or releasing more jobs in all its runs, is refused before any job
-# is built.  A sweep's counts add up over its groups, as its runs do: each
+# and the CI scripts simulate (at most 92 jobs in one run, 101 grid points
+# and 10,400 jobs in one sweep, all in `check_sweep_exact.py`; the
+# soundness sweeps at most 46, 101 and 5440) and every input of the tests
+# but those of the caps (at most 77 jobs in one run, 4000 grid points and
+# 48,000 jobs in one sweep): a run releasing more jobs, or a sweep over
+# more offset vectors or releasing more jobs in all its runs, is refused
+# before any job is built.  A sweep's counts add up over its groups, as its runs do: each
 # group's own offset vectors, one where the lone-chain rule holds, times
 # the patterns it runs, times the jobs its chains release in one run.  The
 # caps count this static sweep, an upper bound on what the sweep does:

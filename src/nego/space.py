@@ -11,15 +11,13 @@ stopped.  Candidates come out in a fixed order:
 * task mappings: tasks in name order, resources in platform order;
 * priority orders at each structural partial: the name-ordered baseline
   if the priority nogoods that apply there allow it, then each order
-  `synthesize_priorities` finds under them.  One `PrioritySearch` per
-  partial computes the seed order once and keeps its placement stack:
-  after each learned nogood that applies at the partial, synthesis counts
-  the new nogoods against the order it last returned and, if one holds in
-  full there, cuts back to the shallowest depth where one is complete and
-  goes on in seed order, as the trail does for forbids.  The partial is
-  left as soon as synthesis finds nothing new.  Synthesis is a complete
-  backtracking search, and every rejection excludes its candidate, so no
-  order that the constraints allow is skipped.
+  `synthesize_priorities` finds under them.  The seed order is computed
+  once per partial; after each learned nogood that applies at the
+  partial, synthesis searches again under every nogood that applies
+  there.  The partial is left as soon as synthesis finds nothing new, or
+  no new nogood applies.  Synthesis is a complete backtracking search,
+  and every rejection excludes its candidate, so no order that the
+  constraints allow is skipped.
 
 Every learned constraint is counted on the trail.  Literals are the tuples
 of `constraints.py`, and the trail builds the same tuples for its choices,
@@ -89,7 +87,7 @@ from nego.deps import ConnectionSearch, connection_candidates
 from nego.dsl import SoftwareModel
 from nego.model import Configuration, PlatformModel, QualId
 from nego.taskgraph import INITIALIZATION, NORMAL, GraphError, TaskGraph, build_task_graph
-from nego.timing import PrioritySearch, TimingContext, synthesize_priorities
+from nego.timing import TimingContext, seed_order, synthesize_priorities
 
 Structure = tuple[frozenset[str], frozenset[tuple[str, str, str]]]  # (selected, connections)
 
@@ -211,7 +209,7 @@ class ConstraintStore:
 
     def _candidates(self, partial: Configuration, threads: list[QualId]) -> Iterator[Configuration]:
         """The baseline order if allowed, then synthesized orders while they
-        are new; synthesis resumes only once a new nogood applies here."""
+        are new; synthesis runs again only once a new nogood applies here."""
 
         def with_order(order: tuple[QualId, ...]) -> Configuration:
             return Configuration(partial.selected, partial.connections, partial.mapping, order)
@@ -225,18 +223,18 @@ class ConstraintStore:
             yield with_order(baseline)
             nogoods += self._applying
         try:
-            search = PrioritySearch(threads, self.task_graphs(partial))
+            reverse = seed_order(threads, self.task_graphs(partial))
         except GraphError:
             return  # the structure is broken whatever the order; negotiation learns why
         while True:
-            order = synthesize_priorities(search, nogoods)
+            order = synthesize_priorities(reverse, nogoods)
             if order is None or order in tried:
                 return
             tried.append(order)
             yield with_order(order)
-            nogoods = self._applying
-            if not nogoods:
+            if not self._applying:
                 return
+            nogoods += self._applying
 
     # --- the trail
 

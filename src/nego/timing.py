@@ -29,9 +29,8 @@ chains' connections and its tasks' mapping.  The public
 `chain_latency_bound` answers one span with one pass over the other chains
 and builds no context; both share the busy-window loop, so they agree.
 
-Priority synthesis resumes: a `PrioritySearch` keeps its placement stack
-and nogood counts between steps over one thread set, so a step given new
-nogoods goes on from the order the last step returned.
+Priority synthesis is one search per call, from the threads in reverse
+seed order and every nogood given: it keeps nothing between calls.
 """
 
 from __future__ import annotations
@@ -427,9 +426,11 @@ def check_timing(context: TimingContext, cfg: Configuration, model: str) -> Timi
 # Priority synthesis
 
 
-def _seed_key(graphs: Sequence[TaskGraph]):
-    """Deadline-monotonic seed: a thread is keyed by the tightest latency
-    bound over any requirement span its tasks appear in."""
+def seed_order(threads: Iterable[QualId], graphs: Sequence[TaskGraph]) -> list[QualId]:
+    """The threads in reverse deadline-monotonic seed order, the order in
+    which `synthesize_priorities` tries them bottom-up: the seed keys a
+    thread by the tightest latency bound over any requirement span its
+    tasks appear in, threads under no requirement last, ties by name."""
     tightest: dict[QualId, int] = {}
     for graph in graphs:
         for chain in graph.chains:
@@ -446,76 +447,17 @@ def _seed_key(graphs: Sequence[TaskGraph]):
             return (1, 0, thread)
         return (0, bound, thread)
 
-    return key
-
-
-class PrioritySearch:
-    """The state `synthesize_priorities` keeps between its steps over one
-    thread set: the threads in reverse seed order, the nogoods counted so
-    far with their watches and counts of pairs decided true, and the
-    placement stack, lowest rank first."""
-
-    def __init__(self, threads: Sequence[QualId], graphs: Sequence[TaskGraph]) -> None:
-        self.reverse = sorted(frozenset(threads), key=_seed_key(graphs), reverse=True)
-        self.index = {t: i for i, t in enumerate(self.reverse)}
-        self.kept: set[frozenset[tuple[QualId, QualId]]] = set()
-        self.size: list[int] = []
-        self.holding: list[int] = []  # pairs decided true, per nogood
-        self.watch: list[list[tuple[int, int]]] = [[] for _ in self.reverse]  # per lo: (nogood, hi)
-        self.placed = [False] * len(self.reverse)
-        self.stack: list[int] = []  # indices into reverse, the lowest rank first
-        self.start = 0  # where a step that cuts nothing goes on: len(reverse) once exhausted
-
-    def count(self, i: int, step: int) -> None:
-        placed, holding = self.placed, self.holding
-        for k, hi in self.watch[i]:
-            if not placed[hi]:
-                holding[k] += step
-
-    def pop(self) -> int:
-        """Undo the top placement; the index of the next candidate there."""
-        i = self.stack.pop()
-        self.placed[i] = False
-        self.count(i, -1)
-        return i + 1
-
-    def learn(self, nogoods: Iterable[PriorityNogood]) -> int | None:
-        """Watch the nogoods not seen before and count their pairs decided
-        true by the placement; the shallowest depth at which one of them is
-        complete, or None."""
-        index = self.index
-        depth = {i: d for d, i in enumerate(self.stack)}
-        cut: int | None = None
-        for ng in nogoods:
-            pairs = frozenset(ng.pairs)
-            if not pairs or pairs in self.kept:
-                continue
-            if not all(hi != lo and hi in index and lo in index for hi, lo in pairs):
-                continue  # a pair that can never hold
-            self.kept.add(pairs)
-            k = len(self.size)
-            self.size.append(len(pairs))
-            decided = []  # depths of the pairs decided true
-            for hi, lo in pairs:
-                hi_i, lo_i = index[hi], index[lo]
-                self.watch[lo_i].append((k, hi_i))
-                if lo_i in depth and depth[lo_i] < depth.get(hi_i, len(self.stack)):
-                    decided.append(depth[lo_i])
-            self.holding.append(len(decided))
-            if len(decided) == len(pairs):
-                cut = max(decided) if cut is None else min(cut, max(decided))
-        return cut
+    return sorted(frozenset(threads), key=key, reverse=True)
 
 
 def synthesize_priorities(
-    search: PrioritySearch, nogoods: Iterable[PriorityNogood]
+    reverse: Sequence[QualId], nogoods: Iterable[PriorityNogood]
 ) -> tuple[QualId, ...] | None:
     """The first total priority order on which no nogood holds in full, or
-    None: over the nogoods this search has been given so far, `nogoods`
-    being the ones added at this step.
+    None, over the threads of `reverse` (from `seed_order`).
 
     Bottom-up placement with full backtracking (Audsley 1991): the lowest
-    rank is filled first, candidates tried in reverse seed order, so an
+    rank is filled first, candidates tried in the order of `reverse`, so an
     unconstrained run reproduces the deadline-monotonic seed exactly and
     the first order found is the first such permutation in that order.
 
@@ -523,23 +465,32 @@ def synthesize_priorities(
     its threads is placed: false if that is hi, true if it is lo.  Each
     nogood counts its pairs decided true, and a placement that makes the
     count reach its size is refused; a pair decided false keeps it below
-    for good.  Backtracking undoes what placement counted.  A nogood with a
-    pair that can never hold is dropped up front.
-
-    A step resumes from the order the last step returned: every earlier
-    permutation broke an earlier nogood.  If a new nogood holds in full on
-    that order, the stack is cut back to the shallowest depth at which one
-    is complete, as every order with that placement below breaks it, and
-    the search goes on from the next candidate there.  Otherwise the same
-    order is returned again.  After None, every step returns None.
+    for good.  Backtracking undoes what placement counted.  A nogood given
+    twice counts once, and one with a pair that can never hold is dropped
+    up front, so the answer depends only on the set of nogoods.
     """
-    cut = search.learn(nogoods)
-    stack, placed, holding, size = search.stack, search.placed, search.holding, search.size
-    watch = search.watch
-    count, n, start = search.count, len(search.reverse), search.start
-    if cut is not None:
-        while len(stack) > cut:
-            start = search.pop()
+    n = len(reverse)
+    index = {t: i for i, t in enumerate(reverse)}
+    kept: dict[frozenset[tuple[QualId, QualId]], None] = {}
+    for ng in nogoods:
+        pairs = frozenset(ng.pairs)
+        if pairs and all(hi != lo and hi in index and lo in index for hi, lo in pairs):
+            kept[pairs] = None
+    size = [len(pairs) for pairs in kept]
+    holding = [0] * len(size)  # pairs decided true, per nogood
+    watch: list[list[tuple[int, int]]] = [[] for _ in reverse]  # per lo: (nogood, hi)
+    for k, pairs in enumerate(kept):
+        for hi, lo in pairs:
+            watch[index[lo]].append((k, index[hi]))
+    placed = [False] * n
+    stack: list[int] = []  # indices into reverse, the lowest rank first
+
+    def count(i: int, step: int) -> None:
+        for k, hi in watch[i]:
+            if not placed[hi]:
+                holding[k] += step
+
+    start = 0
     while len(stack) < n:
         for i in range(start, n):
             if placed[i]:
@@ -553,7 +504,9 @@ def synthesize_priorities(
             count(i, -1)
         else:
             if not stack:
-                search.start = n
                 return None
-            start = search.pop()
-    return tuple(search.reverse[i] for i in reversed(stack))
+            i = stack.pop()
+            placed[i] = False
+            count(i, -1)
+            start = i + 1
+    return tuple(reverse[i] for i in reversed(stack))

@@ -46,7 +46,7 @@ from nego.dsl import Initialization, TaskStep, TimeActivation
 from nego.model import Configuration, SystemModel, pinned_components
 from nego.sim import JITTER_PATTERNS, ReleaseScenario, simulate, synchronous_scenario
 from nego.taskgraph import GraphError, INITIALIZATION, NORMAL, LatencyReq, build_task_graph
-from nego.timing import TimingContext, _seed_key, check_timing
+from nego.timing import TimingContext, check_timing, seed_order
 
 
 def assignments(software, pinned):
@@ -163,7 +163,7 @@ def reference_synthesize(threads, graphs, constraints):
     """The first permutation of the reverse seed order, read bottom-up, on
     which no priority nogood holds in full (`pairs_hold`), or None;
     contexts are not looked at."""
-    reverse = sorted(set(threads), key=_seed_key(graphs), reverse=True)
+    reverse = seed_order(threads, graphs)
     for bottom_up in itertools.permutations(reverse):
         order = bottom_up[::-1]
         ranks = {t: i for i, t in enumerate(order)}

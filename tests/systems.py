@@ -19,6 +19,11 @@ watch a constraint store from outside while `negotiate` drives it.
 * random_fork_system(rng): periodic roots whose calls fan out as a tree of
   services, each called once, by RPC or by SIGNAL, with thread timings on
   roots and entry threads and method timings on calls, all configured.
+* remapped_chain_systems(seeds, resources): `random_chain_system` graphs
+  under a mapping and priority order drawn again from each seed.
+
+`RELAXATIONS` edits a parsed system in ways that can only make it easier
+to admit, for metamorphic checks of the answer.
 
 `negotiation_digest` hashes what negotiation prints over many systems, so a
 change that must keep every output byte-identical can be checked at once.
@@ -28,15 +33,17 @@ from __future__ import annotations
 
 import hashlib
 import random
+from dataclasses import replace
 from typing import Iterable
 
 import nego.space
 from nego.constraints import PriorityNogood
-from nego.dsl import load_software_model
-from nego.model import Configuration, SystemModel, parse_platform, render_configuration
+from nego.dsl import TaskStep, TimeActivation, load_software_model
+from nego.model import Configuration, PlatformModel, Resource, SystemModel, parse_platform, render_configuration
 from nego.negotiation import negotiate
-from nego.randsys import random_software_system
+from nego.randsys import random_chain_system, random_software_system
 from nego.space import ConstraintStore
+from nego.taskgraph import NORMAL, build_task_graph
 from nego.timing import MODELS
 
 
@@ -153,6 +160,57 @@ def random_fork_system(rng: random.Random) -> SystemModel:
     return SystemModel(load_software_model(texts, repository), parse_platform("resource R1 type CPU\n"), cfg)
 
 
+def remapped_chain_systems(seeds: Iterable[int], resources: int = 3):
+    """Per seed, the NORMAL graph of `random_chain_system` and a
+    configuration with its mapping drawn again over R1 to R`resources` and
+    its priority order shuffled, then the generator that drew them, all
+    from the seed."""
+    names = [f"R{i + 1}" for i in range(resources)]
+    for seed in seeds:
+        system = random_chain_system(random.Random(seed))
+        graph = build_task_graph(system.software, system.config, NORMAL)
+        rng = random.Random(seed)
+        mapping = {task: rng.choice(names) for task in sorted(system.config.mapping)}
+        order = list(system.config.priorities)
+        rng.shuffle(order)
+        yield graph, Configuration(system.config.selected, system.config.connections, mapping, tuple(order)), rng
+
+
+def _edited(system: SystemModel, task=None, activation=None, timing=None) -> SystemModel:
+    """The system with every task step, periodic activation and timing
+    requirement of its contracts passed through the edit given for it."""
+
+    def thread(t):
+        steps = tuple(task(s) if task and isinstance(s, TaskStep) else s for s in t.steps)
+        periodic = activation and isinstance(t.activation, TimeActivation)
+        return replace(t, steps=steps, activation=activation(t.activation) if periodic else t.activation)
+
+    contracts = {
+        name: c._replace(threads=tuple(map(thread, c.threads)), timings=tuple(map(timing or (lambda r: r), c.timings)))
+        for name, c in system.software.contracts.items()
+    }
+    return system._replace(software=system.software._replace(contracts=contracts))
+
+
+def _one_more_resource(system: SystemModel) -> SystemModel:
+    resources = system.platform.resources
+    extra = Resource(f"R{len(resources) + 1}", resources[0].rtype)
+    assert all(r.name != extra.name for r in resources)
+    return system._replace(platform=PlatformModel(resources + (extra,)))
+
+
+# Edits of a parsed system that can only make it easier to admit: under
+# either model no analysis answers worse after one (sustainability,
+# Baruah & Burns, RTSS 2006), so a `Yes` must stay a `Yes`.
+RELAXATIONS = {
+    "wcet down to bcet": lambda system: _edited(system, task=lambda s: replace(s, wcet=s.bcet)),
+    "bounds doubled": lambda system: _edited(system, timing=lambda r: replace(r, bound=2 * r.bound)),
+    "periods doubled": lambda system: _edited(system, activation=lambda a: a._replace(period=2 * a.period)),
+    "no jitter": lambda system: _edited(system, activation=lambda a: a._replace(jitter=0)),
+    "one more resource": _one_more_resource,
+}
+
+
 def ladder() -> list[SystemModel]:
     """The search and scale rungs whose negotiation output is pinned."""
     return [shared(3, 1), shared(3, 2), indep(6, 1, 1, 8, 20, 2), indep(5, 2, 2, 14, 24, 2), deep(50), revdl(50)]
@@ -215,8 +273,8 @@ class StoreProbe:
 class NogoodProbe:
     """Wraps the store's search of one structural partial and the two
     places its nogoods go, the baseline check and synthesis (install with
-    monkeypatch), and checks at each that the nogoods handed over at the
-    partial so far are the learned nogoods whose context holds there.
+    monkeypatch), and checks at each that the nogoods handed over are the
+    learned nogoods whose context holds at the partial.
     `PriorityNogood.applies` raises meanwhile: the store must answer from
     its counts.  `checks` counts the checks by whether a nogood applied."""
 
@@ -224,29 +282,28 @@ class NogoodProbe:
         applies = PriorityNogood.applies
         original_candidates = ConstraintStore._candidates
         original_allows, original_synthesize = nego.space._allows, nego.space.synthesize_priorities
-        at: dict = {}  # the store, the partial it searches and the nogoods handed there so far
+        at: dict = {}  # the store and the partial it searches
         self.checks = {"applied": 0, "none": 0}
 
         def handed(nogoods) -> None:
-            at["given"].update(nogoods)
             partial = at["partial"]
             expected = {
                 c for c in at["store"].constraints if isinstance(c, PriorityNogood) and applies(c, partial)
             }
-            assert at["given"] == expected, partial
+            assert len(nogoods) == len(expected) and set(nogoods) == expected, partial
             self.checks["applied" if expected else "none"] += 1
 
         def candidates(store, partial, threads):
-            at.update(store=store, partial=partial, given=set())
+            at.update(store=store, partial=partial)
             return (yield from original_candidates(store, partial, threads))
 
         def allows(order, nogoods):
             handed(nogoods)
             return original_allows(order, nogoods)
 
-        def synthesize(search, nogoods):
+        def synthesize(reverse, nogoods):
             handed(nogoods)
-            return original_synthesize(search, nogoods)
+            return original_synthesize(reverse, nogoods)
 
         def refuse(nogood, cfg):
             raise AssertionError("PriorityNogood.applies called by the store")

@@ -10,8 +10,8 @@ from nego.taskgraph import NORMAL, build_task_graph
 from nego.timing import (
     BUSY_WINDOW,
     SINGLE_BLOCKING,
-    PrioritySearch,
     chain_latency_bound,
+    seed_order,
     synthesize_priorities,
 )
 
@@ -74,7 +74,7 @@ def test_synthesis_output_respects_inputs(seed, constraint_seed):
             )
             nogoods.append(PriorityNogood(frozenset(), pairs))
     constraints = [PriorityPrecedence(above, below) for above, below in precedences] + nogoods
-    order = synthesize_priorities(PrioritySearch(threads, [graph]), constraints)
+    order = synthesize_priorities(seed_order(threads, [graph]), constraints)
     if order is None:
         return
     assert sorted(order) == threads
@@ -90,7 +90,7 @@ def test_unconstrained_synthesis_always_succeeds(seed):
     system = random_chain_system(random.Random(seed))
     graph = build_task_graph(system.software, system.config, NORMAL)
     threads = sorted(system.config.ranks())
-    order = synthesize_priorities(PrioritySearch(threads, [graph]), [])
+    order = synthesize_priorities(seed_order(threads, [graph]), [])
     assert order is not None and sorted(order) == threads
 
 
@@ -109,7 +109,7 @@ pairs = st.tuples(st.sampled_from(POOL), st.sampled_from(POOL))
 def test_synthesis_finds_first_allowed_permutation(threads, nogood_pairs, precedence_pairs):
     constraints = [PriorityNogood(frozenset(), p) for p in nogood_pairs]
     constraints += [PriorityPrecedence(above, below) for above, below in precedence_pairs]
-    order = synthesize_priorities(PrioritySearch(threads, []), constraints)
+    order = synthesize_priorities(seed_order(threads, []), constraints)
     assert order == reference_synthesize(threads, [], constraints)
 
 
@@ -139,12 +139,18 @@ def test_resumed_synthesis_equals_a_fresh_one_at_every_step(seed):
         if structure is not None:
             base, graphs = structure
             threads = sorted((c, t.name) for c in base.selected for t in system.software.contracts[c].threads)
-    search = PrioritySearch(threads, graphs)
+    reverse = seed_order(threads, graphs)
+    # shuffles and repeats from a generator of their own, so the draws
+    # above and below stay those of the seed
+    reorder = random.Random(f"reorder {seed}")
     given_so_far: list[PriorityNogood] = []
     order = None
     for _ in range(rng.randint(1, 8)):
         batch = _nogood_batch(rng, threads, order)
         given_so_far += batch
-        order = synthesize_priorities(search, batch)
-        assert order == synthesize_priorities(PrioritySearch(threads, graphs), given_so_far)
+        order = synthesize_priorities(reverse, given_so_far)
         assert order == reference_synthesize(threads, graphs, given_so_far)
+        repeated = reorder.choices(given_so_far, k=reorder.randint(0, 3)) if given_so_far else []
+        shuffled = given_so_far + repeated
+        reorder.shuffle(shuffled)
+        assert synthesize_priorities(reverse, shuffled) == order

@@ -32,7 +32,7 @@ from nego.taskgraph import (
 )
 from nego.timing import BUSY_WINDOW, chain_latency_bound
 from oracles import engine_worst_observed, exhaustive_worst_observed, reference_simulate, reference_worst_observed
-from systems import random_fork_system
+from systems import random_fork_system, remapped_chain_systems
 
 LANE_SPAN = (("L", "lane_assist"), (0, 7))
 PARK_SPAN = (("P", "park_assist"), (0, 5))
@@ -636,7 +636,7 @@ def test_the_sweep_lies_between_every_release_and_the_busy_window_bound():
     # every activation before the horizon shows, and that stays within the
     # busy-window bound.
     fit = 0
-    for graph, cfg, _ in _systems_over(range(60), resources=1):
+    for graph, cfg, _ in remapped_chain_systems(range(60), resources=1):
         if not any(chain.event.jitter for chain in graph.chains):
             continue
         plan = nego.sim._Plan(graph, cfg)
@@ -653,6 +653,31 @@ def test_the_sweep_lies_between_every_release_and_the_busy_window_bound():
             assert seen <= every[(root, span)] and (bound is None or every[(root, span)] <= bound)
     # 39 of the 51 systems with jitter fit the cap
     assert fit >= 35
+
+
+def test_every_release_up_to_h_plus_the_largest_jitter_reaches_the_busy_window_bound():
+    # The same systems: a release jittered late by J_max may come after H,
+    # so the exhaustive walk runs to H + J_max, and there it reaches the
+    # busy-window bound on every bounded span, which is therefore exact on
+    # these one-resource systems.
+    fit = spans = 0
+    for graph, cfg, _ in remapped_chain_systems(range(60), resources=1):
+        jitter = max(chain.event.jitter for chain in graph.chains)
+        if not jitter:
+            continue
+        try:
+            every = exhaustive_worst_observed(graph, cfg, default_horizon(graph) + jitter, cap=5000)
+        except ValueError:
+            continue
+        fit += 1
+        ranks = cfg.ranks()
+        for (root, span), seen in every.items():
+            bound = chain_latency_bound(graph.chain(root), span, graph, cfg, ranks, BUSY_WINDOW)
+            if bound is not None:
+                spans += 1
+                assert seen == bound, (root, span)
+    # 36 of the 51 systems with jitter fit the cap, with 47 bounded spans
+    assert fit >= 33 and spans >= 43
 
 
 def _rule_4_group(variant):
@@ -1029,25 +1054,11 @@ def test_a_group_with_a_one_shot_chain_runs_to_the_horizon(monkeypatch):
     assert max(built[1::2]) == 9
 
 
-def _systems_over(seeds, resources=3):
-    """`random_chain_system` seeds with the mapping drawn again over R1 to
-    R`resources` and the priority order shuffled, from the seed."""
-    names = [f"R{i + 1}" for i in range(resources)]
-    for seed in seeds:
-        system = random_chain_system(random.Random(seed))
-        graph = build_task_graph(system.software, system.config, NORMAL)
-        rng = random.Random(seed)
-        mapping = {task: rng.choice(names) for task in sorted(system.config.mapping)}
-        order = list(system.config.priorities)
-        rng.shuffle(order)
-        yield graph, Configuration(system.config.selected, system.config.connections, mapping, tuple(order)), rng
-
-
 def test_worst_observed_matches_grid_walk_over_three_resources():
     # more than half the systems have a single chain; 53 of these 300 split
     # into two or more groups
     split = 0
-    for graph, cfg, rng in _systems_over(range(300)):
+    for graph, cfg, rng in remapped_chain_systems(range(300)):
         split += len(nego.sim._Plan(graph, cfg).groups) > 1
         horizon = rng.randint(1, default_horizon(graph))
         assert worst_observed(graph, cfg, horizon) == reference_worst_observed(graph, cfg, horizon)
@@ -1085,7 +1096,7 @@ def test_runs_that_stop_at_an_idle_hyperperiod_match_the_grid_walk(monkeypatch, 
 
     monkeypatch.setattr(nego.sim, "_run", recording)
     systems = 0
-    for graph, cfg, _ in _systems_over(range(100), resources):
+    for graph, cfg, _ in remapped_chain_systems(range(100), resources):
         if not any(chain.event.jitter for chain in graph.chains):
             continue
         systems += 1
@@ -1120,7 +1131,7 @@ def test_every_job_a_sweep_run_returns_has_completed(monkeypatch, resources):
     # a run builds only the jobs it releases, and stops only where it is
     # idle, so no run hands back a job it has not run to its end
     complete = _completing_runs(monkeypatch)
-    for graph, cfg, _ in _systems_over(range(100), resources):
+    for graph, cfg, _ in remapped_chain_systems(range(100), resources):
         full = default_horizon(graph)
         for horizon in (full, 2 * full, full - 1):
             worst_observed(graph, cfg, horizon)

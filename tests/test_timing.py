@@ -20,11 +20,11 @@ from nego.timing import (
     BUSY_WINDOW,
     MODELS,
     SINGLE_BLOCKING,
-    PrioritySearch,
     TimingContext,
     _busy_window,
     chain_latency_bound,
     check_timing,
+    seed_order,
     synthesize_priorities,
     utilization,
 )
@@ -469,13 +469,13 @@ def _post_graphs(software_post, cfg):
 
 def test_unconstrained_synthesis_is_deadline_monotonic(software_post, cfg_lane_on_o2_lex):
     graphs = _post_graphs(software_post, cfg_lane_on_o2_lex)
-    assert synthesize_priorities(PrioritySearch(LEX_ORDER, graphs), []) == ACCEPTED_ORDER
+    assert synthesize_priorities(seed_order(LEX_ORDER, graphs), []) == ACCEPTED_ORDER
 
 
 def test_synthesis_with_lane_feedback_reaches_accepted_order(software_post, cfg_lane_on_o2_lex):
     graphs = _post_graphs(software_post, cfg_lane_on_o2_lex)
     nogoods = sorted(expected_lane_feedback(), key=str)
-    assert synthesize_priorities(PrioritySearch(LEX_ORDER, graphs), nogoods) == ACCEPTED_ORDER
+    assert synthesize_priorities(seed_order(LEX_ORDER, graphs), nogoods) == ACCEPTED_ORDER
 
 
 def test_synthesis_with_busy_window_feedback_reaches_pi3(software_post, cfg_lane_on_o2_lex, platform):
@@ -483,7 +483,7 @@ def test_synthesis_with_busy_window_feedback_reaches_pi3(software_post, cfg_lane
     report = check_timing(TimingContext(graph, cfg_lane_on_o2_lex, platform), cfg_lane_on_o2_lex, BUSY_WINDOW)
     nogoods = [c for c in report.constraints if isinstance(c, PriorityNogood)]
     graphs = _post_graphs(software_post, cfg_lane_on_o2_lex)
-    assert synthesize_priorities(PrioritySearch(LEX_ORDER, graphs), nogoods) == PI3
+    assert synthesize_priorities(seed_order(LEX_ORDER, graphs), nogoods) == PI3
 
 
 def test_accumulated_busy_window_feedback_unsatisfiable(software_post, cfg_lane_on_o2_lex, platform):
@@ -494,12 +494,12 @@ def test_accumulated_busy_window_feedback_unsatisfiable(software_post, cfg_lane_
         report = check_timing(TimingContext(graph, cfg, platform), cfg, BUSY_WINDOW)
         nogoods.extend(c for c in report.constraints if isinstance(c, PriorityNogood))
     graphs = _post_graphs(software_post, cfg_lane_on_o2_lex)
-    assert synthesize_priorities(PrioritySearch(LEX_ORDER, graphs), nogoods) is None
+    assert synthesize_priorities(seed_order(LEX_ORDER, graphs), nogoods) is None
 
 
 def test_synthesis_respects_precedence(software_post, cfg_lane_on_o2_lex):
     graphs = _post_graphs(software_post, cfg_lane_on_o2_lex)
-    order = synthesize_priorities(PrioritySearch(LEX_ORDER, graphs), [PriorityPrecedence(TCI, INIT)])
+    order = synthesize_priorities(seed_order(LEX_ORDER, graphs), [PriorityPrecedence(TCI, INIT)])
     assert order is not None
     assert order.index(TCI) < order.index(INIT)
     # everything else keeps the seed arrangement
@@ -509,49 +509,29 @@ def test_synthesis_respects_precedence(software_post, cfg_lane_on_o2_lex):
 def test_synthesis_conflicting_precedences_unsat(software_post, cfg_lane_on_o2_lex):
     graphs = _post_graphs(software_post, cfg_lane_on_o2_lex)
     prec = [PriorityPrecedence(TCI, INIT), PriorityPrecedence(INIT, TCI)]
-    assert synthesize_priorities(PrioritySearch(LEX_ORDER, graphs), prec) is None
+    assert synthesize_priorities(seed_order(LEX_ORDER, graphs), prec) is None
 
 
 def test_synthesis_over_many_threads_needs_no_recursion():
     threads = [(f"C{i:04d}", "main") for i in range(1500)]
-    assert synthesize_priorities(PrioritySearch(threads, []), []) == tuple(threads)
+    assert synthesize_priorities(seed_order(threads, []), []) == tuple(threads)
     top = threads[0]
     push_down = [PriorityNogood(frozenset(), frozenset({(top, t)})) for t in threads[1:]]
-    assert synthesize_priorities(PrioritySearch(threads, []), push_down) == tuple(threads[1:]) + (top,)
+    assert synthesize_priorities(seed_order(threads, []), push_down) == tuple(threads[1:]) + (top,)
 
 
-def test_resumed_synthesis_cuts_back_to_the_shallowest_completed_nogood(monkeypatch):
+def test_synthesis_pins_the_first_order_four_nogoods_allow():
     a, b, c, d = [(name, "main") for name in "ABCD"]
-    search = PrioritySearch([a, b, c, d], [])
-    assert search.reverse == [d, c, b, a]
-    assert synthesize_priorities(search, []) == (a, b, c, d)  # placed D, C, B, A bottom-up
-    tried = []
-    count = PrioritySearch.count
-
-    def counting(self, i, step):
-        if step > 0:
-            tried.append(self.reverse[i])  # a placement tried
-        count(self, i, step)
-
-    monkeypatch.setattr(PrioritySearch, "count", counting)
-    a_over_b = PriorityNogood(frozenset(), frozenset({(a, b)}))  # complete at depth 2, where B sits
-    b_over_c = PriorityNogood(frozenset(), frozenset({(b, c)}))  # complete at depth 1, where C sits
-    d_over_c = PriorityNogood(frozenset(), frozenset({(d, c)}))  # does not hold
-    assert search.learn([d_over_c]) is None
-    # cut back to depth 1, not 2: with C still at depth 1, every order
-    # breaks b_over_c; D stays at depth 0, and depth 1 goes on from B
-    assert synthesize_priorities(search, [a_over_b, b_over_c]) == (c, b, a, d)
-    assert tried == [b, a, c, b, c]
-    # nothing new completes: the same order again, nothing tried
-    del tried[:]
-    assert synthesize_priorities(search, [d_over_c, a_over_b]) == (c, b, a, d)
-    assert tried == []
-    # a nogood complete at depth 0 cuts the whole stack: C, B and A go to
-    # the bottom in turn
+    reverse = seed_order([a, b, c, d], [])
+    assert reverse == [d, c, b, a]
+    assert synthesize_priorities(reverse, []) == (a, b, c, d)  # placed D, C, B, A bottom-up
+    a_over_b = PriorityNogood(frozenset(), frozenset({(a, b)}))
+    b_over_c = PriorityNogood(frozenset(), frozenset({(b, c)}))
+    d_over_c = PriorityNogood(frozenset(), frozenset({(d, c)}))
     a_over_d = PriorityNogood(frozenset(), frozenset({(a, d)}))
-    assert synthesize_priorities(search, [a_over_d]) == (c, b, d, a)
-    assert tried[:3] == [c, b, a]
-    assert reference_synthesize([a, b, c, d], [], [a_over_b, b_over_c, d_over_c, a_over_d]) == (c, b, d, a)
+    nogoods = [a_over_b, b_over_c, d_over_c, a_over_d]
+    assert synthesize_priorities(reverse, nogoods) == (c, b, d, a)
+    assert reference_synthesize([a, b, c, d], [], nogoods) == (c, b, d, a)
 
 
 def _orders_per_partial():
