@@ -465,9 +465,9 @@ def synthesize_priorities(
     its threads is placed: false if that is hi, true if it is lo.  Each
     nogood counts its pairs decided true, and a placement that makes the
     count reach its size is refused; a pair decided false keeps it below
-    for good.  Backtracking undoes what placement counted.  A nogood given
-    twice counts once, and one with a pair that can never hold is dropped
-    up front, so the answer depends only on the set of nogoods.
+    for good.  Backtracking undoes what placement counted.  Nogoods with
+    the same pairs are counted once, and one with a pair that can never
+    hold is dropped up front.  The order of `nogoods` does not matter.
     """
     n = len(reverse)
     index = {t: i for i, t in enumerate(reverse)}
