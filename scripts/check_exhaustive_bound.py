@@ -3,69 +3,38 @@
 
 For each `random_chain_system` seed below `--seeds` whose chains carry
 some jitter, every task is mapped onto R1 and the priority order shuffled,
-both from the seed (`tests/systems.remapped_chain_systems`).  The exhaustive
-walk of the test suite (`exhaustive_worst_observed`) runs every offset and
-every jitter draw; a system with more than `--cap` release scenarios at
-H + J_max, H its default horizon and J_max its largest jitter, is skipped.
-Per span the script checks that, at H, `sim.worst_observed` sees at most
-what the walk sees and the walk at most the busy-window bound, and that,
-at H + J_max, the walk reaches the bound exactly.  Spans the bound leaves
-unbounded are counted, not checked.  Prints the counts and exits 1 on any
-mismatch.
+both from the seed.  The exhaustive walk of the test suite
+(`exhaustive_worst_observed`) runs every offset and every jitter draw; a
+system with more than 40,000 release scenarios at a horizon is skipped
+there.  H is a system's default horizon and J_max its largest jitter.
+Per span, at H, `sim.worst_observed` must see at most what the walk sees,
+and a bounded span's walk must stay within the busy-window bound; at
+H + J_max the walk must reach every bound exactly.  Spans the bound leaves
+unbounded are checked at H only, for sweep <= walk, and counted at
+H + J_max.  The check is `tests/systems.every_release_check`.  Prints the
+counts and exits 1 on any mismatch.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-from nego.sim import default_horizon, worst_observed
-from nego.timing import BUSY_WINDOW, chain_latency_bound
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from oracles import exhaustive_worst_observed  # noqa: E402
-from systems import remapped_chain_systems  # noqa: E402
+from systems import every_release_check  # noqa: E402
+
+CAP = 40_000
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--seeds", type=int, default=100)
-    parser.add_argument("--cap", type=int, default=40_000)
+    parser.add_argument("--seeds", type=int, required=True)
     args = parser.parse_args()
 
-    jittered = fit = spans = unbounded = mismatches = 0
-    for seed, (graph, cfg, _) in enumerate(remapped_chain_systems(range(args.seeds), resources=1)):
-        jitter = max(chain.event.jitter for chain in graph.chains)
-        if not jitter:
-            continue
-        jittered += 1
-        horizon = default_horizon(graph)
-        try:
-            late = exhaustive_worst_observed(graph, cfg, horizon + jitter, args.cap)
-        except ValueError:
-            continue
-        fit += 1
-        every = exhaustive_worst_observed(graph, cfg, horizon, args.cap)
-        swept = worst_observed(graph, cfg, horizon)
-        ranks = cfg.ranks()
-        for (root, span), seen in late.items():
-            bound = chain_latency_bound(graph.chain(root), span, graph, cfg, ranks, BUSY_WINDOW)
-            at_h = every[(root, span)]
-            if bound is None:
-                unbounded += 1
-                ok = swept[(root, span)] <= at_h
-            else:
-                spans += 1
-                ok = swept[(root, span)] <= at_h <= bound == seen
-            if not ok:
-                mismatches += 1
-                print(
-                    f"MISMATCH seed={seed} span={root}{list(span)}: sweep {swept[(root, span)]}, "
-                    f"every release {at_h} at H and {seen} at H + J_max, bound {bound}"
-                )
-    print(
-        f"{args.seeds} seeds, {jittered} with jitter, {fit} within the cap at H + J_max; "
-        f"{spans} bounded spans, {unbounded} unbounded; {mismatches} mismatches"
-    )
+    counts, mismatches = every_release_check(range(args.seeds), CAP)
+    for line in mismatches:
+        print(f"MISMATCH {line}")
+    print(f"{args.seeds} seeds: " + ", ".join(f"{value} {name}" for name, value in counts.items()))
+    print(f"{len(mismatches)} mismatches")
     return 1 if mismatches else 0
 
 

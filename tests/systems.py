@@ -21,6 +21,8 @@ watch a constraint store from outside while `negotiate` drives it.
   roots and entry threads and method timings on calls, all configured.
 * remapped_chain_systems(seeds, resources): `random_chain_system` graphs
   under a mapping and priority order drawn again from each seed.
+* every_release_check(seeds, cap): the sweep and the busy-window bound
+  against every release on those systems with every task on one resource.
 
 `RELAXATIONS` edits a parsed system in ways that can only make it easier
 to admit, for metamorphic checks of the answer.
@@ -42,9 +44,11 @@ from nego.dsl import TaskStep, TimeActivation, load_software_model
 from nego.model import Configuration, PlatformModel, Resource, SystemModel, parse_platform, render_configuration
 from nego.negotiation import negotiate
 from nego.randsys import random_chain_system, random_software_system
+from nego.sim import default_horizon, worst_observed
 from nego.space import ConstraintStore
 from nego.taskgraph import NORMAL, build_task_graph
-from nego.timing import MODELS
+from nego.timing import BUSY_WINDOW, MODELS, chain_latency_bound
+from oracles import exhaustive_worst_observed
 
 
 def _system(contracts: list[str], repository: str, cpus: int) -> SystemModel:
@@ -174,6 +178,50 @@ def remapped_chain_systems(seeds: Iterable[int], resources: int = 3):
         order = list(system.config.priorities)
         rng.shuffle(order)
         yield graph, Configuration(system.config.selected, system.config.connections, mapping, tuple(order)), rng
+
+
+def every_release_check(seeds: Iterable[int], cap: int):
+    """Counts and mismatches of the sweep and the busy-window bound against
+    every release (`exhaustive_worst_observed`, at most `cap` scenarios) on
+    the `remapped_chain_systems` of `seeds` with every task on R1 and some
+    jitter.  H is a system's default horizon and J_max its largest jitter.
+    On each system that fits the cap at H, every span is checked for sweep
+    <= every release at H, and a bounded one also for every release <=
+    bound.  On each that fits at H + J_max too, every release there must
+    reach each bound exactly; the spans left unbounded are only counted."""
+    counts = dict.fromkeys(("jittered", "fit at H", "fit at H + J_max", "bounded spans", "unbounded spans"), 0)
+    mismatches = []
+    seeds = list(seeds)
+    for seed, (graph, cfg, _) in zip(seeds, remapped_chain_systems(seeds, resources=1)):
+        jitter = max(chain.event.jitter for chain in graph.chains)
+        if not jitter:
+            continue
+        counts["jittered"] += 1
+        horizon = default_horizon(graph)
+        try:
+            every = exhaustive_worst_observed(graph, cfg, horizon, cap)
+        except ValueError:
+            continue
+        counts["fit at H"] += 1
+        try:
+            late = exhaustive_worst_observed(graph, cfg, horizon + jitter, cap)
+            counts["fit at H + J_max"] += 1
+        except ValueError:
+            late = None
+        ranks = cfg.ranks()
+        for (root, span), seen in worst_observed(graph, cfg, horizon).items():
+            bound = chain_latency_bound(graph.chain(root), span, graph, cfg, ranks, BUSY_WINDOW)
+            at_h = every[(root, span)]
+            ok = seen <= at_h and (bound is None or at_h <= bound)
+            if late is not None:
+                counts["unbounded spans" if bound is None else "bounded spans"] += 1
+                ok = ok and (bound is None or late[(root, span)] == bound)
+            if not ok:
+                at_late = "" if late is None else f" and {late[(root, span)]} at H + J_max"
+                mismatches.append(
+                    f"seed={seed} span={root}{list(span)}: sweep {seen}, every release {at_h} at H{at_late}, bound {bound}"
+                )
+    return counts, mismatches
 
 
 def _edited(system: SystemModel, task=None, activation=None, timing=None) -> SystemModel:
